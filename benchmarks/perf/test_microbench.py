@@ -1,8 +1,8 @@
 """Perf microbenchmarks under pytest-benchmark.
 
 Each payload is the exact workload ``python -m repro bench`` times: tensor-op
-autograd round trips, the fused causal convolution, the batched multi-head
-attention, one training epoch and a full small ``Trainer.fit``.  Timings
+autograd round trips, one training step and epoch on the fused engines, a
+full small ``Trainer.fit``, validation, interpretation and sweeps.  Timings
 land in the pytest-benchmark table; the JSON perf trajectory is written by
 the CLI (see ``BENCH_nn.json`` and ``benchmarks/perf/baseline.json``).
 """

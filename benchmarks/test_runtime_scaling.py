@@ -1,8 +1,9 @@
 """Runtime micro-benchmarks of the core computational kernels.
 
-These complement the experiment benches: they time the forward pass, the
-forward+backward pass, and the full detector interpretation on a mid-size
-configuration, so regressions in the numpy substrate show up directly.
+These complement the experiment benches: they time the forward pass, one
+training step (fused forward + hand-derived backward + Adam), and the full
+detector interpretation on a mid-size configuration, so regressions in the
+numpy engines show up directly.
 Unlike the table/figure benches these use pytest-benchmark's normal
 multi-round timing (the payloads are cheap).
 """
@@ -15,14 +16,18 @@ from repro.core import (
     CausalityAwareTransformer,
     DecompositionCausalityDetector,
 )
-from repro.nn.tensor import Tensor
+from repro.nn.optim import Adam
+from repro.nn.training_engine import TrainingEngine
+
+
+def midsize_config():
+    return CausalFormerConfig(n_series=8, window=16, d_model=32, d_qk=32,
+                              d_ffn=32, n_heads=4, seed=0)
 
 
 @pytest.fixture(scope="module")
 def midsize_model():
-    config = CausalFormerConfig(n_series=8, window=16, d_model=32, d_qk=32,
-                                d_ffn=32, n_heads=4, seed=0)
-    return CausalityAwareTransformer(config)
+    return CausalityAwareTransformer(midsize_config())
 
 
 @pytest.fixture(scope="module")
@@ -35,15 +40,13 @@ def test_forward_pass(benchmark, midsize_model, midsize_batch):
     assert result.shape == midsize_batch.shape
 
 
-def test_forward_backward_pass(benchmark, midsize_model, midsize_batch):
-    def step():
-        midsize_model.zero_grad()
-        prediction, _ = midsize_model(Tensor(midsize_batch))
-        loss = midsize_model.loss(prediction, Tensor(midsize_batch))
-        loss.backward()
-        return float(loss.data)
-
-    loss_value = benchmark(step)
+def test_forward_backward_pass(benchmark, midsize_batch):
+    # A private model: the training steps move its weights, and the other
+    # benches share ``midsize_model``.
+    model = CausalityAwareTransformer(midsize_config())
+    engine = TrainingEngine(model, Adam(list(model.parameters()), lr=1e-3))
+    batch = engine.prepare_windows(midsize_batch)
+    loss_value = benchmark(engine.train_step, batch)
     assert np.isfinite(loss_value)
 
 

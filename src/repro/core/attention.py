@@ -22,7 +22,7 @@ The ``h`` head outputs are combined by a weight vector ``W_O ∈ R^h`` (Eq. 7).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -104,9 +104,9 @@ class MultiVariateCausalAttention(Module):
     """The full multi-head multi-variate causal attention block.
 
     The parameters live in per-head :class:`CausalAttentionHead` submodules
-    (stable ``state_dict`` layout, and each head remains usable standalone),
-    but ``forward`` stacks them and runs every head in one batched einsum
-    chain instead of a Python loop over heads.
+    (stable ``state_dict`` layout, and each head remains usable standalone);
+    ``forward`` is the plain per-head loop.  The numpy engines
+    (:mod:`repro.nn.inference`) run all heads as one batched GEMM chain.
     """
 
     def __init__(self, n_series: int, d_model: int, d_qk: int, n_heads: int,
@@ -126,7 +126,7 @@ class MultiVariateCausalAttention(Module):
         # W_O ∈ R^h concatenates (weights) the head outputs (Eq. 7).
         self.w_output = Parameter(init.ones((n_heads,)) / n_heads)
         # The per-head parameter lists are fixed after construction; cache
-        # them so the forward pass does not rebuild them every step.
+        # them so the engines do not rebuild them every step.
         heads = list(self.heads)
         self.query_weights = [head.w_query for head in heads]
         self.query_biases = [head.b_query for head in heads]
@@ -134,73 +134,20 @@ class MultiVariateCausalAttention(Module):
         self.key_biases = [head.b_key for head in heads]
         self.mask_parameters = [head.mask for head in heads]
 
-    def _project_qk(self, embedding: Tensor) -> Tuple[Tensor, Tensor]:
-        """Every head's Q and K projection in one BLAS GEMM.
-
-        The ``2h`` per-head weight matrices are stacked and flattened to
-        ``(d, 2·h·q)`` so a single matmul produces all queries *and* keys;
-        the result is reshaped to ``(2, h, B, N, q)`` and sliced.
-        """
-        n_heads = self.n_heads
-        projected = F.stacked_qk_projection(
-            embedding, self.query_weights + self.key_weights,
-            self.query_biases + self.key_biases)                      # (2h, B, N, q)
-        return projected[:n_heads], projected[n_heads:]
-
-    def forward(self, embedding: Tensor, values: Tensor,
-                collect_caches: bool = True):
+    def forward(self, embedding: Tensor, values: Tensor
+                ) -> Tuple[Tensor, List[AttentionHeadCache]]:
         """Return ``(combined, head_caches)``.
 
-        ``combined`` has shape ``(batch, N, T)``; ``head_caches`` is the list
-        of per-head :class:`AttentionHeadCache` used by the causality
-        detector.  Training steps never read the caches, so the trainer path
-        passes ``collect_caches=False`` and skips both the per-head graph
-        nodes and the retained-gradient copies.
+        Every head runs standalone (Eq. 5–6) and ``combined`` — shape
+        ``(batch, N, T)`` — is their ``W_O``-weighted sum (Eq. 7).  The
+        per-head :class:`AttentionHeadCache` list is what the causality
+        detector reads.
         """
-        n_heads = self.n_heads
-        scale = 1.0 / (self.temperature * np.sqrt(self.d_qk))
-        masks = self.mask_parameters
-
-        if not collect_caches:
-            # Training fast path: two fused nodes for the whole block.
-            attention_stack = F.causal_attention_probs(
-                embedding, self.query_weights, self.query_biases,
-                self.key_weights, self.key_biases, masks, scale)
-            combined = F.attention_combine(attention_stack, values, self.w_output)
-            return combined, []
-
-        query, key = self._project_qk(embedding)                      # (h, B, N, q) each
-        masked = F.masked_attention_scores(query, key, masks, scale)  # (h, B, N, N)
-        attention_stack = F.softmax(masked, axis=-1)                  # (h, B, N, N)
-
-        # Slice out per-head views and re-stack them, so each head's
-        # attention matrix is an autograd node *on the path* to the output —
-        # the detector reads their retained gradients (Fig. 6b).  The slices
-        # are O(h·B·N²), negligible next to the attention application below.
-        attention_heads = [attention_stack[h].retain_grad() for h in range(n_heads)]
-        attention_restack = T.stack(attention_heads, axis=0)
-        # head_output[h, b, i, t] = Σ_j attention[h, b, i, j] · values[b, j, i, t]
-        head_output_stack = F.causal_attention_apply(attention_restack, values)
-        head_outputs = [head_output_stack[h].retain_grad() for h in range(n_heads)]
-        output_restack = T.stack(head_outputs, axis=0)
-        combined = T.einsum("hbit,h->bit", output_restack, self.w_output)
-
-        masked_data = masked.data
-        caches = [
-            AttentionHeadCache(
-                attention=attention_heads[h],
-                head_output=head_outputs[h],
-                attention_data=attention_heads[h].data,
-                head_output_data=head_outputs[h].data,
-                scores_data=masked_data[h],
-            )
-            for h in range(n_heads)
-        ]
+        caches = [head(embedding, values) for head in self.heads]
+        head_outputs = T.stack([cache.head_output for cache in caches], axis=0)
+        combined = T.einsum("hbit,h->bit", head_outputs, self.w_output)
         return combined, caches
 
     def mask_l1_penalty(self) -> Tensor:
-        """``Σ_h ‖M_h‖₁`` in one batched op (equals the per-head sum)."""
-        if len(self.heads) == 1:
-            return self.heads[0].l1_penalty()
-        masks = T.stack([head.mask for head in self.heads], axis=0)
-        return masks.abs().sum()
+        """``Σ_h ‖M_h‖₁`` — the mask sparsity term of the loss (Eq. 9)."""
+        return sum(head.l1_penalty() for head in self.heads)

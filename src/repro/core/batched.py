@@ -6,10 +6,10 @@ costs more than the arithmetic.  :class:`StackedCausalFormerTrainer` trains
 ``K`` same-architecture models (different datasets and seeds) in lockstep:
 every parameter gains a leading model axis, each training step runs the
 whole fleet through stacked GEMMs (one set of numpy calls for ``K`` models
-instead of ``K`` sets), and a hand-derived backward — transcribed from the
-fused autograd ops' closures, evaluated over persistent scratch arenas by
-:class:`repro.nn.training_engine.StackedTrainingEngine` — fills a stacked
-flat Adam state.  Mini-batches are built by one stacked gather (a single
+instead of ``K`` sets), and a hand-derived backward — the solo training
+engine's, with a leading model axis, evaluated over persistent scratch
+arenas by :class:`repro.nn.training_engine.StackedTrainingEngine` — fills a
+stacked flat Adam state.  Mini-batches are built by one stacked gather (a single
 ``np.take`` over the concatenated training sets into a persistent batch
 buffer), and the engine that runs the training steps is the same object
 (same arena) that runs every validation pass; its arena is also handed to
@@ -60,7 +60,7 @@ stacked ``(K, P)`` matrix (zero-copy stacked steps); when it retires, the
 best-state restore re-points the model at owned arrays, because its lane is
 about to be reused.  The single-kernel ablation stacks too: its shared
 ``(1, 1, T)`` kernel is broadcast through the same constant-ones multiply
-as the autograd ``effective_kernel`` node, with the matching
+as ``MultiKernelCausalConvolution.effective_kernel``, with the matching
 unbroadcast-sum backward.
 """
 
@@ -990,7 +990,7 @@ class StackedCausalFormerTrainer:
 
         Delegates to :class:`repro.nn.training_engine.StackedTrainingEngine`
         — the one ``_train_step`` staged in ``_step_ctx`` (the main engine
-        by default), which transcribes the fused autograd ops' closures with
+        by default), which runs the solo engine's hand-derived backward with
         a leading model axis over persistent arena buffers and writes every
         gradient into the stacked flat matrix returned here; batched matmuls
         run the same per-slice GEMMs, so each model's gradients are

@@ -68,8 +68,9 @@ class MultiKernelCausalConvolution(Module):
         in sync with reloaded buffers.
         """
         self._scale_array = np.asarray(self._scale)
-        # Broadcast helper for the single-kernel ablation: constant, grad-free,
-        # so one cached Tensor can be reused across autograd graphs.
+        # Constant, grad-free tensors (the 1/t rescale and the single-kernel
+        # broadcast helper), so one cached Tensor serves every autograd graph.
+        self._scale_tensor = Tensor(self._scale_array)
         self._ones_broadcast = Tensor(
             np.ones((self.n_series, self.n_series, 1), dtype=self._scale_array.dtype))
 
@@ -83,7 +84,7 @@ class MultiKernelCausalConvolution(Module):
         return self.kernel * self._ones_broadcast
 
     def forward(self, x: Tensor) -> Tensor:
-        """Convolve a batch of windows.
+        """Convolve a batch of windows (Eq. 3) and self-shift it (Eq. 4).
 
         Parameters
         ----------
@@ -96,17 +97,18 @@ class MultiKernelCausalConvolution(Module):
         the convolution of source series ``i`` for predicting target series
         ``j`` at slot ``t`` (the paper's ``X̂_{i,j}``).
         """
+        return F.diagonal_right_shift(self.convolve(x))
+
+    def convolve(self, x: Tensor) -> Tensor:
+        """Eq. 3 alone: the rescaled convolution before the Eq. 4 shift."""
         batch, n_series, window = x.shape
         if n_series != self.n_series or window != self.window:
             raise ValueError(
                 f"expected input of shape (*, {self.n_series}, {self.window}); got {x.shape}"
             )
-        # One fused autograd node: pad → causal-window view → batched GEMM
-        # with the per-slot 1/t rescale (Eq. 3) and the diagonal right-shift
-        # (Eq. 4) folded in — replacing the former T-iteration
-        # slice-and-stack loop plus mask/concatenate ops.
-        return F.causal_conv(x, self.effective_kernel(), self._scale_array,
-                             right_shift=True)
+        windows = F.sliding_window(x, window)                        # (B, N, T, T)
+        raw = T.einsum("bitk,ijk->bijt", windows, self.effective_kernel())
+        return raw * self._scale_tensor
 
     def convolution_windows(self, x: np.ndarray) -> np.ndarray:
         """Numpy helper exposing ``windows[b, i, t, τ]`` for relevance propagation.

@@ -88,6 +88,17 @@ class CausalFormer:
             if values.ndim != 2:
                 raise ValueError("expected an (n_series, n_timesteps) array")
             self._series_names = None
+        bad = np.argwhere(~np.isfinite(values))
+        if len(bad):
+            # Reject here: a NaN or ±inf would otherwise train, get
+            # interpreted, and only fail deep inside the k-means clustering.
+            series, step = (int(index) for index in bad[0])
+            name = self._series_names[series] if self._series_names else series
+            raise ValueError(
+                f"input series {name!r} holds the non-finite value "
+                f"{values[series, step]} at step {step}; CausalFormer needs "
+                f"finite values"
+            )
         if values.shape[1] <= self.config.window:
             raise ValueError(
                 f"the series ({values.shape[1]} steps) must be longer than the window "

@@ -375,14 +375,14 @@ class Trainer:
     def _run_epoch(self, windows: np.ndarray, rng: np.random.Generator) -> float:
         """One shuffled pass over the training windows.
 
-        Runs on the fused no-autograd :class:`TrainingEngine` — the same
-        forward/backward arithmetic the autograd fast path performed, minus
-        the graph.  Mini-batches are index views: the epoch shuffles indices
-        once and gathers a *block* of several mini-batches through one
-        stacked ``np.take`` into a persistent arena buffer (bounded by
-        :data:`GATHER_ELEMENT_BUDGET`), then steps over contiguous
-        ``batch_size`` slices of the block — the same rows in the same
-        order as a per-step gather, so losses are bit-identical.
+        Runs on the fused no-autograd :class:`TrainingEngine` (fused
+        forward, hand-derived backward, no graph).  Mini-batches are index
+        views: the epoch shuffles indices once and gathers a *block* of
+        several mini-batches through one stacked ``np.take`` into a
+        persistent arena buffer (bounded by :data:`GATHER_ELEMENT_BUDGET`),
+        then steps over contiguous ``batch_size`` slices of the block — the
+        same rows in the same order as a naive per-step gather, so losses
+        and weights are bit-identical to that loop.
         """
         telemetry = self._telemetry if self._telemetry is not None \
             else get_telemetry()
@@ -438,9 +438,10 @@ class Trainer:
         penalties are constant across chunks, so the window-weighted mean of
         the chunk losses equals the single-shot loss exactly.
 
-        The pass runs on the fused no-autograd inference engine: the same
-        operation sequence as the autograd fast path (losses are
-        bit-identical), but with every intermediate written into a reusable
-        scratch arena instead of fresh graph nodes and temporaries.
+        The pass runs on the fused no-autograd inference engine, which
+        writes every intermediate into a reusable scratch arena instead of
+        fresh graph nodes and temporaries; its losses match the plain
+        autograd reference (:meth:`CausalityAwareTransformer.loss`) up to
+        floating-point rounding.
         """
         return self._inference.evaluate(windows, self.config.batch_size)

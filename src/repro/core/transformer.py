@@ -67,87 +67,56 @@ class CausalityAwareTransformer(Module):
     # ------------------------------------------------------------------ #
     # Forward
     # ------------------------------------------------------------------ #
-    def forward(self, x: Tensor, return_cache: bool = False
-                ) -> Tuple[Tensor, Optional[TransformerCache]]:
-        """Predict each series over the window.
+    def forward(self, x: Tensor) -> Tuple[Tensor, TransformerCache]:
+        """Predict each series over the window; return ``(prediction, cache)``.
+
+        This is the plain autograd reference of Eqs. 2–8: the submodules
+        and generic :class:`Tensor` ops, one equation at a time, with every
+        intermediate recorded in the :class:`TransformerCache`.  Training,
+        validation and interpretation run on the numpy engines instead
+        (:meth:`inference_engine`,
+        :class:`~repro.nn.training_engine.TrainingEngine`); the tests check
+        those engines against this forward.
 
         Parameters
         ----------
         x:
-            ``(batch, N, T)`` window batch.
-        return_cache:
-            When true, also return the :class:`TransformerCache` of
-            intermediates needed by the causality detector.
+            ``(batch, N, T)`` window batch (a single ``(N, T)`` window is
+            promoted to a batch of one).
         """
         dtype = self.embedding.weight.data.dtype
         if not isinstance(x, Tensor):
             x = Tensor(np.asarray(x, dtype=dtype))
         elif x.data.dtype != dtype and not x.requires_grad:
-            # Keep the whole graph in the engine dtype (float32 by default):
-            # mixed-precision inputs would silently promote every op to
-            # float64 and forfeit the fast path.
+            # Keep the whole graph in the model dtype: a mixed-precision
+            # input would silently promote every op to float64.
             x = Tensor(x.data.astype(dtype))
         if x.ndim == 2:
             x = x.unsqueeze(0)
-        values = self.convolution(x)
-        if return_cache:
-            embedding = self.embedding(x)
-            # Only the causality detector reads values.grad; training steps
-            # skip the retained-gradient copy and the per-head cache nodes.
-            values.retain_grad()
-            combined, head_caches = self.attention(embedding, values,
-                                                   collect_caches=True)
-        else:
-            # Training fast path: embedding, Q/K projection and the masked
-            # softmax fuse into one node; application + head combination
-            # into a second.
-            attention = self.attention
-            scale = 1.0 / (attention.temperature * np.sqrt(attention.d_qk))
-            probabilities = F.causal_attention_probs(
-                x, attention.query_weights, attention.query_biases,
-                attention.key_weights, attention.key_biases,
-                attention.mask_parameters, scale,
-                embed_weight=self.embedding.weight,
-                embed_bias=self.embedding.bias)
-            combined = F.attention_combine(probabilities, values, attention.w_output)
-            head_caches = []
-        if return_cache:
-            ffn_hidden = F.linear(combined, self.feed_forward.w1, self.feed_forward.b1)
-            ffn_activated = F.leaky_relu(ffn_hidden, self.feed_forward.negative_slope)
-            ffn_output = F.linear(ffn_activated, self.feed_forward.w2, self.feed_forward.b2)
-            prediction = self.output_layer(ffn_output)
-        else:
-            # Training fast path: the FFN + output tail runs as one fused
-            # node (the cache path above keeps the individual intermediates
-            # relevance propagation reads).
-            prediction = F.mlp_chain(
-                combined, self.feed_forward.w1, self.feed_forward.b1,
-                self.feed_forward.w2, self.feed_forward.b2,
-                self.output_layer.weight, self.output_layer.bias,
-                self.feed_forward.negative_slope)
-
-        cache: Optional[TransformerCache] = None
-        if return_cache:
-            # Recompute the pre-shift convolution values in numpy (cheap) so
-            # relevance propagation has the un-shifted denominators.
-            conv_windows = self.convolution.convolution_windows(x.data)
-            kernel = self.convolution.effective_kernel().data
-            scale = self.convolution._scale_array
-            values_pre = np.einsum("bitk,ijk->bijt", conv_windows, kernel) * scale
-            cache = TransformerCache(
-                inputs=x.data,
-                embedding=embedding.data,
-                values_pre_shift=values_pre,
-                values=values.data,
-                conv_windows=conv_windows,
-                head_caches=head_caches,
-                attention_combined=combined.data,
-                ffn_hidden=ffn_hidden.data,
-                ffn_activated=ffn_activated.data,
-                ffn_output=ffn_output.data,
-                output=prediction.data,
-                values_tensor=values,
-            )
+        embedding = self.embedding(x)                                  # Eq. 2
+        values_pre = self.convolution.convolve(x)                      # Eq. 3
+        # The detector reads values.grad (Fig. 6b), so keep it.
+        values = F.diagonal_right_shift(values_pre).retain_grad()      # Eq. 4
+        combined, head_caches = self.attention(embedding, values)      # Eq. 5–7
+        ffn = self.feed_forward
+        ffn_hidden = F.linear(combined, ffn.w1, ffn.b1)                # Eq. 8
+        ffn_activated = F.leaky_relu(ffn_hidden, ffn.negative_slope)
+        ffn_output = F.linear(ffn_activated, ffn.w2, ffn.b2)
+        prediction = self.output_layer(ffn_output)
+        cache = TransformerCache(
+            inputs=x.data,
+            embedding=embedding.data,
+            values_pre_shift=values_pre.data,
+            values=values.data,
+            conv_windows=self.convolution.convolution_windows(x.data),
+            head_caches=head_caches,
+            attention_combined=combined.data,
+            ffn_hidden=ffn_hidden.data,
+            ffn_activated=ffn_activated.data,
+            ffn_output=ffn_output.data,
+            output=prediction.data,
+            values_tensor=values,
+        )
         return prediction, cache
 
     def inference_engine(self) -> InferenceEngine:
@@ -159,8 +128,8 @@ class CausalityAwareTransformer(Module):
     def predict(self, x: np.ndarray) -> np.ndarray:
         """Numpy-in / numpy-out prediction without building the autograd graph.
 
-        Runs on the fused inference engine — bit-identical to the previous
-        ``no_grad()`` autograd forward, with zero steady-state allocation.
+        Runs on the fused inference engine — equal to :meth:`forward` up to
+        floating-point rounding, with zero steady-state allocation.
         """
         return self.inference_engine().predict(x)
 
@@ -173,14 +142,12 @@ class CausalityAwareTransformer(Module):
             target = Tensor(np.asarray(target, dtype=prediction.data.dtype))
         elif target.data.dtype != prediction.data.dtype and not target.requires_grad:
             target = Tensor(target.data.astype(prediction.data.dtype))
-        penalties = []
+        loss = F.mse_loss(prediction[..., 1:], target[..., 1:])
         if self.config.lambda_kernel > 0:
-            penalties.append((self.config.lambda_kernel, self.convolution.kernel))
+            loss = loss + self.config.lambda_kernel * self.convolution.l1_penalty()
         if self.config.lambda_mask > 0:
-            penalties.extend((self.config.lambda_mask, head.mask)
-                             for head in self.attention.heads)
-        return F.prediction_loss_with_l1(prediction, target, penalties,
-                                         start_slot=1)
+            loss = loss + self.config.lambda_mask * self.attention.mask_l1_penalty()
+        return loss
 
     def prediction_error(self, x: np.ndarray) -> float:
         """Plain MSE (no penalties) of the model on a batch of windows."""

@@ -2,8 +2,18 @@
 
 This subpackage is the deep-learning substrate of the CausalFormer
 reproduction.  The paper trains and *interprets* a transformer with PyTorch;
-PyTorch is not available in this environment, so ``repro.nn`` provides the
-pieces the paper's pipeline actually needs:
+PyTorch is not available here, so ``repro.nn`` provides two layers:
+
+* the numpy engines that run CausalFormer in production —
+  :mod:`~repro.nn.inference` (validation, prediction, interpretation) and
+  :mod:`~repro.nn.training_engine` (fused forward with a hand-derived
+  backward), threaded by :mod:`~repro.nn.parallel`;
+* the autograd engine below, which trains the neural baselines and runs
+  the plain CausalFormer reference forward
+  (:meth:`repro.core.transformer.CausalityAwareTransformer.forward`) that
+  the tests check the engines against.
+
+The autograd pieces:
 
 * :class:`~repro.nn.tensor.Tensor` — an ndarray wrapper with reverse-mode
   autodiff, broadcasting-aware gradients, and the ability to *retain*

@@ -6,7 +6,7 @@ objects and is differentiable through the autograd engine.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -50,88 +50,21 @@ def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
 
 
 # ---------------------------------------------------------------------- #
-# Causal-convolution primitives (the training hot path)
+# Causal-window primitives (paper Eq. 3)
 # ---------------------------------------------------------------------- #
-import threading as _threading
-
-_pad_buffers = _threading.local()
-
-_backward_arenas = _threading.local()
-
-
-def _backward_arena():
-    """Per-thread scratch arena for backward-pass temporaries.
-
-    The fused training nodes' backward closures allocate several large
-    temporaries (contiguous transposes, products, GEMM outputs) every
-    training step; steady-state steps reuse these buffers instead.  Only
-    arrays that never escape the closure — or that are routed to *leaf*
-    tensors, which :meth:`Tensor._accumulate` copies or adds out of
-    immediately — may live in the arena; gradients routed to interior graph
-    nodes are referenced until a later closure consumes them and keep fresh
-    allocations.
-    """
-    from repro.nn.inference import ScratchArena
-
-    arena = getattr(_backward_arenas, "arena", None)
-    if arena is None:
-        arena = _backward_arenas.arena = ScratchArena()
-    return arena
-
-
-def _causal_window_view(data: np.ndarray, window: int, reuse_buffer: bool = False):
+def _causal_window_view(data: np.ndarray, window: int):
     """Left-zero-pad ``data`` and return its causal windows as a strided view.
 
     Returns ``(padded, view)`` where ``view[..., t, τ] = padded[..., t+1+τ]``
     — the ``window``-slot history whose last element is the observation at
     slot ``t``.  The view shares memory with ``padded``; no ``(…, T, T)``
-    copy is ever materialised.  ``reuse_buffer=True`` recycles a per-thread
-    pad buffer keyed by shape — only safe when the caller copies everything
-    it needs out of the view before the next call (as the fused
-    :func:`causal_conv` does).
+    copy is ever materialised.
     """
-    if reuse_buffer:
-        key = (data.shape, data.dtype.str, window)
-        cache = getattr(_pad_buffers, "buffers", None)
-        if cache is None:
-            cache = _pad_buffers.buffers = {}
-        padded = cache.get(key)
-        if padded is None:
-            if len(cache) > 16:
-                cache.clear()
-            padded = cache[key] = np.zeros(
-                data.shape[:-1] + (data.shape[-1] + window,), dtype=data.dtype)
-        padded[..., window:] = data
-    else:
-        padded = np.concatenate(
-            [np.zeros(data.shape[:-1] + (window,), dtype=data.dtype), data],
-            axis=-1)
+    padded = np.concatenate(
+        [np.zeros(data.shape[:-1] + (window,), dtype=data.dtype), data],
+        axis=-1)
     view = np.lib.stride_tricks.sliding_window_view(padded, window, axis=-1)
     return padded, view[..., 1:, :]
-
-
-def _scatter_window_grad(grad_windows: np.ndarray, window: int,
-                         padded_shape, dtype, arena=None) -> np.ndarray:
-    """Backward of the causal window view: scatter-add onto the padded axis.
-
-    ``grad_windows[..., t, τ]`` contributes to ``padded[..., t+1+τ]``; the
-    window axis is moved to be contiguous first so each of the ``window``
-    vectorized adds streams over contiguous memory.  ``arena`` (a scratch
-    arena) hosts the internal contiguous transpose; the returned array is
-    always freshly allocated — it is routed into the graph.
-    """
-    length = grad_windows.shape[-2]
-    swapped = np.swapaxes(grad_windows, -1, -2)
-    if arena is None:
-        by_offset = np.ascontiguousarray(swapped)
-    else:
-        by_offset = arena.take("scatter.by_offset", swapped.shape,
-                               grad_windows.dtype)
-        np.copyto(by_offset, swapped)
-    grad_padded = np.zeros(padded_shape, dtype=dtype)
-    for tau in range(window):
-        grad_padded[..., 1 + tau:1 + tau + length] += by_offset[..., tau, :]
-    return grad_padded[..., window:]
 
 
 def sliding_window(x: Tensor, window: int) -> Tensor:
@@ -150,434 +83,17 @@ def sliding_window(x: Tensor, window: int) -> Tensor:
     out = T._make_op(view, (x,))
     if out.requires_grad:
         padded_shape = padded.shape
-        dtype = x.data.dtype
+        length = view.shape[-2]
 
         def backward(grad, route):
-            route(x, _scatter_window_grad(grad, window, padded_shape, dtype))
-
-        out._backward = backward
-    return out
-
-
-def causal_conv(x: Tensor, kernel: Tensor, scale: np.ndarray,
-                right_shift: bool = False) -> Tensor:
-    """Fused pad → window → contraction causal convolution (paper Eq. 3).
-
-    ``out[b, i, j, t] = scale[t] · Σ_τ kernel[i, j, τ] · W[b, i, t, τ]``
-    where ``W`` is the causal window view of ``x``.  The contraction runs as
-    one batched GEMM per source series over the strided view, so neither
-    pass builds per-slot autograd nodes or materialises a ``(B, N, T, T)``
-    autograd intermediate.  ``right_shift=True`` additionally applies the
-    paper's Eq. 4 diagonal right-shift inside the same node (see
-    :func:`diagonal_right_shift` for the standalone primitive).
-    """
-    x = x if isinstance(x, Tensor) else Tensor(x)
-    kernel = kernel if isinstance(kernel, Tensor) else Tensor(kernel)
-    window = kernel.shape[-1]
-    if x.shape[-1] != window:
-        raise ValueError(
-            f"kernel window {window} does not match input window {x.shape[-1]}")
-    padded, windows = _causal_window_view(x.data, window, reuse_buffer=True)
-    kernel_data = kernel.data
-    batch, n_series, length = x.shape
-    diag = np.arange(n_series)
-    windows_flat = np.ascontiguousarray(windows.transpose(1, 0, 2, 3)) \
-        .reshape(n_series, batch * length, window)
-    raw = windows_flat @ kernel_data.transpose(0, 2, 1)   # (N, B·T, N)
-    out_data = raw.reshape(n_series, batch, length, kernel_data.shape[1]) \
-        .transpose(1, 0, 3, 2) * scale
-    if right_shift:
-        diagonal = out_data[:, diag, diag, :]
-        out_data[:, diag, diag, 1:] = diagonal[:, :, :-1]
-        out_data[:, diag, diag, 0] = 0.0
-    out = T._make_op(out_data, (x, kernel))
-    if out.requires_grad:
-        padded_shape = padded.shape
-        dtype = x.data.dtype
-
-        k_out = kernel_data.shape[1]
-
-        def backward(grad, route):
-            arena = _backward_arena()
-            if right_shift:
-                # Undo the shift: the gradient of the diagonal entry at slot
-                # t+1 flows to the pre-shift entry at slot t.
-                shifted = arena.take("conv.bwd.grad", grad.shape, grad.dtype)
-                np.copyto(shifted, grad)
-                diagonal = shifted[:, diag, diag, :]
-                shifted[:, diag, diag, :-1] = diagonal[:, :, 1:]
-                shifted[:, diag, diag, -1] = 0.0
-                grad = shifted
-            grad_scaled = arena.take("conv.bwd.scaled", grad.shape, grad.dtype)
-            np.multiply(grad, scale, out=grad_scaled)     # (B, i, j, t)
-            if kernel.requires_grad:
-                flat = arena.take("conv.bwd.flat_k",
-                                  (n_series, k_out, batch * length), grad.dtype)
-                np.copyto(flat.reshape(n_series, k_out, batch, length),
-                          grad_scaled.transpose(1, 2, 0, 3))
-                if kernel.is_leaf:
-                    kernel_grad = arena.take("conv.bwd.kgrad",
-                                             (n_series, k_out, window),
-                                             grad.dtype)
-                    np.matmul(flat, windows_flat, out=kernel_grad)
-                    route(kernel, kernel_grad)            # (N, N, K)
-                else:
-                    route(kernel, flat @ windows_flat)
-            if x.requires_grad:
-                flat = arena.take("conv.bwd.flat_x",
-                                  (n_series, batch * length, k_out), grad.dtype)
-                np.copyto(flat.reshape(n_series, batch, length, k_out),
-                          grad_scaled.transpose(1, 0, 3, 2))
-                grad_windows = arena.take("conv.bwd.gwin",
-                                          (n_series, batch * length, window),
-                                          grad.dtype)
-                np.matmul(flat, kernel_data, out=grad_windows)
-                grad_windows = grad_windows \
-                    .reshape(n_series, batch, length, window).transpose(1, 0, 2, 3)
-                route(x, _scatter_window_grad(grad_windows, window,
-                                              padded_shape, dtype,
-                                              arena=arena))
-
-        out._backward = backward
-    return out
-
-
-def stacked_qk_projection(embedding: Tensor, weights: List[Tensor],
-                          biases: List[Tensor]) -> Tensor:
-    """Project an embedding through ``L`` affine heads in one GEMM.
-
-    Returns ``(L, B, N, q)`` where slice ``l`` is
-    ``embedding @ weights[l] + biases[l]``.  The attention block passes the
-    ``2h`` query and key projections of every head as one list, so all
-    heads' Q *and* K come out of a single matrix multiply and a single
-    autograd node (instead of ~12 stack/reshape/matmul nodes).
-    """
-    batch, n, d_model = embedding.shape
-    count = len(weights)
-    d_out = weights[0].shape[-1]
-    weight_flat = np.concatenate([w.data for w in weights], axis=1)   # (d, L·q)
-    bias_flat = np.concatenate([b.data for b in biases])              # (L·q,)
-    x2d = embedding.data.reshape(batch * n, d_model)
-    projected = x2d @ weight_flat
-    projected += bias_flat
-    out_data = np.ascontiguousarray(
-        projected.reshape(batch, n, count, d_out).transpose(2, 0, 1, 3))
-    out = T._make_op(out_data, (embedding, *weights, *biases))
-    if out.requires_grad:
-        def backward(grad, route):
-            grad_2d = np.ascontiguousarray(grad.transpose(1, 2, 0, 3)) \
-                .reshape(batch * n, count * d_out)
-            if embedding.requires_grad:
-                route(embedding, (grad_2d @ weight_flat.T)
-                      .reshape(batch, n, d_model))
-            grad_weight = x2d.T @ grad_2d                             # (d, L·q)
-            grad_bias = grad_2d.sum(axis=0)
-            for index in range(count):
-                columns = slice(index * d_out, (index + 1) * d_out)
-                if weights[index].requires_grad:
-                    route(weights[index], grad_weight[:, columns])
-                if biases[index].requires_grad:
-                    route(biases[index], grad_bias[columns])
-
-        out._backward = backward
-    return out
-
-
-def masked_attention_scores(query: Tensor, key: Tensor, masks: List[Tensor],
-                            scale: float) -> Tensor:
-    """Tempered, mask-modulated attention scores for all heads (paper Eq. 5).
-
-    ``out[h] = (query[h] @ key[h]ᵀ) · scale ⊙ masks[h]`` with ``query``/
-    ``key`` of shape ``(h, B, N, q)`` — one batched GEMM plus one
-    multiplication, with the per-head learnable masks routed directly in the
-    backward pass.
-    """
-    q_data, k_data = query.data, key.data
-    mask_stack = np.stack([m.data for m in masks])[:, None, :, :]     # (h, 1, N, N)
-    raw = q_data @ k_data.transpose(0, 1, 3, 2)                       # (h, B, N, N)
-    modulation = mask_stack * scale
-    out_data = raw * modulation
-    out = T._make_op(out_data, (query, key, *masks))
-    if out.requires_grad:
-        def backward(grad, route):
-            grad_raw = grad * modulation
-            if query.requires_grad:
-                route(query, grad_raw @ k_data)
-            if key.requires_grad:
-                route(key, grad_raw.transpose(0, 1, 3, 2) @ q_data)
-            grad_masks = (grad * raw).sum(axis=1) * scale             # (h, N, N)
-            for index, mask in enumerate(masks):
-                if mask.requires_grad:
-                    route(mask, grad_masks[index])
-
-        out._backward = backward
-    return out
-
-
-def causal_attention_probs(inputs: Tensor, w_query: List[Tensor],
-                           b_query: List[Tensor], w_key: List[Tensor],
-                           b_key: List[Tensor], masks: List[Tensor],
-                           scale: float,
-                           embed_weight: Optional[Tensor] = None,
-                           embed_bias: Optional[Tensor] = None) -> Tensor:
-    """Embedding → all-head Q/K projection → masked tempered softmax (Eq. 5).
-
-    The entire attention-probability computation for every head runs as one
-    autograd node: one GEMM projects all queries and keys, one batched GEMM
-    forms the scores, and the softmax Jacobian is applied in the hand-written
-    backward before routing into the per-head parameters.  When
-    ``embed_weight``/``embed_bias`` are given, ``inputs`` is the raw window
-    batch and the time-series embedding (Eq. 2) is computed inside the same
-    node — one more fused GEMM on the training path.
-    """
-    n_heads = len(w_query)
-    batch, n = inputs.shape[0], inputs.shape[1]
-    d_qk = w_query[0].shape[-1]
-    weights = w_query + w_key
-    biases = b_query + b_key
-    weight_flat = np.concatenate([w.data for w in weights], axis=1)   # (d, 2h·q)
-    bias_flat = np.concatenate([b.data for b in biases])
-    x2d = inputs.data.reshape(batch * n, inputs.shape[-1])
-    if embed_weight is not None:
-        emb2d = x2d @ embed_weight.data
-        emb2d += embed_bias.data
-    else:
-        emb2d = x2d
-    projected = emb2d @ weight_flat
-    projected += bias_flat
-    qk = np.ascontiguousarray(
-        projected.reshape(batch, n, 2 * n_heads, d_qk).transpose(2, 0, 1, 3))
-    q_data, k_data = qk[:n_heads], qk[n_heads:]
-    mask_stack = np.stack([m.data for m in masks])[:, None, :, :]     # (h, 1, N, N)
-    raw = q_data @ k_data.transpose(0, 1, 3, 2)                       # (h, B, N, N)
-    modulation = mask_stack * scale
-    probabilities = raw * modulation
-    probabilities -= probabilities.max(axis=-1, keepdims=True)
-    np.exp(probabilities, out=probabilities)
-    probabilities /= probabilities.sum(axis=-1, keepdims=True)
-    parents = [inputs, *weights, *biases, *masks]
-    if embed_weight is not None:
-        parents += [embed_weight, embed_bias]
-    out = T._make_op(probabilities, tuple(parents))
-    if out.requires_grad:
-        params_leaf = all(parameter.is_leaf for parameter in weights) \
-            and all(parameter.is_leaf for parameter in biases)
-
-        def backward(grad, route):
-            arena = _backward_arena()
-            product = arena.take("attn.bwd.prod", probabilities.shape,
-                                 probabilities.dtype)
-            np.multiply(grad, probabilities, out=product)
-            dot = product.sum(axis=-1, keepdims=True)
-            grad_masked = arena.take("attn.bwd.masked", probabilities.shape,
-                                     probabilities.dtype)
-            np.subtract(grad, dot, out=grad_masked)
-            np.multiply(probabilities, grad_masked, out=grad_masked)
-            grad_raw = arena.take("attn.bwd.raw", probabilities.shape,
-                                  probabilities.dtype)
-            np.multiply(grad_masked, modulation, out=grad_raw)
-            grad_qk = arena.take("attn.bwd.qk", qk.shape, qk.dtype)
-            np.matmul(grad_raw, k_data, out=grad_qk[:n_heads])
-            np.matmul(grad_raw.transpose(0, 1, 3, 2), q_data, out=grad_qk[n_heads:])
-            grad_2d = arena.take("attn.bwd.2d",
-                                 (batch * n, 2 * n_heads * d_qk), qk.dtype)
-            np.copyto(grad_2d.reshape(batch, n, 2 * n_heads, d_qk),
-                      grad_qk.transpose(1, 2, 0, 3))
-            need_emb_grad = (embed_weight is not None
-                             and (embed_weight.requires_grad
-                                  or embed_bias.requires_grad
-                                  or inputs.requires_grad))
-            if inputs.requires_grad or need_emb_grad:
-                grad_emb = grad_2d @ weight_flat.T                    # (B·N, d)
-                if embed_weight is None:
-                    if inputs.requires_grad:
-                        route(inputs, grad_emb.reshape(inputs.data.shape))
-                else:
-                    if embed_weight.requires_grad:
-                        route(embed_weight, x2d.T @ grad_emb)
-                    if embed_bias.requires_grad:
-                        route(embed_bias, grad_emb.sum(axis=0))
-                    if inputs.requires_grad:
-                        route(inputs, (grad_emb @ embed_weight.data.T)
-                              .reshape(inputs.data.shape))
-            if params_leaf:
-                # Routed slices land on leaf parameters, which copy/add out
-                # of the arena buffer immediately.
-                grad_weight = arena.take("attn.bwd.gw", weight_flat.shape,
-                                         qk.dtype)
-                np.matmul(emb2d.T, grad_2d, out=grad_weight)
-            else:
-                grad_weight = emb2d.T @ grad_2d
-            grad_bias = grad_2d.sum(axis=0)
-            for index, (weight, bias) in enumerate(zip(weights, biases)):
-                columns = slice(index * d_qk, (index + 1) * d_qk)
-                if weight.requires_grad:
-                    route(weight, grad_weight[:, columns])
-                if bias.requires_grad:
-                    route(bias, grad_bias[columns])
-            np.multiply(grad_masked, raw, out=product)
-            grad_masks = product.sum(axis=1) * scale                  # (h, N, N)
-            for index, mask in enumerate(masks):
-                if mask.requires_grad:
-                    route(mask, grad_masks[index])
-
-        out._backward = backward
-    return out
-
-
-def attention_combine(attention: Tensor, values: Tensor,
-                      w_output: Tensor) -> Tensor:
-    """Fused attention application + head combination (Eq. 6–7).
-
-    ``out[b, i, t] = Σ_h w_output[h] · Σ_j attention[h,b,i,j] · values[b,j,i,t]``
-    in one node: the batched GEMM of :func:`causal_attention_apply` followed
-    by the head-weighted sum, keeping the per-head outputs only as a local
-    for the ``w_output`` gradient.
-    """
-    a_data, v_data, w_data = attention.data, values.data, w_output.data
-    a_bihj = np.ascontiguousarray(a_data.transpose(1, 2, 0, 3))       # (B, i, h, j)
-    v_bijt = np.ascontiguousarray(v_data.transpose(0, 2, 1, 3))       # (B, i, j, t)
-    head_outputs = a_bihj @ v_bijt                                    # (B, i, h, t)
-    out_data = np.tensordot(head_outputs, w_data, axes=([2], [0]))    # (B, i, t)
-    out = T._make_op(out_data, (attention, values, w_output))
-    if out.requires_grad:
-        def backward(grad, route):
-            arena = _backward_arena()
-            # grad (B, i, t): expand back over heads first.
-            grad_heads = arena.take("comb.bwd.heads", head_outputs.shape,
-                                    np.result_type(grad, w_data))
-            np.multiply(grad[:, :, None, :], w_data[None, None, :, None],
-                        out=grad_heads)
-            if attention.requires_grad:
-                grad_a = grad_heads @ v_bijt.transpose(0, 1, 3, 2)    # (B, i, h, j)
-                route(attention, grad_a.transpose(2, 0, 1, 3))
-            if values.requires_grad:
-                grad_v = a_bihj.transpose(0, 1, 3, 2) @ grad_heads    # (B, i, j, t)
-                route(values, grad_v.transpose(0, 2, 1, 3))
-            if w_output.requires_grad:
-                route(w_output,
-                      np.tensordot(head_outputs, grad, axes=([0, 1, 3], [0, 1, 2])))
-
-        out._backward = backward
-    return out
-
-
-def mlp_chain(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
-              w3: Tensor, b3: Tensor, negative_slope: float) -> Tensor:
-    """Fused ``linear → leakyReLU → linear → linear`` tail of the model.
-
-    This is the feed-forward layer (Eq. 8) followed by the output layer in
-    one autograd node — a hand-derived MLP backward instead of seven graph
-    nodes on the training hot path.  The cache-collecting path of the
-    transformer still uses the individual ops (it needs the intermediates).
-    """
-    x2d = x.data.reshape(-1, x.data.shape[-1])
-    hidden = x2d @ w1.data
-    hidden += b1.data
-    slope = np.where(hidden > 0, hidden.dtype.type(1.0),
-                     hidden.dtype.type(negative_slope))
-    hidden *= slope                                                   # activated
-    ffn = hidden @ w2.data
-    ffn += b2.data
-    out2d = ffn @ w3.data
-    out2d += b3.data
-    out = T._make_op(out2d.reshape(x.data.shape[:-1] + (w3.data.shape[-1],)),
-                     (x, w1, b1, w2, b2, w3, b3))
-    if out.requires_grad:
-        def backward(grad, route):
-            arena = _backward_arena()
-            grad2d = grad.reshape(-1, grad.shape[-1])
-            if w3.requires_grad:
-                route(w3, ffn.T @ grad2d)
-            if b3.requires_grad:
-                route(b3, grad2d.sum(axis=0))
-            grad_ffn = arena.take("mlp.bwd.ffn", ffn.shape, grad.dtype)
-            np.matmul(grad2d, w3.data.T, out=grad_ffn)
-            if w2.requires_grad:
-                route(w2, hidden.T @ grad_ffn)
-            if b2.requires_grad:
-                route(b2, grad_ffn.sum(axis=0))
-            grad_hidden = arena.take("mlp.bwd.hidden", hidden.shape, grad.dtype)
-            np.matmul(grad_ffn, w2.data.T, out=grad_hidden)
-            grad_hidden *= slope
-            if w1.requires_grad:
-                route(w1, x2d.T @ grad_hidden)
-            if b1.requires_grad:
-                route(b1, grad_hidden.sum(axis=0))
-            if x.requires_grad:
-                route(x, (grad_hidden @ w1.data.T).reshape(x.data.shape))
-
-        out._backward = backward
-    return out
-
-
-def prediction_loss_with_l1(prediction: Tensor, target: Tensor,
-                            pairs: List[Tuple[float, Tensor]],
-                            start_slot: int = 1) -> Tensor:
-    """The paper's full training loss (Eq. 9) as one fused autograd node.
-
-    ``MSE(prediction[..., start_slot:], target[..., start_slot:]) +
-    Σ_i λ_i·‖W_i‖₁`` — evaluated every training step, so the windowed MSE,
-    the penalty sum and their gradients all run inside a single node.
-    """
-    target = target if isinstance(target, Tensor) else Tensor(target)
-    diff = prediction.data[..., start_slot:] - target.data[..., start_slot:]
-    value = np.dot(diff.ravel(), diff.ravel()) / diff.size
-    # Group equal-coefficient penalties (e.g. the per-head masks) so each
-    # group costs one abs/sum pass instead of one per tensor.
-    groups: dict = {}
-    for coefficient, tensor in pairs:
-        groups.setdefault(coefficient, []).append(tensor.data.ravel())
-    for coefficient, arrays in groups.items():
-        flat = arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
-        value += coefficient * float(np.abs(flat).sum())
-    out = T._make_op(np.asarray(value, dtype=diff.dtype),
-                     (prediction, target, *(tensor for _c, tensor in pairs)))
-    if out.requires_grad:
-        scale = 2.0 / diff.size
-
-        def backward(grad, route):
-            g = (scale * grad) * diff
-            if prediction.requires_grad:
-                full = np.zeros_like(prediction.data)
-                full[..., start_slot:] = g
-                route(prediction, full)
-            if target.requires_grad:
-                full = np.zeros_like(target.data)
-                full[..., start_slot:] = g
-                np.negative(full, out=full)
-                route(target, full)
-            for coefficient, tensor in pairs:
-                if tensor.requires_grad:
-                    route(tensor, (coefficient * grad) * np.sign(tensor.data))
-
-        out._backward = backward
-    return out
-
-
-def causal_attention_apply(attention: Tensor, values: Tensor) -> Tensor:
-    """Batched attention application for every head at once (paper Eq. 6).
-
-    ``out[h, b, i, t] = Σ_j attention[h, b, i, j] · values[b, j, i, t]`` —
-    the contraction aggregates, for target ``i``, the convolution of source
-    ``j`` computed *for* ``i``.  Forward and backward each run as one
-    batched GEMM over the ``(b, i)`` axes instead of an einsum dispatch.
-    """
-    a_data = attention.data                                # (h, B, N, N)
-    v_data = values.data                                   # (B, N, N, T)
-    a_bihj = np.ascontiguousarray(a_data.transpose(1, 2, 0, 3))   # (B, i, h, j)
-    v_bijt = np.ascontiguousarray(v_data.transpose(0, 2, 1, 3))   # (B, i, j, t)
-    out_data = np.ascontiguousarray((a_bihj @ v_bijt).transpose(2, 0, 1, 3))
-    out = T._make_op(out_data, (attention, values))
-    if out.requires_grad:
-        def backward(grad, route):
-            grad_biht = np.ascontiguousarray(grad.transpose(1, 2, 0, 3))
-            if attention.requires_grad:
-                grad_a = grad_biht @ v_bijt.transpose(0, 1, 3, 2)  # (B, i, h, j)
-                route(attention, grad_a.transpose(2, 0, 1, 3))
-            if values.requires_grad:
-                grad_v = a_bihj.transpose(0, 1, 3, 2) @ grad_biht  # (B, i, j, t)
-                route(values, grad_v.transpose(0, 2, 1, 3))
+            # Scatter-add onto the padded axis: grad[..., t, τ] lands on
+            # padded[..., t+1+τ].  The window axis is made contiguous first
+            # so each of the ``window`` adds streams over contiguous memory.
+            by_offset = np.ascontiguousarray(np.swapaxes(grad, -1, -2))
+            grad_padded = np.zeros(padded_shape, dtype=x.data.dtype)
+            for tau in range(window):
+                grad_padded[..., 1 + tau:1 + tau + length] += by_offset[..., tau, :]
+            route(x, grad_padded[..., window:])
 
         out._backward = backward
     return out

@@ -12,21 +12,25 @@ projection + masked tempered softmax (Eq. 5), attention combination
 every intermediate into a reusable :class:`ScratchArena` so steady-state
 evaluation performs no per-call heap allocation of large temporaries.
 
-Numerical contract: for a given model the fused forward replays the *exact*
-operation sequence of the autograd fast path (same GEMM shapes, same
-reduction orders), so its results are bit-for-bit identical in float64 and
-within BLAS noise in float32.  With ``set_engine_threads(n)`` (see
+Numerical contract: the fused forward follows one fixed operation sequence
+(GEMM shapes, reduction orders, dtype promotions), and every other engine
+path — the stacked fleet, threaded ops, a resumed fit — replays it exactly.
+Against the plain autograd reference
+(:meth:`~repro.core.transformer.CausalityAwareTransformer.forward`, which
+transcribes the paper's equations one op at a time) it agrees up to
+floating-point rounding; the tests pin that at tolerance in float64 and
+float32.  With ``set_engine_threads(n)`` (see
 :mod:`repro.nn.parallel`) the dominant ops chunk their independent leading
 axes — the ``(b, i)`` convolution/attention batches — across a shared
 worker pool; each chunk performs exactly the per-slice work of the serial
 op on disjoint output slices, so threaded results stay bit-identical in
 both dtypes.  The detector-facing
-:meth:`InferenceEngine.interpretation_forward` instead replays the autograd
-*cache* path (per-head outputs, 3-D linears, einsum head combination),
-whose operation sequence differs slightly from the fast path, and
-:meth:`InferenceEngine.interpretation_gradients` hand-evaluates the exact
-backward of that graph for a batch of target series at once — the detector
-no longer needs the autograd graph at all.
+:meth:`InferenceEngine.interpretation_forward` follows a second fixed
+sequence (per-head outputs, 3-D linears, einsum head combination,
+source-major convolution layout) that the detector's scores depend on, and
+:meth:`InferenceEngine.interpretation_gradients` hand-evaluates the
+backward of that sequence for a batch of target series at once — the
+detector needs no autograd graph at all.
 """
 
 from __future__ import annotations
@@ -209,8 +213,9 @@ def _leaky_slope(space: ScratchSpace, name: str, pre_activation: np.ndarray,
                  negative_slope: float) -> np.ndarray:
     """``np.where(x > 0, 1, negative_slope)`` without temporaries.
 
-    The constants are written exactly (``copyto`` with a mask), matching the
-    autograd path's ``np.where`` selection bit for bit.
+    The constants are written exactly (``copyto`` with a mask), matching
+    ``np.where``'s selection (:func:`repro.nn.functional.leaky_relu`) bit
+    for bit.
     """
     dtype = pre_activation.dtype
     slope = space.take(name, pre_activation.shape, dtype)
@@ -386,10 +391,10 @@ class InferenceEngine(ProfilingSeam):
             weight_flat[:, columns] = weight.data
             bias_flat[columns] = bias.data
 
-        # ``scale`` is a float64 numpy scalar, so the autograd path's
-        # ``mask_stack * scale`` promotes the modulation — and everything
-        # downstream of the attention scores — to float64 even under the
-        # float32 engine.  Replicate that promotion exactly.
+        # ``scale`` is a float64 numpy scalar, so ``mask_stack * scale``
+        # promotes the modulation — and everything downstream of the
+        # attention scores — to float64 even under the float32 engine.
+        # Every engine path keeps that promotion.
         scale = 1.0 / (attention.temperature * np.sqrt(attention.d_qk))
         n = model.convolution.n_series
         modulation = arena.take("stage.modulation", (n_heads, 1, n, n),
@@ -426,7 +431,7 @@ class InferenceEngine(ProfilingSeam):
         }
 
     # ------------------------------------------------------------------ #
-    # Fused building blocks (fast-path operation order)
+    # Fused building blocks (training/evaluation operation order)
     # ------------------------------------------------------------------ #
     @hot_path
     def _causal_windows(self, space: ScratchSpace, x: np.ndarray
@@ -434,8 +439,7 @@ class InferenceEngine(ProfilingSeam):
         """Left-zero-pad ``x`` and return ``(padded, windows_flat)``.
 
         ``windows_flat`` is the ``(N, B·T, K)`` contiguous GEMM layout of
-        the causal window view (the exact array the fused autograd
-        ``causal_conv`` builds).
+        the causal window view (one batched GEMM per source series).
         """
         batch, n, window = x.shape
         padded = space.take("conv.pad", (batch, n, 2 * window), x.dtype)
@@ -458,16 +462,16 @@ class InferenceEngine(ProfilingSeam):
     def _convolution(self, space: ScratchSpace, x: np.ndarray, stage: dict,
                      legacy_layout: bool = False
                      ) -> Tuple[np.ndarray, np.ndarray]:
-        """Fused causal convolution with the Eq. 4 right-shift (fast path).
+        """Fused causal convolution with the Eq. 4 right-shift.
 
         Returns ``(values, windows_flat)`` — the convolution output and the
         ``(N, B·T, K)`` window layout (reused by the detector backward).
 
-        ``legacy_layout`` allocates the output in the autograd conv's memory
-        order (source-major — its ``transposed_view * scale`` inherits the
-        view's layout), which einsum summation order — hence detector
-        bit-identity — depends on.  The evaluation path only ever reads the
-        values through contiguous re-layouts, so it uses a C-ordered buffer.
+        ``legacy_layout`` allocates the output in source-major memory order
+        (``transposed_view * scale`` inherits the view's layout), which
+        einsum summation order — hence the detector's scores and graphs —
+        depends on.  The evaluation path only ever reads the values through
+        contiguous re-layouts, so it uses a C-ordered buffer.
         """
         batch, n, window = x.shape
         kernel = stage["kernel_eff"]
@@ -514,7 +518,7 @@ class InferenceEngine(ProfilingSeam):
 
         Returns ``(probabilities, embedding_2d, scores)`` where ``scores``
         (the pre-softmax masked scores) is only materialised when
-        ``keep_scores`` — the detector cache wants them, the fast path does
+        ``keep_scores`` — the detector cache wants them, evaluation does
         not.
         """
         batch, n, window = x.shape
@@ -593,10 +597,10 @@ class InferenceEngine(ProfilingSeam):
         a_bihj = space.take("comb.a", (batch, n, n_heads, n), probs.dtype)
         probs_t = space.view("comb.probs.t",
                              lambda: probs.transpose(1, 2, 0, 3))
-        # The autograd path multiplies float64 attention with model-dtype
-        # values, which numpy resolves by casting the values up internally
-        # on every call; staging the cast copy once is bit-identical and
-        # skips the hidden per-call buffer.
+        # Float64 attention meets model-dtype values here, which numpy
+        # resolves by casting the values up internally on every call;
+        # staging the cast copy once is bit-identical and skips the hidden
+        # per-call buffer.
         v_bijt = space.take("comb.v", (batch, n, n, window), out_dtype)
         values_t = space.view("comb.values.t",
                               lambda: values.transpose(0, 2, 1, 3))
@@ -641,7 +645,7 @@ class InferenceEngine(ProfilingSeam):
         np.dot(space.view("comb.at.2d", lambda: at.reshape(-1, n_heads)),
                stage["w_output"].reshape(n_heads, 1).astype(dtype, copy=False),
                out=combined)
-        # Fused MLP tail (Eq. 8 + output layer), fast-path 2-D layout.
+        # Fused MLP tail (Eq. 8 + output layer) in 2-D layout.
         x2d = space.view("comb.out.2d",
                          lambda: combined.reshape(batch * n, window))
         d_ffn = stage["w1"].shape[-1]
@@ -665,10 +669,10 @@ class InferenceEngine(ProfilingSeam):
     def _penalty_terms(self) -> List[float]:
         """The loss's L1 penalty contributions, one float per coefficient group.
 
-        Groups equal-coefficient penalties exactly like the autograd loss
-        node (insertion order: kernel first, then the per-head masks), so
-        adding the returned floats in order reproduces its accumulation
-        sequence bit for bit.
+        Groups equal-coefficient penalties (insertion order: kernel first,
+        then the per-head masks), so adding the returned floats in order
+        gives one fixed accumulation sequence, which the stacked engine
+        replays bit for bit.
         """
         return _loss_penalty_terms(self.model, self.arena)
 
@@ -691,14 +695,14 @@ class InferenceEngine(ProfilingSeam):
 
     def _loss_value(self, prediction: np.ndarray, target: np.ndarray,
                     start_slot: int = 1) -> float:
-        """Windowed MSE + grouped L1 penalties, replaying the fused loss node."""
+        """Windowed MSE + grouped L1 penalties (Eq. 9)."""
         diff = self._windowed_diff(prediction, target, start_slot)
         return self._mse_plus_penalties(diff, self._penalty_terms())
 
     def _as_model_batch(self, windows: np.ndarray) -> np.ndarray:
-        """Replay the Tensor-construction casts of the autograd path.
+        """Replay the Tensor-construction casts of the autograd forward.
 
-        The autograd forward first builds ``Tensor(x)`` (casting to the
+        The reference forward first builds ``Tensor(x)`` (casting to the
         *engine default* dtype), then — when that differs from the model
         dtype — rebuilds ``Tensor(x.astype(model_dtype))``, whose
         constructor casts **back** to the default dtype.  Net effect: the
@@ -706,7 +710,8 @@ class InferenceEngine(ProfilingSeam):
         the model dtype when that is the narrower type.  The fused ops then
         run in ``result_type(batch, parameter)`` like numpy's promotion
         does; replicating the exact chain keeps mixed-dtype configurations
-        (e.g. a float32 model probed under a float64 session) bit-identical.
+        (e.g. a float32 model probed under a float64 session) on the same
+        input values as the reference.
         """
         from repro.nn import tensor as T
 
@@ -733,8 +738,8 @@ class InferenceEngine(ProfilingSeam):
     def evaluate(self, windows: np.ndarray, batch_size: int) -> float:
         """Window-weighted mean loss over ``batch_size`` chunks.
 
-        Bit-for-bit equivalent to the chunked autograd ``Trainer._evaluate``
-        it replaces, at zero steady-state allocation.  When the ``(B, N, N,
+        Matches chunked evaluation of the autograd reference loss up to
+        rounding, at zero steady-state allocation.  When the ``(B, N, N,
         T)`` convolution intermediate fits the memory budget, the whole
         window set runs as one forward pass — identical rows, one GEMM
         dispatch instead of one per chunk — and the chunk losses are then
@@ -778,7 +783,7 @@ class InferenceEngine(ProfilingSeam):
     # Detector support: cache-path forward + hand-derived backward
     # ------------------------------------------------------------------ #
     def interpretation_forward(self, windows: np.ndarray) -> InterpretationForward:
-        """One fused forward replaying the autograd *cache* path exactly.
+        """One fused forward in the detector's fixed operation order.
 
         Fills a :class:`~repro.core.transformer.TransformerCache` for
         relevance propagation plus the internals the multi-target backward
@@ -798,14 +803,14 @@ class InferenceEngine(ProfilingSeam):
         values, windows_flat = self._convolution(space, x, stage,
                                                  legacy_layout=True)
         cdtype = np.result_type(x.dtype, stage["embed_weight"].dtype)
-        # Cache path embedding: 3-D linear (B, N, T) @ (T, d) + bias.
+        # Detector-order embedding: 3-D linear (B, N, T) @ (T, d) + bias.
         emb3d = arena.take("cache.emb", (batch, n, stage["embed_weight"].shape[-1]),
                            cdtype)
         np.matmul(x, stage["embed_weight"], out=emb3d)
         emb3d += stage["embed_bias"]
         # Q/K projection + masked scores + softmax, keeping the pre-softmax
         # scores for the cache.  The projection input is the embedding here
-        # (cache path), not the raw windows.
+        # (detector order), not the raw windows.
         proj = arena.take("att.proj", (batch * n, 2 * n_heads * stage["d_qk"]),
                           cdtype)
         np.matmul(emb3d.reshape(batch * n, -1), stage["weight_flat"], out=proj)
@@ -816,7 +821,7 @@ class InferenceEngine(ProfilingSeam):
         q_data, k_data = qk[:n_heads], qk[n_heads:]
         raw = arena.take("att.raw", (n_heads, batch, n, n), cdtype)
         np.matmul(q_data, k_data.transpose(0, 1, 3, 2), out=raw)
-        # float64 from the modulation on (see ``_stage``), as in autograd.
+        # float64 from the modulation on (see ``_stage``).
         probs = arena.take("att.probs", (n_heads, batch, n, n), np.float64)
         np.multiply(raw, stage["modulation"], out=probs)
         scores = arena.take("att.scores", (n_heads, batch, n, n), np.float64)
@@ -895,10 +900,10 @@ class InferenceEngine(ProfilingSeam):
                                  ) -> Tuple[np.ndarray, np.ndarray]:
         """Gradients of ``Σ_t prediction[:, target, :]`` for several targets.
 
-        Hand-evaluates the exact backward pass of the cache-path graph — the
-        one the detector used to obtain via one autograd ``backward()`` per
-        target — batched over ``targets`` with the same per-slice GEMMs, so
-        the returned gradients are bit-identical to the autograd ones.
+        Hand-evaluates the backward pass of :meth:`interpretation_forward`
+        — what one autograd ``backward()`` per target computes on the
+        reference forward — batched over ``targets``; the tests pin the two
+        together at tolerance.
 
         Returns ``(attention_grads, kernel_grads)`` of shapes
         ``(G, h, B, N, N)`` and ``(G, N, N, K)`` (``(G, 1, 1, K)`` for the
@@ -968,7 +973,7 @@ class StackedInterpretationForward:
     forwards: List[InterpretationForward]
     inputs: np.ndarray                 # (M, B, N, T)
     output: np.ndarray                 # (M, B, N, T)
-    values: np.ndarray                 # (M, B, N, N, T) legacy (source-major) layout
+    values: np.ndarray                 # (M, B, N, N, T) source-major layout
     values_pre: np.ndarray             # (M, B, N, N, T) pre-shift, float64
     conv_windows: np.ndarray           # (M, B, N, T, K) strided float64 view
     attention_probs: np.ndarray        # (M, h, B, N, N)
@@ -1005,7 +1010,7 @@ class StackedInferenceEngine(ProfilingSeam):
     are **bit-identical** to running it alone through
     :class:`InferenceEngine` — in float64 and float32 alike.  The stacked
     buffers replicate the single-model engine's memory layouts exactly
-    (including the legacy source-major convolution layout), because einsum
+    (including the source-major convolution layout), because einsum
     summation order — hence detector bit-identity — depends on operand
     strides.
     """

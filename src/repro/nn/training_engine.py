@@ -1,14 +1,12 @@
 """Autograd-free training step: fused forward + hand-derived backward.
 
-PR 3/4 removed the autograd graph from every *non-gradient* pass of this
-reproduction (validation, prediction, detector interpretation) — but the
-training step itself still built and walked a fresh :class:`~repro.nn.tensor
+An autograd training step builds and walks a fresh :class:`~repro.nn.tensor
 .Tensor` graph every mini-batch: node objects, backward closures, a
 topological sort, a gradient dict and a fresh temporary for almost every
-routed gradient.  This module removes that last graph.
+routed gradient.  CausalFormer training runs none of that.
 
-:class:`TrainingEngine` replays the training fast path's fused forward (the
-exact :class:`~repro.nn.inference.InferenceEngine` forward: causal
+:class:`TrainingEngine` runs the fused forward (the exact
+:class:`~repro.nn.inference.InferenceEngine` forward: causal
 convolution with the folded Eq. 4 right-shift, embedding + Q/K projection +
 masked tempered softmax, attention combination, the MLP tail and the Eq. 9
 loss with its grouped L1 penalties) and then hand-evaluates the **exact
@@ -45,30 +43,29 @@ and every cross-row weight-gradient reduction (``ffn.T @ grad2d`` style,
 kernel selection and therefore summation order.  At ``engine threads = 1``
 every ``body(0, n)`` call is the exact serial path.
 
-Op-for-op parity contract
--------------------------
-The backward transcribes, line by line, the backward closures of the fused
-autograd training nodes (``causal_conv``, ``causal_attention_probs``,
-``attention_combine``, ``mlp_chain``, ``prediction_loss_with_l1`` in
-:mod:`repro.nn.functional`) **and** the autograd engine's routing semantics:
+Numerical contract
+------------------
+The backward is the exact derivative of the fused forward, evaluated in one
+fixed operation sequence per layer — the loss, the MLP tail, the attention
+combination, the softmax Jacobian and the causal convolution — with the
+autograd engine's routing semantics:
 
 * each routed gradient is cast to the receiving parameter's dtype *before*
-  accumulation (``Tensor._push``/``_accumulate``), so an L1 sign written
-  first and a main-path term added second round exactly like the autograd
-  accumulation sequence;
-* the single-kernel ablation replays the ``effective_kernel`` broadcast
-  node's backward: gradient × constant ones (an exact ×1.0, elided), the
-  node-boundary cast, then the engine's unbroadcast sum down to
-  ``(1, 1, T)`` — in that order;
-* every GEMM sees operands with the same memory layout (contiguous copies
-  where the closures call ``np.ascontiguousarray``, transpose views where
-  they pass views) and every reduction runs over an identically laid-out
-  array, so results are **bit-identical** to ``loss.backward()`` on the
-  autograd fast path — in float64 exactly, in float32 to the last ulp of
-  the same operation sequence (the correctness tests in
-  ``tests/nn/test_training_engine.py`` assert ``array_equal`` per parameter
-  across the full Table 3 ablation grid, including the single-kernel
-  ablation).
+  accumulation (as ``Tensor._push``/``_accumulate`` do), so an L1 sign
+  written first and a main-path term added second round in one fixed
+  order;
+* the single-kernel ablation takes the ``effective_kernel`` broadcast's
+  backward: gradient × constant ones (an exact ×1.0, elided), the
+  node-boundary cast, then the unbroadcast sum down to ``(1, 1, T)`` — in
+  that order.
+
+Gradients therefore match ``loss.backward()`` on the plain autograd
+reference (:meth:`~repro.core.transformer.CausalityAwareTransformer.forward`
+and ``loss``) up to floating-point rounding, and the tests in
+``tests/nn/test_training_engine.py`` pin that at tolerance across the
+Table 3 training ablation grid in float64 and float32.  Inside the engine
+everything is exact: the stacked engine, every thread count and a resumed
+fit reproduce a solo serial fit bit for bit.
 
 :class:`StackedTrainingEngine` is the ``K``-model lockstep variant used by
 :class:`repro.core.batched.StackedCausalFormerTrainer`: the same fused
@@ -99,8 +96,8 @@ def _scaled_sign(destination: np.ndarray, source: np.ndarray,
                  coefficient: np.float64) -> None:
     """``destination = coefficient · sign(source)``, autograd-cast-exact.
 
-    The loss node routes ``(coefficient · 1.0) · sign(W)`` — a float64
-    product — which the engine casts to the parameter dtype on
+    An L1 loss term routes ``(coefficient · 1.0) · sign(W)`` — a float64
+    product — which autograd casts to the parameter dtype on
     accumulation.  Writing the sign first and scaling in place computes the
     same float64 product per element before the cast (sign values are exact
     in every float dtype).
@@ -287,9 +284,9 @@ class TrainingEngine(InferenceEngine):
     def prepare_windows(self, windows: np.ndarray) -> np.ndarray:
         """Replay the per-batch Tensor-construction cast chain once, up front.
 
-        The autograd loop built ``Tensor(windows[order[...]])`` per batch
-        (casting to the engine default dtype) and the model forward re-cast
-        through the model dtype when they differ.  Both casts are
+        An autograd loop builds ``Tensor(windows[order[...]])`` per batch
+        (casting to the engine default dtype) and the reference forward
+        re-casts through the model dtype when they differ.  Both casts are
         elementwise, so applying them to the whole window set once and
         gathering rows afterwards is bit-identical to gathering first.
         """
@@ -361,7 +358,7 @@ class TrainingEngine(InferenceEngine):
         return plan
 
     # ------------------------------------------------------------------ #
-    # Hand-derived backward (transcribed autograd closures)
+    # Hand-derived backward
     # ------------------------------------------------------------------ #
     @hot_path
     def _backward(self, space: ScratchSpace, stage: dict, x: np.ndarray,
@@ -386,7 +383,7 @@ class TrainingEngine(InferenceEngine):
         # buffer's allocation zero-fill persists there (never written).
         np.multiply(diff, (2.0 / diff.size) * one, out=p.grad_pred[..., 1:])
 
-        # --- mlp_chain backward (2-D GEMMs and cross-row reductions stay
+        # --- MLP tail backward (2-D GEMMs and cross-row reductions stay
         # serial: row-splitting them could change BLAS summation order) -- #
         np.matmul(p.ffn.T, p.grad2d, out=p.w3_tmp)
         p.w3_view[...] = p.w3_tmp
@@ -405,7 +402,8 @@ class TrainingEngine(InferenceEngine):
         p.b1_view[...] = p.b1_tmp
         np.matmul(p.grad_hidden, stage["w1"].T, out=p.grad_combined)
 
-        # --- attention_combine backward (threaded over the batch axis) --- #
+        # --- attention combination backward (threaded over the batch
+        # axis) ---------------------------------------------------------- #
         w_out_col = stage["w_output"][None, None, :, None]
 
         def combine_body(lo, hi):
@@ -427,7 +425,7 @@ class TrainingEngine(InferenceEngine):
         np.dot(p.ho_flat, p.grad_combined_col, out=p.wout_tmp)
         p.wout_view[...] = p.wout_tmp[:, 0]
 
-        # --- causal_attention_probs backward (softmax Jacobian, threaded
+        # --- attention probabilities backward (softmax Jacobian, threaded
         # over the batch axis; modulation broadcasts and is never sliced) - #
         modulation = stage["modulation"]
 
@@ -491,7 +489,8 @@ class TrainingEngine(InferenceEngine):
             else:
                 mask_view[...] = p.gmask[index]
 
-        # --- causal_conv backward (kernel only; inputs carry no grad) ---- #
+        # --- causal convolution backward (kernel only; inputs carry no
+        # grad) ---------------------------------------------------------- #
         # Node-boundary cast to the values dtype, then the routed transpose.
 
         def shifted_body(lo, hi):
@@ -694,7 +693,7 @@ class StackedTrainingEngine(StackedInferenceEngine):
     :class:`repro.core.batched.StackedCausalFormerTrainer`: one fused
     forward (the inherited :class:`~repro.nn.inference
     .StackedInferenceEngine` forward, bit-identical per model to the solo
-    fast path) and one hand-derived backward with a leading model axis,
+    engine) and one hand-derived backward with a leading model axis,
     writing every gradient into the trainer's stacked ``(K, *shape)`` views
     of its flat ``(K, P)`` gradient matrix.  All backward temporaries live
     in the engine's arena, so steady-state steps allocate nothing.
@@ -883,7 +882,7 @@ class StackedTrainingEngine(StackedInferenceEngine):
         # Slot 0 is never written; the allocation zero-fill persists there.
         np.multiply(diff, 2.0 / diff[0].size, out=p.grad_pred[..., 1:])
 
-        # --- mlp_chain backward (threaded over the model axis: each row
+        # --- MLP tail backward (threaded over the model axis: each row
         # is an independent 2-D GEMM / reduction, unchanged per model) --- #
         w3_t = stage["w3"].transpose(0, 2, 1)
         w2_t = stage["w2"].transpose(0, 2, 1)
@@ -920,7 +919,7 @@ class StackedTrainingEngine(StackedInferenceEngine):
                               (p.w2_view, 0), (p.b2_view, 0),
                               (p.w1_view, 0), (p.b1_view, 0)))
 
-        # --- attention_combine backward (model or batch axis) ------------ #
+        # --- attention combination backward (model or batch axis) ------- #
         axis = 0 if self._model_axis_first(m, batch) else 1
         w_out5 = stage["w_output"][:, None, None, :, None]
 
@@ -959,7 +958,7 @@ class StackedTrainingEngine(StackedInferenceEngine):
         parallel_for(wout_body, m,
                      outputs=((p.wout_tmp, 0), (p.wout_view, 0)))
 
-        # --- causal_attention_probs backward (model or batch axis; the
+        # --- attention probabilities backward (model or batch axis; the
         # modulation broadcast axis is only sliced on the model axis) ---- #
         att_axis = 0 if self._model_axis_first(m, batch) else 2
         modulation = stage["modulation"]
@@ -1048,7 +1047,7 @@ class StackedTrainingEngine(StackedInferenceEngine):
                               (p.mask_cast, 0))
                      + tuple((view, 0) for view in p.mask_views))
 
-        # --- causal_conv backward ---------------------------------------- #
+        # --- causal convolution backward -------------------------------- #
         conv_axis = 0 if self._model_axis_first(m, batch) else 1
 
         def shifted_body(lo, hi):

@@ -2,9 +2,8 @@
 
 The suite times the layers the training loop actually exercises —
 
-* ``tensor_ops``    — elementwise/matmul autograd round trips,
-* ``convolution``   — multi-kernel causal convolution forward + backward,
-* ``attention``     — multi-variate causal attention forward + backward,
+* ``tensor_ops``    — elementwise/matmul autograd round trips (the
+  baselines' substrate, and the CI gate's runner-speed normaliser),
 * ``train_step``    — one mini-batch optimiser step through the trainer's
   step path (the fused no-autograd training engine),
 * ``train_epoch``   — one epoch of :class:`repro.core.training.Trainer`,
@@ -121,45 +120,6 @@ def _payload_tensor_ops() -> Callable[[], None]:
         out = F.sigmoid(hidden @ w2 + bias)
         loss = (out * out).mean() + 0.1 * hidden.abs().sum()
         loss.backward()
-
-    return run
-
-
-def _payload_convolution() -> Callable[[], None]:
-    from repro.core.convolution import MultiKernelCausalConvolution
-    from repro.nn.tensor import Tensor
-
-    rng = np.random.default_rng(1)
-    conv = MultiKernelCausalConvolution(10, 16, rng=rng)
-    batch = rng.normal(size=(32, 10, 16))
-
-    def run() -> None:
-        conv.zero_grad()
-        out = conv(Tensor(batch))
-        (out * out).mean().backward()
-
-    return run
-
-
-def _payload_attention() -> Callable[[], None]:
-    from repro.core.attention import MultiVariateCausalAttention
-    from repro.core.convolution import MultiKernelCausalConvolution
-    from repro.core.embedding import TimeSeriesEmbedding
-    from repro.nn.tensor import Tensor
-
-    rng = np.random.default_rng(2)
-    n, t, d, heads = 10, 16, 32, 4
-    embedding = TimeSeriesEmbedding(t, d, rng=rng)
-    convolution = MultiKernelCausalConvolution(n, t, rng=rng)
-    attention = MultiVariateCausalAttention(n, d, d, heads, 1.0, rng=rng)
-    batch = rng.normal(size=(32, n, t))
-
-    def run() -> None:
-        for module in (embedding, convolution, attention):
-            module.zero_grad()
-        x = Tensor(batch)
-        combined, _caches = attention(embedding(x), convolution(x))
-        (combined * combined).mean().backward()
 
     return run
 
@@ -484,8 +444,6 @@ def _payload_evaluate_stacked_threaded() -> Callable[[], None]:
 #: name -> (builder, full-mode repeats, smoke-mode repeats)
 PAYLOADS: Dict[str, Tuple[Callable[[], Callable[[], None]], int, int]] = {
     "tensor_ops": (_payload_tensor_ops, 20, 5),
-    "convolution": (_payload_convolution, 20, 5),
-    "attention": (_payload_attention, 20, 5),
     "train_step": (_payload_train_step, 20, 5),
     "train_epoch": (_payload_train_epoch, 9, 3),
     "telemetry_overhead": (_payload_telemetry_overhead, 9, 3),

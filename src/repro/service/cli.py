@@ -12,8 +12,8 @@ Subcommands
 ``list``
     Show the registered method and dataset names.
 ``bench``
-    Run the perf microbenchmarks (tensor ops, convolution, attention, one
-    training epoch, a small end-to-end fit, inference, detector
+    Run the perf microbenchmarks (tensor ops, one training step and
+    epoch, a small end-to-end fit, inference, detector
     interpretation, batched sweep) and append the next numbered
     ``BENCH_nn.json`` (``BENCH_01.json``, ``BENCH_02.json``, …) with
     speedups against the committed pre-optimization baseline.

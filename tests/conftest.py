@@ -31,6 +31,44 @@ def numeric_gradient(function, x: np.ndarray, epsilon: float = 1e-6) -> np.ndarr
     return gradient
 
 
+#: the training-relevant Table 3 ablation grid (the remaining Table 3
+#: switches are detector flags and never touch the model's forward), plus
+#: the penalty/head axes that change the backward's accumulation structure
+ABLATION_GRID = [
+    {},
+    {"single_kernel": True},
+    {"lambda_kernel": 0.0},
+    {"lambda_mask": 0.0},
+    {"lambda_kernel": 0.0, "lambda_mask": 0.0},
+    {"n_heads": 1},
+    {"single_kernel": True, "n_heads": 1},
+    {"temperature": 2.5},
+]
+
+#: engine-vs-reference tolerance, relative to the reference's largest
+#: magnitude: the numpy engines and the plain autograd reference compute
+#: the same equations in different summation orders
+REFERENCE_TOLERANCE = {np.dtype(np.float64): 1e-12, np.dtype(np.float32): 2e-5}
+
+
+def assert_matches_reference(actual, expected, dtype, scale=None,
+                             err_msg: str = "") -> None:
+    """Engine output ``actual`` equals the reference ``expected`` to rounding.
+
+    ``scale`` (default: the largest ``|expected|``) sets the absolute
+    tolerance; pass a floored scale for arrays whose exact value is zero,
+    such as the key-bias gradients (softmax ignores a per-row shift).
+    """
+    expected = np.asarray(expected, dtype=np.float64)
+    tolerance = REFERENCE_TOLERANCE[np.dtype(dtype)]
+    if scale is None:
+        scale = float(np.abs(expected).max(initial=0.0))
+    scale = max(scale, 1e-12)
+    np.testing.assert_allclose(np.asarray(actual, dtype=np.float64), expected,
+                               rtol=tolerance, atol=tolerance * scale,
+                               err_msg=err_msg)
+
+
 @pytest.fixture(scope="session", autouse=True)
 def _float64_reference_engine():
     """Run the legacy suite on the float64 reference path.

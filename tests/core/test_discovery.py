@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import CausalFormer, fast_preset
-from repro.data import fork_dataset
+from repro.data import fork_dataset, synthetic_dataset
 from repro.graph import TemporalCausalGraph, evaluate_discovery
 
 
@@ -64,6 +64,23 @@ class TestInputHandling:
         model = CausalFormer(fast_preset())
         with pytest.raises(ValueError):
             model.fit(np.zeros(100))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_dataset_values(self, bad):
+        dataset = synthetic_dataset("fork", length=300)
+        dataset.values[1, 42] = bad
+        model = CausalFormer(fast_preset())
+        with pytest.raises(ValueError,
+                           match=r"series 'S1' .* non-finite .* at step 42"):
+            model.discover(dataset)
+        assert not model.is_fitted
+
+    def test_rejects_non_finite_array_values(self):
+        values = np.random.default_rng(0).normal(size=(3, 120))
+        values[2, 7] = np.nan
+        values[2, 9] = np.inf
+        with pytest.raises(ValueError, match=r"series 2 .* nan at step 7"):
+            CausalFormer(fast_preset()).fit(values)
 
     def test_series_names_carried_to_graph(self, fork_data):
         model = CausalFormer(fast_preset(max_epochs=3))

@@ -1,10 +1,12 @@
-"""Numerical-equivalence regression tests for the vectorized hot paths.
+"""Independent oracles for the plain autograd reference forward.
 
-Each fused/vectorized implementation is compared against an independent
-reference built the way the pre-optimization engine computed it: slice-and-
-stack convolution windows, a Python loop over attention heads, separate
-linear/activation/loss nodes.  A float32-vs-float64 gradcheck parity test
-guards the reduced-precision training default.
+The reference (``CausalityAwareTransformer.forward``/``loss``) is what the
+numpy engines are checked against, so it is itself checked against oracles
+that share none of its code: slice-and-stack convolution windows, the
+mask-composition form of the Eq. 4 shift, a numpy composition of the Eq. 9
+loss, and a float64 central-difference gradcheck of the whole forward plus
+loss for every parameter.  A float32-vs-float64 parity test guards the
+reduced-precision training default.
 """
 
 import numpy as np
@@ -17,7 +19,8 @@ from repro.core.embedding import TimeSeriesEmbedding
 from repro.core.transformer import CausalityAwareTransformer
 from repro.nn import functional as F
 from repro.nn import tensor as T
-from repro.nn.tensor import Tensor, default_dtype
+from repro.nn.tensor import Tensor, default_dtype, no_grad
+from tests.conftest import numeric_gradient
 
 
 def reference_windows(x: np.ndarray) -> np.ndarray:
@@ -112,7 +115,7 @@ class TestFusedCausalConv:
         np.testing.assert_allclose(out.data, expected, atol=1e-12)
 
 
-class TestBatchedAttention:
+class TestMultiHeadAttention:
     def _blocks(self, n=3, t=6, d=8, heads=3, seed=7):
         rng = np.random.default_rng(seed)
         embedding = TimeSeriesEmbedding(t, d, rng=rng)
@@ -121,30 +124,7 @@ class TestBatchedAttention:
         x = Tensor(rng.normal(size=(4, n, t)))
         return embedding(x), convolution(x), attention
 
-    def test_batched_heads_match_per_head_loop(self):
-        emb, vals, attention = self._blocks()
-        combined, caches = attention(emb, vals)
-        # Reference: run each head standalone (the original per-head path).
-        reference = sum(
-            attention.w_output.data[index]
-            * head(emb, vals).head_output_data
-            for index, head in enumerate(attention.heads))
-        np.testing.assert_allclose(combined.data, reference, atol=1e-9)
-        for index, head in enumerate(attention.heads):
-            head_cache = head(emb, vals)
-            np.testing.assert_allclose(caches[index].attention_data,
-                                       head_cache.attention_data, atol=1e-9)
-            np.testing.assert_allclose(caches[index].head_output_data,
-                                       head_cache.head_output_data, atol=1e-9)
-
-    def test_fast_path_matches_cache_path(self):
-        emb, vals, attention = self._blocks(seed=8)
-        cached, _ = attention(emb, vals, collect_caches=True)
-        fast, caches = attention(emb, vals, collect_caches=False)
-        assert caches == []
-        np.testing.assert_allclose(fast.data, cached.data, atol=1e-9)
-
-    def test_per_head_attention_gradients_flow_in_batched_path(self):
+    def test_per_head_attention_gradients_flow(self):
         emb, vals, attention = self._blocks(seed=9)
         combined, caches = attention(emb, vals)
         combined.sum().backward()
@@ -153,22 +133,14 @@ class TestBatchedAttention:
             assert np.isfinite(cache.attention.grad).all()
 
 
-class TestTransformerFastPath:
+class TestTransformerLoss:
     @pytest.fixture()
     def tiny_model(self):
         config = CausalFormerConfig(n_series=3, window=8, d_model=10, d_qk=10,
                                     d_ffn=12, n_heads=2, seed=0)
         return CausalityAwareTransformer(config)
 
-    def test_training_forward_matches_cache_forward(self, tiny_model):
-        x = np.random.default_rng(10).normal(size=(4, 3, 8))
-        fast, no_cache = tiny_model(Tensor(x))
-        slow, cache = tiny_model(Tensor(x), return_cache=True)
-        assert no_cache is None
-        assert cache is not None
-        np.testing.assert_allclose(fast.data, slow.data, atol=1e-9)
-
-    def test_fused_loss_matches_composition(self, tiny_model):
+    def test_loss_matches_numpy_composition(self, tiny_model):
         rng = np.random.default_rng(11)
         x = rng.normal(size=(4, 3, 8))
         prediction, _ = tiny_model(Tensor(x))
@@ -181,24 +153,6 @@ class TestTransformerFastPath:
             + config.lambda_mask * sum(np.abs(h.mask.data).sum()
                                        for h in tiny_model.attention.heads)
         assert float(loss.data) == pytest.approx(expected, rel=1e-8)
-
-    def test_training_step_gradients_match_cache_path(self, tiny_model):
-        """The fused fast path must produce the same parameter gradients."""
-        x = np.random.default_rng(12).normal(size=(4, 3, 8))
-
-        tiny_model.zero_grad()
-        prediction, _ = tiny_model(Tensor(x))
-        tiny_model.loss(prediction, Tensor(x)).backward()
-        fast_grads = {name: p.grad.copy()
-                      for name, p in tiny_model.named_parameters()}
-
-        tiny_model.zero_grad()
-        prediction, _ = tiny_model(Tensor(x), return_cache=True)
-        tiny_model.loss(prediction, Tensor(x)).backward()
-        for name, parameter in tiny_model.named_parameters():
-            np.testing.assert_allclose(
-                fast_grads[name], parameter.grad, atol=1e-9,
-                err_msg=f"gradient mismatch for {name}")
 
 
 class TestDetectorFollowsLiveModel:
@@ -240,30 +194,51 @@ class TestDtypeParity:
         grads32 = self._grads(np.float32, x)
         grads64 = self._grads(np.float64, x)
         assert set(grads32) == set(grads64)
+        # Each parameter is checked against its own scale.  The key-bias
+        # gradients are exactly zero in exact arithmetic (softmax ignores a
+        # per-row shift), so their scale is floored relative to the largest
+        # gradient rather than comparing rounding noise with itself; every
+        # other gradient sits well above that floor.
+        floor = 1e-3 * max(np.abs(reference).max()
+                           for reference in grads64.values())
         for name in grads64:
             reference = grads64[name]
-            scale = max(np.abs(reference).max(), 1e-6)
+            scale = max(np.abs(reference).max(), floor)
             np.testing.assert_allclose(
                 grads32[name].astype(np.float64) / scale, reference / scale,
                 atol=5e-4, err_msg=f"dtype parity failed for {name}")
             assert grads32[name].dtype == np.float32
 
-    def test_numeric_gradcheck_float64_on_fused_ops(self):
-        """Central-difference check of the fused conv+attention forward."""
-        from tests.conftest import numeric_gradient
 
-        rng = np.random.default_rng(14)
-        conv = MultiKernelCausalConvolution(2, 4, rng=rng)
-        x0 = rng.normal(size=(1, 2, 4))
+class TestReferenceGradcheck:
+    @pytest.mark.parametrize("single_kernel", [False, True])
+    def test_numeric_gradcheck_float64_forward_and_loss(self, single_kernel):
+        """Central differences of the Eq. 9 loss through the whole forward,
+        for every parameter, against the reference's autograd gradients."""
+        with default_dtype(np.float64):
+            config = CausalFormerConfig(n_series=2, window=4, d_model=4,
+                                        d_qk=4, d_ffn=4, n_heads=2, seed=0,
+                                        lambda_kernel=0.05, lambda_mask=0.05,
+                                        single_kernel=single_kernel)
+            model = CausalityAwareTransformer(config)
+            rng = np.random.default_rng(14)
+            # Move every parameter off its initialisation (zero biases, unit
+            # masks, uniform W_O) so each term of the backward is exercised.
+            for parameter in model.parameters():
+                parameter.data += rng.normal(scale=0.2,
+                                             size=parameter.data.shape)
+            x = rng.normal(size=(3, 2, 4))
 
-        def scalar(values):
-            from repro.nn.tensor import no_grad
-            with no_grad():
-                return float((conv(Tensor(values.copy()))
-                              * Tensor(weights)).sum().data)
+            def loss_value(_perturbed):
+                with no_grad():
+                    prediction, _ = model(Tensor(x))
+                    return float(model.loss(prediction, Tensor(x)).data)
 
-        weights = rng.normal(size=(1, 2, 2, 4))
-        x = Tensor(x0.copy(), requires_grad=True)
-        (conv(x) * Tensor(weights)).sum().backward()
-        numeric = numeric_gradient(scalar, x0.copy())
-        np.testing.assert_allclose(x.grad, numeric, atol=1e-6)
+            model.zero_grad()
+            prediction, _ = model(Tensor(x))
+            model.loss(prediction, Tensor(x)).backward()
+            for name, parameter in model.named_parameters():
+                numeric = numeric_gradient(loss_value, parameter.data)
+                np.testing.assert_allclose(parameter.grad, numeric,
+                                           rtol=1e-5, atol=1e-8,
+                                           err_msg=name)

@@ -10,7 +10,7 @@ from repro.nn.tensor import Tensor
 
 @pytest.fixture()
 def cache_and_model(tiny_transformer, window_batch):
-    _prediction, cache = tiny_transformer(Tensor(window_batch), return_cache=True)
+    _prediction, cache = tiny_transformer(Tensor(window_batch))
     return tiny_transformer, cache
 
 
@@ -119,7 +119,7 @@ class TestFullPropagation:
         model = CausalityAwareTransformer(tiny_config)
         model.output_layer.bias.data = np.full_like(model.output_layer.bias.data, 0.5)
         model.feed_forward.b1.data = np.full_like(model.feed_forward.b1.data, 0.3)
-        _prediction, cache = model(Tensor(window_batch), return_cache=True)
+        _prediction, cache = model(Tensor(window_batch))
         with_bias = RegressionRelevancePropagation(model, use_bias=True).propagate(cache, 0)
         without_bias = RegressionRelevancePropagation(model, use_bias=False).propagate(cache, 0)
         assert not np.allclose(with_bias.heads[0].attention, without_bias.heads[0].attention)
@@ -135,7 +135,7 @@ class TestFullPropagation:
         """On a trained model the relevance of the true cause is substantial."""
         model = trained_causalformer.model_
         windows = trained_causalformer._detector_windows(trained_causalformer._fitted_values)[:8]
-        _prediction, cache = model(Tensor(windows), return_cache=True)
+        _prediction, cache = model(Tensor(windows))
         rrp = RegressionRelevancePropagation(model)
         result = rrp.propagate(cache, target=1)  # S1 is caused by S0 in the fork
         attention_relevance = np.mean([head.attention for head in result.heads], axis=0)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import CausalFormerConfig, CausalityAwareTransformer
+from repro.core.transformer import TransformerCache
 from repro.nn.tensor import Tensor
 
 
@@ -11,7 +12,8 @@ class TestForward:
     def test_prediction_shape(self, tiny_transformer, window_batch):
         prediction, cache = tiny_transformer(Tensor(window_batch))
         assert prediction.shape == window_batch.shape
-        assert cache is None
+        assert isinstance(cache, TransformerCache)
+        np.testing.assert_array_equal(cache.output, prediction.data)
 
     def test_accepts_single_window(self, tiny_transformer, tiny_config):
         single = np.zeros((tiny_config.n_series, tiny_config.window))
@@ -27,7 +29,7 @@ class TestForward:
             CausalityAwareTransformer(CausalFormerConfig(n_series=None))
 
     def test_cache_contents(self, tiny_transformer, window_batch, tiny_config):
-        _prediction, cache = tiny_transformer(Tensor(window_batch), return_cache=True)
+        _prediction, cache = tiny_transformer(Tensor(window_batch))
         batch, n, t = window_batch.shape
         assert cache.inputs.shape == (batch, n, t)
         assert cache.embedding.shape == (batch, n, tiny_config.d_model)
@@ -40,7 +42,7 @@ class TestForward:
 
     def test_cache_pre_shift_consistency(self, tiny_transformer, window_batch):
         """Post-shift values equal pre-shift values except on the diagonal."""
-        _prediction, cache = tiny_transformer(Tensor(window_batch), return_cache=True)
+        _prediction, cache = tiny_transformer(Tensor(window_batch))
         n = window_batch.shape[1]
         for i in range(n):
             for j in range(n):

@@ -1,15 +1,18 @@
-"""The fused no-autograd training engine must replicate autograd exactly.
+"""The fused no-autograd training engine against the plain autograd reference.
 
-Gradcheck-style parity: the hand-derived :class:`TrainingEngine` /
-:class:`StackedTrainingEngine` backward passes are transcriptions of the
-fused autograd ops' closures, so their gradients — and whole training
-trajectories — must be **bit-identical** to the autograd fast path they
-replaced, across the full Table 3 ablation grid (including the
-single-kernel ablation) in float64, and on the default float32 engine too
-(same operation sequence, same rounding).
+Two contracts, stated separately:
+
+* **Reference parity, at tolerance.**  The hand-derived
+  :class:`TrainingEngine` backward must match ``loss.backward()`` on the
+  plain autograd reference (``CausalityAwareTransformer.forward``/``loss``)
+  across the Table 3 training ablation grid, including the single-kernel
+  ablation, in float64 and float32.  The two sum in different orders, so
+  this is a tolerance check (``tests.conftest.REFERENCE_TOLERANCE``).
+* **Engine-internal bit identity.**  ``Trainer.fit``'s block gather must
+  reproduce a naive shuffled per-batch loop over ``TrainingEngine
+  .train_step`` bit for bit, and every row of the stacked engine must equal
+  a solo engine step bit for bit.
 """
-
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,6 +24,7 @@ from repro.core.transformer import CausalityAwareTransformer
 from repro.nn.optim import Adam
 from repro.nn.tensor import Tensor, default_dtype
 from repro.nn.training_engine import TrainingEngine
+from tests.conftest import ABLATION_GRID, assert_matches_reference
 
 
 def make_config(**overrides):
@@ -31,23 +35,14 @@ def make_config(**overrides):
     return CausalFormerConfig(**base)
 
 
-#: the training-relevant Table 3 ablation grid (the remaining Table 3
-#: switches are detector flags and never touch a training step), plus the
-#: penalty/head axes that change the backward's accumulation structure
-ABLATION_GRID = [
-    {},
-    {"single_kernel": True},
-    {"lambda_kernel": 0.0},
-    {"lambda_mask": 0.0},
-    {"lambda_kernel": 0.0, "lambda_mask": 0.0},
-    {"n_heads": 1},
-    {"single_kernel": True, "n_heads": 1},
-    {"temperature": 2.5},
-]
+def make_engine(model, config):
+    return TrainingEngine(model, Adam(list(model.parameters()),
+                                      lr=config.learning_rate,
+                                      clip_norm=config.grad_clip))
 
 
-def autograd_gradients(model, batch_np):
-    """Reference gradients from one autograd fast-path step."""
+def reference_gradients(model, batch_np):
+    """Loss and parameter gradients from one plain autograd reference step."""
     batch = Tensor(batch_np)
     model.zero_grad()
     prediction, _ = model(batch)
@@ -59,21 +54,22 @@ def autograd_gradients(model, batch_np):
     return float(loss.data), grads
 
 
-def legacy_fit(model, config, values):
-    """The pre-engine autograd mini-batch loop, transcribed verbatim."""
+def naive_fit(model, config, values):
+    """``Trainer.fit`` with its epoch replaced by a naive per-batch loop.
+
+    Shuffles, then gathers and steps one mini-batch at a time through
+    ``TrainingEngine.train_step`` — what ``Trainer._run_epoch``'s block
+    gather must reproduce bit for bit.
+    """
     trainer = Trainer(model, config)
 
     def run_epoch(self, windows, rng):
+        engine = self._training
         order = rng.permutation(windows.shape[0])
         losses = []
         for start in range(0, len(order), self.config.batch_size):
-            batch = Tensor(windows[order[start:start + self.config.batch_size]])
-            self.optimizer.zero_grad()
-            prediction, _ = self.model(batch)
-            loss = self.model.loss(prediction, batch)
-            loss.backward()
-            self.optimizer.step()
-            losses.append(float(loss.data))
+            batch = windows[order[start:start + self.config.batch_size]]
+            losses.append(engine.train_step(engine.prepare_windows(batch)))
         return float(np.mean(losses)) if losses else float("nan")
 
     trainer._run_epoch = run_epoch.__get__(trainer, Trainer)
@@ -88,65 +84,71 @@ def training_series(seed, n_series=4, length=150):
     return values
 
 
-class TestGradientParity:
-    """Engine gradients == autograd gradients, to the bit."""
+class TestReferenceParity:
+    """Engine loss and gradients == reference loss and gradients, to rounding."""
 
     @pytest.mark.parametrize("overrides", ABLATION_GRID)
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    def test_gradients_bit_identical(self, overrides, dtype):
+    def test_gradients_match_reference(self, overrides, dtype):
         with default_dtype(dtype):
             config = make_config(**overrides)
             model = CausalityAwareTransformer(config)
             batch = np.random.default_rng(1).normal(
                 size=(8, config.n_series, config.window))
-            reference_loss, reference = autograd_gradients(model, batch)
-            engine = TrainingEngine(
-                model, Adam(list(model.parameters()),
-                            lr=config.learning_rate,
-                            clip_norm=config.grad_clip))
+            reference_loss, reference = reference_gradients(model, batch)
+            engine = make_engine(model, config)
             grads = engine.gradients(batch)
+            loss = engine.forward_backward(engine.prepare_windows(batch))
+            assert_matches_reference(loss, reference_loss, dtype)
             assert set(grads) == set(reference)
+            # Per-parameter scale, floored relative to the largest gradient
+            # so the exactly-zero key-bias gradients are not held to their
+            # own rounding noise.
+            floor = 1e-3 * max(np.abs(value).max()
+                               for value in reference.values())
             for name, expected in reference.items():
-                assert np.array_equal(expected, grads[name]), name
+                assert grads[name].dtype == expected.dtype, name
+                assert_matches_reference(
+                    grads[name], expected, dtype,
+                    scale=max(np.abs(expected).max(), floor), err_msg=name)
 
-    def test_loss_matches_autograd(self):
+    def test_loss_matches_reference(self):
         config = make_config()
         model = CausalityAwareTransformer(config)
         batch = np.random.default_rng(2).normal(
             size=(6, config.n_series, config.window))
-        reference_loss, _grads = autograd_gradients(model, batch)
-        engine = TrainingEngine(
-            model, Adam(list(model.parameters()), lr=config.learning_rate))
+        reference_loss, _grads = reference_gradients(model, batch)
+        engine = make_engine(model, config)
         loss = engine.forward_backward(engine.prepare_windows(batch))
-        assert loss == reference_loss
+        assert_matches_reference(loss, reference_loss, np.float64)
 
     def test_partial_batch_uses_its_own_space(self):
         """A trailing short batch must not corrupt the full-batch buffers."""
         config = make_config()
-        model = CausalityAwareTransformer(config)
-        engine = TrainingEngine(
-            model, Adam(list(model.parameters()), lr=config.learning_rate))
+        engine = make_engine(CausalityAwareTransformer(config), config)
         rng = np.random.default_rng(3)
         full = rng.normal(size=(8, config.n_series, config.window))
         short = rng.normal(size=(3, config.n_series, config.window))
         for batch in (full, short, full):
-            reference_loss, reference = autograd_gradients(model, batch)
+            # A fresh engine on an identical model is the uncorrupted answer.
+            fresh = make_engine(CausalityAwareTransformer(config), config)
+            expected = fresh.gradients(batch)
             grads = engine.gradients(batch)
-            for name, expected in reference.items():
-                assert np.array_equal(expected, grads[name]), name
+            for name, value in expected.items():
+                assert np.array_equal(value, grads[name]), name
 
 
 class TestFitParity:
-    """Whole training runs match the pre-engine autograd loop exactly."""
+    """The block-gather epoch matches a naive per-batch loop exactly."""
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("single_kernel", [False, True])
-    def test_fit_bit_identical_to_autograd_loop(self, dtype, single_kernel):
+    def test_fit_bit_identical_to_naive_loop(self, dtype, single_kernel):
         with default_dtype(dtype):
             config = make_config(window=12, single_kernel=single_kernel)
             values = training_series(5)
             reference_model = CausalityAwareTransformer(config)
-            reference = legacy_fit(reference_model, config, values)
+            reference = naive_fit(reference_model, config, values)
             model = CausalityAwareTransformer(config)
             history = Trainer(model, config).fit(values)
             assert history.train_loss == reference.train_loss
@@ -179,13 +181,13 @@ class TestFitParity:
 
 
 class TestStackedGradientParity:
-    """Per-model stacked gradients == solo autograd gradients, to the bit."""
+    """Per-model stacked gradients == solo engine gradients, to the bit."""
 
     @pytest.mark.parametrize("overrides", ABLATION_GRID)
     def test_stacked_gradients_bit_identical(self, overrides):
         configs = [make_config(seed=seed, **overrides) for seed in range(3)]
-        reference_models = [CausalityAwareTransformer(config)
-                            for config in configs]
+        solo_models = [CausalityAwareTransformer(config)
+                       for config in configs]
         stacked_models = [CausalityAwareTransformer(config)
                           for config in configs]
         trainer = StackedCausalFormerTrainer(stacked_models)
@@ -193,8 +195,12 @@ class TestStackedGradientParity:
         batches = [rng.normal(size=(8, configs[0].n_series,
                                     configs[0].window))
                    for _ in configs]
-        references = [autograd_gradients(model, batch)
-                      for model, batch in zip(reference_models, batches)]
+        references = []
+        for model, config, batch in zip(solo_models, configs, batches):
+            engine = make_engine(model, config)
+            grads = engine.gradients(batch)
+            references.append(
+                (engine.forward_backward(engine.prepare_windows(batch)), grads))
         stacked_batch = np.stack(
             [np.asarray(batch, dtype=trainer.dtype) for batch in batches])
         losses, _grads = trainer._forward_backward(stacked_batch)
@@ -266,13 +272,14 @@ class TestEngineMechanics:
         model_b = CausalityAwareTransformer(config)
         batch = np.random.default_rng(8).normal(
             size=(4, config.n_series, config.window))
-        # Path A: classic autograd grads + Adam.step().
+        # Path A: the same gradients set on ``.grad`` + Adam.step().
         optimizer_a = Adam(list(model_a.parameters()),
                            lr=config.learning_rate,
                            clip_norm=config.grad_clip)
-        tensor = Tensor(batch)
-        prediction, _ = model_a(tensor)
-        model_a.loss(prediction, tensor).backward()
+        grads = make_engine(CausalityAwareTransformer(config),
+                            config).gradients(batch)
+        for name, parameter in model_a.named_parameters():
+            parameter.grad = grads[name]
         optimizer_a.step()
         # Path B: engine writes into the flat buffer + step_flat().
         optimizer_b = Adam(list(model_b.parameters()),

@@ -1,5 +1,6 @@
 """Job executor: serial/parallel equivalence, caching, error capture."""
 
+import numpy as np
 import pytest
 
 from repro.data import fork_dataset
@@ -62,6 +63,18 @@ class TestErrorCapture:
         assert not results[0].ok
         assert "ValueError" in results[0].error
         assert results[1].ok
+
+    def test_non_finite_input_is_a_job_error(self):
+        dataset = fork_dataset(seed=0, length=140)
+        dataset.values[0, 10] = np.nan
+        job = DiscoveryJob(method="causalformer", config={"max_epochs": 2},
+                           dataset="fork",
+                           dataset_fingerprint=fingerprint_dataset(dataset),
+                           seed=0)
+        result = JobExecutor(max_workers=1).run([(job, dataset)])[0]
+        assert not result.ok
+        assert "series 'S0' holds the non-finite value nan at step 10" \
+            in result.error
 
     def test_unknown_method_is_captured(self, fork_pairs):
         job, dataset = fork_pairs[0]
