@@ -80,15 +80,20 @@ def _kmeans_plus_plus(points: np.ndarray, n_clusters: int,
     return centroids
 
 
+#: relative spread below which ``select_top_scores`` treats scores as tied
+TIE_RTOL = 1e-5
+
+
 def select_top_scores(scores: np.ndarray, n_clusters: int, top_clusters: int,
                       rng: Optional[np.random.Generator] = None) -> np.ndarray:
     """Boolean mask of the scores falling in the top ``m`` of ``n`` clusters.
 
     This is the density control of the causal-graph construction: a larger
-    ``m/n`` keeps more clusters and yields a denser graph.  Degenerate inputs
-    (all scores identical, or fewer distinct scores than clusters) fall back
-    to keeping scores strictly above the minimum, or everything when all
-    scores are equal and positive.
+    ``m/n`` keeps more clusters and yields a denser graph.  Scores tied to
+    within ``TIE_RTOL`` of their largest magnitude have no structure to
+    cluster: all of them are kept when the common value is positive, none
+    when it is zero.  The tie test is relative, so rescaling the scores by
+    a power of two never changes the mask.
     """
     scores = np.asarray(scores, dtype=float).reshape(-1)
     if scores.size == 0:
@@ -97,7 +102,7 @@ def select_top_scores(scores: np.ndarray, n_clusters: int, top_clusters: int,
         return np.zeros_like(scores, dtype=bool)
     if top_clusters >= n_clusters:
         return np.ones_like(scores, dtype=bool)
-    if np.allclose(scores, scores[0]):
+    if np.ptp(scores) <= TIE_RTOL * np.abs(scores).max():
         # No structure to cluster: keep everything only if the common value
         # is positive (a zero causal score should never create an edge).
         return np.full(scores.shape, scores[0] > 0, dtype=bool)

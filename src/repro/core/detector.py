@@ -12,6 +12,17 @@ Given a trained causality-aware transformer, the detector:
    clusters as causes, reading each cause's delay from the kernel causal
    scores (Sec. 4.2.3, Eq. 20).
 
+Steps 1–3 run once for all targets rather than once per target.  After the
+attention is applied, the feed-forward and output layers act along the time
+axis only, so effect rows never mix: a gradient or relevance pass seeded on
+output row ``g`` is non-zero only in row ``g`` of ``A`` and effect column
+``g`` of ``K``, and equals the matching slice of a pass seeded with ones on
+every row (both are linear in the seed, row by row).  The detector
+therefore seeds ones once, and Eq. 19 reads target ``g``'s scores from row
+``g`` of the full maps.  The one exception is the single-kernel ablation,
+whose shared kernel gradient sums over both series axes; the engines take
+that sum per effect column, which is exactly the per-target sum.
+
 The constructor flags reproduce the paper's Table 3 ablations:
 ``use_interpretation=False`` reads the raw attention/kernel weights instead
 of interpreting the model; ``use_relevance=False`` keeps only gradients;
@@ -29,6 +40,7 @@ import numpy as np
 from repro.core.clustering import select_top_scores
 from repro.core.config import CausalFormerConfig
 from repro.core.relevance import (RegressionRelevancePropagation,
+                                  RelevanceResult,
                                   StackedRelevancePropagation)
 from repro.core.transformer import CausalityAwareTransformer
 from repro.graph.causal_graph import TemporalCausalGraph
@@ -57,6 +69,44 @@ class CausalScores:
         return self.kernel.shape[-1]
 
 
+def _combine(cache, attention_grads: Optional[np.ndarray],
+             kernel_grads: Optional[np.ndarray],
+             relevance: Optional[RelevanceResult]) -> CausalScores:
+    """Gradient modulation ``S = E_h[|∇f| ⊙ R]⁺`` (Eq. 19), all rows.
+
+    Row ``i`` of the attention map and effect column ``i`` of the kernel
+    map (``[source, target, τ]``) hold target ``i``'s scores.  A missing
+    factor (the w/o-gradient or w/o-relevance ablation) counts as ones.
+    """
+    n_series, window = cache.output.shape[1:]
+    if kernel_grads is not None:
+        kernel_grads = np.broadcast_to(np.abs(kernel_grads),
+                                       (n_series, n_series, window))
+    attention_accumulator = np.zeros((n_series, n_series))
+    kernel_accumulator = np.zeros((n_series, n_series, window))
+    n_heads = len(cache.head_caches)
+    for head_index in range(n_heads):
+        if relevance is None:
+            attention_term = np.abs(attention_grads[head_index])
+            kernel_term = kernel_grads
+        elif attention_grads is None:
+            attention_term = relevance.heads[head_index].attention
+            kernel_term = relevance.heads[head_index].kernel
+        else:
+            attention_term = (np.abs(attention_grads[head_index])
+                              * relevance.heads[head_index].attention)
+            kernel_term = kernel_grads * relevance.heads[head_index].kernel
+        attention_accumulator += attention_term.mean(axis=0)
+        kernel_accumulator += kernel_term
+    attention_scores = np.maximum(attention_accumulator / n_heads, 0.0)
+    kernel_scores = np.maximum(kernel_accumulator / n_heads, 0.0)
+    # The paper selects S(A)[i]_{i,:} (causes of target i) and
+    # S(K)[i]_{:,i,:} (kernel scores of its sources): row i and column i.
+    return CausalScores(
+        attention=attention_scores,
+        kernel=np.ascontiguousarray(kernel_scores.transpose(1, 0, 2)))
+
+
 class DecompositionCausalityDetector:
     """Interpret a trained causality-aware transformer into causal scores."""
 
@@ -80,10 +130,6 @@ class DecompositionCausalityDetector:
         # Fused no-autograd engine over the interpretation model; its scratch
         # arena is reused across every scoring call.
         self._engine = InferenceEngine(self.model)
-
-    #: soft bound on the largest per-chunk intermediate (elements) when the
-    #: per-target gradient/relevance pass is vectorised over target series.
-    TARGET_CHUNK_ELEMENTS = 4_000_000
 
     @staticmethod
     def _interpretation_model(model: CausalityAwareTransformer
@@ -128,18 +174,16 @@ class DecompositionCausalityDetector:
         """Causal scores of every potential relation from a batch of windows.
 
         The interpretation runs entirely on the fused no-autograd engine:
-        one shared cache forward for every target series, a hand-derived
-        multi-target backward for the Fig. 6b gradients, and a vectorised
-        relevance propagation — several times faster than one autograd
-        pass per target on the reference forward, which it matches up to
+        one cache forward, one hand-derived all-ones backward for the
+        Fig. 6b gradients and one all-ones relevance propagation, shared by
+        every target series (see the module docstring).  It matches one
+        autograd pass per target on the reference forward up to
         floating-point rounding.
         """
         windows = np.asarray(windows, dtype=float)
         if windows.ndim == 2:
             windows = windows[None, :, :]
-        n_series = windows.shape[1]
-        window = windows.shape[2]
-        if n_series != self.config.n_series or window != self.config.window:
+        if windows.shape[1:] != (self.config.n_series, self.config.window):
             raise ValueError(
                 f"windows of shape {windows.shape[1:]} do not match the model "
                 f"({self.config.n_series} series, window {self.config.window})"
@@ -148,35 +192,11 @@ class DecompositionCausalityDetector:
         forward = self._engine.interpretation_forward(windows)
         if not self.use_interpretation:
             return self._raw_weight_scores(forward)
-
-        cache = forward.cache
-        prepared = self._rrp.prepare(cache) if self.use_relevance else None
-        attention_scores = np.zeros((n_series, n_series))
-        kernel_scores = np.zeros((n_series, n_series, window))
-        batch = windows.shape[0]
-        per_target = max(batch * n_series * n_series * window, 1)
-        chunk_size = max(1, self.TARGET_CHUNK_ELEMENTS // per_target)
-        for start in range(0, n_series, chunk_size):
-            targets = list(range(start, min(start + chunk_size, n_series)))
-            if self.use_gradient:
-                attention_grads, kernel_grads = \
-                    self._engine.interpretation_gradients(forward, targets)
-            else:
-                attention_grads = kernel_grads = None
-            if self.use_relevance:
-                relevances = self._rrp.propagate_targets(
-                    cache, targets, prepared=prepared, include_values=False)
-            else:
-                relevances = None
-            for index, target in enumerate(targets):
-                row, kernel_slab = self._combine_target(
-                    cache, target,
-                    None if attention_grads is None else attention_grads[index],
-                    None if kernel_grads is None else kernel_grads[index],
-                    None if relevances is None else relevances[index])
-                attention_scores[target] = row
-                kernel_scores[target] = kernel_slab
-        return CausalScores(attention=attention_scores, kernel=kernel_scores)
+        gradients = self._engine.interpretation_gradients(forward) \
+            if self.use_gradient else (None, None)
+        relevance = self._rrp.propagate_targets(forward.cache) \
+            if self.use_relevance else None
+        return _combine(forward.cache, *gradients, relevance)
 
     def _raw_weight_scores(self, forward: InterpretationForward) -> CausalScores:
         """The "w/o interpretation" ablation: read model weights directly."""
@@ -189,47 +209,6 @@ class DecompositionCausalityDetector:
         # kernel[source, target, τ] → scores[target, source, τ]
         kernel_scores = np.transpose(kernel, (1, 0, 2))
         return CausalScores(attention=attention, kernel=kernel_scores)
-
-    def _combine_target(self, cache, target: int,
-                        attention_gradient_stack: Optional[np.ndarray],
-                        kernel_gradient: Optional[np.ndarray],
-                        relevance) -> Tuple[np.ndarray, np.ndarray]:
-        """Gradient modulation ``S = E_h[|∇f| ⊙ R]⁺`` (Eq. 19) for one target."""
-        n_series = cache.output.shape[1]
-        window = cache.output.shape[2]
-        if kernel_gradient is not None:
-            kernel_gradient = np.broadcast_to(np.abs(kernel_gradient),
-                                              (n_series, n_series, window))
-
-        attention_accumulator = np.zeros((n_series, n_series))
-        kernel_accumulator = np.zeros((n_series, n_series, window))
-        n_heads = len(cache.head_caches)
-        for head_index, head_cache in enumerate(cache.head_caches):
-            if self.use_relevance:
-                relevance_attention = relevance.heads[head_index].attention
-                relevance_kernel = relevance.heads[head_index].kernel
-            else:
-                relevance_attention = np.ones_like(head_cache.attention_data)
-                relevance_kernel = np.ones((n_series, n_series, window))
-
-            if self.use_gradient:
-                attention_gradient = np.abs(attention_gradient_stack[head_index])
-                attention_term = attention_gradient * relevance_attention
-                kernel_term = kernel_gradient * relevance_kernel
-            else:
-                attention_term = relevance_attention
-                kernel_term = relevance_kernel
-
-            attention_accumulator += attention_term.mean(axis=0)
-            kernel_accumulator += kernel_term
-        attention_scores = np.maximum(attention_accumulator / n_heads, 0.0)
-        kernel_scores = np.maximum(kernel_accumulator / n_heads, 0.0)
-
-        # The paper selects S(A)[i]_{i,:} (causes of the target) and
-        # S(K)[i]_{:,i,:} (kernel scores of sources for the target).
-        row = attention_scores[target, :]
-        kernel_slab = kernel_scores[:, target, :]
-        return row, kernel_slab
 
     # ------------------------------------------------------------------ #
     # Causal graph construction (Sec. 4.2.3)
@@ -275,10 +254,10 @@ def compute_scores_group(detectors: Sequence[DecompositionCausalityDetector],
     """Causal scores for a whole group of same-architecture detectors at once.
 
     The stacked analogue of :meth:`DecompositionCausalityDetector
-    .compute_scores` for a batched sweep group: one stacked cache forward
-    shared by every model *and* target, one stacked multi-target backward,
-    and one model-axis relevance propagation — instead of one full
-    interpretation per job.  Every returned :class:`CausalScores` is
+    .compute_scores` for a batched sweep group: one stacked cache forward,
+    one stacked all-ones backward and one model-axis all-ones relevance
+    propagation, each shared by every model *and* target — instead of one
+    full interpretation per job.  Every returned :class:`CausalScores` is
     **bit-identical** to calling ``detectors[m].compute_scores
     (windows_list[m])`` alone, across all Table 3 ablations (the detectors
     must share their ablation flags and configuration; the window sets must
@@ -341,42 +320,15 @@ def compute_scores_group(detectors: Sequence[DecompositionCausalityDetector],
                 for detector, model_forward in zip(detectors,
                                                    forward.forwards)]
 
-    m = len(detectors)
-    batch, n_series, window = prepared_windows[0].shape
-    propagation = StackedRelevancePropagation(
+    attention_grads, kernel_grads = engine.interpretation_gradients(forward) \
+        if first.use_gradient else (None, None)
+    relevances = StackedRelevancePropagation(
         models, use_bias=first.use_bias,
-        epsilon=first.config.relevance_epsilon) if first.use_relevance \
-        else None
-    prepared = propagation.prepare(forward) if propagation is not None \
-        else None
-    attention_scores = np.zeros((m, n_series, n_series))
-    kernel_scores = np.zeros((m, n_series, n_series, window))
-    per_target = max(m * batch * n_series * n_series * window, 1)
-    chunk_size = max(1,
-                     DecompositionCausalityDetector.TARGET_CHUNK_ELEMENTS
-                     // per_target)
-    for start in range(0, n_series, chunk_size):
-        targets = list(range(start, min(start + chunk_size, n_series)))
-        if first.use_gradient:
-            attention_grads, kernel_grads = \
-                engine.interpretation_gradients(forward, targets)
-        else:
-            attention_grads = kernel_grads = None
-        if first.use_relevance:
-            relevances = propagation.propagate_targets(
-                forward, targets, prepared=prepared, include_values=False)
-        else:
-            relevances = None
-        for row, detector in enumerate(detectors):
-            for index, target in enumerate(targets):
-                score_row, kernel_slab = detector._combine_target(
-                    forward.forwards[row].cache, target,
-                    None if attention_grads is None
-                    else attention_grads[row, index],
-                    None if kernel_grads is None
-                    else kernel_grads[row, index],
-                    None if relevances is None else relevances[row][index])
-                attention_scores[row, target] = score_row
-                kernel_scores[row, target] = kernel_slab
-    return [CausalScores(attention=attention_scores[row],
-                         kernel=kernel_scores[row]) for row in range(m)]
+        epsilon=first.config.relevance_epsilon).propagate_targets(forward) \
+        if first.use_relevance else None
+    return [_combine(
+        model_forward.cache,
+        None if attention_grads is None else attention_grads[row],
+        None if kernel_grads is None else kernel_grads[row],
+        None if relevances is None else relevances[row])
+        for row, model_forward in enumerate(forward.forwards)]

@@ -47,6 +47,15 @@ class CausalFormer:
     normalize:
         Z-score normalise each series before windowing (recommended — the
         transformer's MSE loss otherwise favours high-variance series).
+
+    Input series must be finite; a NaN or ±inf raises ``ValueError``.  A
+    constant (zero-variance) series is accepted: z-scoring maps it to exact
+    zeros.  Under the interpreting detector (``use_interpretation=True``)
+    its attention score as a source is then exactly 0 in every row, so at
+    the default density (top 1 of 2 clusters) it gets no outgoing edge; it
+    is still scored as a target.  The raw-weight ablation
+    (``use_interpretation=False``) reads the softmax attention, which is
+    positive for every source, so there it is scored like any other series.
     """
 
     #: name used by the experiment harness result tables

@@ -14,12 +14,23 @@ in the denominator (Eq. 15–16) so that the relevance the bias would claim is
 subtracted from the inputs' relevance — removing it is the "w/o bias"
 ablation of Table 3.
 
-The propagation implemented here starts at the model output (initialised with
-a one-hot relevance selecting the target series, Fig. 6a) and walks back
+The propagation implemented here starts at the model output and walks back
 through the output layer, the feed-forward layer, the head-concatenation
 weight, the attention application, and the causal convolution, stopping at
 the attention matrix ``A`` and the convolution kernel ``K`` — exactly the
 two tensors the causal-graph construction reads (Sec. 4.2.3).
+
+The paper seeds one pass per target series ``g`` with a one-hot relevance on
+output row ``g`` (Fig. 6a).  The detector seeds a single pass with ones on
+every row instead, and the two agree exactly: every rule is linear in the
+incoming relevance, and each step down to the attention application acts
+on one effect row at a time (the linears along time, the head combination
+and the denominators elementwise).  Row ``g`` of that pass therefore
+carries the same numbers as the pass seeded on row ``g`` alone, and the
+attention application and convolution route it only into row ``g`` of
+``A`` and effect column ``g`` of ``K`` — the entries the paper reads for
+target ``g``.  :meth:`RegressionRelevancePropagation.propagate` keeps the
+one-hot pass as a diagnostic.
 """
 
 from __future__ import annotations
@@ -49,21 +60,25 @@ class HeadRelevance:
 
 @dataclass
 class RelevanceResult:
-    """Relevance of the interpretable tensors for one target series."""
+    """Relevance of the interpretable tensors for one output-relevance seed.
 
-    target: int
+    ``target`` names the one-hot seeded series; ``None`` marks the all-ones
+    seed, whose row ``g`` of ``A`` and column ``g`` of ``K`` belong to
+    target ``g``.
+    """
+
+    target: Optional[int]
     heads: List[HeadRelevance]
-    output_relevance: np.ndarray  # the one-hot initialisation (B, N, T)
+    output_relevance: np.ndarray  # the seed (B, N, T)
 
 
 @dataclass
 class PreparedPropagation:
-    """Target-independent precomputation shared by every propagated target.
+    """Seed-independent precomputation of one propagation.
 
     Every denominator of the RRP rules (Eq. 15–18) depends only on the
-    forward activations, not on the target series — stabilising them once
-    per cache (instead of once per target per head) removes most of the
-    per-target overhead when the detector sweeps all ``N`` targets.
+    forward activations, not on the output-relevance seed, so it is
+    stabilised once per cache.
     """
 
     cache: TransformerCache
@@ -109,11 +124,6 @@ class RegressionRelevancePropagation:
         ratio = relevance_out / stabilize(denominator, self.epsilon)
         return inputs * (ratio @ weight.T)
 
-    def _scale_relevance(self, operand: np.ndarray, scale: float,
-                         outputs: np.ndarray, relevance_out: np.ndarray) -> np.ndarray:
-        """Relevance through an element-wise scaling ``outputs = scale * operand``."""
-        return operand * scale * relevance_out / stabilize(outputs, self.epsilon)
-
     # ------------------------------------------------------------------ #
     # Full propagation
     # ------------------------------------------------------------------ #
@@ -127,7 +137,7 @@ class RegressionRelevancePropagation:
         return relevance
 
     def prepare(self, cache: TransformerCache) -> PreparedPropagation:
-        """Precompute everything that does not depend on the target series."""
+        """Precompute everything that does not depend on the seed."""
         model = self.model
         window = model.config.window
         scale = 1.0 / np.arange(1, window + 1, dtype=float)
@@ -153,48 +163,35 @@ class RegressionRelevancePropagation:
         )
 
     def propagate(self, cache: TransformerCache, target: int) -> RelevanceResult:
-        """Propagate relevance from the output of series ``target`` to A and K."""
-        return self.propagate_targets(cache, [target])[0]
+        """Propagate a one-hot relevance on series ``target`` (Fig. 6a)."""
+        seed = self.one_hot_relevance(cache, target)
+        return RelevanceResult(target=target,
+                               heads=self._propagate(cache, seed),
+                               output_relevance=seed)
 
-    def propagate_targets(self, cache: TransformerCache,
-                          targets: Sequence[int],
-                          prepared: Optional[PreparedPropagation] = None,
-                          include_values: bool = True) -> List[RelevanceResult]:
-        """Propagate several target series in one vectorised pass.
+    def propagate_targets(self, cache: TransformerCache) -> RelevanceResult:
+        """Propagate every target series in one all-ones pass.
 
-        Relevance propagation is linear in the output relevance, so the
-        targets stack as a leading axis: the between-layer matmuls run as
-        batched per-``(target, batch)`` GEMM slices and the Eq. 18 einsums
-        gain a leading target subscript — both produce, slice for slice, the
-        same floating-point results as one pass per target (the contraction
-        order over the summed indices is unchanged), so ``propagate`` stays
-        bit-identical to the historical per-target implementation.
-
-        ``include_values=False`` skips storing the per-head ``(B, N, N, T)``
-        values relevance in the results (the detector only consumes the
-        attention and kernel relevance; callers chunk ``targets`` to bound
-        the intermediates' memory).
+        Row ``g`` of each head's attention relevance and effect column ``g``
+        of its kernel relevance equal :meth:`propagate` at ``target=g``
+        (see the module docstring).
         """
-        if prepared is None:
-            prepared = self.prepare(cache)
-        batch, n_series, window = cache.output.shape
-        for target in targets:
-            if not (0 <= target < n_series):
-                raise IndexError(
-                    f"target series {target} out of range [0, {n_series})")
-        n_targets = len(targets)
+        seed = np.ones(cache.output.shape)
+        return RelevanceResult(target=None,
+                               heads=self._propagate(cache, seed),
+                               output_relevance=seed)
+
+    def _propagate(self, cache: TransformerCache,
+                   seed: np.ndarray) -> List[HeadRelevance]:
+        """Relevance reaching A and K from the output relevance ``seed``."""
+        prepared = self.prepare(cache)
+        n_series = cache.output.shape[1]
         diag = np.arange(n_series)
-
-        relevance_output = np.zeros((n_targets, batch, n_series, window))
-        for index, target in enumerate(targets):
-            relevance_output[index, :, target, :] = 1.0
-
         model = self.model
         # Output layer → feed-forward second linear → (pass-through leaky
         # ReLU) → feed-forward first linear (Eq. 15/17).
         relevance_ffn_out = cache.ffn_output * (
-            (relevance_output / prepared.d_output)
-            @ model.output_layer.weight.data.T)
+            (seed / prepared.d_output) @ model.output_layer.weight.data.T)
         relevance_activated = cache.ffn_activated * (
             (relevance_ffn_out / prepared.d_ffn_output)
             @ model.feed_forward.w2.data.T)
@@ -203,9 +200,7 @@ class RegressionRelevancePropagation:
             @ model.feed_forward.w1.data.T)
 
         values = cache.values
-        per_head_attention: List[np.ndarray] = []
-        per_head_values: List[Optional[np.ndarray]] = []
-        per_head_kernel: List[np.ndarray] = []
+        heads: List[HeadRelevance] = []
         for head_index, head_cache in enumerate(cache.head_caches):
             # Head concatenation: combined = Σ_h W_O[h] · head_output_h.
             relevance_head = (prepared.weighted_heads[head_index]
@@ -217,42 +212,26 @@ class RegressionRelevancePropagation:
             attention = head_cache.attention_data
             ratio = relevance_head / prepared.d_heads[head_index]
             relevance_attention = attention * np.einsum(
-                "bjit,gbit->gbij", values, ratio)
+                "bjit,bit->bij", values, ratio)
             relevance_values = np.einsum(
-                "bij,bjit,gbit->gbjit", attention, values, ratio)
+                "bij,bjit,bit->bjit", attention, values, ratio)
 
             # Undo the diagonal right-shift before touching the kernel: the
             # post-shift value at slot t+1 came from the pre-shift value at t.
             relevance_pre_shift = relevance_values.copy()
-            relevance_pre_shift[:, :, diag, diag, :-1] = \
-                relevance_values[:, :, diag, diag, 1:]
-            relevance_pre_shift[:, :, diag, diag, -1] = 0.0
+            relevance_pre_shift[:, diag, diag, :-1] = \
+                relevance_values[:, diag, diag, 1:]
+            relevance_pre_shift[:, diag, diag, -1] = 0.0
 
             # Convolution (two-operand rule): values_pre[b, i, j, t] =
             #   Σ_τ kernel[i, j, τ] · windows[b, i, t, τ] / (t + 1)
             ratio_values = relevance_pre_shift / prepared.d_values_pre
             relevance_kernel = prepared.kernel * np.einsum(
-                "bitk,gbijt->gijk", prepared.scaled_windows, ratio_values)
-
-            per_head_attention.append(relevance_attention)
-            per_head_values.append(relevance_values if include_values else None)
-            per_head_kernel.append(relevance_kernel)
-
-        results: List[RelevanceResult] = []
-        for index, target in enumerate(targets):
-            heads = [
-                HeadRelevance(
-                    attention=per_head_attention[head_index][index],
-                    values=(per_head_values[head_index][index]
-                            if include_values else None),
-                    kernel=per_head_kernel[head_index][index],
-                )
-                for head_index in range(len(cache.head_caches))
-            ]
-            results.append(RelevanceResult(
-                target=target, heads=heads,
-                output_relevance=relevance_output[index]))
-        return results
+                "bitk,bijt->ijk", prepared.scaled_windows, ratio_values)
+            heads.append(HeadRelevance(attention=relevance_attention,
+                                       values=relevance_values,
+                                       kernel=relevance_kernel))
+        return heads
 
     # ------------------------------------------------------------------ #
     # Diagnostics used by tests
@@ -275,7 +254,7 @@ class RegressionRelevancePropagation:
 
 @dataclass
 class PreparedStackedPropagation:
-    """Target-independent precomputation for a *stack* of models.
+    """Seed-independent precomputation for a *stack* of models.
 
     The model-axis analogue of :class:`PreparedPropagation`: every array
     gains a leading ``M`` (model) axis, and the per-head lists collapse into
@@ -300,8 +279,8 @@ class PreparedStackedPropagation:
 class StackedRelevancePropagation:
     """RRP with a leading model axis over a stacked interpretation forward.
 
-    Propagates relevance for ``M`` same-architecture models (a batched
-    sweep group) and ``G`` target series in one vectorised pass.  Every
+    Propagates the all-ones seed for ``M`` same-architecture models (a
+    batched sweep group) in one vectorised pass.  Every
     between-layer matmul and Eq. 18 einsum simply gains a leading model
     subscript; batched matmuls dispatch the same per-slice GEMMs and einsum
     keeps its per-element contraction order, so row ``m`` of every result is
@@ -319,7 +298,7 @@ class StackedRelevancePropagation:
         self.epsilon = epsilon
 
     def prepare(self, forward) -> PreparedStackedPropagation:
-        """Precompute everything that does not depend on the target series.
+        """Precompute everything that does not depend on the seed.
 
         ``forward`` is a
         :class:`~repro.nn.inference.StackedInterpretationForward`.
@@ -358,86 +337,60 @@ class StackedRelevancePropagation:
             w1=np.stack([model.feed_forward.w1.data for model in models]),
         )
 
-    def propagate_targets(self, forward, targets: Sequence[int],
-                          prepared: Optional[PreparedStackedPropagation] = None,
-                          include_values: bool = False
-                          ) -> List[List[RelevanceResult]]:
-        """Propagate several targets for every model in one stacked pass.
+    def propagate_targets(self, forward) -> List[RelevanceResult]:
+        """Propagate every target for every model in one all-ones pass.
 
-        Returns ``results[m][g]`` — one :class:`RelevanceResult` per
-        (model, target), bit-identical to the per-model propagation.
+        Returns ``results[m]`` — one :class:`RelevanceResult` per model,
+        bit-identical to the per-model ``propagate_targets``.
         """
-        if prepared is None:
-            prepared = self.prepare(forward)
+        prepared = self.prepare(forward)
         m, batch, n_series, window = forward.output.shape
-        for target in targets:
-            if not (0 <= target < n_series):
-                raise IndexError(
-                    f"target series {target} out of range [0, {n_series})")
-        n_targets = len(targets)
         diag = np.arange(n_series)
         n_heads = forward.attention_probs.shape[1]
-
-        relevance_output = np.zeros((m, n_targets, batch, n_series, window))
-        for index, target in enumerate(targets):
-            relevance_output[:, index, :, target, :] = 1.0
+        seed = np.ones((m, batch, n_series, window))
 
         # Output layer → feed-forward second linear → (pass-through leaky
         # ReLU) → feed-forward first linear (Eq. 15/17), model axis leading.
-        relevance_ffn_out = forward.ffn_output[:, None] * (
-            (relevance_output / prepared.d_output[:, None])
-            @ prepared.w_output.transpose(0, 2, 1)[:, None, None])
-        relevance_activated = forward.activated[:, None] * (
-            (relevance_ffn_out / prepared.d_ffn_output[:, None])
-            @ prepared.w2.transpose(0, 2, 1)[:, None, None])
-        relevance_attention_combined = forward.combined[:, None] * (
-            (relevance_activated / prepared.d_hidden[:, None])
-            @ prepared.w1.transpose(0, 2, 1)[:, None, None])
+        relevance_ffn_out = forward.ffn_output * (
+            (seed / prepared.d_output)
+            @ prepared.w_output.transpose(0, 2, 1)[:, None])
+        relevance_activated = forward.activated * (
+            (relevance_ffn_out / prepared.d_ffn_output)
+            @ prepared.w2.transpose(0, 2, 1)[:, None])
+        relevance_attention_combined = forward.combined * (
+            (relevance_activated / prepared.d_hidden)
+            @ prepared.w1.transpose(0, 2, 1)[:, None])
 
         values = forward.values
-        per_head_attention: List[np.ndarray] = []
-        per_head_values: List[Optional[np.ndarray]] = []
-        per_head_kernel: List[np.ndarray] = []
+        per_head: List[HeadRelevance] = []
         for head_index in range(n_heads):
-            relevance_head = (prepared.weighted_heads[:, head_index, None]
+            relevance_head = (prepared.weighted_heads[:, head_index]
                               * relevance_attention_combined
-                              / prepared.d_combined[:, None])
+                              / prepared.d_combined)
 
             attention = forward.attention_probs[:, head_index]
-            ratio = relevance_head / prepared.d_heads[:, head_index, None]
-            relevance_attention = attention[:, None] * np.einsum(
-                "mbjit,mgbit->mgbij", values, ratio)
+            ratio = relevance_head / prepared.d_heads[:, head_index]
+            relevance_attention = attention * np.einsum(
+                "mbjit,mbit->mbij", values, ratio)
             relevance_values = np.einsum(
-                "mbij,mbjit,mgbit->mgbjit", attention, values, ratio)
+                "mbij,mbjit,mbit->mbjit", attention, values, ratio)
 
             relevance_pre_shift = relevance_values.copy()
-            relevance_pre_shift[:, :, :, diag, diag, :-1] = \
-                relevance_values[:, :, :, diag, diag, 1:]
-            relevance_pre_shift[:, :, :, diag, diag, -1] = 0.0
+            relevance_pre_shift[:, :, diag, diag, :-1] = \
+                relevance_values[:, :, diag, diag, 1:]
+            relevance_pre_shift[:, :, diag, diag, -1] = 0.0
 
-            ratio_values = relevance_pre_shift / prepared.d_values_pre[:, None]
-            relevance_kernel = prepared.kernel[:, None] * np.einsum(
-                "mbitk,mgbijt->mgijk", prepared.scaled_windows, ratio_values)
+            ratio_values = relevance_pre_shift / prepared.d_values_pre
+            relevance_kernel = prepared.kernel * np.einsum(
+                "mbitk,mbijt->mijk", prepared.scaled_windows, ratio_values)
+            per_head.append(HeadRelevance(attention=relevance_attention,
+                                          values=relevance_values,
+                                          kernel=relevance_kernel))
 
-            per_head_attention.append(relevance_attention)
-            per_head_values.append(relevance_values if include_values else None)
-            per_head_kernel.append(relevance_kernel)
-
-        results: List[List[RelevanceResult]] = []
-        for row in range(m):
-            model_results: List[RelevanceResult] = []
-            for index, target in enumerate(targets):
-                heads = [
-                    HeadRelevance(
-                        attention=per_head_attention[head_index][row, index],
-                        values=(per_head_values[head_index][row, index]
-                                if include_values else None),
-                        kernel=per_head_kernel[head_index][row, index],
-                    )
-                    for head_index in range(n_heads)
-                ]
-                model_results.append(RelevanceResult(
-                    target=target, heads=heads,
-                    output_relevance=relevance_output[row, index]))
-            results.append(model_results)
-        return results
+        return [RelevanceResult(
+            target=None,
+            heads=[HeadRelevance(attention=head.attention[row],
+                                 values=head.values[row],
+                                 kernel=head.kernel[row])
+                   for head in per_head],
+            output_relevance=seed[row]) for row in range(m)]

@@ -26,11 +26,18 @@ def sliding_windows(values: np.ndarray, window: int, stride: int = 1) -> np.ndar
 
 
 def zscore_normalize(values: np.ndarray, axis: int = 1, epsilon: float = 1e-8) -> np.ndarray:
-    """Per-series z-score normalisation (zero mean, unit variance)."""
+    """Per-series z-score normalisation (zero mean, unit variance).
+
+    A constant series maps to exact zeros.  (Its rounded mean can differ
+    from the value by an ulp, which ``epsilon`` alone would blow up to
+    about ``1e-8``.)
+    """
     values = np.asarray(values, dtype=float)
     mean = values.mean(axis=axis, keepdims=True)
     std = values.std(axis=axis, keepdims=True)
-    return (values - mean) / (std + epsilon)
+    constant = values.max(axis=axis, keepdims=True) \
+        == values.min(axis=axis, keepdims=True)
+    return np.where(constant, 0.0, (values - mean) / (std + epsilon))
 
 
 def minmax_normalize(values: np.ndarray, axis: int = 1, epsilon: float = 1e-8) -> np.ndarray:

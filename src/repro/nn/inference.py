@@ -29,8 +29,8 @@ both dtypes.  The detector-facing
 sequence (per-head outputs, 3-D linears, einsum head combination,
 source-major convolution layout) that the detector's scores depend on, and
 :meth:`InferenceEngine.interpretation_gradients` hand-evaluates the
-backward of that sequence for a batch of target series at once — the
-detector needs no autograd graph at all.
+backward of that sequence for every target series in one all-ones pass —
+the detector needs no autograd graph at all.
 """
 
 from __future__ import annotations
@@ -143,7 +143,7 @@ class InterpretationForward:
 
     ``cache`` is a :class:`~repro.core.transformer.TransformerCache`-shaped
     object consumed by regression relevance propagation; the remaining
-    fields are the forward internals the hand-derived multi-target backward
+    fields are the forward internals the hand-derived all-targets backward
     (:meth:`InferenceEngine.interpretation_gradients`) reads.  All arrays
     are views into the engine's arena — valid until the next engine call.
     """
@@ -786,9 +786,8 @@ class InferenceEngine(ProfilingSeam):
         """One fused forward in the detector's fixed operation order.
 
         Fills a :class:`~repro.core.transformer.TransformerCache` for
-        relevance propagation plus the internals the multi-target backward
-        needs.  Shared by every target series — the detector used to rerun
-        this once per target.
+        relevance propagation plus the internals the all-targets backward
+        needs.  Shared by every target series.
         """
         from repro.core.attention import AttentionHeadCache
         from repro.core.transformer import TransformerCache
@@ -895,44 +894,44 @@ class InferenceEngine(ProfilingSeam):
             batch=batch, extras={"stage": stage},
         )
 
-    def interpretation_gradients(self, forward: InterpretationForward,
-                                 targets: Sequence[int]
+    def interpretation_gradients(self, forward: InterpretationForward
                                  ) -> Tuple[np.ndarray, np.ndarray]:
-        """Gradients of ``Σ_t prediction[:, target, :]`` for several targets.
+        """Gradients of ``Σ_t prediction[:, g, :]`` for every target ``g``.
 
         Hand-evaluates the backward pass of :meth:`interpretation_forward`
-        — what one autograd ``backward()`` per target computes on the
-        reference forward — batched over ``targets``; the tests pin the two
-        together at tolerance.
+        seeded with ones on every output row.  The FFN and output linears
+        act along time only, so effect rows never mix after the attention:
+        row ``g`` of the attention gradients and effect column ``g`` of the
+        kernel gradients are exactly what a backward seeded on output row
+        ``g`` alone computes.  The tests pin this against one autograd
+        ``backward()`` per target on the reference forward.
 
         Returns ``(attention_grads, kernel_grads)`` of shapes
-        ``(G, h, B, N, N)`` and ``(G, N, N, K)`` (``(G, 1, 1, K)`` for the
-        single-kernel ablation).
+        ``(h, B, N, N)`` ``[head, batch, target, source]`` and ``(N, N, K)``
+        ``[source, target, τ]`` (``(1, N, K)`` for the single-kernel
+        ablation: each target's kernel gradient summed over its sources).
         """
         stage = forward.extras["stage"]
         cache = forward.cache
         batch, n, window = cache.output.shape
-        n_targets = len(targets)
         dtype = cache.output.dtype
         diag = np.arange(n)
 
-        # Output one-hot seed → back through the three cache-path linears.
-        grad_pred = np.zeros((n_targets, batch, n, window), dtype=dtype)
-        for index, target in enumerate(targets):
-            grad_pred[index, :, target, :] = 1.0
+        # All-ones output seed → back through the three cache-path linears.
+        grad_pred = np.ones((batch, n, window), dtype=dtype)
         grad_ffn = grad_pred @ stage["w3"].T
         grad_hidden = grad_ffn @ stage["w2"].T
         grad_hidden *= forward.slope
-        grad_combined = grad_hidden @ stage["w1"].T                # (G,B,N,T)
+        grad_combined = grad_hidden @ stage["w1"].T                # (B,N,T)
 
         # Head-combination einsum backward: grad per head = grad ⊗ w_output.
-        grad_heads = np.einsum("gbit,h->ghbit", grad_combined, stage["w_output"])
-        grad_biht = np.ascontiguousarray(grad_heads.transpose(0, 2, 3, 1, 4))
+        grad_heads = np.einsum("bit,h->hbit", grad_combined, stage["w_output"])
+        grad_biht = np.ascontiguousarray(grad_heads.transpose(1, 2, 0, 3))
         # Attention application backward (Eq. 6).
-        grad_a = grad_biht @ forward.v_bijt.transpose(0, 1, 3, 2)  # (G,B,i,h,j)
-        attention_grads = grad_a.transpose(0, 3, 1, 2, 4)          # (G,h,B,i,j)
-        grad_v = forward.a_bihj.transpose(0, 1, 3, 2) @ grad_biht  # (G,B,i,j,t)
-        grad_values = grad_v.transpose(0, 1, 3, 2, 4)              # (G,B,j,i,t)
+        grad_a = grad_biht @ forward.v_bijt.transpose(0, 1, 3, 2)  # (B,i,h,j)
+        attention_grads = grad_a.transpose(2, 0, 1, 3)             # (h,B,i,j)
+        grad_v = forward.a_bihj.transpose(0, 1, 3, 2) @ grad_biht  # (B,i,j,t)
+        grad_values = grad_v.transpose(0, 2, 1, 3)                 # (B,j,i,t)
 
         # Causal convolution backward: undo the Eq. 4 right-shift, rescale,
         # contract against the causal windows.  The autograd engine casts the
@@ -941,20 +940,23 @@ class InferenceEngine(ProfilingSeam):
         # replicate both.
         grad_values = np.ascontiguousarray(grad_values,
                                            dtype=cache.values.dtype)
-        diagonal = grad_values[:, :, diag, diag, :]
-        grad_values[:, :, diag, diag, :-1] = diagonal[..., 1:]
-        grad_values[:, :, diag, diag, -1] = 0.0
+        diagonal = grad_values[:, diag, diag, :]
+        grad_values[:, diag, diag, :-1] = diagonal[..., 1:]
+        grad_values[:, diag, diag, -1] = 0.0
         grad_values = grad_values * stage["scale_array"]
-        flat = np.ascontiguousarray(grad_values.transpose(0, 2, 3, 1, 4)) \
-            .reshape(n_targets, n, n, batch * window)
-        kernel_grads = flat @ forward.windows_flat                 # (G,N,N,K)
+        flat = np.ascontiguousarray(grad_values.transpose(1, 2, 0, 3)) \
+            .reshape(n, n, batch * window)
+        kernel_grads = flat @ forward.windows_flat                 # (N,N,K)
         kernel_dtype = self.model.convolution.kernel.data.dtype
         if kernel_grads.dtype != kernel_dtype:
             # The node-boundary cast happens before the single-kernel
             # unbroadcast sum in the autograd graph; keep that order.
             kernel_grads = np.asarray(kernel_grads, dtype=kernel_dtype)
         if self.model.convolution.single_kernel:
-            kernel_grads = kernel_grads.sum(axis=(1, 2), keepdims=True)
+            # Per target the shared kernel's gradient sums over both series
+            # axes; only the target's effect column is non-zero there, so
+            # the per-effect sum over sources keeps the targets apart.
+            kernel_grads = kernel_grads.sum(axis=0, keepdims=True)
         return attention_grads, kernel_grads
 
 
@@ -1559,7 +1561,7 @@ class StackedInferenceEngine(ProfilingSeam):
         return results
 
     # ------------------------------------------------------------------ #
-    # Detector support: stacked cache forward + multi-target backward
+    # Detector support: stacked cache forward + all-targets backward
     # ------------------------------------------------------------------ #
     def interpretation_forward(self, windows_list: Sequence[np.ndarray]
                                ) -> StackedInterpretationForward:
@@ -1683,53 +1685,49 @@ class StackedInferenceEngine(ProfilingSeam):
             windows_flat=windows_flat, extras={"stage": stage},
         )
 
-    def interpretation_gradients(self, forward: StackedInterpretationForward,
-                                 targets: Sequence[int]
+    def interpretation_gradients(self, forward: StackedInterpretationForward
                                  ) -> Tuple[np.ndarray, np.ndarray]:
-        """Gradients of ``Σ_t prediction[:, target, :]``, stacked over models.
+        """Every target's gradients in one all-ones pass, stacked over models.
 
         Returns ``(attention_grads, kernel_grads)`` of shapes
-        ``(M, G, h, B, N, N)`` and ``(M, G, N, N, K)`` (``(M, G, 1, 1, K)``
-        for the single-kernel ablation) — row ``m`` bit-identical to
+        ``(M, h, B, N, N)`` and ``(M, N, N, K)`` (``(M, 1, N, K)`` for the
+        single-kernel ablation) — row ``m`` bit-identical to
         ``InferenceEngine.interpretation_gradients`` on model ``m`` alone.
         """
         stage = forward.extras["stage"]
         m, batch, n, window = forward.output.shape
-        n_targets = len(targets)
         dtype = forward.output.dtype
         diag = np.arange(n)
 
-        grad_pred = np.zeros((m, n_targets, batch, n, window), dtype=dtype)
-        for index, target in enumerate(targets):
-            grad_pred[:, index, :, target, :] = 1.0
-        grad_ffn = grad_pred @ stage["w3"].transpose(0, 2, 1)[:, None, None]
-        grad_hidden = grad_ffn @ stage["w2"].transpose(0, 2, 1)[:, None, None]
-        grad_hidden *= forward.slope[:, None]
+        grad_pred = np.ones((m, batch, n, window), dtype=dtype)
+        grad_ffn = grad_pred @ stage["w3"].transpose(0, 2, 1)[:, None]
+        grad_hidden = grad_ffn @ stage["w2"].transpose(0, 2, 1)[:, None]
+        grad_hidden *= forward.slope
         grad_combined = grad_hidden \
-            @ stage["w1"].transpose(0, 2, 1)[:, None, None]    # (M,G,B,N,T)
+            @ stage["w1"].transpose(0, 2, 1)[:, None]          # (M,B,N,T)
 
-        grad_heads = np.einsum("mgbit,mh->mghbit", grad_combined,
+        grad_heads = np.einsum("mbit,mh->mhbit", grad_combined,
                                stage["w_output"])
-        grad_biht = np.ascontiguousarray(grad_heads.transpose(0, 1, 3, 4, 2, 5))
+        grad_biht = np.ascontiguousarray(grad_heads.transpose(0, 2, 3, 1, 4))
         grad_a = grad_biht \
-            @ forward.v_bijt.transpose(0, 1, 2, 4, 3)[:, None]  # (M,G,B,i,h,j)
-        attention_grads = grad_a.transpose(0, 1, 4, 2, 3, 5)    # (M,G,h,B,i,j)
-        grad_v = forward.a_bihj.transpose(0, 1, 2, 4, 3)[:, None] \
-            @ grad_biht                                         # (M,G,B,i,j,t)
-        grad_values = grad_v.transpose(0, 1, 2, 4, 3, 5)        # (M,G,B,j,i,t)
+            @ forward.v_bijt.transpose(0, 1, 2, 4, 3)           # (M,B,i,h,j)
+        attention_grads = grad_a.transpose(0, 3, 1, 2, 4)       # (M,h,B,i,j)
+        grad_v = forward.a_bihj.transpose(0, 1, 2, 4, 3) \
+            @ grad_biht                                         # (M,B,i,j,t)
+        grad_values = grad_v.transpose(0, 1, 3, 2, 4)           # (M,B,j,i,t)
 
         grad_values = np.ascontiguousarray(grad_values,
                                            dtype=forward.values.dtype)
-        diagonal = grad_values[:, :, :, diag, diag, :]
-        grad_values[:, :, :, diag, diag, :-1] = diagonal[..., 1:]
-        grad_values[:, :, :, diag, diag, -1] = 0.0
+        diagonal = grad_values[:, :, diag, diag, :]
+        grad_values[:, :, diag, diag, :-1] = diagonal[..., 1:]
+        grad_values[:, :, diag, diag, -1] = 0.0
         grad_values = grad_values * stage["scale_array"]
-        flat = np.ascontiguousarray(grad_values.transpose(0, 1, 3, 4, 2, 5)) \
-            .reshape(m, n_targets, n, n, batch * window)
-        kernel_grads = flat @ forward.windows_flat[:, None]     # (M,G,N,N,K)
+        flat = np.ascontiguousarray(grad_values.transpose(0, 2, 3, 1, 4)) \
+            .reshape(m, n, n, batch * window)
+        kernel_grads = flat @ forward.windows_flat              # (M,N,N,K)
         kernel_dtype = self.models[0].convolution.kernel.data.dtype
         if kernel_grads.dtype != kernel_dtype:
             kernel_grads = np.asarray(kernel_grads, dtype=kernel_dtype)
         if self.models[0].convolution.single_kernel:
-            kernel_grads = kernel_grads.sum(axis=(2, 3), keepdims=True)
+            kernel_grads = kernel_grads.sum(axis=1, keepdims=True)
         return attention_grads, kernel_grads

@@ -251,7 +251,7 @@ def execute_batched_jobs(pairs: Sequence[JobPair],
                     else execute_job(job, dataset)
                     for position, (job, dataset) in enumerate(pairs)]
 
-        # Stacked detector interpretation: one cache forward, multi-target
+        # Stacked detector interpretation: one cache forward, all-ones
         # backward and relevance propagation per *shape sub-group*
         # (bit-identical per-model scores; heterogeneous lanes often share
         # a detector-window shape anyway once max_detector_windows caps the

@@ -75,3 +75,36 @@ class TestSelectTopScores:
 
     def test_empty_input(self):
         assert select_top_scores(np.array([]), 2, 1).size == 0
+
+    def test_two_distinct_values_keep_the_higher(self):
+        keep = select_top_scores(np.array([0.2, 0.8, 0.2, 0.8, 0.8]), 2, 1,
+                                 rng=np.random.default_rng(0))
+        np.testing.assert_array_equal(keep, [False, True, False, True, True])
+
+    def test_small_scores_are_not_a_tie(self):
+        """The tie test is relative: scores of size 1e-9 still cluster."""
+        scores = np.array([0.0, 3.0, 9.0, 1.0, 8.5])
+        expected = select_top_scores(scores, 2, 1, rng=np.random.default_rng(0))
+        assert expected.sum() == 2
+        tiny = select_top_scores(scores * 1e-9, 2, 1,
+                                 rng=np.random.default_rng(0))
+        np.testing.assert_array_equal(tiny, expected)
+
+    @pytest.mark.parametrize("exponent", range(-40, 21, 4))
+    @pytest.mark.parametrize("scores", [
+        [0.0, 3.0, 9.0, 1.0, 8.5],
+        [0.7, 0.7, 0.7, 0.7],
+        [0.0, 0.0, 0.0],
+        [0.2, 0.8, 0.2, 0.8, 0.8],
+    ])
+    def test_mask_invariant_under_power_of_two_rescaling(self, scores,
+                                                         exponent):
+        scores = np.array(scores)
+        expected = select_top_scores(scores, 2, 1, rng=np.random.default_rng(0))
+        rescaled = select_top_scores(scores * 2.0 ** exponent, 2, 1,
+                                     rng=np.random.default_rng(0))
+        np.testing.assert_array_equal(rescaled, expected)
+
+    def test_relative_near_tie_keeps_everything(self):
+        scores = 0.7 * (1.0 + np.array([0.0, 1e-7, -1e-7, 2e-7]))
+        assert select_top_scores(scores, 2, 1).all()

@@ -1,6 +1,6 @@
 """Stacked detector interpretation must be bit-identical to per-model scoring.
 
-``compute_scores_group`` shares one stacked cache forward, multi-target
+``compute_scores_group`` shares one stacked cache forward, all-ones
 backward and model-axis relevance propagation across a whole sweep group;
 every per-model :class:`CausalScores` must equal the sequential
 ``compute_scores`` bit for bit — across all Table 3 ablation switches and

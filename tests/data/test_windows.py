@@ -56,6 +56,14 @@ class TestNormalisation:
         normalized = zscore_normalize(np.ones((2, 10)))
         assert np.isfinite(normalized).all()
 
+    def test_zscore_constant_series_is_exactly_zero(self):
+        values = np.random.default_rng(2).normal(size=(3, 137))
+        values[1] = 3.7   # its rounded mean is not exactly 3.7
+        normalized = zscore_normalize(values)
+        assert not normalized[1].any()
+        np.testing.assert_array_equal(
+            normalized[[0, 2]], zscore_normalize(values[[0, 2]]))
+
     def test_minmax_range(self):
         rng = np.random.default_rng(1)
         values = rng.normal(size=(3, 100))
