@@ -6,10 +6,10 @@ costs more than the arithmetic.  :class:`StackedCausalFormerTrainer` trains
 ``K`` same-architecture models (different datasets and seeds) in lockstep:
 every parameter gains a leading model axis, each training step runs the
 whole fleet through stacked GEMMs (one set of numpy calls for ``K`` models
-instead of ``K`` sets), and a hand-derived backward — the solo training
-engine's, with a leading model axis, evaluated over persistent scratch
-arenas by :class:`repro.nn.training_engine.StackedTrainingEngine` — fills a
-stacked flat Adam state.  Mini-batches are built by one stacked gather (a single
+instead of ``K`` sets), and a hand-derived backward with a leading model
+axis, evaluated over persistent scratch arenas by
+:class:`repro.nn.training_engine.StackedTrainingEngine` (the engine a solo
+fit runs at ``K = 1``), fills a stacked flat Adam state.  Mini-batches are built by one stacked gather (a single
 ``np.take`` over the concatenated training sets into a persistent batch
 buffer), and the engine that runs the training steps is the same object
 (same arena) that runs every validation pass; its arena is also handed to
@@ -183,7 +183,7 @@ class StackedCausalFormerTrainer:
         self._prefix_engines = {}
         #: participating-rows tuple → gathered sub-stack (ragged tail steps)
         self._tail_stacks = {}
-        #: rows tuple → sub-fleet/solo engine for grouped validation passes
+        #: rows tuple → sub-fleet engine for grouped validation passes
         self._eval_engines = {}
         #: (engine, grad matrix) the next ``_forward_backward`` call runs on
         self._step_ctx = (self.engine, self._grads)
@@ -989,12 +989,12 @@ class StackedCausalFormerTrainer:
         """One stacked fused forward + hand-derived backward (no autograd).
 
         Delegates to :class:`repro.nn.training_engine.StackedTrainingEngine`
-        — the one ``_train_step`` staged in ``_step_ctx`` (the main engine
-        by default), which runs the solo engine's hand-derived backward with
-        a leading model axis over persistent arena buffers and writes every
-        gradient into the stacked flat matrix returned here; batched matmuls
-        run the same per-slice GEMMs, so each model's gradients are
-        bit-identical to a solo step.
+        — the one staged in ``_step_ctx`` (the main engine by default),
+        which runs the hand-derived backward with a leading model axis over
+        persistent arena buffers and writes every gradient into the stacked
+        flat matrix returned here; batched matmuls run the same per-slice
+        GEMMs, so each model's gradients are bit-identical to a solo step
+        (the same engine at K = 1).
         """
         engine, grads = self._step_ctx
         return engine.train_step(xb), grads

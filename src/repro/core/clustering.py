@@ -91,22 +91,24 @@ def select_top_scores(scores: np.ndarray, n_clusters: int, top_clusters: int,
     This is the density control of the causal-graph construction: a larger
     ``m/n`` keeps more clusters and yields a denser graph.  Scores tied to
     within ``TIE_RTOL`` of their largest magnitude have no structure to
-    cluster: all of them are kept when the common value is positive, none
-    when it is zero.  The tie test is relative, so rescaling the scores by
-    a power of two never changes the mask.
+    cluster: all of them are kept when the common value is positive.  The
+    tie test is relative, so rescaling the scores by a power of two never
+    changes the mask.  On every branch a score of zero (or below) is never
+    kept: a zero causal score should never create an edge, even when the
+    kept clusters reach down to it.
     """
     scores = np.asarray(scores, dtype=float).reshape(-1)
     if scores.size == 0:
         return np.zeros(0, dtype=bool)
     if top_clusters <= 0:
         return np.zeros_like(scores, dtype=bool)
-    if top_clusters >= n_clusters:
-        return np.ones_like(scores, dtype=bool)
-    if np.ptp(scores) <= TIE_RTOL * np.abs(scores).max():
-        # No structure to cluster: keep everything only if the common value
-        # is positive (a zero causal score should never create an edge).
-        return np.full(scores.shape, scores[0] > 0, dtype=bool)
+    positive = scores > 0
+    if top_clusters >= n_clusters \
+            or np.ptp(scores) <= TIE_RTOL * np.abs(scores).max():
+        # Every cluster is kept, or the scores are tied (a tie never mixes
+        # signs) and have no structure to cluster.
+        return positive
     labels, centroids = kmeans(scores, n_clusters, rng=rng)
     order = np.argsort(-centroids[:, 0])
     keep_clusters = set(order[:top_clusters].tolist())
-    return np.isin(labels, list(keep_clusters))
+    return np.isin(labels, list(keep_clusters)) & positive

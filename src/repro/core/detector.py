@@ -33,7 +33,7 @@ bias term from the RRP denominators.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -180,6 +180,16 @@ class DecompositionCausalityDetector:
         autograd pass per target on the reference forward up to
         floating-point rounding.
         """
+        windows = self._checked_windows(windows)
+        self._sync_interpretation_model()
+        forward = self._engine.interpretation_forward(windows)
+        return _score(
+            [self], [forward],
+            lambda: [self._engine.interpretation_gradients(forward)],
+            lambda: [self._rrp.propagate_targets(forward.cache)])[0]
+
+    def _checked_windows(self, windows: np.ndarray) -> np.ndarray:
+        """``windows`` as a float ``(B, N, T)`` batch matching the model."""
         windows = np.asarray(windows, dtype=float)
         if windows.ndim == 2:
             windows = windows[None, :, :]
@@ -188,15 +198,7 @@ class DecompositionCausalityDetector:
                 f"windows of shape {windows.shape[1:]} do not match the model "
                 f"({self.config.n_series} series, window {self.config.window})"
             )
-        self._sync_interpretation_model()
-        forward = self._engine.interpretation_forward(windows)
-        if not self.use_interpretation:
-            return self._raw_weight_scores(forward)
-        gradients = self._engine.interpretation_gradients(forward) \
-            if self.use_gradient else (None, None)
-        relevance = self._rrp.propagate_targets(forward.cache) \
-            if self.use_relevance else None
-        return _combine(forward.cache, *gradients, relevance)
+        return windows
 
     def _raw_weight_scores(self, forward: InterpretationForward) -> CausalScores:
         """The "w/o interpretation" ablation: read model weights directly."""
@@ -293,19 +295,8 @@ def compute_scores_group(detectors: Sequence[DecompositionCausalityDetector],
             raise ValueError(
                 "grouped interpretation requires one relevance_epsilon")
 
-    prepared_windows: List[np.ndarray] = []
-    for detector, windows in zip(detectors, windows_list):
-        windows = np.asarray(windows, dtype=float)
-        if windows.ndim == 2:
-            windows = windows[None, :, :]
-        n_series, window = windows.shape[1], windows.shape[2]
-        if n_series != detector.config.n_series \
-                or window != detector.config.window:
-            raise ValueError(
-                f"windows of shape {windows.shape[1:]} do not match the model "
-                f"({detector.config.n_series} series, window "
-                f"{detector.config.window})")
-        prepared_windows.append(windows)
+    prepared_windows = [detector._checked_windows(windows)
+                        for detector, windows in zip(detectors, windows_list)]
     if len({windows.shape for windows in prepared_windows}) != 1:
         raise ValueError(
             "grouped interpretation requires same-shape window sets")
@@ -315,20 +306,36 @@ def compute_scores_group(detectors: Sequence[DecompositionCausalityDetector],
     models = [detector.model for detector in detectors]
     engine = StackedInferenceEngine(models, arena=arena)
     forward = engine.interpretation_forward(prepared_windows)
-    if not first.use_interpretation:
-        return [detector._raw_weight_scores(model_forward)
-                for detector, model_forward in zip(detectors,
-                                                   forward.forwards)]
+    return _score(
+        detectors, forward.forwards,
+        lambda: list(zip(*engine.interpretation_gradients(forward))),
+        lambda: StackedRelevancePropagation(
+            models, use_bias=first.use_bias,
+            epsilon=first.config.relevance_epsilon).propagate_targets(forward))
 
-    attention_grads, kernel_grads = engine.interpretation_gradients(forward) \
-        if first.use_gradient else (None, None)
-    relevances = StackedRelevancePropagation(
-        models, use_bias=first.use_bias,
-        epsilon=first.config.relevance_epsilon).propagate_targets(forward) \
-        if first.use_relevance else None
-    return [_combine(
-        model_forward.cache,
-        None if attention_grads is None else attention_grads[row],
-        None if kernel_grads is None else kernel_grads[row],
-        None if relevances is None else relevances[row])
-        for row, model_forward in enumerate(forward.forwards)]
+
+def _score(detectors: Sequence[DecompositionCausalityDetector],
+           forwards: Sequence[InterpretationForward],
+           gradients: Callable[[], List[tuple]],
+           relevances: Callable[[], List[RelevanceResult]]
+           ) -> List[CausalScores]:
+    """Causal scores of every model of one interpreted fleet.
+
+    The scoring body shared by :meth:`DecompositionCausalityDetector
+    .compute_scores` (a fleet of one) and :func:`compute_scores_group`.
+    ``gradients`` and ``relevances`` run the fleet's all-ones passes and
+    return one ``(attention, kernel)`` gradient pair and one
+    :class:`RelevanceResult` per model; each runs only when the detectors'
+    ablation flags use it.
+    """
+    first = detectors[0]
+    if not first.use_interpretation:
+        return [detector._raw_weight_scores(forward)
+                for detector, forward in zip(detectors, forwards)]
+    model_gradients = gradients() if first.use_gradient \
+        else [(None, None)] * len(forwards)
+    model_relevances = relevances() if first.use_relevance \
+        else [None] * len(forwards)
+    return [_combine(forward.cache, attention, kernel, relevance)
+            for forward, (attention, kernel), relevance
+            in zip(forwards, model_gradients, model_relevances)]

@@ -51,9 +51,9 @@ class CausalFormer:
     Input series must be finite; a NaN or ±inf raises ``ValueError``.  A
     constant (zero-variance) series is accepted: z-scoring maps it to exact
     zeros.  Under the interpreting detector (``use_interpretation=True``)
-    its attention score as a source is then exactly 0 in every row, so at
-    the default density (top 1 of 2 clusters) it gets no outgoing edge; it
-    is still scored as a target.  The raw-weight ablation
+    its attention score as a source is then exactly 0 in every row, and a
+    zero score never creates an edge, so it gets no outgoing edge; it is
+    still scored as a target.  The raw-weight ablation
     (``use_interpretation=False``) reads the softmax attention, which is
     positive for every source, so there it is scored like any other series.
     """

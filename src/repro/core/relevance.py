@@ -20,6 +20,12 @@ weight, the attention application, and the causal convolution, stopping at
 the attention matrix ``A`` and the convolution kernel ``K`` — exactly the
 two tensors the causal-graph construction reads (Sec. 4.2.3).
 
+There is one propagation body.  :class:`StackedRelevancePropagation` runs
+it for ``M`` same-architecture models at once (every array carries a
+leading model axis); :class:`RegressionRelevancePropagation` is one model's
+face of it — the same body at ``M = 1`` over a model-axis view of a
+:class:`~repro.core.transformer.TransformerCache`.
+
 The paper seeds one pass per target series ``g`` with a one-hot relevance on
 output row ``g`` (Fig. 6a).  The detector seeds a single pass with ones on
 every row instead, and the two agree exactly: every rule is linear in the
@@ -36,6 +42,7 @@ one-hot pass as a diagnostic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -73,28 +80,194 @@ class RelevanceResult:
 
 
 @dataclass
-class PreparedPropagation:
-    """Seed-independent precomputation of one propagation.
+class PreparedStackedPropagation:
+    """Seed-independent precomputation of one propagation over ``M`` models.
 
     Every denominator of the RRP rules (Eq. 15–18) depends only on the
     forward activations, not on the output-relevance seed, so it is
-    stabilised once per cache.
+    stabilised once per forward.  Stabilisation is elementwise, so each row
+    is bit-identical to preparing that model alone.
     """
 
-    cache: TransformerCache
-    d_output: np.ndarray            # stabilised output-layer denominator
-    d_ffn_output: np.ndarray        # stabilised second-linear denominator
-    d_hidden: np.ndarray            # stabilised first-linear denominator
-    d_combined: np.ndarray          # stabilised head-combination denominator
-    d_heads: List[np.ndarray]       # stabilised per-head application denominators
-    d_values_pre: np.ndarray        # stabilised pre-shift convolution values
-    weighted_heads: List[np.ndarray]  # head_output · W_O[h] numerators
-    kernel: np.ndarray
-    scaled_windows: np.ndarray
+    forward: object                 # the model-axis forward it was built from
+    d_output: np.ndarray            # (M, B, N, T)
+    d_ffn_output: np.ndarray        # (M, B, N, T)
+    d_hidden: np.ndarray            # (M, B, N, d_ffn)
+    d_combined: np.ndarray          # (M, B, N, T)
+    d_heads: np.ndarray             # (M, h, B, N, T)
+    d_values_pre: np.ndarray        # (M, B, N, N, T)
+    weighted_heads: np.ndarray      # (M, h, B, N, T)
+    kernel: np.ndarray              # (M, N, N, T)
+    scaled_windows: np.ndarray      # (M, B, N, T, K)
+    w_output: np.ndarray            # (M, T, T)   output-layer weights
+    w2: np.ndarray                  # (M, d_ffn, T)
+    w1: np.ndarray                  # (M, T, d_ffn)
+
+
+class StackedRelevancePropagation:
+    """RRP with a leading model axis over a stacked interpretation forward.
+
+    Propagates the output relevance of ``M`` same-architecture models (a
+    batched sweep group, or one model through
+    :class:`RegressionRelevancePropagation`) in one vectorised pass.  Every
+    between-layer matmul and Eq. 18 einsum carries a leading model
+    subscript; batched matmuls dispatch the same per-slice GEMMs and einsum
+    keeps its per-element contraction order, so row ``m`` of every result is
+    **bit-identical** to propagating model ``m`` alone (the tests assert
+    exactly this, across all Table 3 ablations).
+
+    ``forward`` arguments are
+    :class:`~repro.nn.inference.StackedInterpretationForward` objects, or
+    anything with the same model-axis ``output``, ``ffn_output``,
+    ``hidden``, ``activated``, ``combined``, ``head_outputs``, ``values``,
+    ``values_pre``, ``conv_windows`` and ``attention_probs`` arrays.
+    """
+
+    def __init__(self, models: Sequence[CausalityAwareTransformer],
+                 use_bias: bool = True, epsilon: float = 1e-9) -> None:
+        if not models:
+            raise ValueError("need at least one model")
+        self.models = list(models)
+        self.use_bias = use_bias
+        self.epsilon = epsilon
+
+    def prepare(self, forward) -> PreparedStackedPropagation:
+        """Precompute everything that does not depend on the seed."""
+        return self._prepare(forward)
+
+    def propagate_targets(self, forward) -> List[RelevanceResult]:
+        """Propagate every target for every model in one all-ones pass.
+
+        Returns ``results[m]`` — one :class:`RelevanceResult` per model, row
+        ``g`` of whose attention relevance and effect column ``g`` of whose
+        kernel relevance belong to target ``g`` (see the module docstring).
+        """
+        prepared = self.prepare(forward)
+        return self._propagate(prepared, np.ones(forward.output.shape), None)
+
+    def _prepare(self, forward) -> PreparedStackedPropagation:
+        models = self.models
+        window = models[0].config.window
+        scale = 1.0 / np.arange(1, window + 1, dtype=float)
+
+        def denominator(outputs: np.ndarray, biases: np.ndarray,
+                        expand) -> np.ndarray:
+            base = outputs if self.use_bias else outputs - biases[expand]
+            return stabilize(base, self.epsilon)
+
+        output_bias = np.stack([model.output_layer.bias.data
+                                for model in models])
+        b2 = np.stack([model.feed_forward.b2.data for model in models])
+        b1 = np.stack([model.feed_forward.b1.data for model in models])
+        w_out = np.stack([model.attention.w_output.data for model in models])
+        channel = (slice(None), None, None, slice(None))
+        return PreparedStackedPropagation(
+            forward=forward,
+            d_output=denominator(forward.output, output_bias, channel),
+            d_ffn_output=denominator(forward.ffn_output, b2, channel),
+            d_hidden=denominator(forward.hidden, b1, channel),
+            d_combined=stabilize(forward.combined, self.epsilon),
+            d_heads=stabilize(forward.head_outputs, self.epsilon),
+            d_values_pre=stabilize(forward.values_pre, self.epsilon),
+            weighted_heads=forward.head_outputs
+            * w_out[:, :, None, None, None],
+            kernel=np.stack([model.convolution.effective_kernel().data
+                             for model in models]),
+            scaled_windows=forward.conv_windows
+            * scale[None, None, None, :, None],
+            w_output=np.stack([model.output_layer.weight.data
+                               for model in models]),
+            w2=np.stack([model.feed_forward.w2.data for model in models]),
+            w1=np.stack([model.feed_forward.w1.data for model in models]),
+        )
+
+    def _propagate(self, prepared: PreparedStackedPropagation,
+                   seed: np.ndarray,
+                   target: Optional[int]) -> List[RelevanceResult]:
+        """Relevance reaching A and K from the ``(M, B, N, T)`` ``seed``."""
+        forward = prepared.forward
+        n_series = forward.output.shape[2]
+        diag = np.arange(n_series)
+        n_heads = forward.attention_probs.shape[1]
+
+        # Output layer → feed-forward second linear → (pass-through leaky
+        # ReLU) → feed-forward first linear (Eq. 15/17), model axis leading.
+        relevance_ffn_out = forward.ffn_output * (
+            (seed / prepared.d_output)
+            @ prepared.w_output.transpose(0, 2, 1)[:, None])
+        relevance_activated = forward.activated * (
+            (relevance_ffn_out / prepared.d_ffn_output)
+            @ prepared.w2.transpose(0, 2, 1)[:, None])
+        relevance_attention_combined = forward.combined * (
+            (relevance_activated / prepared.d_hidden)
+            @ prepared.w1.transpose(0, 2, 1)[:, None])
+
+        values = forward.values
+        per_head: List[HeadRelevance] = []
+        for head_index in range(n_heads):
+            # Head concatenation: combined = Σ_h W_O[h] · head_output_h.
+            relevance_head = (prepared.weighted_heads[:, head_index]
+                              * relevance_attention_combined
+                              / prepared.d_combined)
+
+            # Attention application (two-operand rule, Eq. 18):
+            #   head_output[b, i, t] = Σ_j attention[b, i, j] · values[b, j, i, t]
+            attention = forward.attention_probs[:, head_index]
+            ratio = relevance_head / prepared.d_heads[:, head_index]
+            relevance_attention = attention * np.einsum(
+                "mbjit,mbit->mbij", values, ratio)
+            relevance_values = np.einsum(
+                "mbij,mbjit,mbit->mbjit", attention, values, ratio)
+
+            # Undo the diagonal right-shift before touching the kernel: the
+            # post-shift value at slot t+1 came from the pre-shift value at t.
+            relevance_pre_shift = relevance_values.copy()
+            relevance_pre_shift[:, :, diag, diag, :-1] = \
+                relevance_values[:, :, diag, diag, 1:]
+            relevance_pre_shift[:, :, diag, diag, -1] = 0.0
+
+            # Convolution (two-operand rule): values_pre[b, i, j, t] =
+            #   Σ_τ kernel[i, j, τ] · windows[b, i, t, τ] / (t + 1)
+            ratio_values = relevance_pre_shift / prepared.d_values_pre
+            relevance_kernel = prepared.kernel * np.einsum(
+                "mbitk,mbijt->mijk", prepared.scaled_windows, ratio_values)
+            per_head.append(HeadRelevance(attention=relevance_attention,
+                                          values=relevance_values,
+                                          kernel=relevance_kernel))
+
+        return [RelevanceResult(
+            target=target,
+            heads=[HeadRelevance(attention=head.attention[row],
+                                 values=head.values[row],
+                                 kernel=head.kernel[row])
+                   for head in per_head],
+            output_relevance=seed[row]) for row in range(len(seed))]
+
+
+def _model_axis_view(cache: TransformerCache) -> SimpleNamespace:
+    """``cache`` as a one-model fleet forward (a leading model axis of 1)."""
+    heads = cache.head_caches
+    return SimpleNamespace(
+        output=cache.output[None],
+        ffn_output=cache.ffn_output[None],
+        hidden=cache.ffn_hidden[None],
+        activated=cache.ffn_activated[None],
+        combined=cache.attention_combined[None],
+        head_outputs=np.stack([head.head_output_data for head in heads])[None],
+        values=cache.values[None],
+        values_pre=cache.values_pre_shift[None],
+        conv_windows=cache.conv_windows[None],
+        attention_probs=np.stack([head.attention_data for head in heads])[None],
+    )
 
 
 class RegressionRelevancePropagation:
     """Backward relevance decomposition of a trained causality-aware transformer.
+
+    One model's face of :class:`StackedRelevancePropagation`: each method
+    views its :class:`~repro.core.transformer.TransformerCache` with a
+    model axis of one, runs the stacked propagation body and strips the
+    axis from the result.
 
     Parameters
     ----------
@@ -112,6 +285,10 @@ class RegressionRelevancePropagation:
         self.model = model
         self.use_bias = use_bias
         self.epsilon = epsilon
+
+    def _fleet(self) -> StackedRelevancePropagation:
+        return StackedRelevancePropagation([self.model], self.use_bias,
+                                           self.epsilon)
 
     # ------------------------------------------------------------------ #
     # Elementary propagation rules
@@ -136,38 +313,14 @@ class RegressionRelevancePropagation:
         relevance[:, target, :] = 1.0
         return relevance
 
-    def prepare(self, cache: TransformerCache) -> PreparedPropagation:
+    def prepare(self, cache: TransformerCache) -> PreparedStackedPropagation:
         """Precompute everything that does not depend on the seed."""
-        model = self.model
-        window = model.config.window
-        scale = 1.0 / np.arange(1, window + 1, dtype=float)
-
-        def denominator(outputs: np.ndarray, bias: Optional[np.ndarray]) -> np.ndarray:
-            base = outputs if (self.use_bias or bias is None) else outputs - bias
-            return stabilize(base, self.epsilon)
-
-        w_output = model.attention.w_output.data
-        return PreparedPropagation(
-            cache=cache,
-            d_output=denominator(cache.output, model.output_layer.bias.data),
-            d_ffn_output=denominator(cache.ffn_output, model.feed_forward.b2.data),
-            d_hidden=denominator(cache.ffn_hidden, model.feed_forward.b1.data),
-            d_combined=stabilize(cache.attention_combined, self.epsilon),
-            d_heads=[stabilize(head.head_output_data, self.epsilon)
-                     for head in cache.head_caches],
-            d_values_pre=stabilize(cache.values_pre_shift, self.epsilon),
-            weighted_heads=[head.head_output_data * w_output[index]
-                            for index, head in enumerate(cache.head_caches)],
-            kernel=model.convolution.effective_kernel().data,
-            scaled_windows=cache.conv_windows * scale[None, None, :, None],
-        )
+        return self._fleet()._prepare(_model_axis_view(cache))
 
     def propagate(self, cache: TransformerCache, target: int) -> RelevanceResult:
         """Propagate a one-hot relevance on series ``target`` (Fig. 6a)."""
-        seed = self.one_hot_relevance(cache, target)
-        return RelevanceResult(target=target,
-                               heads=self._propagate(cache, seed),
-                               output_relevance=seed)
+        return self._propagate(cache, self.one_hot_relevance(cache, target),
+                               target)
 
     def propagate_targets(self, cache: TransformerCache) -> RelevanceResult:
         """Propagate every target series in one all-ones pass.
@@ -176,62 +329,12 @@ class RegressionRelevancePropagation:
         of its kernel relevance equal :meth:`propagate` at ``target=g``
         (see the module docstring).
         """
-        seed = np.ones(cache.output.shape)
-        return RelevanceResult(target=None,
-                               heads=self._propagate(cache, seed),
-                               output_relevance=seed)
+        return self._propagate(cache, np.ones(cache.output.shape), None)
 
-    def _propagate(self, cache: TransformerCache,
-                   seed: np.ndarray) -> List[HeadRelevance]:
-        """Relevance reaching A and K from the output relevance ``seed``."""
-        prepared = self.prepare(cache)
-        n_series = cache.output.shape[1]
-        diag = np.arange(n_series)
-        model = self.model
-        # Output layer → feed-forward second linear → (pass-through leaky
-        # ReLU) → feed-forward first linear (Eq. 15/17).
-        relevance_ffn_out = cache.ffn_output * (
-            (seed / prepared.d_output) @ model.output_layer.weight.data.T)
-        relevance_activated = cache.ffn_activated * (
-            (relevance_ffn_out / prepared.d_ffn_output)
-            @ model.feed_forward.w2.data.T)
-        relevance_attention_combined = cache.attention_combined * (
-            (relevance_activated / prepared.d_hidden)
-            @ model.feed_forward.w1.data.T)
-
-        values = cache.values
-        heads: List[HeadRelevance] = []
-        for head_index, head_cache in enumerate(cache.head_caches):
-            # Head concatenation: combined = Σ_h W_O[h] · head_output_h.
-            relevance_head = (prepared.weighted_heads[head_index]
-                              * relevance_attention_combined
-                              / prepared.d_combined)
-
-            # Attention application (two-operand rule, Eq. 18):
-            #   head_output[b, i, t] = Σ_j attention[b, i, j] · values[b, j, i, t]
-            attention = head_cache.attention_data
-            ratio = relevance_head / prepared.d_heads[head_index]
-            relevance_attention = attention * np.einsum(
-                "bjit,bit->bij", values, ratio)
-            relevance_values = np.einsum(
-                "bij,bjit,bit->bjit", attention, values, ratio)
-
-            # Undo the diagonal right-shift before touching the kernel: the
-            # post-shift value at slot t+1 came from the pre-shift value at t.
-            relevance_pre_shift = relevance_values.copy()
-            relevance_pre_shift[:, diag, diag, :-1] = \
-                relevance_values[:, diag, diag, 1:]
-            relevance_pre_shift[:, diag, diag, -1] = 0.0
-
-            # Convolution (two-operand rule): values_pre[b, i, j, t] =
-            #   Σ_τ kernel[i, j, τ] · windows[b, i, t, τ] / (t + 1)
-            ratio_values = relevance_pre_shift / prepared.d_values_pre
-            relevance_kernel = prepared.kernel * np.einsum(
-                "bitk,bijt->ijk", prepared.scaled_windows, ratio_values)
-            heads.append(HeadRelevance(attention=relevance_attention,
-                                       values=relevance_values,
-                                       kernel=relevance_kernel))
-        return heads
+    def _propagate(self, cache: TransformerCache, seed: np.ndarray,
+                   target: Optional[int]) -> RelevanceResult:
+        return self._fleet()._propagate(self.prepare(cache), seed[None],
+                                        target)[0]
 
     # ------------------------------------------------------------------ #
     # Diagnostics used by tests
@@ -250,147 +353,3 @@ class RegressionRelevancePropagation:
         if total_out == 0:
             return 0.0
         return abs(total_out - total_attention) / abs(total_out)
-
-
-@dataclass
-class PreparedStackedPropagation:
-    """Seed-independent precomputation for a *stack* of models.
-
-    The model-axis analogue of :class:`PreparedPropagation`: every array
-    gains a leading ``M`` (model) axis, and the per-head lists collapse into
-    one stacked array with the head axis second.  Stabilisation is
-    elementwise, so each row is bit-identical to preparing that model alone.
-    """
-
-    d_output: np.ndarray            # (M, B, N, T)
-    d_ffn_output: np.ndarray        # (M, B, N, T)
-    d_hidden: np.ndarray            # (M, B, N, d_ffn)
-    d_combined: np.ndarray          # (M, B, N, T)
-    d_heads: np.ndarray             # (M, h, B, N, T)
-    d_values_pre: np.ndarray        # (M, B, N, N, T)
-    weighted_heads: np.ndarray      # (M, h, B, N, T)
-    kernel: np.ndarray              # (M, N, N, T)
-    scaled_windows: np.ndarray      # (M, B, N, T, K)
-    w_output: np.ndarray            # (M, T, T)   output-layer weights
-    w2: np.ndarray                  # (M, d_ffn, T)
-    w1: np.ndarray                  # (M, T, d_ffn)
-
-
-class StackedRelevancePropagation:
-    """RRP with a leading model axis over a stacked interpretation forward.
-
-    Propagates the all-ones seed for ``M`` same-architecture models (a
-    batched sweep group) in one vectorised pass.  Every
-    between-layer matmul and Eq. 18 einsum simply gains a leading model
-    subscript; batched matmuls dispatch the same per-slice GEMMs and einsum
-    keeps its per-element contraction order, so row ``m`` of every result is
-    **bit-identical** to :class:`RegressionRelevancePropagation` on model
-    ``m`` alone (the stacked-interpretation tests assert exactly this,
-    across all Table 3 ablations).
-    """
-
-    def __init__(self, models: Sequence[CausalityAwareTransformer],
-                 use_bias: bool = True, epsilon: float = 1e-9) -> None:
-        if not models:
-            raise ValueError("need at least one model")
-        self.models = list(models)
-        self.use_bias = use_bias
-        self.epsilon = epsilon
-
-    def prepare(self, forward) -> PreparedStackedPropagation:
-        """Precompute everything that does not depend on the seed.
-
-        ``forward`` is a
-        :class:`~repro.nn.inference.StackedInterpretationForward`.
-        """
-        models = self.models
-        window = models[0].config.window
-        scale = 1.0 / np.arange(1, window + 1, dtype=float)
-
-        def denominator(outputs: np.ndarray, biases: np.ndarray,
-                        expand) -> np.ndarray:
-            base = outputs if self.use_bias else outputs - biases[expand]
-            return stabilize(base, self.epsilon)
-
-        output_bias = np.stack([model.output_layer.bias.data
-                                for model in models])
-        b2 = np.stack([model.feed_forward.b2.data for model in models])
-        b1 = np.stack([model.feed_forward.b1.data for model in models])
-        w_out = np.stack([model.attention.w_output.data for model in models])
-        channel = (slice(None), None, None, slice(None))
-        return PreparedStackedPropagation(
-            d_output=denominator(forward.output, output_bias, channel),
-            d_ffn_output=denominator(forward.ffn_output, b2, channel),
-            d_hidden=denominator(forward.hidden, b1, channel),
-            d_combined=stabilize(forward.combined, self.epsilon),
-            d_heads=stabilize(forward.head_outputs, self.epsilon),
-            d_values_pre=stabilize(forward.values_pre, self.epsilon),
-            weighted_heads=forward.head_outputs
-            * w_out[:, :, None, None, None],
-            kernel=np.stack([model.convolution.effective_kernel().data
-                             for model in models]),
-            scaled_windows=forward.conv_windows
-            * scale[None, None, None, :, None],
-            w_output=np.stack([model.output_layer.weight.data
-                               for model in models]),
-            w2=np.stack([model.feed_forward.w2.data for model in models]),
-            w1=np.stack([model.feed_forward.w1.data for model in models]),
-        )
-
-    def propagate_targets(self, forward) -> List[RelevanceResult]:
-        """Propagate every target for every model in one all-ones pass.
-
-        Returns ``results[m]`` — one :class:`RelevanceResult` per model,
-        bit-identical to the per-model ``propagate_targets``.
-        """
-        prepared = self.prepare(forward)
-        m, batch, n_series, window = forward.output.shape
-        diag = np.arange(n_series)
-        n_heads = forward.attention_probs.shape[1]
-        seed = np.ones((m, batch, n_series, window))
-
-        # Output layer → feed-forward second linear → (pass-through leaky
-        # ReLU) → feed-forward first linear (Eq. 15/17), model axis leading.
-        relevance_ffn_out = forward.ffn_output * (
-            (seed / prepared.d_output)
-            @ prepared.w_output.transpose(0, 2, 1)[:, None])
-        relevance_activated = forward.activated * (
-            (relevance_ffn_out / prepared.d_ffn_output)
-            @ prepared.w2.transpose(0, 2, 1)[:, None])
-        relevance_attention_combined = forward.combined * (
-            (relevance_activated / prepared.d_hidden)
-            @ prepared.w1.transpose(0, 2, 1)[:, None])
-
-        values = forward.values
-        per_head: List[HeadRelevance] = []
-        for head_index in range(n_heads):
-            relevance_head = (prepared.weighted_heads[:, head_index]
-                              * relevance_attention_combined
-                              / prepared.d_combined)
-
-            attention = forward.attention_probs[:, head_index]
-            ratio = relevance_head / prepared.d_heads[:, head_index]
-            relevance_attention = attention * np.einsum(
-                "mbjit,mbit->mbij", values, ratio)
-            relevance_values = np.einsum(
-                "mbij,mbjit,mbit->mbjit", attention, values, ratio)
-
-            relevance_pre_shift = relevance_values.copy()
-            relevance_pre_shift[:, :, diag, diag, :-1] = \
-                relevance_values[:, :, diag, diag, 1:]
-            relevance_pre_shift[:, :, diag, diag, -1] = 0.0
-
-            ratio_values = relevance_pre_shift / prepared.d_values_pre
-            relevance_kernel = prepared.kernel * np.einsum(
-                "mbitk,mbijt->mijk", prepared.scaled_windows, ratio_values)
-            per_head.append(HeadRelevance(attention=relevance_attention,
-                                          values=relevance_values,
-                                          kernel=relevance_kernel))
-
-        return [RelevanceResult(
-            target=None,
-            heads=[HeadRelevance(attention=head.attention[row],
-                                 values=head.values[row],
-                                 kernel=head.kernel[row])
-                   for head in per_head],
-            output_relevance=seed[row]) for row in range(m)]

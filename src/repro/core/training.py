@@ -121,16 +121,12 @@ class Trainer:
         self.optimizer = Adam(self._parameters, lr=self.config.learning_rate,
                               clip_norm=self.config.grad_clip)
         self.history = TrainingHistory()
-        # The model's fused no-autograd engine runs the validation passes;
-        # sharing it (rather than building a private one) means predict()
-        # and the stacked trainer reuse the same scratch arena.
-        self._inference = model.inference_engine()
-        # Training steps run on the fused no-autograd training engine
-        # (hand-derived backward, gradients written straight into the flat
-        # Adam buffer), sharing the inference engine's arena so training,
-        # validation and prediction draw from one buffer pool.
-        self._training = TrainingEngine(model, self.optimizer,
-                                        arena=self._inference.arena)
+        # Training steps and validation passes run on one fused no-autograd
+        # engine (hand-derived backward, gradients written straight into the
+        # flat Adam buffer).  Its scratch arena belongs to the trainer, so
+        # every training buffer is released with it instead of staying
+        # pinned on the model after fit().
+        self._training = TrainingEngine(model, self.optimizer)
         # Resolved per fit(): the active telemetry runtime, or a transient
         # stderr one when fit(verbose=True) runs with telemetry off.
         self._telemetry = None
@@ -149,12 +145,9 @@ class Trainer:
         if telemetry.enabled:
             telemetry.gauge("engine.threads").set(get_engine_threads())
         if telemetry.engine_profiling:
-            hook = profiling_hook(telemetry)
-            for engine in (self._training, self._inference):
-                engine.enable_profiling(hook)
+            self._training.enable_profiling(profiling_hook(telemetry))
         else:
-            for engine in (self._training, self._inference):
-                engine.disable_profiling()
+            self._training.disable_profiling()
         return telemetry
 
     # ------------------------------------------------------------------ #
@@ -277,7 +270,7 @@ class Trainer:
         if best_state is not None:
             # Copy in place rather than re-pointing ``parameter.data`` at the
             # snapshot arrays: the fused Adam's flat parameter buffer, the
-            # shared inference engine and the stacked trainer's (K, P) views
+            # training engine's views and the stacked trainer's (K, P) views
             # are all bound to the current storage — re-pointing would detach
             # every one of them from the restored weights.
             for parameter, saved in zip(self._parameters, best_state):
@@ -438,10 +431,10 @@ class Trainer:
         penalties are constant across chunks, so the window-weighted mean of
         the chunk losses equals the single-shot loss exactly.
 
-        The pass runs on the fused no-autograd inference engine, which
-        writes every intermediate into a reusable scratch arena instead of
-        fresh graph nodes and temporaries; its losses match the plain
-        autograd reference (:meth:`CausalityAwareTransformer.loss`) up to
-        floating-point rounding.
+        The pass runs on the training engine's fused no-autograd forward,
+        which writes every intermediate into a reusable scratch arena
+        instead of fresh graph nodes and temporaries; its losses match the
+        plain autograd reference (:meth:`CausalityAwareTransformer.loss`) up
+        to floating-point rounding.
         """
-        return self._inference.evaluate(windows, self.config.batch_size)
+        return self._training.evaluate(windows, self.config.batch_size)

@@ -1,34 +1,38 @@
 """Fused no-autograd inference engine for the CausalFormer pipeline.
 
-Every non-gradient pass of this reproduction — ``Trainer._evaluate``
-validation scoring, experiment-table evaluation, ``predict`` and the
-causality detector's interpretation forward — used to walk the full autograd
-:class:`~repro.nn.tensor.Tensor` machinery under ``no_grad()``, allocating
-fresh node objects and temporaries for every window chunk.  This module
-evaluates the same pipeline — causal convolution (stride-trick windows +
-batched GEMM with the Eq. 4 right-shift folded in), embedding + Q/K
-projection + masked tempered softmax (Eq. 5), attention combination
-(Eq. 6–7), the MLP tail (Eq. 8) and the Eq. 9 loss — in pure numpy, writing
-every intermediate into a reusable :class:`ScratchArena` so steady-state
-evaluation performs no per-call heap allocation of large temporaries.
+Every non-gradient pass of this reproduction — validation scoring,
+experiment-table evaluation, ``predict`` and the causality detector's
+interpretation forward — evaluates the model in pure numpy:
+causal convolution (stride-trick windows + batched GEMM with the Eq. 4
+right-shift folded in), embedding + Q/K projection + masked tempered softmax
+(Eq. 5), attention combination (Eq. 6–7), the MLP tail (Eq. 8) and the Eq. 9
+loss, writing every intermediate into a reusable :class:`ScratchArena` so
+steady-state evaluation performs no per-call heap allocation of large
+temporaries.
+
+There is one set of kernels.  :class:`StackedInferenceEngine` runs ``K``
+same-architecture models at once, every buffer carrying a leading model
+axis; :class:`InferenceEngine` is its single-model face — the same fleet at
+``K = 1``, whose public methods only add or strip the model axis.  A solo
+``discover()`` and a batched sweep therefore run the same arithmetic, and a
+fleet row is bit-identical to that model alone.
 
 Numerical contract: the fused forward follows one fixed operation sequence
-(GEMM shapes, reduction orders, dtype promotions), and every other engine
-path — the stacked fleet, threaded ops, a resumed fit — replays it exactly.
-Against the plain autograd reference
+(GEMM shapes, reduction orders, dtype promotions), and every engine path —
+any fleet width, threaded ops, a resumed fit — replays it exactly.  Against
+the plain autograd reference
 (:meth:`~repro.core.transformer.CausalityAwareTransformer.forward`, which
 transcribes the paper's equations one op at a time) it agrees up to
 floating-point rounding; the tests pin that at tolerance in float64 and
-float32.  With ``set_engine_threads(n)`` (see
-:mod:`repro.nn.parallel`) the dominant ops chunk their independent leading
-axes — the ``(b, i)`` convolution/attention batches — across a shared
-worker pool; each chunk performs exactly the per-slice work of the serial
-op on disjoint output slices, so threaded results stay bit-identical in
-both dtypes.  The detector-facing
-:meth:`InferenceEngine.interpretation_forward` follows a second fixed
+float32.  With ``set_engine_threads(n)`` (see :mod:`repro.nn.parallel`) the
+dominant ops chunk an independent leading axis — the model axis or the
+widest per-model axis — across a shared worker pool; each chunk performs
+exactly the per-slice work of the serial op on disjoint output slices, so
+threaded results stay bit-identical in both dtypes.  The detector-facing
+:meth:`StackedInferenceEngine.interpretation_forward` follows a second fixed
 sequence (per-head outputs, 3-D linears, einsum head combination,
 source-major convolution layout) that the detector's scores depend on, and
-:meth:`InferenceEngine.interpretation_gradients` hand-evaluates the
+:meth:`StackedInferenceEngine.interpretation_gradients` hand-evaluates the
 backward of that sequence for every target series in one all-ones pass —
 the detector needs no autograd graph at all.
 """
@@ -36,7 +40,7 @@ the detector needs no autograd graph at all.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -139,13 +143,15 @@ class ScratchArena:
 
 @dataclass
 class InterpretationForward:
-    """Everything the causality detector needs from one fused cache forward.
+    """One model's row of a :class:`StackedInterpretationForward`.
 
     ``cache`` is a :class:`~repro.core.transformer.TransformerCache`-shaped
     object consumed by regression relevance propagation; the remaining
-    fields are the forward internals the hand-derived all-targets backward
-    (:meth:`InferenceEngine.interpretation_gradients`) reads.  All arrays
-    are views into the engine's arena — valid until the next engine call.
+    arrays are the forward internals the hand-derived all-targets backward
+    reads.  ``stacked``/``row`` name the fleet forward this row belongs to,
+    which :meth:`InferenceEngine.interpretation_gradients` differentiates.
+    All arrays are views into the engine's arena — valid until the next
+    engine call.
     """
 
     cache: object
@@ -154,8 +160,8 @@ class InterpretationForward:
     a_bihj: np.ndarray                 # (B, i, h, j) attention, GEMM layout
     v_bijt: np.ndarray                 # (B, i, j, t) values, GEMM layout
     windows_flat: np.ndarray           # (N, B·T, K) causal windows, GEMM layout
-    batch: int = 0
-    extras: dict = field(default_factory=dict)
+    stacked: "StackedInterpretationForward"
+    row: int
 
 
 @hot_path
@@ -226,41 +232,18 @@ def _leaky_slope(space: ScratchSpace, name: str, pre_activation: np.ndarray,
     return slope
 
 
-def _loss_penalty_terms(model, arena: ScratchArena,
-                        prefix: str = "") -> List[float]:
-    """One model's Eq. 9 L1 penalty contributions (see ``_penalty_terms``).
+def _mse_plus_penalties(diff: np.ndarray, penalties: List[float]) -> float:
+    """One model's Eq. 9 loss: windowed MSE, then the penalty terms in order.
 
-    ``prefix`` namespaces the arena keys so several models (the stacked
-    engine evaluates ``K`` of them against one arena) never share penalty
-    scratch buffers of coincidentally equal size.
+    Adding the grouped penalties one float at a time fixes the accumulation
+    sequence, so every engine path (any fleet width, full-batch or chunked
+    evaluation) reports the same loss bit for bit.
     """
-    config = model.config
-    pairs = []
-    if config.lambda_kernel > 0:
-        pairs.append((config.lambda_kernel, model.convolution.kernel))
-    if config.lambda_mask > 0:
-        pairs.extend((config.lambda_mask, head.mask)
-                     for head in model.attention.heads)
-    groups: Dict[float, List[np.ndarray]] = {}
-    for coefficient, tensor in pairs:
-        groups.setdefault(coefficient, []).append(tensor.data.ravel())
-    terms: List[float] = []
-    for group_index, (coefficient, arrays) in enumerate(groups.items()):
-        if len(arrays) == 1:
-            flat = arrays[0]
-        else:
-            total = sum(array.size for array in arrays)
-            flat = arena.take(f"{prefix}loss.penalty{group_index}", (total,),
-                              arrays[0].dtype)
-            offset = 0
-            for array in arrays:
-                flat[offset:offset + array.size] = array
-                offset += array.size
-        magnitude = arena.take(f"{prefix}loss.abs{group_index}", flat.shape,
-                               flat.dtype)
-        np.abs(flat, out=magnitude)
-        terms.append(coefficient * float(magnitude.sum()))
-    return terms
+    flat = diff.reshape(-1)
+    value = np.dot(flat, flat) / diff.size
+    for term in penalties:
+        value = value + term
+    return float(np.asarray(value, dtype=diff.dtype))
 
 
 def _timed_op(op: str, bound: Callable, hook: Callable) -> Callable:
@@ -338,646 +321,25 @@ class ProfilingSeam:
         return any(name in self.__dict__ for name in self._PROFILED_OPS)
 
 
-class InferenceEngine(ProfilingSeam):
-    """Forward-only CausalFormer evaluator over a scratch-buffer arena.
-
-    Parameters
-    ----------
-    model:
-        A :class:`~repro.core.transformer.CausalityAwareTransformer` (or any
-        object with the same ``embedding`` / ``convolution`` / ``attention``
-        / ``feed_forward`` / ``output_layer`` / ``config`` attributes).
-    arena:
-        Optional shared :class:`ScratchArena`; a private one is created when
-        omitted.
-
-    The engine re-reads the model's parameters on every public call (they
-    change between validation passes during training), staging the fused
-    weight layouts (concatenated Q/K projections, scaled mask modulation,
-    broadcast single-kernel) into arena buffers.
-    """
-
-    _PROFILED_OPS = ("_causal_windows", "_convolution", "_attention_probs",
-                     "_combine_layout")
-
-    def __init__(self, model, arena: Optional[ScratchArena] = None) -> None:
-        self.model = model
-        self.arena = arena if arena is not None else ScratchArena()
-
-    # ------------------------------------------------------------------ #
-    # Weight staging
-    # ------------------------------------------------------------------ #
-    @property
-    def dtype(self):
-        return self.model.embedding.weight.data.dtype
-
-    def _stage(self) -> dict:
-        """Stage the fused weight layouts for the current parameter values."""
-        model = self.model
-        arena = self.arena
-        attention = model.attention
-        dtype = self.dtype
-        n_heads = attention.n_heads
-        d_qk = attention.query_weights[0].data.shape[-1]
-        d_model = model.embedding.weight.data.shape[-1]
-
-        weights = attention.query_weights + attention.key_weights
-        biases = attention.query_biases + attention.key_biases
-        weight_flat = arena.take("stage.weight_flat",
-                                 (d_model, 2 * n_heads * d_qk), dtype)
-        bias_flat = arena.take("stage.bias_flat", (2 * n_heads * d_qk,), dtype)
-        for index, (weight, bias) in enumerate(zip(weights, biases)):
-            columns = slice(index * d_qk, (index + 1) * d_qk)
-            weight_flat[:, columns] = weight.data
-            bias_flat[columns] = bias.data
-
-        # ``scale`` is a float64 numpy scalar, so ``mask_stack * scale``
-        # promotes the modulation — and everything downstream of the
-        # attention scores — to float64 even under the float32 engine.
-        # Every engine path keeps that promotion.
-        scale = 1.0 / (attention.temperature * np.sqrt(attention.d_qk))
-        n = model.convolution.n_series
-        modulation = arena.take("stage.modulation", (n_heads, 1, n, n),
-                                np.float64)
-        for index, mask in enumerate(attention.mask_parameters):
-            modulation[index, 0] = mask.data
-        modulation *= scale
-
-        convolution = model.convolution
-        if convolution.single_kernel:
-            kernel_eff = arena.take("stage.kernel",
-                                    (n, n, convolution.window), dtype)
-            np.multiply(convolution.kernel.data, convolution._ones_broadcast.data,
-                        out=kernel_eff)
-        else:
-            kernel_eff = convolution.kernel.data
-
-        return {
-            "dtype": dtype,
-            "n_heads": n_heads,
-            "d_qk": d_qk,
-            "weight_flat": weight_flat,
-            "bias_flat": bias_flat,
-            "modulation": modulation,
-            "kernel_eff": kernel_eff,
-            "scale_array": convolution._scale_array,
-            "embed_weight": model.embedding.weight.data,
-            "embed_bias": model.embedding.bias.data,
-            "w1": model.feed_forward.w1.data, "b1": model.feed_forward.b1.data,
-            "w2": model.feed_forward.w2.data, "b2": model.feed_forward.b2.data,
-            "w3": model.output_layer.weight.data, "b3": model.output_layer.bias.data,
-            "negative_slope": model.feed_forward.negative_slope,
-            "w_output": attention.w_output.data,
-        }
-
-    # ------------------------------------------------------------------ #
-    # Fused building blocks (training/evaluation operation order)
-    # ------------------------------------------------------------------ #
-    @hot_path
-    def _causal_windows(self, space: ScratchSpace, x: np.ndarray
-                        ) -> Tuple[np.ndarray, np.ndarray]:
-        """Left-zero-pad ``x`` and return ``(padded, windows_flat)``.
-
-        ``windows_flat`` is the ``(N, B·T, K)`` contiguous GEMM layout of
-        the causal window view (one batched GEMM per source series).
-        """
-        batch, n, window = x.shape
-        padded = space.take("conv.pad", (batch, n, 2 * window), x.dtype)
-        padded[..., window:] = x
-        flat = space.take("conv.windows_flat", (n, batch * window, window),
-                          x.dtype)
-        source = space.view("conv.window_view", lambda: np.lib.stride_tricks
-                            .sliding_window_view(padded, window, axis=-1)
-                            [..., 1:, :].transpose(1, 0, 2, 3))
-        target = space.view("conv.windows_flat.4d",
-                            lambda: flat.reshape(n, batch, window, window))
-
-        def body(lo: int, hi: int) -> None:
-            np.copyto(target[lo:hi], source[lo:hi])
-
-        parallel_for(body, n, outputs=((target, 0),))
-        return padded, flat
-
-    @hot_path
-    def _convolution(self, space: ScratchSpace, x: np.ndarray, stage: dict,
-                     legacy_layout: bool = False
-                     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Fused causal convolution with the Eq. 4 right-shift.
-
-        Returns ``(values, windows_flat)`` — the convolution output and the
-        ``(N, B·T, K)`` window layout (reused by the detector backward).
-
-        ``legacy_layout`` allocates the output in source-major memory order
-        (``transposed_view * scale`` inherits the view's layout), which
-        einsum summation order — hence the detector's scores and graphs —
-        depends on.  The evaluation path only ever reads the values through
-        contiguous re-layouts, so it uses a C-ordered buffer.
-        """
-        batch, n, window = x.shape
-        kernel = stage["kernel_eff"]
-        cdtype = np.result_type(x.dtype, kernel.dtype)
-        _padded, flat = self._causal_windows(space, x)
-        k_out = kernel.shape[1]
-        raw = space.take("conv.raw", (n, batch * window, k_out), cdtype)
-        kernel_t = kernel.transpose(0, 2, 1)
-
-        def matmul_body(lo: int, hi: int) -> None:
-            np.matmul(flat[lo:hi], kernel_t[lo:hi], out=raw[lo:hi])
-
-        parallel_for(matmul_body, n, outputs=((raw, 0),))
-        if legacy_layout:
-            buffer = space.take("conv.values", (n, batch, window, k_out),
-                                cdtype)
-            values = space.view("conv.values.t",
-                                lambda: buffer.transpose(1, 0, 3, 2))
-        else:
-            values = space.take("conv.values", (batch, n, k_out, window),
-                                cdtype)
-        raw_t = space.view("conv.raw.t",
-                           lambda: raw.reshape(n, batch, window, k_out)
-                           .transpose(1, 0, 3, 2))
-        scale_array = stage["scale_array"]
-
-        def scale_body(lo: int, hi: int) -> None:
-            np.multiply(raw_t[lo:hi], scale_array, out=values[lo:hi])
-
-        parallel_for(scale_body, batch, outputs=((values, 0),))
-        # Diagonal right-shift (Eq. 4), matching diagonal-copy-then-assign.
-        shift = space.take("conv.shift", (batch, window), cdtype)
-        for index in range(n):
-            np.copyto(shift, values[:, index, index, :])
-            values[:, index, index, 1:] = shift[:, :-1]
-            values[:, index, index, 0] = 0.0
-        return values, flat
-
-    @hot_path
-    def _attention_probs(self, space: ScratchSpace, x: np.ndarray, stage: dict,
-                         keep_scores: bool = False
-                         ) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
-        """Embedding → all-head Q/K projection → masked tempered softmax.
-
-        Returns ``(probabilities, embedding_2d, scores)`` where ``scores``
-        (the pre-softmax masked scores) is only materialised when
-        ``keep_scores`` — the detector cache wants them, evaluation does
-        not.
-        """
-        batch, n, window = x.shape
-        n_heads, d_qk = stage["n_heads"], stage["d_qk"]
-        d_model = stage["embed_weight"].shape[-1]
-        cdtype = np.result_type(x.dtype, stage["embed_weight"].dtype)
-        x2d = x.reshape(batch * n, window)
-        emb = space.take("att.emb", (batch * n, d_model), cdtype)
-        np.matmul(x2d, stage["embed_weight"], out=emb)
-        emb += stage["embed_bias"]
-        proj = space.take("att.proj", (batch * n, 2 * n_heads * d_qk), cdtype)
-        np.matmul(emb, stage["weight_flat"], out=proj)
-        proj += stage["bias_flat"]
-        qk = space.take("att.qk", (2 * n_heads, batch, n, d_qk), cdtype)
-        proj_t = space.view("att.proj.t",
-                            lambda: proj.reshape(batch, n, 2 * n_heads, d_qk)
-                            .transpose(2, 0, 1, 3))
-        raw = space.take("att.raw", (n_heads, batch, n, n), cdtype)
-        k_t = space.view("att.k.t",
-                         lambda: qk[n_heads:].transpose(0, 1, 3, 2))
-        # float64 from here on (see the modulation note in ``_stage``).
-        probs = space.take("att.probs", (n_heads, batch, n, n), np.float64)
-        query = qk[:n_heads]
-        modulation = stage["modulation"]
-
-        # One round over the batch axis: the layout copy, per-(h, b) score
-        # GEMMs, and the modulation multiply all chunk along axis 1
-        # (``modulation`` broadcasts over it and stays unsliced).
-        def body(lo: int, hi: int) -> None:
-            np.copyto(qk[:, lo:hi], proj_t[:, lo:hi])
-            np.matmul(query[:, lo:hi], k_t[:, lo:hi], out=raw[:, lo:hi])
-            np.multiply(raw[:, lo:hi], modulation, out=probs[:, lo:hi])
-
-        parallel_for(body, batch, outputs=((qk, 1), (raw, 1), (probs, 1)))
-        scores = None
-        if keep_scores:
-            scores = space.take("att.scores", (n_heads, batch, n, n),
-                                np.float64)
-            np.copyto(scores, probs)
-        self._softmax_inplace(space, probs)
-        return probs, emb, scores
-
-    @hot_path
-    def _softmax_inplace(self, space: ScratchSpace, probs: np.ndarray) -> None:
-        """Tempered-softmax normalisation along the last axis, in place.
-
-        Bit-identical to ``x -= x.max(…); exp; x /= x.sum(…)`` — see
-        :func:`max_last_keepdims` / :func:`sum_last_keepdims` for why the
-        chained reductions are exact replicas.  Normalisation is row-wise,
-        so the leading axes chunk freely: ``probs`` is always a contiguous
-        arena buffer, letting the rows flatten to one parallel axis.
-        """
-        extreme = space.take("att.max", probs.shape[:-1] + (1,), probs.dtype)
-        total = space.take("att.sum", probs.shape[:-1] + (1,), probs.dtype)
-        flat = probs.reshape((-1,) + probs.shape[-2:])
-        ext = extreme.reshape((-1,) + extreme.shape[-2:])
-        tot = total.reshape((-1,) + total.shape[-2:])
-
-        def body(lo: int, hi: int) -> None:
-            rows = flat[lo:hi]
-            rows -= max_last_keepdims(rows, out=ext[lo:hi])
-            np.exp(rows, out=rows)
-            rows /= sum_last_keepdims(rows, out=tot[lo:hi])
-
-        parallel_for(body, flat.shape[0],
-                     outputs=((flat, 0), (ext, 0), (tot, 0)))
-
-    @hot_path
-    def _combine_layout(self, space: ScratchSpace, probs: np.ndarray,
-                        values: np.ndarray
-                        ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Contiguous GEMM layouts + per-head application (Eq. 6)."""
-        n_heads, batch, n, _ = probs.shape
-        window = values.shape[-1]
-        out_dtype = np.result_type(probs.dtype, values.dtype)
-        a_bihj = space.take("comb.a", (batch, n, n_heads, n), probs.dtype)
-        probs_t = space.view("comb.probs.t",
-                             lambda: probs.transpose(1, 2, 0, 3))
-        # Float64 attention meets model-dtype values here, which numpy
-        # resolves by casting the values up internally on every call;
-        # staging the cast copy once is bit-identical and skips the hidden
-        # per-call buffer.
-        v_bijt = space.take("comb.v", (batch, n, n, window), out_dtype)
-        values_t = space.view("comb.values.t",
-                              lambda: values.transpose(0, 2, 1, 3))
-        head_outputs = space.take("comb.ho", (batch, n, n_heads, window),
-                                  out_dtype)
-
-        def body(lo: int, hi: int) -> None:
-            np.copyto(a_bihj[lo:hi], probs_t[lo:hi])
-            np.copyto(v_bijt[lo:hi], values_t[lo:hi])
-            np.matmul(a_bihj[lo:hi], v_bijt[lo:hi], out=head_outputs[lo:hi])
-
-        parallel_for(body, batch,
-                     outputs=((a_bihj, 0), (v_bijt, 0), (head_outputs, 0)))
-        return a_bihj, v_bijt, head_outputs
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        """Fused forward pass; returns the ``(B, N, T)`` prediction buffer.
-
-        ``x`` must already be C-contiguous in the model dtype.  The returned
-        array is an arena view, valid until the next engine call.
-        """
-        stage = self._stage()
-        return self._forward(x, stage)
-
-    @hot_path
-    def _forward(self, x: np.ndarray, stage: dict) -> np.ndarray:
-        batch, n, window = x.shape
-        space = self.arena.space(("eval", x.shape, x.dtype.str))
-        values, _flat = self._convolution(space, x, stage)
-        probs, _emb, _scores = self._attention_probs(space, x, stage)
-        _a, _v, head_outputs = self._combine_layout(space, probs, values)
-        # Head combination replays np.tensordot(head_outputs, w_output,
-        # axes=([2], [0])): transpose-copy to (B·N·T, h), then one GEMV-dot.
-        n_heads = stage["n_heads"]
-        dtype = head_outputs.dtype
-        at = space.take("comb.at", (batch, n, window, n_heads), dtype)
-        ho_t = space.view("comb.ho.t",
-                          lambda: head_outputs.transpose(0, 1, 3, 2))
-        parallel_for(lambda lo, hi: np.copyto(at[lo:hi], ho_t[lo:hi]), batch,
-                     outputs=((at, 0),))
-        combined = space.take("comb.out", (batch * n * window, 1), dtype)
-        np.dot(space.view("comb.at.2d", lambda: at.reshape(-1, n_heads)),
-               stage["w_output"].reshape(n_heads, 1).astype(dtype, copy=False),
-               out=combined)
-        # Fused MLP tail (Eq. 8 + output layer) in 2-D layout.
-        x2d = space.view("comb.out.2d",
-                         lambda: combined.reshape(batch * n, window))
-        d_ffn = stage["w1"].shape[-1]
-        hidden = space.take("mlp.hidden", (batch * n, d_ffn), dtype)
-        np.matmul(x2d, stage["w1"], out=hidden)
-        hidden += stage["b1"]
-        slope = _leaky_slope(space, "mlp.slope", hidden, stage["negative_slope"])
-        hidden *= slope
-        ffn = space.take("mlp.ffn", (batch * n, window), dtype)
-        np.matmul(hidden, stage["w2"], out=ffn)
-        ffn += stage["b2"]
-        out2d = space.take("mlp.out", (batch * n, window), dtype)
-        np.matmul(ffn, stage["w3"], out=out2d)
-        out2d += stage["b3"]
-        return space.view("mlp.out.3d",
-                          lambda: out2d.reshape(batch, n, window))
-
-    # ------------------------------------------------------------------ #
-    # Loss (paper Eq. 9) and evaluation
-    # ------------------------------------------------------------------ #
-    def _penalty_terms(self) -> List[float]:
-        """The loss's L1 penalty contributions, one float per coefficient group.
-
-        Groups equal-coefficient penalties (insertion order: kernel first,
-        then the per-head masks), so adding the returned floats in order
-        gives one fixed accumulation sequence, which the stacked engine
-        replays bit for bit.
-        """
-        return _loss_penalty_terms(self.model, self.arena)
-
-    @hot_path
-    def _windowed_diff(self, prediction: np.ndarray, target: np.ndarray,
-                       start_slot: int = 1) -> np.ndarray:
-        diff_shape = prediction.shape[:-1] + (prediction.shape[-1] - start_slot,)
-        diff = self.arena.take("loss.diff", diff_shape, prediction.dtype)
-        np.subtract(prediction[..., start_slot:], target[..., start_slot:],
-                    out=diff)
-        return diff
-
-    @staticmethod
-    def _mse_plus_penalties(diff: np.ndarray, penalties: List[float]) -> float:
-        flat = diff.reshape(-1)
-        value = np.dot(flat, flat) / diff.size
-        for term in penalties:
-            value = value + term
-        return float(np.asarray(value, dtype=diff.dtype))
-
-    def _loss_value(self, prediction: np.ndarray, target: np.ndarray,
-                    start_slot: int = 1) -> float:
-        """Windowed MSE + grouped L1 penalties (Eq. 9)."""
-        diff = self._windowed_diff(prediction, target, start_slot)
-        return self._mse_plus_penalties(diff, self._penalty_terms())
-
-    def _as_model_batch(self, windows: np.ndarray) -> np.ndarray:
-        """Replay the Tensor-construction casts of the autograd forward.
-
-        The reference forward first builds ``Tensor(x)`` (casting to the
-        *engine default* dtype), then — when that differs from the model
-        dtype — rebuilds ``Tensor(x.astype(model_dtype))``, whose
-        constructor casts **back** to the default dtype.  Net effect: the
-        batch always carries the default dtype, with values rounded through
-        the model dtype when that is the narrower type.  The fused ops then
-        run in ``result_type(batch, parameter)`` like numpy's promotion
-        does; replicating the exact chain keeps mixed-dtype configurations
-        (e.g. a float32 model probed under a float64 session) on the same
-        input values as the reference.
-        """
-        from repro.nn import tensor as T
-
-        default = T.get_default_dtype()
-        arr = np.asarray(windows, dtype=default)
-        dtype = self.dtype
-        if arr.dtype != dtype:
-            arr = np.asarray(arr.astype(dtype), dtype=default)
-        if arr.ndim == 2:
-            arr = arr[None, :, :]
-        return np.ascontiguousarray(arr)
-
-    def loss(self, windows: np.ndarray) -> float:
-        """Eq. 9 training loss of the model on a batch of windows."""
-        stage = self._stage()
-        batch = self._as_model_batch(windows)
-        return self._loss_value(self._forward(batch, stage), batch)
-
-    #: largest ``B·N²·T`` intermediate (elements) evaluated as one batch;
-    #: larger window sets fall back to the chunk-by-chunk loop to keep peak
-    #: memory proportional to the batch size.
-    FULL_BATCH_ELEMENT_LIMIT = 4_000_000
-
-    def evaluate(self, windows: np.ndarray, batch_size: int) -> float:
-        """Window-weighted mean loss over ``batch_size`` chunks.
-
-        Matches chunked evaluation of the autograd reference loss up to
-        rounding, at zero steady-state allocation.  When the ``(B, N, N,
-        T)`` convolution intermediate fits the memory budget, the whole
-        window set runs as one forward pass — identical rows, one GEMM
-        dispatch instead of one per chunk — and the chunk losses are then
-        read off slices of the shared windowed-difference buffer, preserving
-        the chunk-weighted mean exactly.
-        """
-        stage = self._stage()
-        windows = np.asarray(windows)
-        if windows.ndim == 3 and windows.shape[0] and (
-                windows.shape[0] * windows.shape[1] ** 2 * windows.shape[2]
-                <= self.FULL_BATCH_ELEMENT_LIMIT):
-            batch = self._as_model_batch(windows)
-            diff = self._windowed_diff(self._forward(batch, stage), batch)
-            penalties = self._penalty_terms()
-            total = 0.0
-            count = 0
-            for start in range(0, len(batch), batch_size):
-                chunk = diff[start:start + batch_size]
-                total += self._mse_plus_penalties(chunk, penalties) * len(chunk)
-                count += len(chunk)
-            return total / count
-        total = 0.0
-        count = 0
-        for start in range(0, windows.shape[0], batch_size):
-            chunk = self._as_model_batch(windows[start:start + batch_size])
-            loss = self._loss_value(self._forward(chunk, stage), chunk)
-            total += loss * len(chunk)
-            count += len(chunk)
-        return total / count if count else float("nan")
-
-    def predict(self, windows: np.ndarray) -> np.ndarray:
-        """Numpy-in / numpy-out prediction (returns an owned copy)."""
-        stage = self._stage()
-        squeeze = np.ndim(windows) == 2
-        # repro: allow(dtype-purity): ingestion cast to the f64 reference
-        batch = self._as_model_batch(np.asarray(windows, dtype=float))
-        prediction = self._forward(batch, stage)
-        return prediction[0].copy() if squeeze else prediction.copy()
-
-    # ------------------------------------------------------------------ #
-    # Detector support: cache-path forward + hand-derived backward
-    # ------------------------------------------------------------------ #
-    def interpretation_forward(self, windows: np.ndarray) -> InterpretationForward:
-        """One fused forward in the detector's fixed operation order.
-
-        Fills a :class:`~repro.core.transformer.TransformerCache` for
-        relevance propagation plus the internals the all-targets backward
-        needs.  Shared by every target series.
-        """
-        from repro.core.attention import AttentionHeadCache
-        from repro.core.transformer import TransformerCache
-
-        arena = self.arena
-        stage = self._stage()
-        x = self._as_model_batch(windows)
-        batch, n, window = x.shape
-        n_heads = stage["n_heads"]
-        space = arena.space(("cache", x.shape, x.dtype.str))
-
-        values, windows_flat = self._convolution(space, x, stage,
-                                                 legacy_layout=True)
-        cdtype = np.result_type(x.dtype, stage["embed_weight"].dtype)
-        # Detector-order embedding: 3-D linear (B, N, T) @ (T, d) + bias.
-        emb3d = arena.take("cache.emb", (batch, n, stage["embed_weight"].shape[-1]),
-                           cdtype)
-        np.matmul(x, stage["embed_weight"], out=emb3d)
-        emb3d += stage["embed_bias"]
-        # Q/K projection + masked scores + softmax, keeping the pre-softmax
-        # scores for the cache.  The projection input is the embedding here
-        # (detector order), not the raw windows.
-        proj = arena.take("att.proj", (batch * n, 2 * n_heads * stage["d_qk"]),
-                          cdtype)
-        np.matmul(emb3d.reshape(batch * n, -1), stage["weight_flat"], out=proj)
-        proj += stage["bias_flat"]
-        qk = arena.take("att.qk", (2 * n_heads, batch, n, stage["d_qk"]), cdtype)
-        np.copyto(qk, proj.reshape(batch, n, 2 * n_heads, stage["d_qk"])
-                  .transpose(2, 0, 1, 3))
-        q_data, k_data = qk[:n_heads], qk[n_heads:]
-        raw = arena.take("att.raw", (n_heads, batch, n, n), cdtype)
-        np.matmul(q_data, k_data.transpose(0, 1, 3, 2), out=raw)
-        # float64 from the modulation on (see ``_stage``).
-        probs = arena.take("att.probs", (n_heads, batch, n, n), np.float64)
-        np.multiply(raw, stage["modulation"], out=probs)
-        scores = arena.take("att.scores", (n_heads, batch, n, n), np.float64)
-        np.copyto(scores, probs)
-        self._softmax_inplace(space, probs)
-
-        a_bihj, v_bijt, head_outputs = self._combine_layout(space, probs,
-                                                            values)
-        dtype = head_outputs.dtype
-        ho_hbit = arena.take("cache.ho", (n_heads, batch, n, window), dtype)
-        np.copyto(ho_hbit, head_outputs.transpose(2, 0, 1, 3))
-        combined = arena.take("cache.combined", (batch, n, window), dtype)
-        np.einsum("hbit,h->bit", ho_hbit,
-                  stage["w_output"].astype(dtype, copy=False), out=combined)
-
-        # Cache-path MLP: 3-D linears with explicit intermediates.
-        d_ffn = stage["w1"].shape[-1]
-        hidden = arena.take("cache.hidden", (batch, n, d_ffn), dtype)
-        np.matmul(combined, stage["w1"], out=hidden)
-        hidden += stage["b1"]
-        slope = _leaky_slope(space, "cache.slope", hidden,
-                             stage["negative_slope"])
-        activated = arena.take("cache.activated", (batch, n, d_ffn), dtype)
-        np.multiply(hidden, slope, out=activated)
-        ffn_output = arena.take("cache.ffn", (batch, n, window), dtype)
-        np.matmul(activated, stage["w2"], out=ffn_output)
-        ffn_output += stage["b2"]
-        prediction = arena.take("cache.out", (batch, n, window), dtype)
-        np.matmul(ffn_output, stage["w3"], out=prediction)
-        prediction += stage["b3"]
-
-        # Pre-shift convolution values for relevance propagation (the cache
-        # path recomputes them in float64 via einsum, independent of dtype).
-        # repro: allow(dtype-purity): relevance propagation is f64 by spec
-        x64 = np.asarray(x, dtype=float)
-        padded64 = arena.take("cache.pad64", (batch, n, 2 * window), np.float64)
-        padded64[..., window:] = x64
-        view64 = np.lib.stride_tricks.sliding_window_view(
-            padded64, window, axis=-1)[..., 1:, :]                  # (B,N,T,K)
-        values_pre = arena.take("cache.values_pre", (batch, n, n, window),
-                                np.result_type(np.float64, x.dtype))
-        np.einsum("bitk,ijk->bijt", view64, stage["kernel_eff"], out=values_pre)
-        values_pre *= stage["scale_array"]
-
-        head_caches = [
-            AttentionHeadCache(
-                attention=None, head_output=None,
-                attention_data=probs[index],
-                head_output_data=ho_hbit[index],
-                scores_data=scores[index],
-            )
-            for index in range(n_heads)
-        ]
-        cache = TransformerCache(
-            inputs=x,
-            embedding=emb3d,
-            values_pre_shift=values_pre,
-            values=values,
-            conv_windows=view64,
-            head_caches=head_caches,
-            attention_combined=combined,
-            ffn_hidden=hidden,
-            ffn_activated=activated,
-            ffn_output=ffn_output,
-            output=prediction,
-            values_tensor=None,
-        )
-        return InterpretationForward(
-            cache=cache, attention_probs=probs, slope=slope,
-            a_bihj=a_bihj, v_bijt=v_bijt, windows_flat=windows_flat,
-            batch=batch, extras={"stage": stage},
-        )
-
-    def interpretation_gradients(self, forward: InterpretationForward
-                                 ) -> Tuple[np.ndarray, np.ndarray]:
-        """Gradients of ``Σ_t prediction[:, g, :]`` for every target ``g``.
-
-        Hand-evaluates the backward pass of :meth:`interpretation_forward`
-        seeded with ones on every output row.  The FFN and output linears
-        act along time only, so effect rows never mix after the attention:
-        row ``g`` of the attention gradients and effect column ``g`` of the
-        kernel gradients are exactly what a backward seeded on output row
-        ``g`` alone computes.  The tests pin this against one autograd
-        ``backward()`` per target on the reference forward.
-
-        Returns ``(attention_grads, kernel_grads)`` of shapes
-        ``(h, B, N, N)`` ``[head, batch, target, source]`` and ``(N, N, K)``
-        ``[source, target, τ]`` (``(1, N, K)`` for the single-kernel
-        ablation: each target's kernel gradient summed over its sources).
-        """
-        stage = forward.extras["stage"]
-        cache = forward.cache
-        batch, n, window = cache.output.shape
-        dtype = cache.output.dtype
-        diag = np.arange(n)
-
-        # All-ones output seed → back through the three cache-path linears.
-        grad_pred = np.ones((batch, n, window), dtype=dtype)
-        grad_ffn = grad_pred @ stage["w3"].T
-        grad_hidden = grad_ffn @ stage["w2"].T
-        grad_hidden *= forward.slope
-        grad_combined = grad_hidden @ stage["w1"].T                # (B,N,T)
-
-        # Head-combination einsum backward: grad per head = grad ⊗ w_output.
-        grad_heads = np.einsum("bit,h->hbit", grad_combined, stage["w_output"])
-        grad_biht = np.ascontiguousarray(grad_heads.transpose(1, 2, 0, 3))
-        # Attention application backward (Eq. 6).
-        grad_a = grad_biht @ forward.v_bijt.transpose(0, 1, 3, 2)  # (B,i,h,j)
-        attention_grads = grad_a.transpose(2, 0, 1, 3)             # (h,B,i,j)
-        grad_v = forward.a_bihj.transpose(0, 1, 3, 2) @ grad_biht  # (B,i,j,t)
-        grad_values = grad_v.transpose(0, 2, 1, 3)                 # (B,j,i,t)
-
-        # Causal convolution backward: undo the Eq. 4 right-shift, rescale,
-        # contract against the causal windows.  The autograd engine casts the
-        # routed gradient to the values tensor's dtype at the node boundary,
-        # and the final accumulation casts to the kernel parameter's dtype —
-        # replicate both.
-        grad_values = np.ascontiguousarray(grad_values,
-                                           dtype=cache.values.dtype)
-        diagonal = grad_values[:, diag, diag, :]
-        grad_values[:, diag, diag, :-1] = diagonal[..., 1:]
-        grad_values[:, diag, diag, -1] = 0.0
-        grad_values = grad_values * stage["scale_array"]
-        flat = np.ascontiguousarray(grad_values.transpose(1, 2, 0, 3)) \
-            .reshape(n, n, batch * window)
-        kernel_grads = flat @ forward.windows_flat                 # (N,N,K)
-        kernel_dtype = self.model.convolution.kernel.data.dtype
-        if kernel_grads.dtype != kernel_dtype:
-            # The node-boundary cast happens before the single-kernel
-            # unbroadcast sum in the autograd graph; keep that order.
-            kernel_grads = np.asarray(kernel_grads, dtype=kernel_dtype)
-        if self.model.convolution.single_kernel:
-            # Per target the shared kernel's gradient sums over both series
-            # axes; only the target's effect column is non-zero there, so
-            # the per-effect sum over sources keeps the targets apart.
-            kernel_grads = kernel_grads.sum(axis=0, keepdims=True)
-        return attention_grads, kernel_grads
-
-
 @dataclass
 class StackedInterpretationForward:
     """One fused cache forward for ``M`` same-architecture models at once.
 
-    ``forwards[m]`` is an ordinary :class:`InterpretationForward` whose cache
-    arrays are row-``m`` views of the stacked buffers below, so every
-    per-model consumer (gradient modulation, raw-weight ablation, graph
-    construction) runs unchanged on bit-identical data.  The stacked arrays
-    feed the model-axis gradient backward and relevance propagation.  All
-    arrays are arena views — valid until the next engine call.
+    The stacked arrays feed the model-axis gradient backward and relevance
+    propagation; :meth:`row` views model ``m`` as an ordinary
+    :class:`InterpretationForward` (its cache arrays are row-``m`` views of
+    these buffers), so every per-model consumer (gradient modulation,
+    raw-weight ablation, graph construction) runs on bit-identical data.
+    All arrays are arena views — valid until the next engine call.
     """
 
-    forwards: List[InterpretationForward]
     inputs: np.ndarray                 # (M, B, N, T)
+    embedding: np.ndarray              # (M, B, N, d_model)
     output: np.ndarray                 # (M, B, N, T)
     values: np.ndarray                 # (M, B, N, N, T) source-major layout
     values_pre: np.ndarray             # (M, B, N, N, T) pre-shift, float64
     conv_windows: np.ndarray           # (M, B, N, T, K) strided float64 view
+    scores: np.ndarray                 # (M, h, B, N, N) pre-softmax
     attention_probs: np.ndarray        # (M, h, B, N, N)
     head_outputs: np.ndarray           # (M, h, B, N, T)
     combined: np.ndarray               # (M, B, N, T)
@@ -988,31 +350,64 @@ class StackedInterpretationForward:
     a_bihj: np.ndarray                 # (M, B, i, h, j)
     v_bijt: np.ndarray                 # (M, B, i, j, t)
     windows_flat: np.ndarray           # (M, N, B·T, K)
-    extras: dict = field(default_factory=dict)
+    stage: dict                        # the staged weights the pass ran on
 
     @property
-    def n_models(self) -> int:
-        return len(self.forwards)
+    def forwards(self) -> List[InterpretationForward]:
+        return [self.row(index) for index in range(self.output.shape[0])]
+
+    def row(self, index: int) -> InterpretationForward:
+        """Model ``index``'s forward, cache included, as row views."""
+        from repro.core.attention import AttentionHeadCache
+        from repro.core.transformer import TransformerCache
+
+        head_caches = [
+            AttentionHeadCache(
+                attention=None, head_output=None,
+                attention_data=self.attention_probs[index, head],
+                head_output_data=self.head_outputs[index, head],
+                scores_data=self.scores[index, head],
+            )
+            for head in range(self.attention_probs.shape[1])
+        ]
+        cache = TransformerCache(
+            inputs=self.inputs[index],
+            embedding=self.embedding[index],
+            values_pre_shift=self.values_pre[index],
+            values=self.values[index],
+            conv_windows=self.conv_windows[index],
+            head_caches=head_caches,
+            attention_combined=self.combined[index],
+            ffn_hidden=self.hidden[index],
+            ffn_activated=self.activated[index],
+            ffn_output=self.ffn_output[index],
+            output=self.output[index],
+            values_tensor=None,
+        )
+        return InterpretationForward(
+            cache=cache, attention_probs=self.attention_probs[index],
+            slope=self.slope[index], a_bihj=self.a_bihj[index],
+            v_bijt=self.v_bijt[index], windows_flat=self.windows_flat[index],
+            stacked=self, row=index)
 
 
 class StackedInferenceEngine(ProfilingSeam):
     """Forward-only evaluator for ``M`` same-architecture models at once.
 
-    A batched sweep trains ``K`` same-shape models in lockstep
-    (:class:`repro.core.batched.StackedCausalFormerTrainer`), but validation
-    passes and detector interpretation used to drop back to one
-    :class:`InferenceEngine` call per model.  This engine adds a leading
-    model axis to every stacked buffer so the whole fleet's evaluation (and
-    its interpretation forward/backward) runs through one set of numpy
-    calls.
+    The engine kernels of this reproduction: every buffer carries a leading
+    model axis, so a whole fleet's evaluation (and its interpretation
+    forward/backward) runs through one set of numpy calls.  A batched sweep
+    runs its groups through it directly
+    (:class:`repro.core.batched.StackedCausalFormerTrainer`,
+    :func:`repro.core.detector.compute_scores_group`); a single model runs
+    it at ``M = 1`` through :class:`InferenceEngine`.
 
     Numerical contract: batched matmuls dispatch one GEMM per 2-D slice and
     every reduction keeps its per-model order (per-row ``np.dot`` for the
     head combination, per-model loss accumulation), so each model's results
-    are **bit-identical** to running it alone through
-    :class:`InferenceEngine` — in float64 and float32 alike.  The stacked
-    buffers replicate the single-model engine's memory layouts exactly
-    (including the source-major convolution layout), because einsum
+    are **bit-identical** to running it in a fleet of one — in float64 and
+    float32 alike, at any fleet width.  The per-model memory layouts are
+    fixed (including the source-major convolution layout), because einsum
     summation order — hence detector bit-identity — depends on operand
     strides.
     """
@@ -1072,9 +467,17 @@ class StackedInferenceEngine(ProfilingSeam):
         return self.models[0].embedding.weight.data.dtype
 
     # ------------------------------------------------------------------ #
-    # Weight staging (stacked replica of InferenceEngine._stage)
+    # Weight staging
     # ------------------------------------------------------------------ #
     def _stage(self) -> dict:
+        """Stage the fused weight layouts for the current parameter values.
+
+        The engine re-reads the models' parameters on every public call
+        (they change between validation passes during training), copying
+        them into stacked arena buffers and building the fused layouts:
+        concatenated Q/K projections, the scaled mask modulation and the
+        broadcast single kernel.
+        """
         arena = self.arena
         models = self.models
         m = len(models)
@@ -1098,8 +501,10 @@ class StackedInferenceEngine(ProfilingSeam):
                 weight_flat[row, :, columns] = weight.data
                 bias_flat[row, columns] = bias.data
 
-        # float64 modulation — see the promotion note in
-        # ``InferenceEngine._stage`` (replicated per model, exactly).
+        # ``scale`` is a float64 numpy scalar, so ``mask_stack * scale``
+        # promotes the modulation — and everything downstream of the
+        # attention scores — to float64 even under the float32 engine.
+        # Every engine path keeps that promotion.
         scale = 1.0 / (attention.temperature * np.sqrt(attention.d_qk))
         modulation = arena.take("stack.modulation", (m, n_heads, 1, n, n),
                                 np.float64)
@@ -1154,6 +559,11 @@ class StackedInferenceEngine(ProfilingSeam):
     @hot_path
     def _causal_windows(self, space: ScratchSpace, x: np.ndarray
                         ) -> Tuple[np.ndarray, np.ndarray]:
+        """Left-zero-pad ``x`` and return ``(padded, windows_flat)``.
+
+        ``windows_flat`` is the ``(M, N, B·T, K)`` contiguous GEMM layout of
+        the causal window view (one batched GEMM per source series).
+        """
         m, batch, n, window = x.shape
         padded = space.take("conv.pad", (m, batch, n, 2 * window), x.dtype)
         padded[..., window:] = x
@@ -1177,6 +587,15 @@ class StackedInferenceEngine(ProfilingSeam):
     def _convolution(self, space: ScratchSpace, x: np.ndarray, stage: dict,
                      legacy_layout: bool = False
                      ) -> Tuple[np.ndarray, np.ndarray]:
+        """Fused causal convolution with the Eq. 4 right-shift.
+
+        Returns ``(values, windows_flat)`` — the convolution output and the
+        window layout (reused by the detector backward).  ``legacy_layout``
+        allocates the output in source-major memory order, which einsum
+        summation order — hence the detector's scores and graphs — depends
+        on.  The evaluation path only ever reads the values through
+        contiguous re-layouts, so it uses a C-ordered buffer.
+        """
         m, batch, n, window = x.shape
         kernel = stage["kernel_eff"]
         cdtype = np.result_type(x.dtype, kernel.dtype)
@@ -1221,9 +640,14 @@ class StackedInferenceEngine(ProfilingSeam):
 
     @hot_path
     def _softmax_inplace(self, space: ScratchSpace, probs: np.ndarray) -> None:
-        # Row-wise normalisation over a contiguous arena buffer: flatten the
-        # (model, head, batch) leading axes into one parallel axis — see the
-        # single-engine ``_softmax_inplace`` for the bit-identity argument.
+        """Tempered-softmax normalisation along the last axis, in place.
+
+        Bit-identical to ``x -= x.max(…); exp; x /= x.sum(…)`` — see
+        :func:`max_last_keepdims` / :func:`sum_last_keepdims` for why the
+        chained reductions are exact replicas.  Normalisation is row-wise
+        over a contiguous arena buffer, so the (model, head, batch) leading
+        axes flatten into one parallel axis.
+        """
         extreme = space.take("att.max", probs.shape[:-1] + (1,), probs.dtype)
         total = space.take("att.sum", probs.shape[:-1] + (1,), probs.dtype)
         flat = probs.reshape((-1,) + probs.shape[-2:])
@@ -1242,6 +666,7 @@ class StackedInferenceEngine(ProfilingSeam):
     @hot_path
     def _attention_probs(self, space: ScratchSpace, x: np.ndarray, stage: dict
                          ) -> np.ndarray:
+        """Embedding → all-head Q/K projection → masked tempered softmax."""
         m, batch, n, window = x.shape
         n_heads, d_qk = stage["n_heads"], stage["d_qk"]
         d_model = stage["embed_weight"].shape[-1]
@@ -1296,12 +721,17 @@ class StackedInferenceEngine(ProfilingSeam):
     def _combine_layout(self, space: ScratchSpace, probs: np.ndarray,
                         values: np.ndarray
                         ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Contiguous GEMM layouts + per-head application (Eq. 6)."""
         m, n_heads, batch, n, _ = probs.shape
         window = values.shape[-1]
         out_dtype = np.result_type(probs.dtype, values.dtype)
         a_bihj = space.take("comb.a", (m, batch, n, n_heads, n), probs.dtype)
         probs_t = space.view("comb.probs.t",
                              lambda: probs.transpose(0, 2, 3, 1, 4))
+        # Float64 attention meets model-dtype values here, which numpy
+        # resolves by casting the values up internally on every call;
+        # staging the cast copy once is bit-identical and skips the hidden
+        # per-call buffer.
         v_bijt = space.take("comb.v", (m, batch, n, n, window), out_dtype)
         values_t = space.view("comb.values.t",
                               lambda: values.transpose(0, 1, 3, 2, 4))
@@ -1398,9 +828,18 @@ class StackedInferenceEngine(ProfilingSeam):
     # Batch staging and evaluation
     # ------------------------------------------------------------------ #
     def _as_model_batch(self, windows_list: Sequence[np.ndarray]) -> np.ndarray:
-        """Stack ``M`` window sets, replaying ``InferenceEngine._as_model_batch``
-        per model (identical Tensor-construction cast chain, then one
-        contiguous ``(M, B, N, T)`` arena buffer)."""
+        """Stack ``M`` window sets into one contiguous ``(M, B, N, T)`` buffer.
+
+        Replays the Tensor-construction casts of the autograd forward per
+        model: the reference first builds ``Tensor(x)`` (casting to the
+        *engine default* dtype), then — when that differs from the model
+        dtype — rebuilds ``Tensor(x.astype(model_dtype))``, whose
+        constructor casts **back** to the default dtype.  Net effect: the
+        batch always carries the default dtype, with values rounded through
+        the model dtype when that is the narrower type, so mixed-dtype
+        configurations (e.g. a float32 model probed under a float64
+        session) see the same input values as the reference.
+        """
         from repro.nn import tensor as T
 
         default = np.dtype(T.get_default_dtype())
@@ -1431,18 +870,68 @@ class StackedInferenceEngine(ProfilingSeam):
                     out=diff)
         return diff
 
+    def _penalty_terms(self, row: int) -> List[float]:
+        """Model ``row``'s Eq. 9 L1 penalty contributions, one per coefficient.
+
+        Groups equal-coefficient penalties (insertion order: kernel first,
+        then the per-head masks), so adding the returned floats in order
+        gives one fixed accumulation sequence.  The arena keys carry the
+        row, so the fleet's models never share penalty scratch buffers of
+        coincidentally equal size.
+        """
+        model = self.models[row]
+        arena = self.arena
+        prefix = f"m{row}."
+        config = model.config
+        pairs = []
+        if config.lambda_kernel > 0:
+            pairs.append((config.lambda_kernel, model.convolution.kernel))
+        if config.lambda_mask > 0:
+            pairs.extend((config.lambda_mask, head.mask)
+                         for head in model.attention.heads)
+        groups: Dict[float, List[np.ndarray]] = {}
+        for coefficient, tensor in pairs:
+            groups.setdefault(coefficient, []).append(tensor.data.ravel())
+        terms: List[float] = []
+        for group_index, (coefficient, arrays) in enumerate(groups.items()):
+            if len(arrays) == 1:
+                flat = arrays[0]
+            else:
+                total = sum(array.size for array in arrays)
+                flat = arena.take(f"{prefix}loss.penalty{group_index}",
+                                  (total,), arrays[0].dtype)
+                offset = 0
+                for array in arrays:
+                    flat[offset:offset + array.size] = array
+                    offset += array.size
+            magnitude = arena.take(f"{prefix}loss.abs{group_index}",
+                                   flat.shape, flat.dtype)
+            np.abs(flat, out=magnitude)
+            terms.append(coefficient * float(magnitude.sum()))
+        return terms
+
     def forward(self, windows_list: Sequence[np.ndarray]) -> np.ndarray:
         """Stacked fused forward; returns the ``(M, B, N, T)`` prediction view."""
         stage = self._stage()
         return self._forward(self._as_model_batch(windows_list), stage)
 
+    #: largest per-model ``B·N²·T`` intermediate (elements) evaluated as one
+    #: batch; larger window sets fall back to the chunk-by-chunk loop to keep
+    #: peak memory proportional to the batch size.
+    FULL_BATCH_ELEMENT_LIMIT = 4_000_000
+
     def evaluate(self, windows_list: Sequence[np.ndarray],
                  batch_size: int) -> List[float]:
-        """Per-model window-weighted mean losses, one stacked pass per chunk.
+        """Per-model window-weighted mean losses over ``batch_size`` chunks.
 
-        Returns one float per model, each bit-identical to
-        ``InferenceEngine.evaluate`` on that model's window set alone (same
-        full-batch-vs-chunked branch, same chunk-weighted accumulation).
+        Each loss matches chunked evaluation of the autograd reference loss
+        up to rounding, at zero steady-state allocation.  When the
+        ``(M, B, N, N, T)`` convolution intermediate fits the memory budget,
+        the whole window set runs as one forward pass — identical rows, one
+        GEMM dispatch instead of one per chunk — and the chunk losses are
+        then read off slices of the shared windowed-difference buffer,
+        preserving the chunk-weighted mean exactly.  Either way a model's
+        loss is bit-identical to evaluating it in a fleet of one.
         """
         stage = self._stage()
         arrays = [np.asarray(windows) for windows in windows_list]
@@ -1453,8 +942,7 @@ class StackedInferenceEngine(ProfilingSeam):
             raise ValueError("stacked evaluation requires same-shape window sets")
         shape = arrays[0].shape
         m = len(self.models)
-        penalties = [_loss_penalty_terms(model, self.arena, prefix=f"m{row}.")
-                     for row, model in enumerate(self.models)]
+        penalties = [self._penalty_terms(row) for row in range(m)]
         # The element budget bounds the *total* scratch footprint, and the
         # stacked buffers carry a leading model axis — so each model's share
         # is the per-model limit divided by the fleet size.  The full-batch
@@ -1462,7 +950,7 @@ class StackedInferenceEngine(ProfilingSeam):
         # the memory/speed trade-off, never the results.
         if len(shape) == 3 and shape[0] and (
                 shape[0] * shape[1] ** 2 * shape[2]
-                <= InferenceEngine.FULL_BATCH_ELEMENT_LIMIT // m):
+                <= self.FULL_BATCH_ELEMENT_LIMIT // m):
             batch = self._as_model_batch(arrays)
             diff = self._windowed_diff(self._forward(batch, stage), batch)
             results: List[float] = []
@@ -1471,7 +959,7 @@ class StackedInferenceEngine(ProfilingSeam):
                 count = 0
                 for start in range(0, shape[0], batch_size):
                     chunk = diff[row, start:start + batch_size]
-                    total += InferenceEngine._mse_plus_penalties(
+                    total += _mse_plus_penalties(
                         chunk, penalties[row]) * len(chunk)
                     count += len(chunk)
                 results.append(total / count)
@@ -1483,7 +971,7 @@ class StackedInferenceEngine(ProfilingSeam):
                 [arr[start:start + batch_size] for arr in arrays])
             diff = self._windowed_diff(self._forward(chunk, stage), chunk)
             for row in range(m):
-                totals[row] += InferenceEngine._mse_plus_penalties(
+                totals[row] += _mse_plus_penalties(
                     diff[row], penalties[row]) * chunk.shape[1]
             count += chunk.shape[1]
         return [total / count if count else float("nan") for total in totals]
@@ -1496,31 +984,23 @@ class StackedInferenceEngine(ProfilingSeam):
 
         The heterogeneous stacked trainer validates lanes whose datasets
         carry different window counts (pad-and-mask bucketing).  Padding a
-        model's own batch axis is off the table — the solo engine never sees
-        the padded rows, and a different GEMM ``M`` dimension may pick a
-        different BLAS kernel — so instead the rows are grouped by shape and
-        each group runs the *existing* stacked (or solo) evaluation at its
-        exact shape:
-
-        * all rows share one shape → ``self.evaluate`` (the lockstep path,
-          staged straight off this engine's views);
-        * a multi-row group → a sub-fleet :class:`StackedInferenceEngine`
-          over the same arena (staging copies the group's weights, the
-          per-row arithmetic is the proven stacked contract);
-        * a single row → a solo :class:`InferenceEngine` over the same
-          arena, which *is* the reference path.
+        model's own batch axis is off the table — a different GEMM ``M``
+        dimension may pick a different BLAS kernel — so instead the rows are
+        grouped by shape and each group runs :meth:`evaluate` at its exact
+        shape: all rows together through this engine when they share one
+        shape, otherwise through a sub-fleet :class:`StackedInferenceEngine`
+        per shape group (one row is a fleet of one) over the same arena.
 
         ``None`` entries (lanes without a validation split) are skipped and
         returned as ``None``.  Every returned loss is bit-identical to
-        ``InferenceEngine.evaluate`` on that model's windows alone.
+        evaluating that model's windows alone.
 
         ``cache`` (optional) is a caller-owned dict that keeps the sub-fleet
-        and solo engines alive across calls — validation groups are stable
-        between epochs, so a trainer passes one dict per lane era and the
-        engines (with their staged buffers) rebuild only when membership
-        changes.  The caller must discard it whenever ``self.models``
-        changes, because the cached engines hold references to the models
-        by row.
+        engines alive across calls — validation groups are stable between
+        epochs, so a trainer passes one dict per lane era and the engines
+        (with their staged buffers) rebuild only when membership changes.
+        The caller must discard it whenever ``self.models`` changes, because
+        the cached engines hold references to the models by row.
         """
         m = len(self.models)
         if len(window_sets) != m:
@@ -1537,15 +1017,6 @@ class StackedInferenceEngine(ProfilingSeam):
             arrays = [arr for _row, arr in members]
             if len(rows) == m:
                 losses = self.evaluate(arrays, batch_size)
-            elif len(rows) == 1:
-                key = (rows[0],)
-                solo = cache.get(key) if cache is not None else None
-                if solo is None:
-                    solo = InferenceEngine(self.models[rows[0]],
-                                           arena=self.arena)
-                    if cache is not None:
-                        cache[key] = solo
-                losses = [solo.evaluate(arrays[0], batch_size)]
             else:
                 key = tuple(rows)
                 sub = cache.get(key) if cache is not None else None
@@ -1566,9 +1037,22 @@ class StackedInferenceEngine(ProfilingSeam):
     def interpretation_forward(self, windows_list: Sequence[np.ndarray]
                                ) -> StackedInterpretationForward:
         """One stacked cache-path forward shared by every model and target."""
-        from repro.core.attention import AttentionHeadCache
-        from repro.core.transformer import TransformerCache
+        return self._interpretation_forward(windows_list)
 
+    def interpretation_gradients(self, forward: StackedInterpretationForward
+                                 ) -> Tuple[np.ndarray, np.ndarray]:
+        """Every target's gradients in one all-ones pass, stacked over models.
+
+        Returns ``(attention_grads, kernel_grads)`` of shapes
+        ``(M, h, B, N, N)`` ``[model, head, batch, target, source]`` and
+        ``(M, N, N, K)`` ``[model, source, target, τ]`` (``(M, 1, N, K)``
+        for the single-kernel ablation: each target's kernel gradient
+        summed over its sources).
+        """
+        return self._interpretation_gradients(forward)
+
+    def _interpretation_forward(self, windows_list: Sequence[np.ndarray]
+                                ) -> StackedInterpretationForward:
         arena = self.arena
         stage = self._stage()
         # repro: allow(dtype-purity): ingestion cast to the f64 reference
@@ -1645,60 +1129,33 @@ class StackedInferenceEngine(ProfilingSeam):
                   out=values_pre)
         values_pre *= stage["scale_array"]
 
-        forwards: List[InterpretationForward] = []
-        for row in range(m):
-            head_caches = [
-                AttentionHeadCache(
-                    attention=None, head_output=None,
-                    attention_data=probs[row, index],
-                    head_output_data=ho_hbit[row, index],
-                    scores_data=scores[row, index],
-                )
-                for index in range(n_heads)
-            ]
-            cache = TransformerCache(
-                inputs=x[row],
-                embedding=emb3d[row],
-                values_pre_shift=values_pre[row],
-                values=values[row],
-                conv_windows=view64[row],
-                head_caches=head_caches,
-                attention_combined=combined[row],
-                ffn_hidden=hidden[row],
-                ffn_activated=activated[row],
-                ffn_output=ffn_output[row],
-                output=prediction[row],
-                values_tensor=None,
-            )
-            forwards.append(InterpretationForward(
-                cache=cache, attention_probs=probs[row], slope=slope[row],
-                a_bihj=a_bihj[row], v_bijt=v_bijt[row],
-                windows_flat=windows_flat[row], batch=batch,
-                extras={"stage": stage, "row": row},
-            ))
         return StackedInterpretationForward(
-            forwards=forwards, inputs=x, output=prediction, values=values,
-            values_pre=values_pre, conv_windows=view64,
+            inputs=x, embedding=emb3d, output=prediction, values=values,
+            values_pre=values_pre, conv_windows=view64, scores=scores,
             attention_probs=probs, head_outputs=ho_hbit, combined=combined,
             hidden=hidden, activated=activated, ffn_output=ffn_output,
             slope=slope, a_bihj=a_bihj, v_bijt=v_bijt,
-            windows_flat=windows_flat, extras={"stage": stage},
+            windows_flat=windows_flat, stage=stage,
         )
 
-    def interpretation_gradients(self, forward: StackedInterpretationForward
-                                 ) -> Tuple[np.ndarray, np.ndarray]:
-        """Every target's gradients in one all-ones pass, stacked over models.
+    def _interpretation_gradients(self, forward: StackedInterpretationForward
+                                  ) -> Tuple[np.ndarray, np.ndarray]:
+        """Hand-evaluated backward of :meth:`interpretation_forward`, seeded
+        with ones on every output row.
 
-        Returns ``(attention_grads, kernel_grads)`` of shapes
-        ``(M, h, B, N, N)`` and ``(M, N, N, K)`` (``(M, 1, N, K)`` for the
-        single-kernel ablation) — row ``m`` bit-identical to
-        ``InferenceEngine.interpretation_gradients`` on model ``m`` alone.
+        The FFN and output linears act along time only, so effect rows
+        never mix after the attention: row ``g`` of the attention gradients
+        and effect column ``g`` of the kernel gradients are exactly what a
+        backward seeded on output row ``g`` alone computes.  The tests pin
+        this against one autograd ``backward()`` per target on the
+        reference forward.
         """
-        stage = forward.extras["stage"]
+        stage = forward.stage
         m, batch, n, window = forward.output.shape
         dtype = forward.output.dtype
         diag = np.arange(n)
 
+        # All-ones output seed → back through the three cache-path linears.
         grad_pred = np.ones((m, batch, n, window), dtype=dtype)
         grad_ffn = grad_pred @ stage["w3"].transpose(0, 2, 1)[:, None]
         grad_hidden = grad_ffn @ stage["w2"].transpose(0, 2, 1)[:, None]
@@ -1706,6 +1163,8 @@ class StackedInferenceEngine(ProfilingSeam):
         grad_combined = grad_hidden \
             @ stage["w1"].transpose(0, 2, 1)[:, None]          # (M,B,N,T)
 
+        # Head-combination einsum backward: grad per head = grad ⊗ w_output,
+        # then the attention application backward (Eq. 6).
         grad_heads = np.einsum("mbit,mh->mhbit", grad_combined,
                                stage["w_output"])
         grad_biht = np.ascontiguousarray(grad_heads.transpose(0, 2, 3, 1, 4))
@@ -1716,6 +1175,11 @@ class StackedInferenceEngine(ProfilingSeam):
             @ grad_biht                                         # (M,B,i,j,t)
         grad_values = grad_v.transpose(0, 1, 3, 2, 4)           # (M,B,j,i,t)
 
+        # Causal convolution backward: undo the Eq. 4 right-shift, rescale,
+        # contract against the causal windows.  The autograd engine casts the
+        # routed gradient to the values tensor's dtype at the node boundary,
+        # and the final accumulation casts to the kernel parameter's dtype —
+        # replicate both.
         grad_values = np.ascontiguousarray(grad_values,
                                            dtype=forward.values.dtype)
         diagonal = grad_values[:, :, diag, diag, :]
@@ -1727,7 +1191,122 @@ class StackedInferenceEngine(ProfilingSeam):
         kernel_grads = flat @ forward.windows_flat              # (M,N,N,K)
         kernel_dtype = self.models[0].convolution.kernel.data.dtype
         if kernel_grads.dtype != kernel_dtype:
+            # The node-boundary cast happens before the single-kernel
+            # unbroadcast sum in the autograd graph; keep that order.
             kernel_grads = np.asarray(kernel_grads, dtype=kernel_dtype)
         if self.models[0].convolution.single_kernel:
+            # Per target the shared kernel's gradient sums over both series
+            # axes; only the target's effect column is non-zero there, so
+            # the per-effect sum over sources keeps the targets apart.
             kernel_grads = kernel_grads.sum(axis=1, keepdims=True)
         return attention_grads, kernel_grads
+
+
+class InferenceEngine:
+    """One model's face of :class:`StackedInferenceEngine`: the fleet at K = 1.
+
+    Parameters
+    ----------
+    model:
+        A :class:`~repro.core.transformer.CausalityAwareTransformer` (or any
+        object with the same ``embedding`` / ``convolution`` / ``attention``
+        / ``feed_forward`` / ``output_layer`` / ``config`` attributes).
+    arena:
+        Optional shared :class:`ScratchArena`; a private one is created when
+        omitted.
+
+    Every method adds the model axis to its arguments, runs the fleet's
+    kernels and strips the axis from the result, so a solo pass is
+    bit-identical to that model's row in any fleet.  The faces call the
+    fleet's private bodies rather than its public methods, so code that
+    wraps both (the benchmark's tracing) sees each call once.
+    """
+
+    def __init__(self, model, arena: Optional[ScratchArena] = None) -> None:
+        self.model = model
+        self._fleet = StackedInferenceEngine([model], arena)
+
+    @property
+    def fleet(self) -> StackedInferenceEngine:
+        """The one-model fleet whose kernels this face runs."""
+        return self._fleet
+
+    @property
+    def arena(self) -> ScratchArena:
+        return self._fleet.arena
+
+    @property
+    def dtype(self):
+        return self.model.embedding.weight.data.dtype
+
+    # ------------------------------------------------------------------ #
+    # Per-op profiling (the fleet's ProfilingSeam)
+    # ------------------------------------------------------------------ #
+    def enable_profiling(self, hook: Callable[[str, float], None]) -> None:
+        self._fleet.enable_profiling(hook)
+
+    def disable_profiling(self) -> None:
+        self._fleet.disable_profiling()
+
+    @property
+    def profiling_enabled(self) -> bool:
+        return self._fleet.profiling_enabled
+
+    # ------------------------------------------------------------------ #
+    # Forward, loss (paper Eq. 9) and evaluation
+    # ------------------------------------------------------------------ #
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        """Fused forward pass; returns the ``(B, N, T)`` prediction buffer.
+
+        ``x`` must already be C-contiguous in the model dtype.  The returned
+        array is an arena view, valid until the next engine call.
+        """
+        fleet = self.fleet
+        return fleet._forward(x[None], fleet._stage())[0]
+
+    def loss(self, windows: np.ndarray) -> float:
+        """Eq. 9 training loss of the model on a batch of windows."""
+        fleet = self.fleet
+        stage = fleet._stage()
+        batch = fleet._as_model_batch([windows])
+        diff = fleet._windowed_diff(fleet._forward(batch, stage), batch)
+        return _mse_plus_penalties(diff[0], fleet._penalty_terms(0))
+
+    def evaluate(self, windows: np.ndarray, batch_size: int) -> float:
+        """Window-weighted mean loss over ``batch_size`` chunks
+        (:meth:`StackedInferenceEngine.evaluate` at K = 1)."""
+        return self.fleet.evaluate([windows], batch_size)[0]
+
+    def predict(self, windows: np.ndarray) -> np.ndarray:
+        """Numpy-in / numpy-out prediction (returns an owned copy)."""
+        squeeze = np.ndim(windows) == 2
+        # repro: allow(dtype-purity): ingestion cast to the f64 reference
+        prediction = self.fleet.forward([np.asarray(windows, dtype=float)])[0]
+        return prediction[0].copy() if squeeze else prediction.copy()
+
+    # ------------------------------------------------------------------ #
+    # Detector support
+    # ------------------------------------------------------------------ #
+    def interpretation_forward(self, windows: np.ndarray
+                               ) -> InterpretationForward:
+        """One fused forward in the detector's fixed operation order.
+
+        Fills a :class:`~repro.core.transformer.TransformerCache` for
+        relevance propagation plus the internals the all-targets backward
+        needs.  Shared by every target series.
+        """
+        return self.fleet._interpretation_forward([windows]).row(0)
+
+    def interpretation_gradients(self, forward: InterpretationForward
+                                 ) -> Tuple[np.ndarray, np.ndarray]:
+        """Gradients of ``Σ_t prediction[:, g, :]`` for every target ``g``.
+
+        Returns ``(attention_grads, kernel_grads)`` of shapes
+        ``(h, B, N, N)`` ``[head, batch, target, source]`` and ``(N, N, K)``
+        ``[source, target, τ]`` (``(1, N, K)`` for the single-kernel
+        ablation); see :meth:`StackedInferenceEngine
+        .interpretation_gradients`.
+        """
+        attention, kernel = self.fleet._interpretation_gradients(
+            forward.stacked)
+        return attention[forward.row], kernel[forward.row]

@@ -5,43 +5,48 @@ An autograd training step builds and walks a fresh :class:`~repro.nn.tensor
 topological sort, a gradient dict and a fresh temporary for almost every
 routed gradient.  CausalFormer training runs none of that.
 
-:class:`TrainingEngine` runs the fused forward (the exact
-:class:`~repro.nn.inference.InferenceEngine` forward: causal
-convolution with the folded Eq. 4 right-shift, embedding + Q/K projection +
-masked tempered softmax, attention combination, the MLP tail and the Eq. 9
-loss with its grouped L1 penalties) and then hand-evaluates the **exact
-backward pass** of that graph — every parameter gradient, written directly
-into the fused flat Adam buffer (:meth:`repro.nn.optim.Adam.ensure_flat`),
-with every temporary drawn from the same scratch arena the forward uses.  A
+:class:`StackedTrainingEngine` trains ``K`` same-architecture models in
+lockstep.  It runs the fused forward of
+:class:`~repro.nn.inference.StackedInferenceEngine` (causal convolution with
+the folded Eq. 4 right-shift, embedding + Q/K projection + masked tempered
+softmax, attention combination, the MLP tail and the Eq. 9 loss with its
+grouped L1 penalties) and then hand-evaluates the **exact backward pass** of
+that graph with a leading model axis — every parameter gradient, written
+directly into ``(K, *shape)`` views of a flat gradient matrix, with every
+temporary drawn from the same scratch arena the forward uses.  A
 steady-state training step performs no heap allocation of large arrays and
 no autograd bookkeeping at all.
 
+There is one set of kernels: :class:`TrainingEngine`, one model's training
+step, is the same engine at ``K = 1`` over ``(1, *shape)`` views of the
+model's parameters and of the fused flat Adam buffer
+(:meth:`repro.nn.optim.Adam.ensure_flat`), finishing each step with
+:meth:`~repro.nn.optim.Adam.step_flat`.  The batched sweep
+(:class:`repro.core.batched.StackedCausalFormerTrainer`) drives the engine
+at full width and applies its own row-masked stacked Adam.
+
 Buffer-handle plans
 -------------------
-A steady-state backward used to spend ~60 ``space.take`` probes and grad-view
-dict lookups per step on buffers whose identity never changes for a fixed
-``(batch shape, dtype, flat-gradient buffer)`` workload.  Each engine now
-builds a backward *plan* per workload key — one object holding every scratch
-handle, derived transpose/reshape view and gradient view — and revalidates
-it with a handful of identity checks per step (the scratch space, the flat
-gradient buffer and the derived dtypes).  A plan never outlives any of the
-arrays it caches: space buffers are keyed by name+shape+dtype inside the
-validated space, and the gradient views are invalidated with the flat
-buffer's identity.
+A steady-state backward would spend dozens of ``space.take`` probes per
+step on buffers whose identity never changes for a fixed ``(batch shape,
+dtype)`` workload.  The engine builds a backward *plan* per workload key —
+one object holding every scratch handle, derived transpose/reshape view and
+gradient view — and revalidates it with a handful of identity checks per
+step (the scratch space and the derived dtypes).  Rebinding the engine to
+new parameter or gradient views drops every plan.
 
 Threaded execution
 ------------------
 The dominant backward ops run through :func:`repro.nn.parallel.parallel_for`
-across the batch axis (solo engine) or the model/batch axis picked by
-:meth:`~repro.nn.inference.StackedInferenceEngine._model_axis_first`
-(stacked engine).  Chunking is bit-exact by construction: numpy dispatches
-batched (3D+) matmuls as one 2-D GEMM per leading-axes slice, elementwise
-ops and last-axis reductions are per-row, and every chunk writes a disjoint
-slice of a pre-allocated arena buffer.  The 2-D GEMMs of the solo MLP chain
-and every cross-row weight-gradient reduction (``ffn.T @ grad2d`` style,
-``.sum(axis=0)``) stay serial — row-splitting a 2-D GEMM may change BLAS
-kernel selection and therefore summation order.  At ``engine threads = 1``
-every ``body(0, n)`` call is the exact serial path.
+across the model or batch axis picked by
+:meth:`~repro.nn.inference.StackedInferenceEngine._model_axis_first`.
+Chunking is bit-exact by construction: numpy dispatches batched (3D+)
+matmuls as one 2-D GEMM per leading-axes slice, elementwise ops and
+last-axis reductions are per-row, and every chunk writes a disjoint slice of
+a pre-allocated arena buffer.  Cross-row weight-gradient reductions
+(``ffn.T @ grad2d`` style, ``.sum(axis=1)``) chunk only across models, so
+each model's reduction stays whole.  At ``engine threads = 1`` every
+``body(0, n)`` call is the exact serial path.
 
 Numerical contract
 ------------------
@@ -55,28 +60,16 @@ autograd engine's routing semantics:
   written first and a main-path term added second round in one fixed
   order;
 * the single-kernel ablation takes the ``effective_kernel`` broadcast's
-  backward: gradient × constant ones (an exact ×1.0, elided), the
-  node-boundary cast, then the unbroadcast sum down to ``(1, 1, T)`` — in
-  that order.
+  backward: gradient × constant ones (an exact ×1.0, elided), then the
+  unbroadcast sum down to ``(1, 1, T)``.
 
 Gradients therefore match ``loss.backward()`` on the plain autograd
 reference (:meth:`~repro.core.transformer.CausalityAwareTransformer.forward`
 and ``loss``) up to floating-point rounding, and the tests in
 ``tests/nn/test_training_engine.py`` pin that at tolerance across the
 Table 3 training ablation grid in float64 and float32.  Inside the engine
-everything is exact: the stacked engine, every thread count and a resumed
-fit reproduce a solo serial fit bit for bit.
-
-:class:`StackedTrainingEngine` is the ``K``-model lockstep variant used by
-:class:`repro.core.batched.StackedCausalFormerTrainer`: the same fused
-forward and hand-derived backward with a leading model axis (one batched
-GEMM per op for the whole fleet), transcribed from the stacked trainer's
-former per-step implementation onto persistent arena buffers, writing into
-the trainer's stacked ``(K, P)`` gradient matrix.  Because it *is* a
-:class:`~repro.nn.inference.StackedInferenceEngine`, one engine object (and
-one arena) now serves training steps, validation passes and — via the
-shared arena handed to :func:`repro.core.detector.compute_scores_group` —
-the group's detector interpretation.
+everything is exact: a fleet row, every thread count and a resumed fit
+reproduce a one-model serial fit bit for bit.
 """
 
 from __future__ import annotations
@@ -87,7 +80,8 @@ import numpy as np
 
 from repro.contracts import hot_path
 from repro.nn.inference import (InferenceEngine, ScratchArena, ScratchSpace,
-                                StackedInferenceEngine, sum_last_keepdims)
+                                StackedInferenceEngine, _mse_plus_penalties,
+                                sum_last_keepdims)
 from repro.nn.parallel import parallel_for, slice_axis
 
 
@@ -104,439 +98,6 @@ def _scaled_sign(destination: np.ndarray, source: np.ndarray,
     """
     np.sign(source, out=destination)
     destination *= coefficient
-
-
-class _SoloBackwardPlan:
-    """Every solo-backward scratch handle, derived view and gradient view.
-
-    Built once per ``(batch shape, dtype)`` workload key; the engine
-    revalidates it per step against the scratch-space identity, the flat
-    gradient buffer identity and the derived-dtype signature.  All takes use
-    the exact ``(name, shape, dtype)`` of the former per-step calls, so the
-    buffers (and the forward's writes into the shared ones) are unchanged.
-    """
-
-    def __init__(self, space: ScratchSpace, stage: dict, model,
-                 x_shape, x_dtype, views: Dict[str, np.ndarray],
-                 gdtype, adtype, cdtype) -> None:
-        config = model.config
-        batch, n, window = x_shape
-        n_heads, d_qk = stage["n_heads"], stage["d_qk"]
-        d_model = stage["embed_weight"].shape[-1]
-        d_ffn = stage["w1"].shape[-1]
-        bn = batch * n
-        f64 = np.float64  # repro: allow(dtype-purity): grads are f64
-
-        self.space = space
-        self.grad_id: Optional[int] = None
-        self.signature = (gdtype.str, np.dtype(adtype).str,
-                          np.dtype(cdtype).str)
-        self.has_l1_kernel = config.lambda_kernel > 0
-        self.has_l1_mask = config.lambda_mask > 0
-        self.single_kernel = model.convolution.single_kernel
-
-        self.kernel_view = views["convolution.kernel"]
-        self.mask_views = [views[f"attention.heads.{h}.mask"]
-                           for h in range(n_heads)]
-        self.w3_view = views["output_layer.weight"]
-        self.b3_view = views["output_layer.bias"]
-        self.w2_view = views["feed_forward.w2"]
-        self.b2_view = views["feed_forward.b2"]
-        self.w1_view = views["feed_forward.w1"]
-        self.b1_view = views["feed_forward.b1"]
-        self.wout_view = views["attention.w_output"]
-        self.ew_view = views["embedding.weight"]
-        self.eb_view = views["embedding.bias"]
-        self.head_views = []
-        for index in range(n_heads):
-            query = slice(index * d_qk, (index + 1) * d_qk)
-            key = slice((n_heads + index) * d_qk,
-                        (n_heads + index + 1) * d_qk)
-            prefix = f"attention.heads.{index}"
-            self.head_views.append(
-                (views[f"{prefix}.w_query"], views[f"{prefix}.b_query"],
-                 views[f"{prefix}.w_key"], views[f"{prefix}.b_key"],
-                 query, key))
-
-        take = space.take
-        self.grad_pred = take("bwd.pred", (batch, n, window), f64)
-        self.grad2d = self.grad_pred.reshape(bn, window)
-        self.ffn = take("mlp.ffn", (bn, window), f64)
-        self.hidden = take("mlp.hidden", (bn, d_ffn), f64)       # activated
-        self.slope = take("mlp.slope", (bn, d_ffn), f64)
-        self.w3_tmp = take("bwd.w3", (window, window), f64)
-        self.b3_tmp = take("bwd.b3", (window,), f64)
-        self.grad_ffn = take("bwd.ffn", (bn, window), f64)
-        self.w2_tmp = take("bwd.w2", (d_ffn, window), f64)
-        self.b2_tmp = take("bwd.b2", (window,), f64)
-        self.grad_hidden = take("bwd.hidden", (bn, d_ffn), f64)
-        self.combined2d = take("comb.out", (bn * window, 1), f64) \
-            .reshape(bn, window)
-        self.w1_tmp = take("bwd.w1", (window, d_ffn), f64)
-        self.b1_tmp = take("bwd.b1", (d_ffn,), f64)
-        self.grad_combined = take("bwd.comb", (bn, window), f64)
-        self.grad_comb3d = self.grad_combined.reshape(batch, n, window)
-        self.grad_combined_col = self.grad_combined.reshape(bn * window, 1)
-
-        self.a_bihj = take("comb.a", (batch, n, n_heads, n), f64)
-        self.v_bijt = take("comb.v", (batch, n, n, window), f64)
-        self.head_outputs = take("comb.ho", (batch, n, n_heads, window), f64)
-        self.grad_heads = take("comb.bwd.heads",
-                               (batch, n, n_heads, window), f64)
-        self.grad_a = take("bwd.ga", (batch, n, n_heads, n), f64)
-        self.grad_probs = self.grad_a.transpose(2, 0, 1, 3)     # (h, B, i, j)
-        self.grad_v = take("bwd.gv", (batch, n, n, window), f64)
-        self.v_t = self.v_bijt.transpose(0, 1, 3, 2)
-        self.a_t = self.a_bihj.transpose(0, 1, 3, 2)
-        self.ho_flat = take("bwd.ho_flat", (n_heads, bn * window), f64)
-        self.ho_flat_r = self.ho_flat.reshape(n_heads, batch, n, window)
-        self.ho_src = self.head_outputs.transpose(2, 0, 1, 3)
-        self.wout_tmp = take("bwd.wout", (n_heads, 1), f64)
-
-        self.probs = take("att.probs", (n_heads, batch, n, n), f64)
-        self.raw = take("att.raw", (n_heads, batch, n, n), adtype)
-        self.qk = take("att.qk", (2 * n_heads, batch, n, d_qk), adtype)
-        self.emb = take("att.emb", (bn, d_model), adtype)
-        self.product = take("bwd.att.prod", (n_heads, batch, n, n), f64)
-        self.dot = take("bwd.att.dot", (n_heads, batch, n, 1), f64)
-        self.grad_masked = take("bwd.att.masked", (n_heads, batch, n, n), f64)
-        self.grad_raw = take("bwd.att.raw", (n_heads, batch, n, n), f64)
-        self.grad_raw_t = self.grad_raw.transpose(0, 1, 3, 2)
-        self.grad_qk = take("bwd.att.qk", (2 * n_heads, batch, n, d_qk),
-                            adtype)
-        self.gq = self.grad_qk[:n_heads]
-        self.gk = self.grad_qk[n_heads:]
-        self.query_half = self.qk[:n_heads]
-        self.key_half = self.qk[n_heads:]
-        self.grad_2d = take("bwd.att.2d", (bn, 2 * n_heads * d_qk), adtype)
-        self.grad_2d_r = self.grad_2d.reshape(batch, n, 2 * n_heads, d_qk)
-        self.grad_qk_src = self.grad_qk.transpose(1, 2, 0, 3)
-        self.grad_emb = take("bwd.att.emb", (bn, d_model), adtype)
-        self.ew_tmp = take("bwd.ew", (window, d_model), adtype)
-        self.eb_tmp = take("bwd.eb", (d_model,), adtype)
-        self.gw = take("bwd.att.gw", (d_model, 2 * n_heads * d_qk), adtype)
-        self.gb = take("bwd.att.gb", (2 * n_heads * d_qk,), adtype)
-        self.gmask = take("bwd.att.gmask", (n_heads, n, n), f64)
-        self.mask_cast = take("bwd.att.gmask_cast", (n, n), gdtype)
-
-        self.windows_flat = take("conv.windows_flat",
-                                 (n, batch * window, window), x_dtype)
-        self.shifted = take("bwd.conv.grad", (batch, n, n, window), cdtype)
-        self.grad_v_t = self.grad_v.transpose(0, 2, 1, 3)
-        self.shift_buf = take("bwd.conv.shift", (batch, window), cdtype)
-        self.grad_scaled = take("bwd.conv.scaled", (batch, n, n, window),
-                                cdtype)
-        self.grad_scaled_t = self.grad_scaled.transpose(1, 2, 0, 3)
-        self.flat_k = take("bwd.conv.flat_k", (n, n, batch * window), cdtype)
-        self.flat_k_r = self.flat_k.reshape(n, n, batch, window)
-        self.kgrad = take("bwd.conv.kgrad", (n, n, window), cdtype)
-        self.cast_eff = self.ksum = self.kcast = None
-        if self.single_kernel:
-            self.cast_eff = take("bwd.conv.kcast", (n, n, window), gdtype)
-            self.ksum = take("bwd.conv.ksum", (1, 1, window), gdtype)
-        elif self.has_l1_kernel and self.kgrad.dtype != gdtype:
-            self.kcast = take("bwd.conv.kcast", (n, n, window), gdtype)
-
-
-class TrainingEngine(InferenceEngine):
-    """One model's fused no-autograd training step over a scratch arena.
-
-    Parameters
-    ----------
-    model:
-        A :class:`~repro.core.transformer.CausalityAwareTransformer`.
-    optimizer:
-        The model's :class:`~repro.nn.optim.Adam`; gradients are written
-        directly into its fused flat buffer and :meth:`train_step` finishes
-        with :meth:`~repro.nn.optim.Adam.step_flat`.
-    arena:
-        Optional shared :class:`~repro.nn.inference.ScratchArena` — the
-        trainer passes its inference engine's arena so training, validation
-        and prediction reuse one buffer pool.
-    """
-
-    _PROFILED_OPS = InferenceEngine._PROFILED_OPS + ("_backward",)
-
-    def __init__(self, model, optimizer,
-                 arena: Optional[ScratchArena] = None) -> None:
-        super().__init__(model, arena)
-        self.optimizer = optimizer
-        self._grad_views: Dict[str, np.ndarray] = {}
-        self._grad_buffer_id: Optional[int] = None
-        self._backward_plans: Dict[tuple, _SoloBackwardPlan] = {}
-
-    # ------------------------------------------------------------------ #
-    # Flat-gradient plumbing
-    # ------------------------------------------------------------------ #
-    def _refresh_grad_views(self) -> Dict[str, np.ndarray]:
-        """Per-parameter-name views into the optimizer's flat grad buffer."""
-        flat_views = self.optimizer.ensure_flat()
-        flat = self.optimizer.flat_gradient
-        if id(flat) != self._grad_buffer_id:
-            by_identity = {id(parameter): flat[view_slice].reshape(shape)
-                           for parameter, view_slice, shape in flat_views}
-            self._grad_views = {
-                name: by_identity[id(parameter)]
-                for name, parameter in self.model.named_parameters()}
-            self._grad_buffer_id = id(flat)
-        return self._grad_views
-
-    def prepare_windows(self, windows: np.ndarray) -> np.ndarray:
-        """Replay the per-batch Tensor-construction cast chain once, up front.
-
-        An autograd loop builds ``Tensor(windows[order[...]])`` per batch
-        (casting to the engine default dtype) and the reference forward
-        re-casts through the model dtype when they differ.  Both casts are
-        elementwise, so applying them to the whole window set once and
-        gathering rows afterwards is bit-identical to gathering first.
-        """
-        from repro.nn import tensor as T
-
-        default = np.dtype(T.get_default_dtype())
-        arr = np.asarray(windows, dtype=default)
-        dtype = self.dtype
-        if arr.dtype != dtype:
-            arr = np.asarray(arr.astype(dtype), dtype=default)
-        return np.ascontiguousarray(arr)
-
-    # ------------------------------------------------------------------ #
-    # The training step
-    # ------------------------------------------------------------------ #
-    def train_step(self, batch: np.ndarray) -> float:
-        """One fused forward + backward + Adam update; returns the Eq. 9 loss.
-
-        ``batch`` must be a C-contiguous ``(B, N, T)`` array prepared via
-        :meth:`prepare_windows` (or already in the engine default dtype).
-        """
-        loss = self.forward_backward(batch)
-        self.optimizer.step_flat()
-        return loss
-
-    def forward_backward(self, batch: np.ndarray) -> float:
-        """Fused forward + loss + hand-derived backward into the flat buffer."""
-        # Refresh the flat views first: the first call fuses parameter
-        # .data storage into the optimizer's flat vector, and staging should
-        # read the post-fusion arrays.
-        views = self._refresh_grad_views()
-        stage = self._stage()
-        space = self.arena.space(("eval", batch.shape, batch.dtype.str))
-        prediction = self._forward(batch, stage)
-        diff = self._windowed_diff(prediction, batch)
-        loss = self._mse_plus_penalties(diff, self._penalty_terms())
-        self._backward(space, stage, batch, diff, views)
-        return loss
-
-    def gradients(self, batch: np.ndarray) -> Dict[str, np.ndarray]:
-        """Per-parameter gradient copies for one batch (no optimizer step).
-
-        Test hook: the returned dict maps parameter names to owned arrays,
-        directly comparable against autograd ``parameter.grad`` values.
-        """
-        batch = self.prepare_windows(batch)
-        if batch.ndim == 2:
-            batch = batch[None]
-        self.forward_backward(batch)
-        return {name: view.copy() for name, view in self._grad_views.items()}
-
-    def _backward_plan(self, space: ScratchSpace, stage: dict,
-                       x: np.ndarray,
-                       views: Dict[str, np.ndarray]) -> _SoloBackwardPlan:
-        """The cached handle plan for this workload, rebuilt when stale."""
-        gdtype = self.optimizer.flat_gradient.dtype
-        cdtype = np.result_type(x.dtype, stage["kernel_eff"].dtype)
-        adtype = np.result_type(x.dtype, stage["embed_weight"].dtype)
-        signature = (gdtype.str, adtype.str, cdtype.str)
-        key = (x.shape, x.dtype.str)
-        plan = self._backward_plans.get(key)
-        if plan is None or plan.space is not space \
-                or plan.grad_id != self._grad_buffer_id \
-                or plan.signature != signature:
-            plan = _SoloBackwardPlan(space, stage, self.model, x.shape,
-                                     x.dtype, views, gdtype, adtype, cdtype)
-            plan.grad_id = self._grad_buffer_id
-            self._backward_plans[key] = plan
-        return plan
-
-    # ------------------------------------------------------------------ #
-    # Hand-derived backward
-    # ------------------------------------------------------------------ #
-    @hot_path
-    def _backward(self, space: ScratchSpace, stage: dict, x: np.ndarray,
-                  diff: np.ndarray, views: Dict[str, np.ndarray]) -> None:
-        p = self._backward_plan(space, stage, x, views)
-        model = self.model
-        config = model.config
-        batch, n, window = x.shape
-        f64 = np.float64  # repro: allow(dtype-purity): L1 signs are f64
-        one = f64(1.0)
-
-        # --- loss node: L1 signs (first accumulation into kernel/masks)
-        # and the windowed-MSE gradient seed into the prediction ---------- #
-        if p.has_l1_kernel:
-            _scaled_sign(p.kernel_view, model.convolution.kernel.data,
-                         config.lambda_kernel * one)
-        if p.has_l1_mask:
-            for view, mask in zip(p.mask_views,
-                                  model.attention.mask_parameters):
-                _scaled_sign(view, mask.data, config.lambda_mask * one)
-        # Slot 0 of the seed is the padding slot the loss never reads; the
-        # buffer's allocation zero-fill persists there (never written).
-        np.multiply(diff, (2.0 / diff.size) * one, out=p.grad_pred[..., 1:])
-
-        # --- MLP tail backward (2-D GEMMs and cross-row reductions stay
-        # serial: row-splitting them could change BLAS summation order) -- #
-        np.matmul(p.ffn.T, p.grad2d, out=p.w3_tmp)
-        p.w3_view[...] = p.w3_tmp
-        p.grad2d.sum(axis=0, out=p.b3_tmp)
-        p.b3_view[...] = p.b3_tmp
-        np.matmul(p.grad2d, stage["w3"].T, out=p.grad_ffn)
-        np.matmul(p.hidden.T, p.grad_ffn, out=p.w2_tmp)
-        p.w2_view[...] = p.w2_tmp
-        p.grad_ffn.sum(axis=0, out=p.b2_tmp)
-        p.b2_view[...] = p.b2_tmp
-        np.matmul(p.grad_ffn, stage["w2"].T, out=p.grad_hidden)
-        p.grad_hidden *= p.slope
-        np.matmul(p.combined2d.T, p.grad_hidden, out=p.w1_tmp)
-        p.w1_view[...] = p.w1_tmp
-        p.grad_hidden.sum(axis=0, out=p.b1_tmp)
-        p.b1_view[...] = p.b1_tmp
-        np.matmul(p.grad_hidden, stage["w1"].T, out=p.grad_combined)
-
-        # --- attention combination backward (threaded over the batch
-        # axis) ---------------------------------------------------------- #
-        w_out_col = stage["w_output"][None, None, :, None]
-
-        def combine_body(lo, hi):
-            np.multiply(p.grad_comb3d[lo:hi, :, None, :], w_out_col,
-                        out=p.grad_heads[lo:hi])
-            np.matmul(p.grad_heads[lo:hi], p.v_t[lo:hi], out=p.grad_a[lo:hi])
-            np.matmul(p.a_t[lo:hi], p.grad_heads[lo:hi], out=p.grad_v[lo:hi])
-
-        parallel_for(combine_body, batch,
-                     outputs=((p.grad_heads, 0), (p.grad_a, 0),
-                              (p.grad_v, 0)))
-        # w_output: np.tensordot(head_outputs, grad, ([0,1,3],[0,1,2]))
-        # unrolled to its internal transpose-copy + dot.
-
-        def ho_body(lo, hi):
-            np.copyto(p.ho_flat_r[:, lo:hi], p.ho_src[:, lo:hi])
-
-        parallel_for(ho_body, batch, outputs=((p.ho_flat_r, 1),))
-        np.dot(p.ho_flat, p.grad_combined_col, out=p.wout_tmp)
-        p.wout_view[...] = p.wout_tmp[:, 0]
-
-        # --- attention probabilities backward (softmax Jacobian, threaded
-        # over the batch axis; modulation broadcasts and is never sliced) - #
-        modulation = stage["modulation"]
-
-        def attention_body(lo, hi):
-            np.multiply(p.grad_probs[:, lo:hi], p.probs[:, lo:hi],
-                        out=p.product[:, lo:hi])
-            p.product[:, lo:hi].sum(axis=-1, keepdims=True,
-                                    out=p.dot[:, lo:hi])
-            np.subtract(p.grad_probs[:, lo:hi], p.dot[:, lo:hi],
-                        out=p.grad_masked[:, lo:hi])
-            np.multiply(p.probs[:, lo:hi], p.grad_masked[:, lo:hi],
-                        out=p.grad_masked[:, lo:hi])
-            np.multiply(p.grad_masked[:, lo:hi], modulation,
-                        out=p.grad_raw[:, lo:hi])
-            np.matmul(p.grad_raw[:, lo:hi], p.key_half[:, lo:hi],
-                      out=p.gq[:, lo:hi])
-            np.matmul(p.grad_raw_t[:, lo:hi], p.query_half[:, lo:hi],
-                      out=p.gk[:, lo:hi])
-
-        parallel_for(attention_body, batch,
-                     outputs=((p.product, 1), (p.dot, 1),
-                              (p.grad_masked, 1), (p.grad_raw, 1),
-                              (p.gq, 1), (p.gk, 1)))
-
-        def grad2d_body(lo, hi):
-            np.copyto(p.grad_2d_r[lo:hi], p.grad_qk_src[lo:hi])
-
-        parallel_for(grad2d_body, batch, outputs=((p.grad_2d_r, 0),))
-        # Embedding (fused into the same node on the training path); the
-        # weight-gradient GEMMs reduce across rows, so they stay serial.
-        np.matmul(p.grad_2d, stage["weight_flat"].T, out=p.grad_emb)
-        x2d = x.reshape(batch * n, window)
-        np.matmul(x2d.T, p.grad_emb, out=p.ew_tmp)
-        p.ew_view[...] = p.ew_tmp
-        p.grad_emb.sum(axis=0, out=p.eb_tmp)
-        p.eb_view[...] = p.eb_tmp
-        # Per-head Q/K weights and biases (one GEMM, sliced out per head).
-        np.matmul(p.emb.T, p.grad_2d, out=p.gw)
-        p.grad_2d.sum(axis=0, out=p.gb)
-        for wq_view, bq_view, wk_view, bk_view, query, key in p.head_views:
-            wq_view[...] = p.gw[:, query]
-            bq_view[...] = p.gb[query]
-            wk_view[...] = p.gw[:, key]
-            bk_view[...] = p.gb[key]
-        # Masks: second accumulation on top of the L1 signs, cast first.
-        # The product is per-element (threaded); the cross-batch sum is a
-        # reduction over the chunked axis and stays serial.
-
-        def mask_prod_body(lo, hi):
-            np.multiply(p.grad_masked[:, lo:hi], p.raw[:, lo:hi],
-                        out=p.product[:, lo:hi])
-
-        parallel_for(mask_prod_body, batch, outputs=((p.product, 1),))
-        p.product.sum(axis=1, out=p.gmask)
-        attention = model.attention
-        p.gmask *= 1.0 / (attention.temperature * np.sqrt(attention.d_qk))
-        for index, mask_view in enumerate(p.mask_views):
-            if p.has_l1_mask:
-                np.copyto(p.mask_cast, p.gmask[index])
-                mask_view += p.mask_cast
-            else:
-                mask_view[...] = p.gmask[index]
-
-        # --- causal convolution backward (kernel only; inputs carry no
-        # grad) ---------------------------------------------------------- #
-        # Node-boundary cast to the values dtype, then the routed transpose.
-
-        def shifted_body(lo, hi):
-            np.copyto(p.shifted[lo:hi], p.grad_v_t[lo:hi])
-
-        parallel_for(shifted_body, batch, outputs=((p.shifted, 0),))
-        # Undo the Eq. 4 right-shift: the diagonal gradient at slot t+1
-        # flows to the pre-shift entry at slot t.
-        for index in range(n):
-            np.copyto(p.shift_buf, p.shifted[:, index, index, :])
-            p.shifted[:, index, index, :-1] = p.shift_buf[:, 1:]
-            p.shifted[:, index, index, -1] = 0.0
-        scale_array = stage["scale_array"]
-
-        def scaled_body(lo, hi):
-            np.multiply(p.shifted[lo:hi], scale_array,
-                        out=p.grad_scaled[lo:hi])
-
-        parallel_for(scaled_body, batch, outputs=((p.grad_scaled, 0),))
-
-        def kernel_body(lo, hi):
-            np.copyto(p.flat_k_r[lo:hi], p.grad_scaled_t[lo:hi])
-            np.matmul(p.flat_k[lo:hi], p.windows_flat[lo:hi],
-                      out=p.kgrad[lo:hi])
-
-        parallel_for(kernel_body, n,
-                     outputs=((p.flat_k_r, 0), (p.kgrad, 0)))
-        if p.single_kernel:
-            # effective_kernel broadcast node: gradient × constant ones (an
-            # exact ×1.0, elided), node-boundary cast, then the engine's
-            # unbroadcast sum down to the (1, 1, T) parameter — the cast
-            # happens before the sum in `Tensor._push`.
-            np.copyto(p.cast_eff, p.kgrad)
-            p.cast_eff.sum(axis=(0, 1), keepdims=True, out=p.ksum)
-            if p.has_l1_kernel:
-                p.kernel_view += p.ksum
-            else:
-                p.kernel_view[...] = p.ksum
-        elif p.has_l1_kernel:
-            if p.kcast is None:
-                p.kernel_view += p.kgrad
-            else:
-                np.copyto(p.kcast, p.kgrad)
-                p.kernel_view += p.kcast
-        else:
-            p.kernel_view[...] = p.kgrad
 
 
 class _StackedBackwardPlan:
@@ -689,28 +250,27 @@ class _StackedBackwardPlan:
 class StackedTrainingEngine(StackedInferenceEngine):
     """Lockstep fused training step for ``K`` same-architecture models.
 
-    The stacked analogue of :class:`TrainingEngine`, built for
-    :class:`repro.core.batched.StackedCausalFormerTrainer`: one fused
-    forward (the inherited :class:`~repro.nn.inference
-    .StackedInferenceEngine` forward, bit-identical per model to the solo
-    engine) and one hand-derived backward with a leading model axis,
-    writing every gradient into the trainer's stacked ``(K, *shape)`` views
-    of its flat ``(K, P)`` gradient matrix.  All backward temporaries live
-    in the engine's arena, so steady-state steps allocate nothing.
+    One fused forward (the inherited :class:`~repro.nn.inference
+    .StackedInferenceEngine` forward) and one hand-derived backward with a
+    leading model axis, writing every gradient into ``(K, *shape)`` views
+    of a flat ``(K, P)`` gradient matrix.  All backward temporaries live in
+    the engine's arena, so steady-state steps allocate nothing.  The batched
+    sweep (:class:`repro.core.batched.StackedCausalFormerTrainer`) runs it
+    at full width; :class:`TrainingEngine` runs it at ``K = 1``.
 
-    Because this *is* a stacked inference engine, the trainer runs its
-    validation passes through the same object — and hands the same arena to
-    the group detector interpretation — so one buffer pool serves all three
-    phases of a batched sweep.
+    Because this *is* a stacked inference engine, a trainer runs its
+    validation passes through the same object — and the batched sweep hands
+    the same arena to the group detector interpretation — so one buffer
+    pool serves every phase.
 
     Parameters
     ----------
     models:
-        The fleet (parameters already re-pointed at the trainer's stack).
+        The fleet (parameters already re-pointed at the stacked views).
     stacked:
         Name → ``(K, *shape)`` stacked parameter views.
     grad_views:
-        Name → ``(K, *shape)`` views into the trainer's gradient matrix.
+        Name → ``(K, *shape)`` views into the flat gradient matrix.
     """
 
     _PROFILED_OPS = StackedInferenceEngine._PROFILED_OPS + ("_backward",)
@@ -725,11 +285,13 @@ class StackedTrainingEngine(StackedInferenceEngine):
 
     def rebind(self, models: Sequence, stacked: Dict[str, np.ndarray],
                grad_views: Dict[str, np.ndarray]) -> None:
-        """Re-point the engine at a repacked fleet (lane compaction/refill).
+        """Re-point the engine at new parameter and gradient views.
 
         The stacked trainer repacks its ``(K, P)`` matrices in place when a
         lane retires or a freed lane is refilled from the job queue, then
-        hands the engine the fresh ``(K', *shape)`` views.  Re-running the
+        hands the engine the fresh ``(K', *shape)`` views; a
+        :class:`TrainingEngine` rebinds when its optimizer re-fuses the flat
+        buffers.  Re-running the
         architecture validation through ``StackedInferenceEngine.__init__``
         keeps the compatibility guarantees while preserving the arena (and
         with it every per-shape scratch space), any installed profiling
@@ -825,22 +387,17 @@ class StackedTrainingEngine(StackedInferenceEngine):
         dtype.  Returns one Eq. 9 loss per model; the caller applies the
         stacked Adam update.
         """
+        return self._step(batch)
+
+    def _step(self, batch: np.ndarray) -> List[float]:
         stage = self._stage()
         space = self.arena.space(("stack.eval", batch.shape, batch.dtype.str))
         prediction = self._forward(batch, stage)
         diff = self._windowed_diff(prediction, batch)
-        losses = [
-            InferenceEngine._mse_plus_penalties(
-                diff[row], self._penalty_terms(row))
-            for row in range(len(self.models))]
+        losses = [_mse_plus_penalties(diff[row], self._penalty_terms(row))
+                  for row in range(len(self.models))]
         self._backward(space, stage, batch, diff)
         return losses
-
-    def _penalty_terms(self, row: int) -> List[float]:
-        from repro.nn.inference import _loss_penalty_terms
-
-        return _loss_penalty_terms(self.models[row], self.arena,
-                                   prefix=f"m{row}.")
 
     def _backward_plan(self, space: ScratchSpace, stage: dict,
                        xb: np.ndarray) -> _StackedBackwardPlan:
@@ -1092,3 +649,99 @@ class StackedTrainingEngine(StackedInferenceEngine):
             p.kernel_view += p.kgrad
         else:
             p.kernel_view[...] = p.kgrad
+
+
+class TrainingEngine(InferenceEngine):
+    """One model's fused training step: :class:`StackedTrainingEngine` at K = 1.
+
+    Parameters
+    ----------
+    model:
+        A :class:`~repro.core.transformer.CausalityAwareTransformer`.
+    optimizer:
+        The model's :class:`~repro.nn.optim.Adam` over all of its
+        parameters; gradients are written directly into its fused flat
+        buffer and :meth:`train_step` finishes with
+        :meth:`~repro.nn.optim.Adam.step_flat`.
+    arena:
+        Optional shared :class:`~repro.nn.inference.ScratchArena`; a private
+        one is created when omitted.
+
+    The fleet of one trains on ``(1, *shape)`` views: of each parameter's
+    live data, and of the Adam flat gradient buffer viewed as ``(1, P)``.
+    The views are rebuilt whenever the optimizer re-fuses its buffers or a
+    parameter's storage is replaced.  Being an :class:`InferenceEngine`,
+    the same engine (and arena) also runs the trainer's validation passes.
+    """
+
+    def __init__(self, model, optimizer,
+                 arena: Optional[ScratchArena] = None) -> None:
+        self.model = model
+        self.optimizer = optimizer
+        self._fleet = StackedTrainingEngine([model], {}, {}, arena)
+        self._binding: Optional[tuple] = None
+
+    @property
+    def fleet(self) -> StackedTrainingEngine:
+        """The one-model training fleet, bound to the current buffers."""
+        flat_views = self.optimizer.ensure_flat()
+        gradient = self.optimizer.flat_gradient
+        binding = (id(gradient),) + tuple(
+            id(parameter.data) for parameter, _slice, _shape in flat_views)
+        if binding != self._binding:
+            names = {id(parameter): name
+                     for name, parameter in self.model.named_parameters()}
+            rows = gradient.reshape(1, -1)
+            stacked, grad_views = {}, {}
+            for parameter, view_slice, shape in flat_views:
+                name = names[id(parameter)]
+                stacked[name] = parameter.data[None]
+                grad_views[name] = rows[:, view_slice].reshape((1,) + shape)
+            self._fleet.rebind([self.model], stacked, grad_views)
+            self._binding = binding
+        return self._fleet
+
+    def prepare_windows(self, windows: np.ndarray) -> np.ndarray:
+        """Replay the per-batch Tensor-construction cast chain once, up front.
+
+        An autograd loop builds ``Tensor(windows[order[...]])`` per batch
+        (casting to the engine default dtype) and the reference forward
+        re-casts through the model dtype when they differ.  Both casts are
+        elementwise, so applying them to the whole window set once and
+        gathering rows afterwards is bit-identical to gathering first.
+        """
+        from repro.nn import tensor as T
+
+        default = np.dtype(T.get_default_dtype())
+        arr = np.asarray(windows, dtype=default)
+        dtype = self.dtype
+        if arr.dtype != dtype:
+            arr = np.asarray(arr.astype(dtype), dtype=default)
+        return np.ascontiguousarray(arr)
+
+    def train_step(self, batch: np.ndarray) -> float:
+        """One fused forward + backward + Adam update; returns the Eq. 9 loss.
+
+        ``batch`` must be a C-contiguous ``(B, N, T)`` array prepared via
+        :meth:`prepare_windows` (or already in the engine default dtype).
+        """
+        loss = self.forward_backward(batch)
+        self.optimizer.step_flat()
+        return loss
+
+    def forward_backward(self, batch: np.ndarray) -> float:
+        """Fused forward + loss + hand-derived backward into the flat buffer."""
+        return self.fleet._step(batch[None])[0]
+
+    def gradients(self, batch: np.ndarray) -> Dict[str, np.ndarray]:
+        """Per-parameter gradient copies for one batch (no optimizer step).
+
+        Test hook: the returned dict maps parameter names to owned arrays,
+        directly comparable against autograd ``parameter.grad`` values.
+        """
+        batch = self.prepare_windows(batch)
+        if batch.ndim == 2:
+            batch = batch[None]
+        self.forward_backward(batch)
+        return {name: view[0].copy()
+                for name, view in self._fleet._grad_views.items()}

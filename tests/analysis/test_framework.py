@@ -158,13 +158,13 @@ class TestContracts:
 
     def test_engine_hot_paths_are_marked(self):
         from repro.contracts import is_hot_path
-        from repro.nn.inference import (InferenceEngine, max_last_keepdims,
-                                        sum_last_keepdims)
+        from repro.nn.inference import (StackedInferenceEngine,
+                                        max_last_keepdims, sum_last_keepdims)
 
         assert is_hot_path(max_last_keepdims)
         assert is_hot_path(sum_last_keepdims)
-        assert is_hot_path(InferenceEngine._forward)
-        assert is_hot_path(InferenceEngine._softmax_inplace)
+        assert is_hot_path(StackedInferenceEngine._forward)
+        assert is_hot_path(StackedInferenceEngine._softmax_inplace)
 
 
 class TestTreeGate:

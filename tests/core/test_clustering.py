@@ -53,7 +53,7 @@ class TestSelectTopScores:
         np.testing.assert_array_equal(keep, [False, False, True, True])
 
     def test_density_control(self):
-        """m/n = 1 keeps everything; m = 0 keeps nothing."""
+        """m/n = 1 keeps every positive score; m = 0 keeps nothing."""
         scores = np.array([0.1, 0.5, 0.9])
         assert select_top_scores(scores, 2, 2).all()
         assert not select_top_scores(scores, 2, 0).any()
@@ -108,3 +108,20 @@ class TestSelectTopScores:
     def test_relative_near_tie_keeps_everything(self):
         scores = 0.7 * (1.0 + np.array([0.0, 1e-7, -1e-7, 2e-7]))
         assert select_top_scores(scores, 2, 1).all()
+
+    def test_zero_never_kept_when_kmeans_falls_back(self):
+        """lorenz_preset keeps the top 2 of 3 clusters; a row with only two
+        distinct values, one of them 0, leaves k-means two clusters, so
+        both would be kept — the zero scores must still create no edge."""
+        from repro.core import lorenz_preset
+
+        config = lorenz_preset()
+        assert (config.top_clusters, config.n_clusters) == (2, 3)
+        keep = select_top_scores(np.array([0.0, 0.4, 0.0, 0.4]),
+                                 config.n_clusters, config.top_clusters,
+                                 rng=np.random.default_rng(0))
+        np.testing.assert_array_equal(keep, [False, True, False, True])
+
+    def test_zero_never_kept_when_every_cluster_is_kept(self):
+        keep = select_top_scores(np.array([0.0, 0.1, 0.5, 0.0]), 2, 2)
+        np.testing.assert_array_equal(keep, [False, True, True, False])

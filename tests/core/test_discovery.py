@@ -132,3 +132,60 @@ class TestAblationsRun:
         model = CausalFormer(fast_preset(max_epochs=4), **kwargs)
         graph = model.discover(fork_data)
         assert graph.n_series == fork_data.n_series
+
+
+class TestInputRescaling:
+    """Metamorphic: a positive rescaling of the input leaves the graph alone.
+
+    Z-scoring removes each series' scale, and scaling by a power of two is
+    exact in floating point, so the normalised values — and with them every
+    later step — should be bit-identical, on the solo path and through the
+    batched group interpretation.  Today ``zscore_normalize`` divides by
+    ``std + 1e-8``; that absolute guard does not scale with the data, so the
+    normalised values differ by ~1e-8 and the fits drift apart.
+    """
+
+    def _values(self):
+        return synthetic_dataset("diamond", seed=0, length=200).values
+
+    def _method(self):
+        return CausalFormer(fast_preset(max_epochs=5, seed=0))
+
+    @staticmethod
+    def _edges(graph):
+        return sorted(edge.as_tuple() for edge in graph.edges)
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "zscore_normalize's absolute 1e-8 guard is not scale-free"))
+    @pytest.mark.parametrize("exponent", [-3, 5])
+    def test_solo_graph_unchanged(self, exponent):
+        values = self._values()
+        method, scaled = self._method(), self._method()
+        graph = method.discover(values)
+        scaled_graph = scaled.discover(values * 2.0 ** exponent)
+        assert np.array_equal(scaled._fitted_values, method._fitted_values)
+        assert self._edges(scaled_graph) == self._edges(graph)
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "zscore_normalize's absolute 1e-8 guard is not scale-free"))
+    @pytest.mark.parametrize("exponent", [-3, 5])
+    def test_group_graph_unchanged(self, exponent):
+        from repro.core.batched import StackedCausalFormerTrainer
+        from repro.core.detector import compute_scores_group
+
+        values = self._values()
+        methods = [self._method(), self._method()]
+        prepared = [method.prepare_fit(data) for method, data
+                    in zip(methods, (values, values * 2.0 ** exponent))]
+        histories = StackedCausalFormerTrainer(
+            [method.model_ for method in methods]).fit(prepared)
+        for method, data, history in zip(methods, prepared, histories):
+            method.finalize_fit(data, history)
+        detectors = [method.build_detector() for method in methods]
+        scores = compute_scores_group(
+            detectors, [method.detector_windows() for method in methods])
+        graphs = [method.adopt_interpretation(detector, score)
+                  for method, detector, score
+                  in zip(methods, detectors, scores)]
+        assert np.array_equal(prepared[1], prepared[0])
+        assert self._edges(graphs[1]) == self._edges(graphs[0])

@@ -115,7 +115,7 @@ class TestPerTargetParity:
         for row, (model, windows) in enumerate(zip(models, window_sets)):
             engine = InferenceEngine(model)
             forward = engine.interpretation_forward(windows)
-            reference = per_target_gradients(engine, forward, targets)
+            reference = per_target_gradients(model, forward, targets)
             if path == "solo":
                 one_pass = engine.interpretation_gradients(forward)
             else:

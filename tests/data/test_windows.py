@@ -56,6 +56,18 @@ class TestNormalisation:
         normalized = zscore_normalize(np.ones((2, 10)))
         assert np.isfinite(normalized).all()
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "zscore_normalize divides by std + 1e-8: the absolute guard does "
+        "not scale with the data, so an affine map moves the output by "
+        "~1e-8"))
+    @pytest.mark.parametrize("scale,shift", [
+        (2.0 ** -3, 0.0), (2.0 ** 5, 0.0), (3.7, -12.5), (1e3, 4.0)])
+    def test_zscore_invariant_under_positive_affine_maps(self, scale, shift):
+        values = np.random.default_rng(3).normal(size=(4, 300)).cumsum(axis=1)
+        np.testing.assert_allclose(zscore_normalize(scale * values + shift),
+                                   zscore_normalize(values), rtol=0,
+                                   atol=1e-12)
+
     def test_zscore_constant_series_is_exactly_zero(self):
         values = np.random.default_rng(2).normal(size=(3, 137))
         values[1] = 3.7   # its rounded mean is not exactly 3.7

@@ -6,8 +6,9 @@ autograd reference (``CausalityAwareTransformer.forward``/``loss``) across
 the Table 3 training ablation grid in float64 and float32.  The engine and
 the reference sum in different orders, so these are tolerance checks
 (``tests.conftest.REFERENCE_TOLERANCE``).  Inside the engines the contract
-stays exact: the stacked engine reproduces the solo engine bit for bit, and
-steady-state evaluation reuses its scratch buffers instead of allocating.
+stays exact: a K-model fleet reproduces each model's fleet of one (the
+``InferenceEngine`` face) bit for bit, and steady-state evaluation reuses
+its scratch buffers instead of allocating.
 """
 
 import numpy as np
@@ -16,7 +17,8 @@ import pytest
 from repro.core.config import CausalFormerConfig
 from repro.core.training import Trainer
 from repro.core.transformer import CausalityAwareTransformer
-from repro.nn.inference import InferenceEngine, ScratchArena
+from repro.nn.inference import (InferenceEngine, ScratchArena,
+                                StackedInferenceEngine)
 from repro.nn.tensor import Tensor, default_dtype, no_grad
 from tests.conftest import ABLATION_GRID, assert_matches_reference
 
@@ -96,26 +98,24 @@ class TestForwardParity:
     def test_convolution_matches_reference(self):
         model, _config = build(np.float64)
         x = window_batch(model)
-        engine = InferenceEngine(model)
-        stage = engine._stage()
-        space = engine.arena.space(("test", x.shape))
-        values, _flat = engine._convolution(space, x, stage)
+        fleet = InferenceEngine(model).fleet
+        space = fleet.arena.space(("test", x.shape))
+        values, _flat = fleet._convolution(space, x[None], fleet._stage())
         with no_grad():
             reference = model.convolution(Tensor(x.copy()))
-        assert_matches_reference(values, reference.data, np.float64)
+        assert_matches_reference(values[0], reference.data, np.float64)
 
     def test_attention_probs_match_reference(self):
         model, _config = build(np.float64)
         x = window_batch(model)
-        engine = InferenceEngine(model)
-        stage = engine._stage()
-        space = engine.arena.space(("test", x.shape))
-        probs, _emb, _scores = engine._attention_probs(space, x, stage)
+        fleet = InferenceEngine(model).fleet
+        space = fleet.arena.space(("test", x.shape))
+        probs = fleet._attention_probs(space, x[None], fleet._stage())
         with no_grad():
             _prediction, cache = model(Tensor(x.copy()))
         reference = np.stack([head.attention_data
                               for head in cache.head_caches])
-        assert_matches_reference(probs, reference, np.float64)
+        assert_matches_reference(probs[0], reference, np.float64)
 
     @pytest.mark.parametrize("overrides", ABLATION_GRID)
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
@@ -143,11 +143,8 @@ class TestForwardParity:
         engine = InferenceEngine(model)
         windows = np.random.default_rng(3).normal(size=(17, config.n_series, 10))
         full = engine.evaluate(windows, config.batch_size)
-        engine.FULL_BATCH_ELEMENT_LIMIT = 1   # force the chunk loop
-        try:
-            assert engine.evaluate(windows, config.batch_size) == full
-        finally:
-            del engine.FULL_BATCH_ELEMENT_LIMIT
+        engine.fleet.FULL_BATCH_ELEMENT_LIMIT = 1   # force the chunk loop
+        assert engine.evaluate(windows, config.batch_size) == full
 
     def test_predict_matches_forward_and_owns_result(self):
         model, _config = build(np.float64)
@@ -250,9 +247,10 @@ class TestSteadyStateReuse:
 
 
 class TestStackedEngine:
-    """StackedInferenceEngine: per-model results bit-identical to the
-    single-model engine, in float64 and float32 alike (the stacked buffers
-    dispatch the same per-slice GEMMs and reductions)."""
+    """A K-model StackedInferenceEngine: per-model results bit-identical to
+    each model's fleet of one (the InferenceEngine face), in float64 and
+    float32 alike (the stacked buffers dispatch the same per-slice GEMMs and
+    reductions at any width)."""
 
     def _fleet(self, dtype, n_models=3, **overrides):
         models = [build(dtype, seed=seed, **overrides)[0]
@@ -268,8 +266,6 @@ class TestStackedEngine:
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_evaluate_matches_per_model(self, dtype):
-        from repro.nn.inference import StackedInferenceEngine
-
         models, window_sets = self._fleet(dtype)
         stacked = StackedInferenceEngine(models).evaluate(window_sets, 4)
         single = [InferenceEngine(model).evaluate(windows, 4)
@@ -278,9 +274,8 @@ class TestStackedEngine:
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_chunked_evaluate_matches_per_model(self, dtype, monkeypatch):
-        from repro.nn.inference import StackedInferenceEngine
-
-        monkeypatch.setattr(InferenceEngine, "FULL_BATCH_ELEMENT_LIMIT", 1)
+        monkeypatch.setattr(StackedInferenceEngine, "FULL_BATCH_ELEMENT_LIMIT",
+                            1)
         models, window_sets = self._fleet(dtype)
         stacked = StackedInferenceEngine(models).evaluate(window_sets, 4)
         single = [InferenceEngine(model).evaluate(windows, 4)
@@ -289,8 +284,6 @@ class TestStackedEngine:
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_forward_matches_per_model(self, dtype):
-        from repro.nn.inference import StackedInferenceEngine
-
         models, window_sets = self._fleet(dtype)
         stacked = StackedInferenceEngine(models).forward(window_sets)
         for row, (model, windows) in enumerate(zip(models, window_sets)):
@@ -304,8 +297,6 @@ class TestStackedEngine:
     @pytest.mark.parametrize("single_kernel", [False, True])
     def test_interpretation_forward_matches_per_model(self, dtype,
                                                       single_kernel):
-        from repro.nn.inference import StackedInferenceEngine
-
         models, window_sets = self._fleet(dtype, single_kernel=single_kernel)
         stacked = StackedInferenceEngine(models)
         forward = stacked.interpretation_forward(window_sets)
@@ -329,8 +320,6 @@ class TestStackedEngine:
     @pytest.mark.parametrize("single_kernel", [False, True])
     def test_interpretation_gradients_match_per_model(self, dtype,
                                                       single_kernel):
-        from repro.nn.inference import StackedInferenceEngine
-
         models, window_sets = self._fleet(dtype, single_kernel=single_kernel)
         stacked = StackedInferenceEngine(models)
         forward = stacked.interpretation_forward(window_sets)
@@ -344,24 +333,18 @@ class TestStackedEngine:
             assert np.array_equal(kernel_grads[row], reference[1])
 
     def test_rejects_mismatched_architectures(self):
-        from repro.nn.inference import StackedInferenceEngine
-
         model_a, _ = build(np.float64)
         model_b, _ = build(np.float64, window=16)
         with pytest.raises(ValueError, match="same-architecture"):
             StackedInferenceEngine([model_a, model_b])
 
     def test_rejects_mismatched_window_shapes(self):
-        from repro.nn.inference import StackedInferenceEngine
-
         models, window_sets = self._fleet(np.float64, n_models=2)
         with pytest.raises(ValueError, match="same-shape"):
             StackedInferenceEngine(models).evaluate(
                 [window_sets[0], window_sets[1][:4]], 4)
 
     def test_steady_state_reuses_buffers(self):
-        from repro.nn.inference import StackedInferenceEngine
-
         models, window_sets = self._fleet(np.float64)
         engine = StackedInferenceEngine(models)
         first = engine.evaluate(window_sets, 4)
@@ -373,8 +356,6 @@ class TestStackedEngine:
 
 class TestStackedEngineValidation:
     def test_rejects_mismatched_temperature(self):
-        from repro.nn.inference import StackedInferenceEngine
-
         model_a, _ = build(np.float64)
         model_b, _ = build(np.float64, seed=1)
         model_b.attention.temperature = 2.0
@@ -385,8 +366,6 @@ class TestStackedEngineValidation:
         """The stacked full-batch branch divides the element budget by the
         fleet size; whichever branch each side takes, the per-model results
         stay bit-identical."""
-        from repro.nn.inference import InferenceEngine, StackedInferenceEngine
-
         models = [build(np.float64, seed=seed)[0] for seed in range(3)]
         rng = np.random.default_rng(3)
         window_sets = [np.ascontiguousarray(
@@ -396,14 +375,13 @@ class TestStackedEngineValidation:
         per_model_elements = 9 * models[0].config.n_series ** 2 \
             * models[0].config.window
         # A limit between the per-model and the stacked footprint: the
-        # single engines run full-batch, the stacked engine chunks.
-        import repro.nn.inference as inference_module
-        original = InferenceEngine.FULL_BATCH_ELEMENT_LIMIT
-        InferenceEngine.FULL_BATCH_ELEMENT_LIMIT = 2 * per_model_elements
+        # fleets of one run full-batch, the three-model fleet chunks.
+        original = StackedInferenceEngine.FULL_BATCH_ELEMENT_LIMIT
+        StackedInferenceEngine.FULL_BATCH_ELEMENT_LIMIT = 2 * per_model_elements
         try:
             stacked = StackedInferenceEngine(models).evaluate(window_sets, 4)
             single = [InferenceEngine(model).evaluate(windows, 4)
                       for model, windows in zip(models, window_sets)]
         finally:
-            InferenceEngine.FULL_BATCH_ELEMENT_LIMIT = original
+            StackedInferenceEngine.FULL_BATCH_ELEMENT_LIMIT = original
         assert stacked == single

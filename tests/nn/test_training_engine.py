@@ -10,8 +10,9 @@ Two contracts, stated separately:
   this is a tolerance check (``tests.conftest.REFERENCE_TOLERANCE``).
 * **Engine-internal bit identity.**  ``Trainer.fit``'s block gather must
   reproduce a naive shuffled per-batch loop over ``TrainingEngine
-  .train_step`` bit for bit, and every row of the stacked engine must equal
-  a solo engine step bit for bit.
+  .train_step`` bit for bit, and every row of a K-model stacked engine must
+  equal that model's ``TrainingEngine`` step (the same engine at K = 1) bit
+  for bit.
 """
 
 import numpy as np
@@ -181,7 +182,7 @@ class TestFitParity:
 
 
 class TestStackedGradientParity:
-    """Per-model stacked gradients == solo engine gradients, to the bit."""
+    """Per-model K-lane gradients == each model's K = 1 gradients, to the bit."""
 
     @pytest.mark.parametrize("overrides", ABLATION_GRID)
     def test_stacked_gradients_bit_identical(self, overrides):
@@ -213,10 +214,41 @@ class TestStackedGradientParity:
 
 
 class TestEngineMechanics:
-    def test_trainer_shares_one_arena_across_phases(self):
+    def test_trainer_validates_on_its_training_engine(self):
+        """Training steps and validation passes share the trainer's arena,
+        which is not the model's."""
         config = make_config()
-        trainer = Trainer(CausalityAwareTransformer(config), config)
-        assert trainer._training.arena is trainer._inference.arena
+        model = CausalityAwareTransformer(config)
+        trainer = Trainer(model, config)
+        calls = []
+        evaluate = trainer._training.evaluate
+        trainer._training.evaluate = \
+            lambda *args: calls.append(args) or evaluate(*args)
+        trainer.fit(training_series(3))
+        assert len(calls) == trainer.history.n_epochs
+        assert trainer._training.arena is not model.inference_engine().arena
+
+    def test_fit_pins_no_training_buffers_on_the_model(self):
+        from repro.core import CausalFormer, fast_preset
+
+        def buffer_names(arena):
+            names = [name for name, _shape in arena._buffers]
+            for space in arena._spaces.values():
+                names.extend(space._buffers)
+            return names
+
+        method = CausalFormer(fast_preset(max_epochs=2, seed=0))
+        method.fit(training_series(4, length=120))
+        names = buffer_names(method.model_.inference_engine().arena)
+        assert not [name for name in names
+                    if name.startswith(("train.", "bwd."))]
+        # The trainer's own arena held them while it trained.
+        trainer = Trainer(CausalityAwareTransformer(method.config),
+                          method.config)
+        trainer.fit(training_series(4, length=120))
+        names = buffer_names(trainer._training.arena)
+        assert any(name.startswith("train.") for name in names)
+        assert any(name.startswith("bwd.") for name in names)
 
     def test_stacked_trainer_shares_engine_with_validation(self):
         configs = [make_config(seed=seed) for seed in range(2)]

@@ -3,8 +3,9 @@
 The paper scores target ``g`` with one gradient pass and one relevance pass
 seeded on output row ``g`` alone (Fig. 6), and combines them per target
 (Eq. 19).  The detector runs a single all-ones pass instead and reads row
-``g``.  This module keeps the one-hot, per-target form — the same engine
-arithmetic with a leading target axis ``G`` — so the tests can assert that
+``g``.  This module keeps the one-hot, per-target form — the same
+arithmetic with a leading target axis ``G``, written against the model's
+weights and the interpretation cache alone — so the tests can assert that
 the one-pass scores, gradients and relevance equal it bit for bit.
 """
 
@@ -15,7 +16,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from repro.core.detector import CausalScores
-from repro.core.relevance import HeadRelevance
+from repro.core.relevance import HeadRelevance, stabilize
 
 
 def one_hot_seed(shape: Tuple[int, int, int], targets: Sequence[int],
@@ -27,24 +28,25 @@ def one_hot_seed(shape: Tuple[int, int, int], targets: Sequence[int],
     return seed
 
 
-def per_target_gradients(engine, forward, targets: Sequence[int]
+def per_target_gradients(model, forward, targets: Sequence[int]
                          ) -> Tuple[np.ndarray, np.ndarray]:
-    """``InferenceEngine.interpretation_gradients`` seeded one-hot per target.
+    """The engines' ``interpretation_gradients`` seeded one-hot per target.
 
+    ``forward`` is one model's ``InterpretationForward`` (of ``model``).
     Returns ``(G, h, B, N, N)`` attention and ``(G, N, N, K)`` kernel
     gradients (``(G, 1, 1, K)`` for the single-kernel ablation, summed over
     both series axes as the autograd unbroadcast does).
     """
-    stage = forward.extras["stage"]
     cache = forward.cache
     batch, n, window = cache.output.shape
     diag = np.arange(n)
     grad_pred = one_hot_seed(cache.output.shape, targets, cache.output.dtype)
-    grad_ffn = grad_pred @ stage["w3"].T
-    grad_hidden = grad_ffn @ stage["w2"].T
+    grad_ffn = grad_pred @ model.output_layer.weight.data.T
+    grad_hidden = grad_ffn @ model.feed_forward.w2.data.T
     grad_hidden *= forward.slope
-    grad_combined = grad_hidden @ stage["w1"].T
-    grad_heads = np.einsum("gbit,h->ghbit", grad_combined, stage["w_output"])
+    grad_combined = grad_hidden @ model.feed_forward.w1.data.T
+    grad_heads = np.einsum("gbit,h->ghbit", grad_combined,
+                           model.attention.w_output.data)
     grad_biht = np.ascontiguousarray(grad_heads.transpose(0, 2, 3, 1, 4))
     grad_a = grad_biht @ forward.v_bijt.transpose(0, 1, 3, 2)
     attention_grads = grad_a.transpose(0, 3, 1, 2, 4)
@@ -54,16 +56,33 @@ def per_target_gradients(engine, forward, targets: Sequence[int]
     diagonal = grad_values[:, :, diag, diag, :]
     grad_values[:, :, diag, diag, :-1] = diagonal[..., 1:]
     grad_values[:, :, diag, diag, -1] = 0.0
-    grad_values = grad_values * stage["scale_array"]
+    grad_values = grad_values * model.convolution._scale_array
     flat = np.ascontiguousarray(grad_values.transpose(0, 2, 3, 1, 4)) \
         .reshape(len(targets), n, n, batch * window)
     kernel_grads = flat @ forward.windows_flat
-    kernel_dtype = engine.model.convolution.kernel.data.dtype
+    kernel_dtype = model.convolution.kernel.data.dtype
     if kernel_grads.dtype != kernel_dtype:
         kernel_grads = np.asarray(kernel_grads, dtype=kernel_dtype)
-    if engine.model.convolution.single_kernel:
+    if model.convolution.single_kernel:
         kernel_grads = kernel_grads.sum(axis=(1, 2), keepdims=True)
     return attention_grads, kernel_grads
+
+
+def rrp_denominators(model, cache, use_bias: bool, epsilon: float) -> dict:
+    """The stabilised RRP denominators (Eq. 15–18) of one cache."""
+    def denominator(outputs, bias):
+        return stabilize(outputs if use_bias else outputs - bias, epsilon)
+
+    return {
+        "output": denominator(cache.output, model.output_layer.bias.data),
+        "ffn_output": denominator(cache.ffn_output,
+                                  model.feed_forward.b2.data),
+        "hidden": denominator(cache.ffn_hidden, model.feed_forward.b1.data),
+        "combined": stabilize(cache.attention_combined, epsilon),
+        "heads": [stabilize(head.head_output_data, epsilon)
+                  for head in cache.head_caches],
+        "values_pre": stabilize(cache.values_pre_shift, epsilon),
+    }
 
 
 def per_target_relevance(rrp, cache, targets: Sequence[int]
@@ -73,24 +92,29 @@ def per_target_relevance(rrp, cache, targets: Sequence[int]
     Returns ``heads[g][h]``: the relevance reaching head ``h`` from the
     seed on row ``targets[g]``.
     """
-    prepared = rrp.prepare(cache)
     model = rrp.model
+    d = rrp_denominators(model, cache, rrp.use_bias, rrp.epsilon)
+    w_output = model.attention.w_output.data
+    kernel = model.convolution.effective_kernel().data
+    scale = 1.0 / np.arange(1, model.config.window + 1, dtype=float)
+    scaled_windows = cache.conv_windows * scale[None, None, :, None]
     diag = np.arange(cache.output.shape[1])
     seed = one_hot_seed(cache.output.shape, targets)
     relevance_ffn_out = cache.ffn_output * (
-        (seed / prepared.d_output) @ model.output_layer.weight.data.T)
+        (seed / d["output"]) @ model.output_layer.weight.data.T)
     relevance_activated = cache.ffn_activated * (
-        (relevance_ffn_out / prepared.d_ffn_output)
+        (relevance_ffn_out / d["ffn_output"])
         @ model.feed_forward.w2.data.T)
     relevance_combined = cache.attention_combined * (
-        (relevance_activated / prepared.d_hidden)
+        (relevance_activated / d["hidden"])
         @ model.feed_forward.w1.data.T)
     per_head = []
     for head_index, head_cache in enumerate(cache.head_caches):
-        relevance_head = (prepared.weighted_heads[head_index]
-                          * relevance_combined / prepared.d_combined)
+        weighted_head = head_cache.head_output_data * w_output[head_index]
+        relevance_head = (weighted_head * relevance_combined
+                          / d["combined"])
         attention = head_cache.attention_data
-        ratio = relevance_head / prepared.d_heads[head_index]
+        ratio = relevance_head / d["heads"][head_index]
         relevance_attention = attention * np.einsum(
             "bjit,gbit->gbij", cache.values, ratio)
         relevance_values = np.einsum(
@@ -98,9 +122,8 @@ def per_target_relevance(rrp, cache, targets: Sequence[int]
         pre_shift = relevance_values.copy()
         pre_shift[:, :, diag, diag, :-1] = relevance_values[:, :, diag, diag, 1:]
         pre_shift[:, :, diag, diag, -1] = 0.0
-        relevance_kernel = prepared.kernel * np.einsum(
-            "bitk,gbijt->gijk", prepared.scaled_windows,
-            pre_shift / prepared.d_values_pre)
+        relevance_kernel = kernel * np.einsum(
+            "bitk,gbijt->gijk", scaled_windows, pre_shift / d["values_pre"])
         per_head.append((relevance_attention, relevance_values,
                          relevance_kernel))
     return [[HeadRelevance(attention=attention[index], values=values[index],
@@ -119,14 +142,13 @@ def per_target_scores(detector, windows: np.ndarray) -> CausalScores:
     if windows.ndim == 2:
         windows = windows[None]
     detector._sync_interpretation_model()
-    engine = detector._engine
-    forward = engine.interpretation_forward(windows)
+    forward = detector._engine.interpretation_forward(windows)
     cache = forward.cache
     _batch, n_series, window = cache.output.shape
     targets = list(range(n_series))
     if detector.use_gradient:
-        attention_grads, kernel_grads = per_target_gradients(engine, forward,
-                                                             targets)
+        attention_grads, kernel_grads = per_target_gradients(
+            detector.model, forward, targets)
     if detector.use_relevance:
         relevances = per_target_relevance(detector._rrp, cache, targets)
     n_heads = len(cache.head_caches)
