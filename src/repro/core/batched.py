@@ -74,7 +74,6 @@ from repro import faults
 from repro.core.config import CausalFormerConfig
 from repro.core.training import (GATHER_ELEMENT_BUDGET, TrainingHistory,
                                  losses_diverged, split_windows)
-from repro.faults import LaneFault
 from repro.core.transformer import CausalityAwareTransformer
 from repro.data.windows import sliding_windows
 from repro.nn.inference import profiling_hook
@@ -187,14 +186,6 @@ class StackedCausalFormerTrainer:
         self._eval_engines = {}
         #: (engine, grad matrix) the next ``_forward_backward`` call runs on
         self._step_ctx = (self.engine, self._grads)
-        #: admission index → error text for lanes quarantined mid-fit (the
-        #: service layer retries these jobs solo)
-        self.quarantined = {}
-        #: stack rows quarantined during the current round (excluded from
-        #: every remaining step and retired at the round boundary)
-        self._dead_rows = set()
-        #: completed rounds (checkpoint cadence unit; survives resume)
-        self._rounds = 0
 
     @staticmethod
     def _compatible(a: CausalFormerConfig, b: CausalFormerConfig) -> bool:
@@ -455,172 +446,10 @@ class StackedCausalFormerTrainer:
         self._flat_dirty = False
 
     # ------------------------------------------------------------------ #
-    # Checkpoint state (consumed by service.checkpoint.FitCheckpointer)
-    # ------------------------------------------------------------------ #
-    def _stacked_checkpoint_state(self):
-        """Snapshot the fleet at a round boundary.
-
-        Captures the live ``(K, P)`` parameter rows (in lane order), the
-        row-masked Adam's moments and per-row step counts, each lane's RNG
-        state / epoch bookkeeping / best-state vector, plus the weights and
-        histories of models already retired — everything a fresh trainer
-        over the same model list needs to replay the next round as if the
-        preceding ones had just happened.
-        """
-        lanes = self._lanes
-        k = self._k
-        optimizer = self._optimizer
-        arrays = {
-            "params": self.params[:k].copy(),
-            "adam_m": optimizer.m[:k].copy(),
-            "adam_v": optimizer.v[:k].copy(),
-        }
-        lane_records = []
-        for row, lane in enumerate(lanes):
-            if lane.best_state is not None:
-                arrays[f"best_{lane.index}"] = np.concatenate(
-                    [saved.ravel() for saved in lane.best_state])
-            lane_records.append({
-                "index": lane.index,
-                "epoch": lane.epoch,
-                "stale_epochs": lane.stale_epochs,
-                "adam_t": optimizer.t[row],
-                "rng": lane.rng.bit_generator.state,
-                "has_best": lane.best_state is not None,
-                "history": lane.history.to_dict(),
-            })
-        live = {lane.index for lane in lanes}
-        retired_records = []
-        for index in range(len(self.models)):
-            if index in live:
-                continue
-            retired_records.append({
-                "index": index,
-                "history": self.histories[index].to_dict(),
-            })
-            arrays[f"model_{index}"] = np.concatenate(
-                [parameter.data.ravel()
-                 for parameter in self._parameters[index]])
-        meta = {
-            "kind": "stacked_fit",
-            "dtype": str(np.dtype(self.dtype)),
-            "n_params": self.n_params,
-            "capacity": self.capacity,
-            "n_models": len(self.models),
-            "seeds": [model.config.seed for model in self.models],
-            "rounds": self._rounds,
-            "lanes": lane_records,
-            "retired": retired_records,
-            "quarantined": {str(index): error
-                            for index, error in self.quarantined.items()},
-        }
-        return {"meta": meta, "arrays": arrays}
-
-    def _restore_stacked_state(self, state, values_list) -> None:
-        """Rebuild lanes from :meth:`_stacked_checkpoint_state` output.
-
-        Validates everything before mutating anything; raises ``KeyError``
-        / ``TypeError`` / ``ValueError`` on any mismatch (different model
-        list, capacity, dtype, architecture, or a snapshot taken after a
-        refill the resumed trainer doesn't know about) so the caller can
-        degrade to a fresh fit.
-        """
-        meta = state["meta"]
-        arrays = state["arrays"]
-        if meta.get("kind") != "stacked_fit":
-            raise ValueError("not a stacked-fit checkpoint")
-        if int(meta["n_models"]) != len(self.models):
-            raise ValueError(
-                "snapshot covers refilled models the fresh trainer lacks")
-        if [int(seed) for seed in meta["seeds"]] != \
-                [model.config.seed for model in self.models]:
-            raise ValueError("checkpoint model seeds mismatch")
-        if meta.get("dtype") != str(np.dtype(self.dtype)):
-            raise ValueError("checkpoint dtype mismatch")
-        if int(meta["n_params"]) != self.n_params:
-            raise ValueError("checkpoint architecture mismatch")
-        if int(meta["capacity"]) != self.capacity:
-            raise ValueError("checkpoint capacity mismatch")
-        lane_records = list(meta["lanes"])
-        retired_records = list(meta["retired"])
-        k = len(lane_records)
-        if not 0 < k <= self.capacity:
-            raise ValueError("checkpoint lane count out of range")
-        live_indices = [int(record["index"]) for record in lane_records]
-        retired_indices = [int(record["index"])
-                           for record in retired_records]
-        if sorted(live_indices + retired_indices) != \
-                list(range(len(self.models))):
-            raise ValueError("checkpoint lane bookkeeping inconsistent")
-        params = np.asarray(arrays["params"])
-        adam_m = np.asarray(arrays["adam_m"])
-        adam_v = np.asarray(arrays["adam_v"])
-        expected = (k, self.n_params)
-        if params.shape != expected or params.dtype != self.dtype:
-            raise ValueError("checkpoint parameter matrix mismatch")
-        if adam_m.shape != expected or adam_v.shape != expected:
-            raise ValueError("checkpoint optimizer matrix mismatch")
-        for record in lane_records:
-            if not isinstance(record["rng"], dict):
-                raise ValueError("checkpoint RNG state malformed")
-            if record.get("has_best") and np.asarray(
-                    arrays[f"best_{int(record['index'])}"]).shape != \
-                    (self.n_params,):
-                raise ValueError("checkpoint best-state vector mismatch")
-        for record in retired_records:
-            if np.asarray(arrays[f"model_{int(record['index'])}"]).shape \
-                    != (self.n_params,):
-                raise ValueError("checkpoint retired-weights mismatch")
-
-        # Validation passed — mutate.  Retired models first (they leave the
-        # stack with owned arrays), then the live rows repack in saved lane
-        # order and every live model re-points at its restored row.
-        for record in retired_records:
-            index = int(record["index"])
-            vector = np.asarray(arrays[f"model_{index}"], dtype=self.dtype)
-            for view, shape, parameter in zip(self._slices, self._shapes,
-                                              self._parameters[index]):
-                parameter.data = vector[view].reshape(shape).copy()
-            self.histories[index].restore(record["history"])
-        self.params[:k] = params
-        self._lanes = []
-        self._k = k
-        for row, record in enumerate(lane_records):
-            index = int(record["index"])
-            lane = self._make_lane(self.models[index], values_list[index],
-                                   index, self._parameters[index])
-            # _make_lane drew the split from a fresh seed-derived rng (the
-            # same first permutation the original fit consumed); now fast-
-            # forward the generator to the saved mid-training state.
-            lane.rng.bit_generator.state = record["rng"]
-            lane.epoch = int(record["epoch"])
-            lane.stale_epochs = int(record["stale_epochs"])
-            lane.history.restore(record["history"])
-            if record.get("has_best"):
-                vector = np.asarray(arrays[f"best_{index}"],
-                                    dtype=self.dtype)
-                lane.best_state = [vector[view].reshape(shape).copy()
-                                   for view, shape in zip(self._slices,
-                                                          self._shapes)]
-            self._point_parameters_at_row(lane.parameters, row)
-            self._lanes.append(lane)
-        optimizer = self._optimizer
-        optimizer.m[:k] = adam_m
-        optimizer.v[:k] = adam_v
-        for row, record in enumerate(lane_records):
-            optimizer.t[row] = int(record["adam_t"])
-        self.quarantined = {int(index): str(error) for index, error in
-                            (meta.get("quarantined") or {}).items()}
-        self._rounds = int(meta.get("rounds", 0))
-        self._flat_dirty = True
-        self._members_dirty = True
-
-    # ------------------------------------------------------------------ #
     # Training loop (lockstep replica of Trainer.fit, per-lane schedules)
     # ------------------------------------------------------------------ #
     def fit(self, values_list: Sequence[np.ndarray],
-            refill: Optional[RefillCallback] = None,
-            checkpoint=None) -> List[TrainingHistory]:
+            refill: Optional[RefillCallback] = None) -> List[TrainingHistory]:
         """Train every model on its own ``(N, T_total)`` series, in lockstep.
 
         ``refill`` (optional) is consulted at round boundaries whenever
@@ -628,45 +457,19 @@ class StackedCausalFormerTrainer:
         returns up to that many ``(model, values)`` pairs to admit.  The
         returned histories cover *every* admitted model, in admission order.
 
-        ``checkpoint`` (an optional
-        :class:`~repro.service.checkpoint.FitCheckpointer`) snapshots the
-        whole fleet at round boundaries — the ``(K, P)`` parameter rows,
-        the per-row Adam moments and step counts, each lane's RNG state and
-        history, and the already-retired models' weights — and resumes a
-        matching fleet bit-identically.  A snapshot taken after ``refill``
-        admitted extra models cannot be resumed by a fresh trainer (the
-        initial model list no longer matches) and degrades to a fresh fit.
+        Any exception inside a step leaves ``fit`` — a stacked step cannot
+        pin a failure on one lane — and the service layer re-runs the whole
+        group job by job (:func:`repro.service.batched.execute_batched_jobs`).
         """
         if len(values_list) != len(self.models):
             raise ValueError("one dataset per model required")
         config = self.config
         telemetry = get_telemetry()
-        self.quarantined = {}
-        self._dead_rows = set()
-        self._rounds = 0
-        restored = False
-        if checkpoint is not None:
-            state = checkpoint.load()
-            if state is not None:
-                try:
-                    self._restore_stacked_state(state, values_list)
-                except (KeyError, TypeError, ValueError):
-                    if telemetry.enabled:
-                        telemetry.counter("checkpoint.rejected").inc()
-                        telemetry.event("checkpoint_rejected",
-                                        key=checkpoint.key)
-                else:
-                    restored = True
-                    if telemetry.enabled:
-                        telemetry.event("fit_resumed", round=self._rounds,
-                                        key=checkpoint.key)
-        if not restored:
-            self._lanes = []
-            for index, (model, values) in enumerate(zip(self.models,
-                                                        values_list)):
-                self._lanes.append(self._make_lane(model, values, index,
-                                                   self._parameters[index]))
-            self._reorder_lanes()
+        self._lanes = []
+        for index, (model, values) in enumerate(zip(self.models, values_list)):
+            self._lanes.append(self._make_lane(model, values, index,
+                                               self._parameters[index]))
+        self._reorder_lanes()
         if self._members_dirty:
             self._refresh_bindings()
 
@@ -693,16 +496,8 @@ class StackedCausalFormerTrainer:
                 n_windows=sum(lane.n_train for lane in self._lanes),
                 max_epochs=config.max_epochs) as fit_span:
             while self._lanes:
-                if faults.active():
-                    # A plain ``raise@round=N`` clause crashes the whole
-                    # stacked fit (no lane attribution) — the seam the
-                    # checkpoint/resume chaos tests interrupt at.
-                    faults.fault_point("round", round=self._rounds)
-                self._run_round(telemetry)
-                finished = self._finish_epochs(telemetry)
-                retire = set(finished) | self._dead_rows
-                self._dead_rows = set()
-                for row in sorted(retire, reverse=True):
+                self._run_round()
+                for row in reversed(self._finish_epochs(telemetry)):
                     self._retire_lane(row, telemetry)
                 if refill is not None:
                     free = self.capacity - self._k
@@ -715,10 +510,6 @@ class StackedCausalFormerTrainer:
                     if self._lanes:
                         self._refresh_bindings()
                     lanes_gauge.set(self._k)
-                self._rounds += 1
-                if checkpoint is not None and self._lanes \
-                        and checkpoint.due(self._rounds - 1):
-                    checkpoint.save(self._stacked_checkpoint_state())
             fraction = self.padded_window_fraction
             if telemetry.enabled:
                 telemetry.gauge(
@@ -730,13 +521,10 @@ class StackedCausalFormerTrainer:
                                   for history in self.histories),
                 diverged=sum(history.diverged
                              for history in self.histories),
-                quarantined=len(self.quarantined),
                 padded_window_fraction=fraction)
-        if checkpoint is not None:
-            checkpoint.clear()
         return self.histories
 
-    def _run_round(self, telemetry) -> None:
+    def _run_round(self) -> None:
         """One epoch for every live lane: prefix full steps, then tails.
 
         Every full step runs at the exact solo ``(B, N, T)`` shape.  Lanes
@@ -796,8 +584,7 @@ class StackedCausalFormerTrainer:
                     m = 0
                     while m < k and n_fulls[m] > step:
                         m += 1
-                    self._step_lanes(block[index][:m], list(range(m)),
-                                     telemetry)
+                    self._step_lanes(block[index][:m], list(range(m)))
 
         tails = {}
         for row, lane in enumerate(lanes):
@@ -815,85 +602,28 @@ class StackedCausalFormerTrainer:
                                self.dtype)
             np.take(train_flat, indices.ravel(), axis=0,
                     out=batch.reshape((g * remainder,) + tail_shape))
-            self._step_lanes(batch, rows, telemetry)
+            self._step_lanes(batch, rows)
 
-    def _step_lanes(self, slab: np.ndarray, candidate: List[int],
-                    telemetry) -> None:
-        """One lockstep step over ``candidate`` rows, quarantine-aware.
+    def _step_lanes(self, batch: np.ndarray, rows: List[int]) -> None:
+        """One lockstep step over ``rows``; ``batch`` has one slab per row.
 
-        ``slab`` carries one batch per candidate row, in ``candidate``
-        order.  Rows quarantined earlier in the round are excluded up
-        front; when the step's fault seam attributes a :class:`LaneFault`
-        to a participant, that lane is quarantined and the step re-runs
-        for the survivors — whose arithmetic is unchanged by the
-        exclusion, because a sub-row-set step runs each row at its exact
-        solo shape (the same pad-and-mask contract that lets mixed window
-        counts share a stack).
+        The ``lane_step`` fault seam raises straight out of :meth:`fit`.
         """
         lanes = self._lanes
-        k = self._k
-        while True:
-            rows = [row for row in candidate if row not in self._dead_rows]
-            if not rows:
-                self._total_lane_steps += k
-                self._padded_lane_steps += k
-                return
-            positions = [candidate.index(row) for row in rows]
-            if positions == list(range(len(positions))):
-                batch = slab[:len(positions)]
-            else:
-                batch = slab[np.asarray(positions, dtype=np.intp)]
-            try:
-                if faults.active():
-                    faults.fault_point(
-                        "lane_step",
-                        models=[lanes[row].index for row in rows])
-                losses = self._train_step(batch, rows)
-            except LaneFault as fault:
-                self._quarantine_lane(fault, telemetry)
-                continue
-            for position, row in enumerate(rows):
-                lanes[row].batch_losses.append(losses[position])
-            self._total_lane_steps += k
-            self._padded_lane_steps += k - len(rows)
-            return
-
-    def _quarantine_lane(self, fault: LaneFault, telemetry) -> None:
-        """Mark the faulted lane dead for the rest of the round.
-
-        The lane is *not* compacted mid-round (rows must keep their
-        positions while the round's schedule is in flight); it is excluded
-        from every remaining step and retired — via the ordinary
-        compaction path — at the round boundary.  A fault naming no live
-        lane re-raises: it cannot be attributed, so it must not be
-        swallowed.
-        """
-        for row, lane in enumerate(self._lanes):
-            if lane.index == fault.model_index \
-                    and row not in self._dead_rows:
-                break
-        else:
-            raise fault
-        self._dead_rows.add(row)
-        self.quarantined[lane.index] = f"{type(fault).__name__}: {fault}"
-        lane.history.quarantined = True
-        if telemetry.enabled:
-            telemetry.counter("jobs.quarantined").inc()
-            telemetry.event("lane_quarantined", model=lane.index, row=row,
-                            epoch=lane.epoch, error=str(fault))
+        if faults.active():
+            faults.fault_point("lane_step", lanes=len(rows))
+        losses = self._train_step(batch, rows)
+        for position, row in enumerate(rows):
+            lanes[row].batch_losses.append(losses[position])
+        self._total_lane_steps += self._k
+        self._padded_lane_steps += self._k - len(rows)
 
     def _finish_epochs(self, telemetry) -> List[int]:
-        """Per-lane epoch-end bookkeeping; returns lane rows to retire.
-
-        Rows quarantined during the round get no bookkeeping at all — no
-        validation pass, no epoch entry — and are retired by the caller.
-        """
+        """Per-lane epoch-end bookkeeping; returns lane rows to retire."""
         lanes = self._lanes
         config = self.config
-        dead = self._dead_rows
-        requests = [lane.validation
-                    if lane.has_validation and row not in dead else None
-                    for row, lane in enumerate(lanes)]
+        requests = [lane.validation if lane.has_validation else None
+                    for lane in lanes]
         if any(request is not None for request in requests):
             validation_losses = self.engine.evaluate_grouped(
                 requests, config.batch_size, cache=self._eval_engines)
@@ -901,8 +631,6 @@ class StackedCausalFormerTrainer:
             validation_losses = [None] * len(lanes)
         finished: List[int] = []
         for row, lane in enumerate(lanes):
-            if row in dead:
-                continue
             history = lane.history
             epoch = lane.epoch
             epoch_loss = float(np.mean(lane.batch_losses)) \

@@ -43,11 +43,6 @@ class TrainingHistory:
     #: without this flag a diverged run would silently burn the whole
     #: patience window and hand back garbage weights with ``best_epoch == -1``.
     diverged: bool = False
-    #: the lane training this model raised mid-fit and was quarantined out
-    #: of its stacked fleet (see
-    #: :class:`repro.core.batched.StackedCausalFormerTrainer`); the history
-    #: covers only the epochs completed before the fault.
-    quarantined: bool = False
 
     @property
     def n_epochs(self) -> int:
@@ -62,7 +57,6 @@ class TrainingHistory:
             "best_validation_loss": self.best_validation_loss,
             "stopped_early": self.stopped_early,
             "diverged": self.diverged,
-            "quarantined": self.quarantined,
         }
 
     def restore(self, payload: dict) -> "TrainingHistory":
@@ -78,7 +72,6 @@ class TrainingHistory:
         self.best_validation_loss = float(payload["best_validation_loss"])
         self.stopped_early = bool(payload.get("stopped_early", False))
         self.diverged = bool(payload.get("diverged", False))
-        self.quarantined = bool(payload.get("quarantined", False))
         return self
 
 

@@ -15,9 +15,7 @@ Plans are parsed from the ``REPRO_FAULTS`` environment variable or the CLI's
     kill@dispatch=2                the worker handling the 2nd pooled unit
                                    dispatch exits hard (os._exit)
     raise@train_step=7             the 7th fused training step raises
-    raise@lane_step=4:lane=1       the 4th stacked lockstep step raises a
-                                   LaneFault for lane row 1 (or model=I for
-                                   an admission index)
+    raise@lane_step=4              the 4th stacked lockstep step raises
     delay@job=3:seconds=0.5        the 3rd executed job sleeps 0.5 s first
     corrupt@cache_write=1          the 1st result-cache write is truncated
 
@@ -46,15 +44,14 @@ Known sites
 ``lane_step``
     One count per stacked lockstep step
     (:class:`repro.core.batched.StackedCausalFormerTrainer` — ``raise``
-    produces a :class:`LaneFault` and quarantines the lane).
-``round``
-    One count per stacked training round
-    (:class:`repro.core.batched.StackedCausalFormerTrainer` — a plain
-    ``raise`` here crashes the *whole* stacked fit; the seam the
-    checkpoint/resume chaos tests interrupt at).
+    fails the whole stacked fit, and the service layer re-runs the group
+    job by job).
 ``cache_write``
     One count per :meth:`repro.service.cache.ResultCache.put` (``corrupt``
     supported).
+
+A clause naming any other site is rejected when the plan is parsed: it
+could never fire.
 """
 
 from __future__ import annotations
@@ -69,6 +66,9 @@ ENV_VAR = "REPRO_FAULTS"
 
 #: actions the grammar accepts
 ACTIONS = ("kill", "raise", "delay", "corrupt")
+
+#: sites that carry a seam (see "Known sites" above)
+SITES = ("dispatch", "job", "train_step", "lane_step", "cache_write")
 
 #: exit code used by an injected worker kill (recognisable in waitpid logs)
 KILL_EXIT_CODE = 87
@@ -85,19 +85,6 @@ class InjectedFault(RuntimeError):
         message = spec.params.get("error") or f"injected fault at {spec}"
         super().__init__(message)
         self.spec = spec
-
-
-class LaneFault(InjectedFault):
-    """A ``raise`` at the ``lane_step`` site, attributed to one lane.
-
-    Carries the admission index of the model whose lane should be
-    quarantined; the stacked trainer compacts that lane out and the service
-    layer retries its job solo.
-    """
-
-    def __init__(self, spec: "FaultSpec", model_index: int) -> None:
-        super().__init__(spec)
-        self.model_index = model_index
 
 
 @dataclass
@@ -133,6 +120,9 @@ def _parse_clause(clause: str) -> FaultSpec:
     if action not in ACTIONS:
         raise FaultSpecError(
             f"unknown fault action {action!r}; known: {', '.join(ACTIONS)}")
+    if site not in SITES:
+        raise FaultSpecError(
+            f"unknown fault site {site!r}; known: {', '.join(SITES)}")
     try:
         occurrence = int(count)
     except ValueError:
@@ -190,8 +180,7 @@ class FaultInjector:
     def fire(self, site: str, **context: Any) -> Optional[FaultSpec]:
         """Count one visit to ``site``; fire any clause that comes due.
 
-        ``raise`` clauses raise (:class:`InjectedFault`, or
-        :class:`LaneFault` at the ``lane_step`` site); other actions return
+        ``raise`` clauses raise :class:`InjectedFault`; other actions return
         the spec for the seam's owner to enact.  At most one non-raising
         spec is returned per visit (the first due in plan order).
         """
@@ -212,8 +201,6 @@ class FaultInjector:
             else:
                 returned = returned or spec
         if raising is not None:
-            if site == "lane_step":
-                raise LaneFault(raising, _resolve_lane(raising, context))
             raise InjectedFault(raising)
         return returned
 
@@ -233,26 +220,6 @@ class FaultInjector:
     def __repr__(self) -> str:
         return (f"FaultInjector({self.plan.to_spec()!r}, "
                 f"fired={len(self.fired)}/{len(self.plan)})")
-
-
-def _resolve_lane(spec: FaultSpec, context: Dict[str, Any]) -> int:
-    """Admission index of the lane a ``lane_step`` raise targets.
-
-    ``model=I`` names an admission index directly; ``lane=L`` names a row
-    of the current stack (resolved through the seam's ``models`` context —
-    the admission indices of the step's participants).  With neither, the
-    last participating lane is targeted.
-    """
-    if "model" in spec.params:
-        return int(spec.params["model"])
-    models = list(context.get("models") or ())
-    if not models:
-        return int(spec.params.get("lane", 0))
-    if "lane" in spec.params:
-        row = int(spec.params["lane"])
-        if 0 <= row < len(models):
-            return int(models[row])
-    return int(models[-1])
 
 
 # ---------------------------------------------------------------------- #

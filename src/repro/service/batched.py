@@ -226,23 +226,18 @@ def execute_batched_jobs(pairs: Sequence[JobPair],
                     capacity=min(lanes, len(pairs)))
                 histories = trainer.fit([entry.values for entry in initial],
                                         refill=refill)
-                # Lanes whose training step raised were quarantined by the
-                # trainer (the survivors trained on unchanged); their jobs
-                # re-run solo below instead of being finalized here.
-                quarantined = dict(trainer.quarantined)
                 # finalize_fit is two attribute assignments; it lives in the
                 # shared block because the group interpretation below needs
                 # every method finalized before it can collect the detector
                 # windows.
-                for index, (entry, history) in enumerate(zip(admitted,
-                                                             histories)):
-                    if index not in quarantined:
-                        entry.method.finalize_fit(entry.values, history)
+                for entry, history in zip(admitted, histories):
+                    entry.method.finalize_fit(entry.values, history)
             shared = (time.perf_counter() - start) / len(admitted)
         except Exception:
             # The stacked pass itself failed (incompatible shapes slipping
-            # past the signature, resource limits, …): degrade to per-job
-            # execution for everything not already answered from cache.
+            # past the signature, resource limits, a raising step, …):
+            # degrade to per-job execution for everything not already
+            # answered from cache.
             span.set(fallback="stacked_training")
             telemetry.counter("batched.train_fallbacks").inc()
             telemetry.event("stacked_train_fallback", jobs=len(pairs))
@@ -263,19 +258,13 @@ def execute_batched_jobs(pairs: Sequence[JobPair],
 
             interpret_start = time.perf_counter()
             with telemetry.trace("group_interpret", jobs=len(admitted)):
-                # Quarantined entries hold None placeholders: never
-                # finalized, so they have no detector and no windows.
-                detectors = [None if index in quarantined
-                             else entry.method.build_detector()
-                             for index, entry in enumerate(admitted)]
-                windows_list = [None if index in quarantined
-                                else entry.method.detector_windows()
-                                for index, entry in enumerate(admitted)]
+                detectors = [entry.method.build_detector()
+                             for entry in admitted]
+                windows_list = [entry.method.detector_windows()
+                                for entry in admitted]
                 scores_list = [None] * len(admitted)
                 shape_groups: "OrderedDict[tuple, List[int]]" = OrderedDict()
                 for index, windows in enumerate(windows_list):
-                    if windows is None:
-                        continue
                     shape_groups.setdefault(tuple(windows.shape),
                                             []).append(index)
                 for members in shape_groups.values():
@@ -299,16 +288,6 @@ def execute_batched_jobs(pairs: Sequence[JobPair],
 
         for index, entry in enumerate(admitted):
             job, dataset = entry.job, entry.dataset
-            if index in quarantined:
-                # The lane's training step raised and the trainer excised
-                # it; retry the job solo (one-shot injected faults have
-                # already fired, and a genuine per-model failure will
-                # surface as this job's own error result).
-                telemetry.counter("batched.quarantine_retries").inc()
-                telemetry.event("job_quarantine_retry", job_id=job.job_id,
-                                error=quarantined[index])
-                results[entry.position] = execute_job(job, dataset)
-                continue
             own = time.perf_counter()
             try:
                 if scores_list is None or scores_list[index] is None:

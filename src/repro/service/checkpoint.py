@@ -1,18 +1,19 @@
 """Checkpoint/resume storage for training fits.
 
-A :class:`FitCheckpointer` persists one fit's in-flight state — parameter
-vectors, the flat Adam moment buffers, per-lane step counts, RNG state and
-the :class:`~repro.core.training.TrainingHistory` bookkeeping — as a single
-atomically-replaced ``.npz`` file, so an interrupted fit resumes at the
-last saved boundary **bit-identically** to an uninterrupted run (the
-trainers restore every array in place and re-seed the generator from the
-exact saved bit-generator state).
+A :class:`FitCheckpointer` persists one solo fit's in-flight state —
+parameter vectors, the flat Adam moment buffers and step count, RNG state
+and the :class:`~repro.core.training.TrainingHistory` bookkeeping — as a
+single atomically-replaced ``.npz`` file, so an interrupted fit resumes at
+the last saved epoch **bit-identically** to an uninterrupted run (the
+trainer restores every array in place and re-seeds the generator from the
+exact saved bit-generator state).  Checkpointing is per job: a stacked
+group (:class:`repro.core.batched.StackedCausalFormerTrainer`) is never
+snapshotted and is retried from scratch.
 
 The state format is deliberately dumb: a JSON-able ``meta`` dict plus a
-flat ``arrays`` dict of numpy arrays.  The trainers own the schema
-(:meth:`repro.core.training.Trainer.fit` and
-:meth:`repro.core.batched.StackedCausalFormerTrainer.fit` build and consume
-it); this module only moves it to and from disk, with the same paranoia as
+flat ``arrays`` dict of numpy arrays.  The trainer owns the schema
+(:meth:`repro.core.training.Trainer.fit` builds and consumes it); this
+module only moves it to and from disk, with the same paranoia as
 the result cache: a checkpoint that fails to load for *any* reason is
 evicted and reported as absent — a torn snapshot degrades to a fresh fit,
 never to a crash or a wrong resume.
@@ -52,9 +53,8 @@ class FitCheckpointer:
         Filesystem-safe identifier for this fit (the executor uses the
         job's cache key, so a retried job finds its own snapshot).
     every:
-        Save cadence in fit-progress units (epochs for the solo trainer,
-        rounds for the stacked trainer): state is saved when
-        ``due(index)`` is true, i.e. every ``every``-th completed unit.
+        Save cadence in epochs: state is saved when ``due(index)`` is
+        true, i.e. every ``every``-th completed epoch.
     """
 
     def __init__(self, directory: str, key: str = "fit",
@@ -73,7 +73,7 @@ class FitCheckpointer:
         return os.path.join(self.directory, f"{self.key}.ckpt.npz")
 
     def due(self, index: int) -> bool:
-        """Whether the 0-based completed unit ``index`` should snapshot."""
+        """Whether the 0-based completed epoch ``index`` should snapshot."""
         return (index + 1) % self.every == 0
 
     # ------------------------------------------------------------------ #

@@ -1,10 +1,11 @@
-"""Stacked-fleet fault tolerance: lane quarantine and round-boundary resume.
+"""Stacked-fleet fault tolerance: a failing step fails the whole fit.
 
-Satellite of the chaos-testing PR: a lane whose training step raises is
-excised from the stack without perturbing any survivor's arithmetic, and a
-stacked fit interrupted at a round boundary resumes from its checkpoint
-bit-identically — both pinned against fault-free references, in float64 and
-float32.
+A stacked step cannot pin a failure on one lane, so the stacked trainer
+recovers nothing itself: a ``raise@lane_step`` fault must leave
+:meth:`StackedCausalFormerTrainer.fit` as the injected exception (no lane
+is silently lost), and the service layer re-runs the group job by job
+(see ``tests/service/test_batched_jobs.py``).  Solo checkpoint/resume is
+covered by ``tests/service/test_checkpoint.py``.
 """
 
 from dataclasses import replace
@@ -17,16 +18,6 @@ from repro.core.batched import StackedCausalFormerTrainer
 from repro.core.config import CausalFormerConfig
 from repro.core.transformer import CausalityAwareTransformer
 from repro.faults import InjectedFault
-from repro.nn.tensor import default_dtype
-from repro.service.checkpoint import FitCheckpointer
-
-
-def base_config(**overrides):
-    payload = dict(window=12, d_model=18, d_qk=18, d_ffn=18, n_heads=3,
-                   batch_size=16, window_stride=2, max_epochs=5, patience=2,
-                   n_series=None)
-    payload.update(overrides)
-    return CausalFormerConfig(**payload)
 
 
 def make_series(seed, n_series=4, length=150):
@@ -38,126 +29,66 @@ def make_series(seed, n_series=4, length=150):
 
 
 def make_fleet(values_list):
-    configs = [replace(base_config(), n_series=values.shape[0], seed=seed)
-               for seed, values in enumerate(values_list)]
-    return [CausalityAwareTransformer(config) for config in configs]
+    config = CausalFormerConfig(window=12, d_model=18, d_qk=18, d_ffn=18,
+                                n_heads=3, batch_size=16, window_stride=2,
+                                max_epochs=5, patience=2)
+    return [CausalityAwareTransformer(
+                replace(config, n_series=values.shape[0], seed=seed))
+            for seed, values in enumerate(values_list)]
 
 
-def assert_bit_identical(model_a, model_b, context=""):
-    for (name, param_a), (_n, param_b) in zip(model_a.named_parameters(),
-                                              model_b.named_parameters()):
-        assert np.array_equal(param_a.data, param_b.data), (context, name)
+def test_lane_step_fault_leaves_fit():
+    values_list = [make_series(seed) for seed in range(3)]
+    trainer = StackedCausalFormerTrainer(make_fleet(values_list))
+    with faults.override("raise@lane_step=5") as injector:
+        with pytest.raises(InjectedFault, match="lane_step=5"):
+            trainer.fit(values_list)
+    assert [str(spec) for spec in injector.fired] == ["raise@lane_step=5"]
+    assert injector.counters["lane_step"] == 5
 
 
-class TestLaneQuarantine:
-    @pytest.fixture(scope="class")
-    def reference(self):
-        values_list = [make_series(seed) for seed in range(3)]
+def assert_bit_identical(models_a, models_b):
+    for index, (model_a, model_b) in enumerate(zip(models_a, models_b)):
+        for (name, param_a), (_n, param_b) in zip(
+                model_a.named_parameters(), model_b.named_parameters()):
+            assert np.array_equal(param_a.data, param_b.data), (index, name)
+
+
+def test_idle_lane_step_seam_leaves_fit_bit_identical():
+    """With a plan active, every lockstep step visits the seam; a clause
+    that never comes due changes no weight and no loss."""
+    values_list = [make_series(seed + 20) for seed in range(3)]
+    ref_models = make_fleet(values_list)
+    with faults.override(None):
+        ref_histories = StackedCausalFormerTrainer(ref_models).fit(
+            values_list)
+    models = make_fleet(values_list)
+    with faults.override("raise@lane_step=1000000") as injector:
+        histories = StackedCausalFormerTrainer(models).fit(values_list)
+    assert injector.fired == []
+    assert injector.counters["lane_step"] > 0
+    for history, ref_history in zip(histories, ref_histories):
+        assert history.train_loss == ref_history.train_loss
+        assert history.validation_loss == ref_history.validation_loss
+    assert_bit_identical(ref_models, models)
+
+
+def test_fleet_refit_after_fired_fault_matches_fault_free():
+    """The fault is one-shot and the failed fit leaves nothing behind: a
+    fresh fleet trained under the same, spent plan matches a fault-free
+    fit bit for bit."""
+    values_list = [make_series(seed + 30) for seed in range(2)]
+    ref_models = make_fleet(values_list)
+    with faults.override(None):
+        ref_histories = StackedCausalFormerTrainer(ref_models).fit(
+            values_list)
+    with faults.override("raise@lane_step=2"):
+        with pytest.raises(InjectedFault):
+            StackedCausalFormerTrainer(make_fleet(values_list)).fit(
+                values_list)
         models = make_fleet(values_list)
         histories = StackedCausalFormerTrainer(models).fit(values_list)
-        return values_list, models, histories
-
-    def test_failing_lane_is_quarantined_not_fatal(self, reference):
-        values_list, _models, _histories = reference
-        models = make_fleet(values_list)
-        trainer = StackedCausalFormerTrainer(models)
-        with faults.override("raise@lane_step=5:lane=1"):
-            histories = trainer.fit(values_list)
-        assert set(trainer.quarantined) == {1}
-        assert "InjectedFault" in trainer.quarantined[1] \
-            or "LaneFault" in trainer.quarantined[1]
-        assert histories[1].quarantined
-        assert not histories[0].quarantined
-        assert not histories[2].quarantined
-
-    def test_survivors_are_bit_identical_to_fault_free(self, reference):
-        """The tentpole invariant: quarantine touches nothing but the
-        excised lane — survivor weights and histories match a run where
-        the failure never happened."""
-        values_list, ref_models, ref_histories = reference
-        models = make_fleet(values_list)
-        trainer = StackedCausalFormerTrainer(models)
-        with faults.override("raise@lane_step=5:lane=1"):
-            histories = trainer.fit(values_list)
-        for index in (0, 2):
-            assert histories[index].train_loss == \
-                ref_histories[index].train_loss
-            assert histories[index].validation_loss == \
-                ref_histories[index].validation_loss
-            assert_bit_identical(ref_models[index], models[index],
-                                 context=f"model {index}")
-
-    def test_model_param_targets_admission_index(self, reference):
-        values_list, _models, _histories = reference
-        models = make_fleet(values_list)
-        trainer = StackedCausalFormerTrainer(models)
-        with faults.override("raise@lane_step=3:model=2"):
-            trainer.fit(values_list)
-        assert set(trainer.quarantined) == {2}
-
-    def test_quarantining_every_lane_still_returns(self, reference):
-        values_list, _models, _histories = reference
-        models = make_fleet(values_list)
-        trainer = StackedCausalFormerTrainer(models)
-        plan = ("raise@lane_step=1:model=0,raise@lane_step=2:model=1,"
-                "raise@lane_step=3:model=2")
-        with faults.override(plan):
-            histories = trainer.fit(values_list)
-        assert set(trainer.quarantined) == {0, 1, 2}
-        assert all(history.quarantined for history in histories)
-
-
-@pytest.mark.parametrize("dtype", [np.float64, np.float32])
-class TestStackedResume:
-    def test_resume_after_round_crash_is_bit_identical(self, tmp_path,
-                                                       dtype):
-        with default_dtype(dtype):
-            values_list = [make_series(seed + 40) for seed in range(3)]
-            ref_models = make_fleet(values_list)
-            ref_histories = StackedCausalFormerTrainer(ref_models).fit(
-                values_list)
-
-            checkpointer = FitCheckpointer(str(tmp_path), key="stacked")
-            crash_models = make_fleet(values_list)
-            with faults.override("raise@round=3"):
-                with pytest.raises(InjectedFault):
-                    StackedCausalFormerTrainer(crash_models).fit(
-                        values_list, checkpoint=checkpointer)
-            assert checkpointer.load() is not None
-
-            resumed_models = make_fleet(values_list)
-            histories = StackedCausalFormerTrainer(resumed_models).fit(
-                values_list,
-                checkpoint=FitCheckpointer(str(tmp_path), key="stacked"))
-        for index in range(3):
-            assert histories[index].train_loss == \
-                ref_histories[index].train_loss
-            assert histories[index].validation_loss == \
-                ref_histories[index].validation_loss
-            assert histories[index].best_epoch == \
-                ref_histories[index].best_epoch
-            assert_bit_identical(ref_models[index], resumed_models[index],
-                                 context=f"model {index}")
-        # a completed fit clears its resume point
-        assert checkpointer.load() is None
-
-    def test_mismatched_snapshot_degrades_to_fresh_fit(self, tmp_path,
-                                                       dtype):
-        with default_dtype(dtype):
-            values_list = [make_series(seed + 60) for seed in range(2)]
-            ref_models = make_fleet(values_list)
-            ref_histories = StackedCausalFormerTrainer(ref_models).fit(
-                values_list)
-
-            checkpointer = FitCheckpointer(str(tmp_path), key="stacked")
-            checkpointer.save({"meta": {"kind": "stacked_fit",
-                                        "n_models": 99},
-                               "arrays": {}})
-            models = make_fleet(values_list)
-            histories = StackedCausalFormerTrainer(models).fit(
-                values_list, checkpoint=checkpointer)
-        for index in range(2):
-            assert histories[index].train_loss == \
-                ref_histories[index].train_loss
-            assert_bit_identical(ref_models[index], models[index],
-                                 context=f"model {index}")
+    for history, ref_history in zip(histories, ref_histories):
+        assert history.train_loss == ref_history.train_loss
+        assert history.best_epoch == ref_history.best_epoch
+    assert_bit_identical(ref_models, models)

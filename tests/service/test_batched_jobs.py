@@ -104,38 +104,49 @@ class TestExecutionIdentity:
         assert batched[4].job.method == "var_granger"
 
 
-class TestQuarantineRetry:
-    """A lane failing mid-fit degrades to a solo re-run of that one job
-    while the survivors' stacked results stand, bit-identical."""
+class TestStepFaultFallback:
+    """A raising stacked step fails the group's shared fit; the group then
+    re-runs job by job, and every job still matches the fault-free sweep."""
 
-    def test_quarantined_lane_retries_solo(self, four_pairs):
+    def test_lane_step_fault_falls_back_per_job(self, four_pairs):
         from repro import faults
-        from repro.service.executor import execute_job
+        from repro.telemetry import capture
 
-        reference = [execute_job(job, data) for job, data in four_pairs]
-        with faults.override("raise@lane_step=4:lane=1"):
-            results = execute_batched_jobs(four_pairs)
+        reference = execute_batched_jobs(four_pairs)
+        with faults.override("raise@lane_step=4"):
+            with capture() as telemetry:
+                results = execute_batched_jobs(four_pairs)
         assert len(results) == 4
         assert all(result.ok for result in results), \
             [result.error for result in results]
         for result_a, result_b in zip(reference, results):
             assert result_a.graph.to_dict() == result_b.graph.to_dict()
             assert result_a.scores.f1 == result_b.scores.f1
-
-    def test_quarantine_emits_telemetry(self, four_pairs):
-        from repro import faults
-        from repro.telemetry import capture
-
-        with faults.override("raise@lane_step=4:lane=1"):
-            with capture() as telemetry:
-                results = execute_batched_jobs(four_pairs)
-        assert all(result.ok for result in results)
-        assert telemetry.counter("jobs.quarantined").value == 1.0
-        assert telemetry.counter("batched.quarantine_retries").value == 1.0
+            assert result_a.scores.precision == result_b.scores.precision
+            assert result_a.scores.recall == result_b.scores.recall
+        assert telemetry.counter("batched.train_fallbacks").value == 1.0
         names = {record.get("name") for record in telemetry.records()
                  if record.get("kind") == "event"}
-        assert "lane_quarantined" in names
-        assert "job_quarantine_retry" in names
+        assert "fault_injected" in names
+        assert "stacked_train_fallback" in names
+
+    def test_executor_batch_run_survives_lane_step_fault(self, four_pairs):
+        """Through the executor's batched path the fallback answers every
+        job on the first attempt, with the solo sweep's results."""
+        from repro import faults
+
+        sequential = JobExecutor(max_workers=1, cache=None).run(four_pairs)
+        with faults.override("raise@lane_step=4") as injector:
+            batched = JobExecutor(max_workers=1, cache=None,
+                                  batch_jobs=True).run(four_pairs)
+        assert [str(spec) for spec in injector.fired] == ["raise@lane_step=4"]
+        assert all(result.ok for result in batched), \
+            [result.error for result in batched]
+        assert [result.attempts for result in batched] == [1, 1, 1, 1]
+        for result_a, result_b in zip(sequential, batched):
+            assert result_a.job.seed == result_b.job.seed
+            assert result_a.graph.to_dict() == result_b.graph.to_dict()
+            assert result_a.scores.f1 == result_b.scores.f1
 
 
 class TestFallback:

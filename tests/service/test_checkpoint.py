@@ -11,6 +11,7 @@ from repro.core.transformer import CausalityAwareTransformer
 from repro.nn.tensor import default_dtype
 from repro.service.artifacts import ArtifactStore
 from repro.service.checkpoint import FORMAT_VERSION, FitCheckpointer
+from repro.telemetry import capture
 
 
 def small_config(**overrides):
@@ -167,6 +168,31 @@ class TestSoloResumeBitIdentity:
                                "arrays": {}})
             resumed, history = self._train(values, checkpoint=checkpointer)
         assert history.train_loss == ref_history.train_loss
+        for (name, param_a), (_n, param_b) in zip(
+                reference.named_parameters(), resumed.named_parameters()):
+            assert np.array_equal(param_a.data, param_b.data), name
+
+    def test_snapshot_with_legacy_history_key_resumes(self, tmp_path, dtype):
+        """Snapshots whose history carries the retired ``quarantined`` flag
+        still resume bit-identically; the extra key is ignored."""
+        with default_dtype(dtype):
+            values = make_values()
+            reference, ref_history = self._train(values)
+            checkpointer = FitCheckpointer(str(tmp_path), key="fit")
+            with pytest.raises(RuntimeError, match="injected crash"):
+                self._train(values, checkpoint=checkpointer, crash_after=3)
+            state = checkpointer.load()
+            state["meta"]["history"]["quarantined"] = False
+            checkpointer.save(state)
+            with capture() as telemetry:
+                resumed, history = self._train(values,
+                                               checkpoint=checkpointer)
+        resumes = [record for record in telemetry.records()
+                   if record.get("name") == "fit_resumed"]
+        assert len(resumes) == 1
+        assert history.train_loss == ref_history.train_loss
+        assert history.validation_loss == ref_history.validation_loss
+        assert "quarantined" not in history.to_dict()
         for (name, param_a), (_n, param_b) in zip(
                 reference.named_parameters(), resumed.named_parameters()):
             assert np.array_equal(param_a.data, param_b.data), name

@@ -97,6 +97,13 @@ class TestInProcessEntryPoints:
         assert code == 0
         assert "1 jobs" in capsys.readouterr().out
 
+    def test_unknown_fault_site_rejected(self, tmp_path):
+        with pytest.raises(SystemExit, match="unknown fault site 'round'"):
+            main(["sweep", "--datasets", "fork", "--methods", "var_granger",
+                  "--seeds", "0", "--length", "140", "--faults",
+                  "raise@round=3", "--cache-dir", str(tmp_path / "cache")])
+        assert not (tmp_path / "cache").exists()
+
     def test_bad_config_rejected(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["discover", "--dataset", "fork", "--method", "var_granger",

@@ -4,7 +4,7 @@ import pytest
 
 from repro import faults
 from repro.faults import (FaultInjector, FaultPlan, FaultSpecError,
-                          InjectedFault, LaneFault)
+                          InjectedFault)
 
 
 class TestGrammar:
@@ -16,11 +16,11 @@ class TestGrammar:
         assert spec.params == {}
 
     def test_parse_params_and_round_trip(self):
-        text = "delay@job=5:seconds=0.25,raise@lane_step=4:lane=1"
+        text = "delay@job=5:seconds=0.25,raise@lane_step=4:error=boom"
         plan = FaultPlan.parse(text)
         assert len(plan) == 2
         assert plan.specs[0].seconds == 0.25
-        assert plan.specs[1].params == {"lane": "1"}
+        assert plan.specs[1].params == {"error": "boom"}
         assert FaultPlan.parse(plan.to_spec()).to_spec() == plan.to_spec()
 
     def test_empty_and_whitespace_plans(self):
@@ -39,6 +39,20 @@ class TestGrammar:
     def test_bad_clauses_raise(self, text):
         with pytest.raises(FaultSpecError):
             FaultPlan.parse(text)
+
+    @pytest.mark.parametrize("text", [
+        "raise@train_setp=1",     # typo: would never fire
+        "raise@round=3",          # a site with no seam
+        "kill@dispatch=1,raise@nowhere=2",
+    ])
+    def test_unknown_sites_raise(self, text):
+        with pytest.raises(FaultSpecError, match="unknown fault site"):
+            FaultPlan.parse(text)
+
+    def test_every_known_site_parses(self):
+        plan = FaultPlan.parse(",".join(f"raise@{site}=1"
+                                        for site in faults.SITES))
+        assert [spec.site for spec in plan.specs] == list(faults.SITES)
 
 
 class TestInjector:
@@ -73,22 +87,16 @@ class TestInjector:
         with pytest.raises(InjectedFault, match="boom"):
             injector.fire("job")
 
-
-class TestLaneResolution:
-    def _fire(self, clause, **context):
-        injector = FaultInjector(FaultPlan.parse(clause))
-        with pytest.raises(LaneFault) as info:
-            injector.fire("lane_step", **context)
-        return info.value.model_index
-
-    def test_model_param_names_admission_index_directly(self):
-        assert self._fire("raise@lane_step=1:model=7", models=[0, 1]) == 7
-
-    def test_lane_param_resolves_through_participants(self):
-        assert self._fire("raise@lane_step=1:lane=1", models=[4, 9, 2]) == 9
-
-    def test_defaults_to_last_participant(self):
-        assert self._fire("raise@lane_step=1", models=[4, 9, 2]) == 2
+    def test_lane_step_raise_is_a_plain_injected_fault(self):
+        """The stacked step seam raises the same exception as every other
+        site, whatever step context it is handed."""
+        injector = FaultInjector(FaultPlan.parse("raise@lane_step=2"))
+        assert injector.fire("lane_step", lanes=3) is None
+        with pytest.raises(InjectedFault) as info:
+            injector.fire("lane_step", lanes=3)
+        assert type(info.value) is InjectedFault
+        assert str(info.value.spec) == "raise@lane_step=2"
+        assert injector.fire("lane_step", lanes=3) is None
 
 
 class TestGlobalInjector:
@@ -124,6 +132,16 @@ class TestGlobalInjector:
         try:
             assert faults.active()
             assert faults.fault_point("dispatch").site == "dispatch"
+        finally:
+            monkeypatch.delenv(faults.ENV_VAR)
+            faults.reset()
+
+    def test_env_plan_with_unknown_site_is_rejected(self, monkeypatch):
+        monkeypatch.setenv(faults.ENV_VAR, "raise@round=3")
+        faults.reset()
+        try:
+            with pytest.raises(FaultSpecError, match="unknown fault site"):
+                faults.active()
         finally:
             monkeypatch.delenv(faults.ENV_VAR)
             faults.reset()
