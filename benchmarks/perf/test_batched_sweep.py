@@ -8,6 +8,7 @@ returning identical graphs and scores (the unit tests in
 module pins the speed claim with a committed margin).
 """
 
+import statistics
 import time
 
 from repro.service import bench
@@ -22,6 +23,25 @@ def best_of(runs, call):
         call()
         samples.append(time.perf_counter() - start)
     return min(samples)
+
+
+def interleaved_medians(pairs, first, second):
+    """Median wall time of ``first`` and of ``second`` over ``pairs`` pairs.
+
+    Each pair runs both calls back to back, alternating which goes first,
+    so load from other processes lands on both sides alike instead of on
+    whichever happened to run during it.
+    """
+    first()   # warm-up (imports, caches) outside the measurement
+    second()
+    calls = (first, second)
+    samples = ([], [])
+    for index in range(pairs):
+        for side in ((0, 1) if index % 2 == 0 else (1, 0)):
+            start = time.perf_counter()
+            calls[side]()
+            samples[side].append(time.perf_counter() - start)
+    return statistics.median(samples[0]), statistics.median(samples[1])
 
 
 def test_batched_sweep_faster_than_per_job_dispatch():
@@ -53,12 +73,12 @@ def test_hetero_sweep_faster_than_per_job_dispatch():
     sequential = JobExecutor(max_workers=1, cache=None)
     batched = JobExecutor(max_workers=1, cache=None, batch_jobs=True,
                           bucket_slack=0.5, max_lanes=4)
-    sequential_best = best_of(3, lambda: sequential.run(pairs))
-    batched_best = best_of(3, lambda: batched.run(pairs))
-    assert batched_best < sequential_best, (
-        f"hetero batched sweep took {batched_best:.3f}s, per-job dispatch "
-        f"{sequential_best:.3f}s — continuous batching should win on 6 "
-        "mixed-shape jobs")
+    batched_median, sequential_median = interleaved_medians(
+        6, lambda: batched.run(pairs), lambda: sequential.run(pairs))
+    assert batched_median < sequential_median, (
+        f"hetero batched sweep took {batched_median:.3f}s (median of 6), "
+        f"per-job dispatch {sequential_median:.3f}s — continuous batching "
+        "should win on 6 mixed-shape jobs")
 
 
 def test_hetero_sweep_matches_per_job_results():

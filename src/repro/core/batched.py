@@ -72,8 +72,8 @@ import numpy as np
 
 from repro import faults
 from repro.core.config import CausalFormerConfig
-from repro.core.training import (GATHER_ELEMENT_BUDGET, TrainingHistory,
-                                 losses_diverged, split_windows)
+from repro.core.training import (GATHER_ELEMENT_BUDGET, FitProgress,
+                                 TrainingHistory, end_epoch, split_windows)
 from repro.core.transformer import CausalityAwareTransformer
 from repro.data.windows import sliding_windows
 from repro.nn.inference import profiling_hook
@@ -88,26 +88,23 @@ RefillCallback = Callable[[int], Sequence[Tuple[CausalityAwareTransformer,
                                                 np.ndarray]]]
 
 
-class _Lane:
-    """Bookkeeping for one occupied stack row."""
+class _Lane(FitProgress):
+    """Bookkeeping for one occupied stack row (its early-stopping state
+    included)."""
 
-    __slots__ = ("model", "index", "parameters", "rng", "train", "validation",
-                 "history", "epoch", "stale_epochs", "best_state",
+    __slots__ = ("model", "index", "rng", "train", "validation", "epoch",
                  "batch_losses")
 
     def __init__(self, model, index, parameters, rng, train, validation,
                  history) -> None:
+        super().__init__(history, parameters)
         self.model = model
         #: admission index into the trainer's ``models``/``histories`` lists
         self.index = index
-        self.parameters = parameters
         self.rng = rng
         self.train = train
         self.validation = validation
-        self.history = history
         self.epoch = 0
-        self.stale_epochs = 0
-        self.best_state: Optional[List[np.ndarray]] = None
         self.batch_losses: List[float] = []
 
     @property
@@ -631,50 +628,15 @@ class StackedCausalFormerTrainer:
             validation_losses = [None] * len(lanes)
         finished: List[int] = []
         for row, lane in enumerate(lanes):
-            history = lane.history
-            epoch = lane.epoch
             epoch_loss = float(np.mean(lane.batch_losses)) \
                 if lane.batch_losses else float("nan")
-            history.train_loss.append(epoch_loss)
             validation_loss = validation_losses[row] \
                 if validation_losses[row] is not None else epoch_loss
-            history.validation_loss.append(validation_loss)
+            epoch = lane.epoch
             lane.epoch = epoch + 1
-            if telemetry.enabled:
-                telemetry.event("train_epoch", model=lane.index, epoch=epoch,
-                                loss=epoch_loss,
-                                validation_loss=validation_loss)
-            if losses_diverged(epoch_loss, validation_loss):
-                # Same rule as the sequential trainer: a NaN/inf loss stops
-                # this model immediately (it would otherwise ride the whole
-                # patience window without ever improving).  A lane that
-                # diverged before ever improving has no best snapshot —
-                # retirement keeps its current weights, exactly what the
-                # sequential trainer's break leaves behind.
-                history.diverged = True
-                if telemetry.enabled:
-                    telemetry.event("train_diverged", model=lane.index,
-                                    epoch=epoch, loss=epoch_loss,
-                                    validation_loss=validation_loss)
-                finished.append(row)
-                continue
-            if validation_loss < history.best_validation_loss - config.min_delta:
-                history.best_validation_loss = validation_loss
-                history.best_epoch = history.n_epochs - 1
-                lane.best_state = [parameter.data.copy()
-                                   for parameter in lane.parameters]
-                lane.stale_epochs = 0
-            else:
-                lane.stale_epochs += 1
-                if lane.stale_epochs >= config.patience:
-                    history.stopped_early = True
-                    if telemetry.enabled:
-                        telemetry.event("early_stop", model=lane.index,
-                                        epoch=epoch,
-                                        best_epoch=history.best_epoch)
-                    finished.append(row)
-                    continue
-            if lane.epoch >= config.max_epochs:
+            if end_epoch(lane, epoch, epoch_loss, validation_loss, config,
+                         telemetry, model=lane.index) \
+                    or lane.epoch >= config.max_epochs:
                 finished.append(row)
         return finished
 

@@ -61,10 +61,6 @@ class CausalFormer:
     #: name used by the experiment harness result tables
     name = "causalformer"
 
-    #: fit() accepts a FitCheckpointer — the executor only offers
-    #: checkpoints to methods that declare support.
-    supports_checkpoint = True
-
     def __init__(self, config: Optional[CausalFormerConfig] = None, *,
                  use_interpretation: bool = True,
                  use_relevance: bool = True,
@@ -160,20 +156,11 @@ class CausalFormer:
         self._fitted_values = values
         return self
 
-    def fit(self, data: DataLike, verbose: bool = False,
-            checkpoint=None) -> "CausalFormer":
-        """Train the causality-aware transformer on the prediction task.
-
-        ``checkpoint`` (an optional
-        :class:`~repro.service.checkpoint.FitCheckpointer`) enables
-        periodic snapshot/resume of the training state — see
-        :meth:`repro.core.training.Trainer.fit`.
-        """
+    def fit(self, data: DataLike, verbose: bool = False) -> "CausalFormer":
+        """Train the causality-aware transformer on the prediction task."""
         values = self.prepare_fit(data)
         trainer = Trainer(self.model_, self.config)
-        return self.finalize_fit(
-            values, trainer.fit(values, verbose=verbose,
-                                checkpoint=checkpoint))
+        return self.finalize_fit(values, trainer.fit(values, verbose=verbose))
 
     def build_detector(self) -> DecompositionCausalityDetector:
         """The causality detector for the trained model (ablation flags applied).
@@ -214,10 +201,10 @@ class CausalFormer:
         self.graph_, self.scores_ = detector.detect(windows, series_names=self._series_names)
         return self.graph_
 
-    def discover(self, data: DataLike, verbose: bool = False,
-                 checkpoint=None) -> TemporalCausalGraph:
+    def discover(self, data: DataLike,
+                 verbose: bool = False) -> TemporalCausalGraph:
         """Train and interpret in one call; returns the temporal causal graph."""
-        self.fit(data, verbose=verbose, checkpoint=checkpoint)
+        self.fit(data, verbose=verbose)
         return self.interpret()
 
     # ------------------------------------------------------------------ #

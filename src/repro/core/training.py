@@ -48,42 +48,6 @@ class TrainingHistory:
     def n_epochs(self) -> int:
         return len(self.train_loss)
 
-    def to_dict(self) -> dict:
-        """JSON-able snapshot (used by the fit checkpoints)."""
-        return {
-            "train_loss": list(self.train_loss),
-            "validation_loss": list(self.validation_loss),
-            "best_epoch": self.best_epoch,
-            "best_validation_loss": self.best_validation_loss,
-            "stopped_early": self.stopped_early,
-            "diverged": self.diverged,
-        }
-
-    def restore(self, payload: dict) -> "TrainingHistory":
-        """Overwrite this history in place from :meth:`to_dict` output.
-
-        In place (rather than a classmethod constructor) because trainers
-        and lanes hold references to the history object they report into —
-        a resumed fit must keep appending to the same object."""
-        self.train_loss = [float(value) for value in payload["train_loss"]]
-        self.validation_loss = [float(value)
-                                for value in payload["validation_loss"]]
-        self.best_epoch = int(payload["best_epoch"])
-        self.best_validation_loss = float(payload["best_validation_loss"])
-        self.stopped_early = bool(payload.get("stopped_early", False))
-        self.diverged = bool(payload.get("diverged", False))
-        return self
-
-
-def losses_diverged(epoch_loss: float, validation_loss: float) -> bool:
-    """Whether a (train, validation) loss pair signals divergence.
-
-    Shared by :class:`Trainer` and the stacked trainer so both stop on the
-    exact same condition (the batched path's identity contract includes the
-    divergence bookkeeping).
-    """
-    return not (np.isfinite(epoch_loss) and np.isfinite(validation_loss))
-
 
 def split_windows(windows: np.ndarray, rng: np.random.Generator,
                   config: CausalFormerConfig):
@@ -101,6 +65,72 @@ def split_windows(windows: np.ndarray, rng: np.random.Generator,
     validation_idx = indices[:n_validation]
     train_idx = indices[n_validation:]
     return windows[train_idx], windows[validation_idx] if n_validation else None
+
+
+class FitProgress:
+    """Early-stopping state of one fit.
+
+    Holds the fit's :class:`TrainingHistory`, the parameters whose values
+    are snapshotted at every improving epoch, the count of epochs since the
+    last improvement and that best-epoch snapshot.  :class:`Trainer` keeps
+    one per fit; each lane of the stacked trainer is one.
+    """
+
+    __slots__ = ("history", "parameters", "stale_epochs", "best_state")
+
+    def __init__(self, history: TrainingHistory, parameters) -> None:
+        self.history = history
+        self.parameters = parameters
+        self.stale_epochs = 0
+        self.best_state: Optional[List[np.ndarray]] = None
+
+
+def end_epoch(progress: FitProgress, epoch: int, epoch_loss: float,
+              validation_loss: float, config: CausalFormerConfig,
+              telemetry, **fields) -> bool:
+    """Record one finished epoch and apply the early-stopping rule.
+
+    Appends the losses, emits ``train_epoch``, then stops on divergence,
+    snapshots the weights on a ``min_delta`` improvement, or counts a stale
+    epoch and stops once ``patience`` of them ran.  Returns whether the fit
+    must stop.  Restoring the best weights is the caller's: the solo trainer
+    copies them in place, the stacked trainer re-points a retiring lane.
+    ``fields`` tag every event (the stacked trainer passes ``model=``).
+
+    Shared by :class:`Trainer` and the stacked trainer — the batched path's
+    bit-identity contract includes this bookkeeping.
+    """
+    history = progress.history
+    history.train_loss.append(epoch_loss)
+    history.validation_loss.append(validation_loss)
+    if telemetry.enabled:
+        telemetry.event("train_epoch", **fields, epoch=epoch, loss=epoch_loss,
+                        validation_loss=validation_loss)
+    if not (np.isfinite(epoch_loss) and np.isfinite(validation_loss)):
+        # A non-finite loss never improves and never errors out of the
+        # patience window: stop immediately and flag the run.  A fit that
+        # diverged before ever improving has no snapshot and keeps its
+        # current weights.
+        history.diverged = True
+        if telemetry.enabled:
+            telemetry.event("train_diverged", **fields, epoch=epoch,
+                            loss=epoch_loss, validation_loss=validation_loss)
+        return True
+    if validation_loss < history.best_validation_loss - config.min_delta:
+        history.best_validation_loss = validation_loss
+        history.best_epoch = epoch
+        progress.best_state = [parameter.data.copy()
+                               for parameter in progress.parameters]
+        progress.stale_epochs = 0
+        return False
+    progress.stale_epochs += 1
+    if progress.stale_epochs < config.patience:
+        return False
+    history.stopped_early = True
+    if telemetry.enabled:
+        telemetry.event("early_stop", **fields, epoch=epoch,
+                        best_epoch=history.best_epoch)
+    return True
 
 
 class Trainer:
@@ -158,19 +188,8 @@ class Trainer:
     # ------------------------------------------------------------------ #
     # Training
     # ------------------------------------------------------------------ #
-    def fit(self, values: np.ndarray, verbose: bool = False,
-            checkpoint=None) -> TrainingHistory:
-        """Train on an ``(N, T_total)`` array; returns the loss history.
-
-        ``checkpoint`` (an optional
-        :class:`~repro.service.checkpoint.FitCheckpointer`) snapshots the
-        full optimisation state — weights, flat Adam buffers, RNG state and
-        the history bookkeeping — at its cadence; when it already holds a
-        snapshot for this fit, training resumes from the saved epoch and the
-        finished run is **bit-identical** to an uninterrupted one (every
-        array restores in place, the generator resumes from the exact saved
-        bit-generator state).  The snapshot is cleared on completion.
-        """
+    def fit(self, values: np.ndarray, verbose: bool = False) -> TrainingHistory:
+        """Train on an ``(N, T_total)`` array; returns the loss history."""
         telemetry = self._resolve_telemetry(verbose)
         rng = np.random.default_rng(self.config.seed)
         windows = self.make_windows(values)
@@ -179,184 +198,34 @@ class Trainer:
         dtype = next(iter(self.model.parameters())).data.dtype
         windows = np.ascontiguousarray(windows, dtype=dtype)
         train_windows, validation_windows = self._split(windows, rng)
-
-        best_state = None
-        epochs_without_improvement = 0
-        start_epoch = 0
-        if checkpoint is not None:
-            state = checkpoint.load()
-            if state is not None:
-                try:
-                    start_epoch, best_state, epochs_without_improvement = \
-                        self._restore_fit_state(state, rng)
-                except (KeyError, TypeError, ValueError):
-                    # A snapshot from an incompatible config/architecture:
-                    # degrade to a fresh fit (validation happens before any
-                    # mutation, so nothing is half-restored).
-                    if telemetry.enabled:
-                        telemetry.counter("checkpoint.rejected").inc()
-                        telemetry.event("checkpoint_rejected",
-                                        key=checkpoint.key)
-                else:
-                    if telemetry.enabled:
-                        telemetry.event("fit_resumed", epoch=start_epoch,
-                                        key=checkpoint.key)
+        progress = FitProgress(self.history, self._parameters)
 
         # repro: allow(telemetry-guard): fit-scoped span; null trace is free
         with telemetry.trace("train_fit", n_windows=windows.shape[0],
                              max_epochs=self.config.max_epochs,
                              seed=self.config.seed) as fit_span:
-            for epoch in range(start_epoch, self.config.max_epochs):
+            for epoch in range(self.config.max_epochs):
                 epoch_loss = self._run_epoch(train_windows, rng)
-                self.history.train_loss.append(epoch_loss)
-
                 if validation_windows is not None and len(validation_windows):
                     validation_loss = self._evaluate(validation_windows)
                 else:
                     validation_loss = epoch_loss
-                self.history.validation_loss.append(validation_loss)
-
-                if telemetry.enabled:
-                    telemetry.event("train_epoch", epoch=epoch,
-                                    loss=epoch_loss,
-                                    validation_loss=validation_loss)
-
-                if losses_diverged(epoch_loss, validation_loss):
-                    # A non-finite loss never improves and never errors out
-                    # of the patience window: stop immediately and flag the
-                    # run, restoring the last finite best state below (if
-                    # any).
-                    self.history.diverged = True
-                    if telemetry.enabled:
-                        telemetry.event("train_diverged", epoch=epoch,
-                                        loss=epoch_loss,
-                                        validation_loss=validation_loss)
+                if end_epoch(progress, epoch, epoch_loss, validation_loss,
+                             self.config, telemetry):
                     break
-
-                if validation_loss < self.history.best_validation_loss - self.config.min_delta:
-                    self.history.best_validation_loss = validation_loss
-                    self.history.best_epoch = epoch
-                    # Snapshot parameter values directly — cheaper than a
-                    # full state_dict walk, and taken every improving epoch.
-                    best_state = [parameter.data.copy()
-                                  for parameter in self._parameters]
-                    epochs_without_improvement = 0
-                else:
-                    epochs_without_improvement += 1
-                    if epochs_without_improvement >= self.config.patience:
-                        self.history.stopped_early = True
-                        if telemetry.enabled:
-                            telemetry.event(
-                                "early_stop", epoch=epoch,
-                                best_epoch=self.history.best_epoch)
-                        break
-
-                if checkpoint is not None and checkpoint.due(epoch):
-                    checkpoint.save(self._fit_checkpoint_state(
-                        epoch + 1, rng, best_state,
-                        epochs_without_improvement))
             fit_span.set(epochs=self.history.n_epochs,
                          best_epoch=self.history.best_epoch,
                          stopped_early=self.history.stopped_early,
                          diverged=self.history.diverged)
 
-        if best_state is not None:
+        if progress.best_state is not None:
             # Copy in place rather than re-pointing ``parameter.data`` at the
-            # snapshot arrays: the fused Adam's flat parameter buffer, the
-            # training engine's views and the stacked trainer's (K, P) views
-            # are all bound to the current storage — re-pointing would detach
-            # every one of them from the restored weights.
-            for parameter, saved in zip(self._parameters, best_state):
+            # snapshot arrays: the fused Adam's flat parameter buffer and the
+            # training engine's views are bound to the current storage —
+            # re-pointing would detach them from the restored weights.
+            for parameter, saved in zip(self._parameters, progress.best_state):
                 parameter.data[...] = saved
-        if checkpoint is not None:
-            # The fit finished — its resume point would only shadow the
-            # (cached/stored) result on a future identical run.
-            checkpoint.clear()
         return self.history
-
-    # ------------------------------------------------------------------ #
-    # Checkpoint state (consumed by service.checkpoint.FitCheckpointer)
-    # ------------------------------------------------------------------ #
-    def _fit_checkpoint_state(self, next_epoch: int,
-                              rng: np.random.Generator,
-                              best_state, epochs_without_improvement: int):
-        """Snapshot everything epoch ``next_epoch`` needs to run as if the
-        preceding epochs had just happened in this process."""
-        arrays = {f"param_{i}": parameter.data.copy()
-                  for i, parameter in enumerate(self._parameters)}
-        adam = self.optimizer.state_dict()
-        arrays["adam_m"] = adam["m"]
-        arrays["adam_v"] = adam["v"]
-        if best_state is not None:
-            for i, saved in enumerate(best_state):
-                arrays[f"best_{i}"] = saved
-        meta = {
-            "kind": "solo_fit",
-            "seed": self.config.seed,
-            "dtype": str(np.dtype(self._parameters[0].data.dtype)),
-            "n_parameters": len(self._parameters),
-            "epoch": next_epoch,
-            "rng": rng.bit_generator.state,
-            "adam_step_count": adam["step_count"],
-            "epochs_without_improvement": epochs_without_improvement,
-            "has_best": best_state is not None,
-            "history": self.history.to_dict(),
-        }
-        return {"meta": meta, "arrays": arrays}
-
-    def _restore_fit_state(self, state, rng: np.random.Generator):
-        """In-place restore of :meth:`_fit_checkpoint_state` output.
-
-        Validates *everything* (kind, seed, dtype, parameter count and
-        shapes, RNG family) before mutating anything, so a rejected
-        snapshot leaves the fresh fit untouched.  Raises ``KeyError`` /
-        ``TypeError`` / ``ValueError`` on mismatch.
-        """
-        meta = state["meta"]
-        arrays = state["arrays"]
-        if meta.get("kind") != "solo_fit":
-            raise ValueError("not a solo-fit checkpoint")
-        if int(meta["seed"]) != self.config.seed:
-            raise ValueError("checkpoint seed mismatch")
-        dtype = self._parameters[0].data.dtype
-        if meta.get("dtype") != str(np.dtype(dtype)):
-            raise ValueError("checkpoint dtype mismatch")
-        if int(meta["n_parameters"]) != len(self._parameters):
-            raise ValueError("checkpoint parameter count mismatch")
-        params = [np.asarray(arrays[f"param_{i}"])
-                  for i in range(len(self._parameters))]
-        for parameter, saved in zip(self._parameters, params):
-            if saved.shape != parameter.data.shape or saved.dtype != dtype:
-                raise ValueError("checkpoint parameter layout mismatch")
-        best_state = None
-        if meta.get("has_best"):
-            best_state = [np.asarray(arrays[f"best_{i}"]).copy()
-                          for i in range(len(self._parameters))]
-            for parameter, saved in zip(self._parameters, best_state):
-                if saved.shape != parameter.data.shape or saved.dtype != dtype:
-                    raise ValueError("checkpoint best-state layout mismatch")
-        rng_state = meta["rng"]
-        if not isinstance(rng_state, dict) or \
-                rng_state.get("bit_generator") != \
-                rng.bit_generator.state["bit_generator"]:
-            raise ValueError("checkpoint RNG family mismatch")
-        start_epoch = int(meta["epoch"])
-        if not 0 < start_epoch <= self.config.max_epochs:
-            raise ValueError("checkpoint epoch out of range")
-        history = dict(meta["history"])
-
-        # Validation passed — mutate in place (the fused Adam buffer, the
-        # shared engines and any stacked views stay bound to the restored
-        # storage, exactly like the best-state restore at fit end).
-        rng.bit_generator.state = rng_state
-        self.optimizer.load_state_dict({
-            "step_count": meta["adam_step_count"],
-            "m": arrays["adam_m"], "v": arrays["adam_v"]})
-        for parameter, saved in zip(self._parameters, params):
-            parameter.data[...] = saved
-        self.history.restore(history)
-        return (start_epoch, best_state,
-                int(meta["epochs_without_improvement"]))
 
     def _run_epoch(self, windows: np.ndarray, rng: np.random.Generator) -> float:
         """One shuffled pass over the training windows.

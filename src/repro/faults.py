@@ -40,7 +40,8 @@ Known sites
     — ``delay`` and ``raise`` supported).
 ``train_step``
     One count per fused training step (:class:`repro.core.training.Trainer`
-    — ``raise`` supported).
+    — ``raise`` fails the fit; the executor's retry refits the job from
+    scratch, which being seeded returns the same graph).
 ``lane_step``
     One count per stacked lockstep step
     (:class:`repro.core.batched.StackedCausalFormerTrainer` — ``raise``

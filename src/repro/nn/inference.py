@@ -19,7 +19,7 @@ fleet row is bit-identical to that model alone.
 
 Numerical contract: the fused forward follows one fixed operation sequence
 (GEMM shapes, reduction orders, dtype promotions), and every engine path —
-any fleet width, threaded ops, a resumed fit — replays it exactly.  Against
+any fleet width, threaded ops, a retried fit — replays it exactly.  Against
 the plain autograd reference
 (:meth:`~repro.core.transformer.CausalityAwareTransformer.forward`, which
 transcribes the paper's equations one op at a time) it agrees up to

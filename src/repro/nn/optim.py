@@ -158,7 +158,7 @@ class Adam(Optimizer):
             for (parameter, _s, _shape), data_id in zip(self._flat_views,
                                                         self._data_ids):
                 if id(parameter.data) != data_id:
-                    # A .data array was replaced (e.g. load_state_dict):
+                    # A .data array was replaced (e.g. Module.load_state_dict):
                     # re-fuse from the new arrays.
                     self._fuse_parameter_data(self._flat_data.dtype)
                     break
@@ -198,33 +198,6 @@ class Adam(Optimizer):
         self._step_count += 1
         t = self._step_count
         self._apply_flat_update(1.0 - self.beta1 ** t, 1.0 - self.beta2 ** t)
-
-    def state_dict(self) -> Dict[str, object]:
-        """Checkpointable optimiser state: step count + flat moment buffers.
-
-        ``ensure_flat`` runs first so the snapshot always reflects the fused
-        layout (the layout a resumed run rebuilds from the same parameter
-        list — making ``load_state_dict`` a pure in-place restore).
-        """
-        self.ensure_flat()
-        return {
-            "step_count": self._step_count,
-            "m": self._flat_m.copy(),
-            "v": self._flat_v.copy(),
-        }
-
-    def load_state_dict(self, payload: Dict[str, object]) -> None:
-        """Restore :meth:`state_dict` output in place (views stay live)."""
-        self.ensure_flat()
-        m = np.asarray(payload["m"])
-        v = np.asarray(payload["v"])
-        if m.shape != self._flat_m.shape or v.shape != self._flat_v.shape:
-            raise ValueError(
-                "optimizer state shape mismatch: checkpoint does not match "
-                "this parameter set")
-        self._step_count = int(payload["step_count"])
-        self._flat_m[...] = m
-        self._flat_v[...] = v
 
     def step(self) -> None:
         self._step_count += 1

@@ -68,7 +68,7 @@ reference (:meth:`~repro.core.transformer.CausalityAwareTransformer.forward`
 and ``loss``) up to floating-point rounding, and the tests in
 ``tests/nn/test_training_engine.py`` pin that at tolerance across the
 Table 3 training ablation grid in float64 and float32.  Inside the engine
-everything is exact: a fleet row, every thread count and a resumed fit
+everything is exact: a fleet row, every thread count and a retried fit
 reproduce a one-model serial fit bit for bit.
 """
 

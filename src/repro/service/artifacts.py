@@ -82,20 +82,6 @@ class RunArtifacts:
                 for entry in sorted(os.listdir(results_dir))
                 if entry.endswith(".json")]
 
-    # ------------------------------------------------------------------ #
-    # Fit checkpoints
-    # ------------------------------------------------------------------ #
-    @property
-    def checkpoint_dir(self) -> str:
-        """Where this run's fit snapshots live (``checkpoints/``)."""
-        return os.path.join(self.path, "checkpoints")
-
-    def checkpointer(self, key: str, every: int = 1):
-        """A :class:`~repro.service.checkpoint.FitCheckpointer` for one fit."""
-        from repro.service.checkpoint import FitCheckpointer
-
-        return FitCheckpointer(self.checkpoint_dir, key=key, every=every)
-
     def write_manifest(self, payload: Dict[str, Any]) -> str:
         return _write_json(os.path.join(self.path, "manifest.json"), payload)
 

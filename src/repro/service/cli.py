@@ -344,13 +344,6 @@ def _add_executor_flags(parser: argparse.ArgumentParser) -> None:
                         help="per-job wall-clock budget under --workers > 1; "
                              "overrunning workers are killed and the job "
                              "retried")
-    parser.add_argument("--checkpoint-dir", default=None, metavar="DIR",
-                        help="snapshot fit state here so retried/re-run jobs "
-                             "resume training bit-identically")
-    parser.add_argument("--checkpoint-every", type=int, default=1,
-                        metavar="N",
-                        help="save a fit snapshot every N epochs "
-                             "(default: %(default)s)")
     parser.add_argument("--faults", default=None, metavar="PLAN",
                         help="deterministic fault-injection plan, e.g. "
                              "'kill@dispatch=2,raise@train_step=7' "
@@ -365,8 +358,6 @@ def _executor_kwargs(args: argparse.Namespace) -> Dict[str, Any]:
         "retries": args.retries,
         "retry_backoff": args.retry_backoff,
         "job_timeout": args.job_timeout,
-        "checkpoint_dir": args.checkpoint_dir,
-        "checkpoint_every": args.checkpoint_every,
     }
 
 

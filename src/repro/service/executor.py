@@ -26,10 +26,9 @@ abandoned innocent units for free.  A per-job ``job_timeout`` is enforced
 the same way: the overrunning worker is killed, the pool respawned, the
 unit retried.  A job that keeps failing exhausts its attempts and comes
 back as a *dead-letter* result (``JobResult.dead_letter``) carrying the
-last error, so one poisonous job can never wedge a sweep.  Jobs whose
-method supports it can additionally checkpoint their fit state
-(:mod:`repro.service.checkpoint`) keyed by cache key, so a retried job
-resumes training where the killed attempt left off — bit-identically.
+last error, so one poisonous job can never wedge a sweep.  A retried job
+refits from scratch; its fit is seeded, so it returns the same graph as a
+fault-free attempt.
 
 The worker entry point :func:`execute_job` is a module-level function (so the
 pool can pickle it by reference) and rebuilds the method inside the worker
@@ -59,9 +58,6 @@ from repro.telemetry import capture, get_telemetry
 
 JobPair = Tuple[DiscoveryJob, TimeSeriesDataset]
 CacheLike = Union[None, str, ResultCache]
-#: checkpoint plumbing crosses the process boundary as plain data:
-#: ``(checkpoint directory, save cadence)``
-CheckpointSpec = Optional[Tuple[str, int]]
 
 
 def _apply_directives(directives) -> None:
@@ -83,7 +79,6 @@ def execute_job_with_dtype(job: DiscoveryJob, dataset: TimeSeriesDataset,
                            dtype: str,
                            collect_telemetry: bool = False,
                            engine_threads: Optional[int] = None,
-                           checkpoint: CheckpointSpec = None,
                            directives: Optional[dict] = None) -> JobResult:
     """Worker entry point: adopt the submitter's engine dtype, then run.
 
@@ -108,33 +103,14 @@ def execute_job_with_dtype(job: DiscoveryJob, dataset: TimeSeriesDataset,
     if engine_threads is not None:
         set_engine_threads(engine_threads)
     if not collect_telemetry:
-        return execute_job(job, dataset, checkpoint=checkpoint)
+        return execute_job(job, dataset)
     with capture() as telemetry:
-        result = execute_job(job, dataset, checkpoint=checkpoint)
+        result = execute_job(job, dataset)
     result.telemetry = telemetry.export()
     return result
 
 
-def _job_checkpointer(job: DiscoveryJob, method,
-                      checkpoint: CheckpointSpec):
-    """A :class:`FitCheckpointer` for this job, or ``None``.
-
-    Keyed by the job's cache key so a retried job (same spec, any process)
-    finds the snapshot its killed predecessor left behind.  Only methods
-    declaring ``supports_checkpoint`` are offered one — baselines take no
-    ``checkpoint`` argument.
-    """
-    if checkpoint is None or not getattr(method, "supports_checkpoint",
-                                         False):
-        return None
-    from repro.service.checkpoint import FitCheckpointer
-
-    directory, every = checkpoint
-    return FitCheckpointer(directory, key=job.cache_key(), every=every)
-
-
-def execute_job(job: DiscoveryJob, dataset: TimeSeriesDataset,
-                checkpoint: CheckpointSpec = None) -> JobResult:
+def execute_job(job: DiscoveryJob, dataset: TimeSeriesDataset) -> JobResult:
     """Run one job to completion, capturing any exception into the result."""
     telemetry = get_telemetry()
     start = time.perf_counter()
@@ -145,11 +121,7 @@ def execute_job(job: DiscoveryJob, dataset: TimeSeriesDataset,
             if spec is not None and spec.action == "delay":
                 time.sleep(spec.seconds)
             method = build_method(job.method, job.config, seed=job.seed)
-            checkpointer = _job_checkpointer(job, method, checkpoint)
-            if checkpointer is not None:
-                graph = method.discover(dataset, checkpoint=checkpointer)
-            else:
-                graph = method.discover(dataset)
+            graph = method.discover(dataset)
             scores = None
             if dataset.graph is not None:
                 from repro.graph.metrics import evaluate_discovery
@@ -271,13 +243,10 @@ class JobExecutor:
         Per-unit wall-clock budget in seconds for pooled dispatch.  A unit
         still running past it has its workers hard-killed and is retried
         (then dead-lettered).  Not enforceable on the inline path.
-    checkpoint_dir:
-        When set, jobs whose method declares ``supports_checkpoint``
-        snapshot their fit state here (keyed by cache key) every
-        ``checkpoint_every`` epochs, and a retried job resumes from the
-        last snapshot bit-identically.  Applies to per-job dispatch; a
-        stacked *group* is retried from scratch (its members' checkpoints
-        are per-job, not per-group).
+
+    Every retry, of a single job or of a stacked group, refits from scratch.
+    Fits are seeded, so a recovered job returns the same graph as a
+    fault-free run.
     """
 
     def __init__(self, max_workers: Optional[int] = 1,
@@ -287,9 +256,7 @@ class JobExecutor:
                  max_lanes: Optional[int] = None,
                  retries: int = 0,
                  retry_backoff: float = 0.5,
-                 job_timeout: Optional[float] = None,
-                 checkpoint_dir: Optional[str] = None,
-                 checkpoint_every: int = 1) -> None:
+                 job_timeout: Optional[float] = None) -> None:
         if max_workers is not None and max_workers < 1:
             raise ValueError("max_workers must be at least 1 (or None for cpu_count)")
         if max_workers is None:
@@ -306,8 +273,6 @@ class JobExecutor:
             raise ValueError("retry_backoff must be non-negative")
         if job_timeout is not None and job_timeout <= 0:
             raise ValueError("job_timeout must be positive (or None)")
-        if checkpoint_every < 1:
-            raise ValueError("checkpoint_every must be at least 1")
         self.max_workers = max_workers
         self.cache = _coerce_cache(cache)
         self.batch_jobs = batch_jobs
@@ -316,14 +281,6 @@ class JobExecutor:
         self.retries = int(retries)
         self.retry_backoff = float(retry_backoff)
         self.job_timeout = job_timeout
-        self.checkpoint_dir = checkpoint_dir
-        self.checkpoint_every = int(checkpoint_every)
-
-    @property
-    def _checkpoint_spec(self) -> CheckpointSpec:
-        if self.checkpoint_dir is None:
-            return None
-        return (self.checkpoint_dir, self.checkpoint_every)
 
     # ------------------------------------------------------------------ #
     # Execution
@@ -559,7 +516,7 @@ class JobExecutor:
         else:
             unit.future = pool.submit(
                 execute_job_with_dtype, unit.job, unit.dataset, dtype,
-                collect, engine_threads, self._checkpoint_spec, directives)
+                collect, engine_threads, directives)
         unit.deadline = (time.monotonic() + self.job_timeout
                          if self.job_timeout is not None else None)
 
@@ -626,8 +583,7 @@ class JobExecutor:
         attempt = 0
         while True:
             attempt += 1
-            result = execute_job(job, dataset,
-                                 checkpoint=self._checkpoint_spec)
+            result = execute_job(job, dataset)
             result.attempts = attempt
             if not result.error or attempt >= allowed:
                 if result.error and self.retries > 0:

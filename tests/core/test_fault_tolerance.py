@@ -4,8 +4,10 @@ A stacked step cannot pin a failure on one lane, so the stacked trainer
 recovers nothing itself: a ``raise@lane_step`` fault must leave
 :meth:`StackedCausalFormerTrainer.fit` as the injected exception (no lane
 is silently lost), and the service layer re-runs the group job by job
-(see ``tests/service/test_batched_jobs.py``).  Solo checkpoint/resume is
-covered by ``tests/service/test_checkpoint.py``.
+(see ``tests/service/test_batched_jobs.py``).  A solo fit has no resume
+point either: a ``raise@train_step`` crash fails the job, and the
+executor's retry refits it from scratch, which being seeded returns the
+same graph (see ``tests/service/test_executor.py``).
 """
 
 from dataclasses import replace

@@ -147,3 +147,183 @@ class TestDivergenceDetection:
         assert history.diverged
         assert history.n_epochs == 1
         assert history.best_epoch == -1
+
+
+class _Weight:
+    """Stand-in parameter: the epoch-end rule only reads ``.data``."""
+
+    def __init__(self, value):
+        self.data = np.array([value], dtype=np.float64)
+
+
+def rule_progress():
+    from repro.core.training import FitProgress, TrainingHistory
+
+    return FitProgress(TrainingHistory(), [_Weight(1.0), _Weight(2.0)])
+
+
+def run_epochs(progress, losses, config, telemetry=None, **fields):
+    """Feed ``(train, validation)`` losses; returns each epoch's stop flag."""
+    from repro.core.training import end_epoch
+    from repro.telemetry import NULL_TELEMETRY
+
+    telemetry = telemetry or NULL_TELEMETRY
+    return [end_epoch(progress, epoch, train, validation, config, telemetry,
+                      **fields)
+            for epoch, (train, validation) in enumerate(losses)]
+
+
+class TestEndEpochRule:
+    """The one epoch-end rule both trainers call (``end_epoch``)."""
+
+    def test_appends_losses_every_epoch(self):
+        progress = rule_progress()
+        run_epochs(progress, [(3.0, 2.5), (2.0, 2.6)],
+                   make_config(patience=10))
+        assert progress.history.train_loss == [3.0, 2.0]
+        assert progress.history.validation_loss == [2.5, 2.6]
+
+    def test_improvement_snapshots_parameters(self):
+        progress = rule_progress()
+        stops = run_epochs(progress, [(1.0, 0.5)], make_config())
+        assert stops == [False]
+        assert progress.history.best_epoch == 0
+        assert progress.history.best_validation_loss == 0.5
+        assert [saved.tolist() for saved in progress.best_state] == \
+            [[1.0], [2.0]]
+
+    def test_snapshot_is_a_copy(self):
+        progress = rule_progress()
+        run_epochs(progress, [(1.0, 0.5)], make_config())
+        progress.parameters[0].data[...] = 99.0
+        assert progress.best_state[0].tolist() == [1.0]
+
+    def test_improvement_resets_stale_count(self):
+        progress = rule_progress()
+        run_epochs(progress, [(1.0, 0.5), (1.0, 0.6), (1.0, 0.4)],
+                   make_config(patience=3))
+        assert progress.stale_epochs == 0
+        assert progress.history.best_epoch == 2
+
+    def test_gain_within_min_delta_is_stale(self):
+        progress = rule_progress()
+        run_epochs(progress, [(1.0, 0.5), (1.0, 0.45)],
+                   make_config(patience=3, min_delta=0.1))
+        assert progress.history.best_epoch == 0
+        assert progress.history.best_validation_loss == 0.5
+        assert progress.stale_epochs == 1
+
+    def test_stops_after_patience_stale_epochs(self):
+        progress = rule_progress()
+        stops = run_epochs(progress,
+                           [(1.0, 0.5), (1.0, 0.6), (1.0, 0.7), (1.0, 0.8)],
+                           make_config(patience=3))
+        assert stops == [False, False, False, True]
+        assert progress.history.stopped_early
+        assert not progress.history.diverged
+        assert progress.history.best_epoch == 0
+
+    @pytest.mark.parametrize("train, validation", [
+        (float("nan"), 0.5), (1.0, float("nan")),
+        (float("inf"), 0.5), (1.0, float("-inf"))])
+    def test_non_finite_loss_stops_as_divergence(self, train, validation):
+        progress = rule_progress()
+        stops = run_epochs(progress, [(train, validation)],
+                           make_config(patience=100))
+        assert stops == [True]
+        assert progress.history.diverged
+        assert not progress.history.stopped_early
+        assert progress.history.n_epochs == 1
+
+    def test_divergence_keeps_last_best_snapshot(self):
+        progress = rule_progress()
+        run_epochs(progress, [(1.0, 0.5)], make_config(patience=100))
+        progress.parameters[0].data[...] = float("nan")
+        run_epochs(progress, [(float("nan"), float("nan"))],
+                   make_config(patience=100))
+        assert progress.history.best_epoch == 0
+        assert progress.best_state[0].tolist() == [1.0]
+
+    def test_divergence_before_any_improvement_has_no_snapshot(self):
+        progress = rule_progress()
+        run_epochs(progress, [(1.0, float("inf"))], make_config())
+        assert progress.best_state is None
+        assert progress.history.best_epoch == -1
+
+    def test_train_epoch_events_carry_fields(self):
+        from repro.telemetry import capture
+
+        progress = rule_progress()
+        with capture() as telemetry:
+            run_epochs(progress, [(3.0, 2.5), (2.0, 2.0)],
+                       make_config(patience=10), telemetry, model=7)
+        epochs = [record["attrs"] for record in telemetry.records()
+                  if record["name"] == "train_epoch"]
+        assert epochs == [
+            {"model": 7, "epoch": 0, "loss": 3.0, "validation_loss": 2.5},
+            {"model": 7, "epoch": 1, "loss": 2.0, "validation_loss": 2.0}]
+
+    def test_early_stop_event_names_best_epoch(self):
+        from repro.telemetry import capture
+
+        progress = rule_progress()
+        with capture() as telemetry:
+            run_epochs(progress, [(1.0, 0.5), (1.0, 0.3), (1.0, 0.9)],
+                       make_config(patience=1), telemetry)
+        stops = [record["attrs"] for record in telemetry.records()
+                 if record["name"] == "early_stop"]
+        assert stops == [{"epoch": 2, "best_epoch": 1}]
+
+    def test_divergence_emits_train_diverged(self):
+        from repro.telemetry import capture
+
+        progress = rule_progress()
+        with capture() as telemetry:
+            run_epochs(progress, [(float("nan"), 0.5)], make_config(),
+                       telemetry, model=2)
+        names = [record["name"] for record in telemetry.records()]
+        assert names == ["train_epoch", "train_diverged"]
+
+
+class TestBothTrainersShareTheRule:
+    """Solo and stacked fits route every epoch end through ``end_epoch``."""
+
+    @staticmethod
+    def _counting(monkeypatch, module):
+        from repro.core import training
+
+        calls = []
+        original = training.end_epoch
+
+        def counted(progress, *args, **kwargs):
+            calls.append(progress.history)
+            return original(progress, *args, **kwargs)
+
+        monkeypatch.setattr(module, "end_epoch", counted)
+        return calls
+
+    def test_solo_fit_calls_the_rule_once_per_epoch(self, training_values,
+                                                    monkeypatch):
+        from repro.core import training
+
+        calls = self._counting(monkeypatch, training)
+        config = make_config(max_epochs=6, patience=2)
+        history = Trainer(CausalityAwareTransformer(config),
+                          config).fit(training_values)
+        assert len(calls) == history.n_epochs
+        assert all(recorded is history for recorded in calls)
+
+    def test_stacked_fit_calls_the_rule_once_per_lane_epoch(
+            self, training_values, monkeypatch):
+        from repro.core import batched
+
+        calls = self._counting(monkeypatch, batched)
+        models = [CausalityAwareTransformer(make_config(max_epochs=6,
+                                                        patience=2, seed=seed))
+                  for seed in (0, 1)]
+        histories = batched.StackedCausalFormerTrainer(models).fit(
+            [training_values, training_values])
+        assert len(calls) == sum(history.n_epochs for history in histories)
+        for history in histories:
+            assert sum(recorded is history for recorded in calls) == \
+                history.n_epochs

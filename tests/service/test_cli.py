@@ -104,6 +104,33 @@ class TestInProcessEntryPoints:
                   "raise@round=3", "--cache-dir", str(tmp_path / "cache")])
         assert not (tmp_path / "cache").exists()
 
+    def test_removed_checkpoint_flag_is_a_usage_error(self, tmp_path,
+                                                      capsys):
+        # Retried fits refit from scratch; a script still asking for a
+        # resume directory fails loudly before any job runs.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["sweep", "--datasets", "fork", "--methods", "var_granger",
+                  "--seeds", "0", "--length", "140",
+                  "--checkpoint-dir", str(tmp_path / "ckpt"),
+                  "--cache-dir", str(tmp_path / "cache")])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --checkpoint-dir" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "cache").exists()
+        assert not (tmp_path / "ckpt").exists()
+
+    def test_removed_checkpoint_every_flag_is_a_usage_error(self, tmp_path,
+                                                            capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["sweep", "--datasets", "fork", "--methods", "var_granger",
+                  "--seeds", "0", "--length", "140",
+                  "--checkpoint-every", "1",
+                  "--cache-dir", str(tmp_path / "cache")])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --checkpoint-every" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "cache").exists()
+
     def test_bad_config_rejected(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["discover", "--dataset", "fork", "--method", "var_granger",
