@@ -15,16 +15,6 @@ from repro.service import bench
 from repro.service.executor import JobExecutor
 
 
-def best_of(runs, call):
-    call()   # warm-up (imports, caches) outside the measurement
-    samples = []
-    for _ in range(runs):
-        start = time.perf_counter()
-        call()
-        samples.append(time.perf_counter() - start)
-    return min(samples)
-
-
 def interleaved_medians(pairs, first, second):
     """Median wall time of ``first`` and of ``second`` over ``pairs`` pairs.
 
@@ -48,11 +38,12 @@ def test_batched_sweep_faster_than_per_job_dispatch():
     pairs = bench._sweep_pairs()
     sequential = JobExecutor(max_workers=1, cache=None)
     batched = JobExecutor(max_workers=1, cache=None, batch_jobs=True)
-    sequential_best = best_of(3, lambda: sequential.run(pairs))
-    batched_best = best_of(3, lambda: batched.run(pairs))
-    assert batched_best < sequential_best, (
-        f"batched sweep took {batched_best:.3f}s, per-job dispatch "
-        f"{sequential_best:.3f}s — stacking should win on 4 same-shape jobs")
+    batched_median, sequential_median = interleaved_medians(
+        6, lambda: batched.run(pairs), lambda: sequential.run(pairs))
+    assert batched_median < sequential_median, (
+        f"batched sweep took {batched_median:.3f}s (median of 6), per-job "
+        f"dispatch {sequential_median:.3f}s — stacking should win on 4 "
+        "same-shape jobs")
 
 
 def test_batched_sweep_matches_per_job_results():

@@ -78,7 +78,7 @@ from repro.core.transformer import CausalityAwareTransformer
 from repro.data.windows import sliding_windows
 from repro.nn.inference import profiling_hook
 from repro.nn.optim import StackedAdam
-from repro.nn.parallel import get_engine_threads
+from repro.nn.parallel import engine_session
 from repro.nn.training_engine import StackedTrainingEngine
 from repro.telemetry import get_telemetry
 
@@ -175,6 +175,8 @@ class StackedCausalFormerTrainer:
         self._members_dirty = False
         self._padded_lane_steps = 0
         self._total_lane_steps = 0
+        #: the most engine threads a step of this fit ran on (gauge)
+        self._threads = 0
         #: width → engine over the ``params[:m]`` prefix (narrow full steps)
         self._prefix_engines = {}
         #: participating-rows tuple → gathered sub-stack (ragged tail steps)
@@ -272,7 +274,6 @@ class StackedCausalFormerTrainer:
         self._refresh_views()
         self.engine.rebind([lane.model for lane in self._lanes],
                            self._stacked, self._grad_views)
-        self.engine.parallel_model_axis = self._k >= get_engine_threads()
         # Sub-engines index rows by lane position; a membership change (or
         # re-sort) invalidates every cached width/row-set binding.
         self._prefix_engines.clear()
@@ -326,7 +327,6 @@ class StackedCausalFormerTrainer:
             engine = StackedTrainingEngine(
                 [lane.model for lane in self._lanes[:m]], stacked, grad_views,
                 arena=self.engine.arena)
-            engine.parallel_model_axis = m >= get_engine_threads()
             if self.engine.profiling_enabled:
                 engine.enable_profiling(profiling_hook(get_telemetry()))
             self._prefix_engines[m] = engine
@@ -350,7 +350,6 @@ class StackedCausalFormerTrainer:
             engine = StackedTrainingEngine(
                 [self._lanes[row].model for row in rows], stacked, grad_views,
                 arena=self.engine.arena)
-            engine.parallel_model_axis = g >= get_engine_threads()
             if self.engine.profiling_enabled:
                 engine.enable_profiling(profiling_hook(get_telemetry()))
             entry = _TailStack(params, grads, engine)
@@ -471,11 +470,7 @@ class StackedCausalFormerTrainer:
             self._refresh_bindings()
 
         engine = self.engine
-        # The stacked engines thread over the model axis when the fleet is
-        # at least as wide as the pool, otherwise over the batch axis.
-        engine.parallel_model_axis = self._k >= get_engine_threads()
-        if telemetry.enabled:
-            telemetry.gauge("engine.threads").set(get_engine_threads())
+        self._threads = 0
         if telemetry.engine_profiling:
             engine.enable_profiling(profiling_hook(telemetry))
         else:
@@ -491,7 +486,8 @@ class StackedCausalFormerTrainer:
                 "train_fit_stacked", models=self._k,
                 capacity=self.capacity,
                 n_windows=sum(lane.n_train for lane in self._lanes),
-                max_epochs=config.max_epochs) as fit_span:
+                max_epochs=config.max_epochs) as fit_span, \
+                engine_session():
             while self._lanes:
                 self._run_round()
                 for row in reversed(self._finish_epochs(telemetry)):
@@ -511,6 +507,7 @@ class StackedCausalFormerTrainer:
             if telemetry.enabled:
                 telemetry.gauge(
                     "scheduler.padded_window_fraction").set(fraction)
+                telemetry.gauge("engine.threads").set(self._threads)
             fit_span.set(
                 models=len(self.models),
                 epochs=max(history.n_epochs for history in self.histories),
@@ -687,4 +684,6 @@ class StackedCausalFormerTrainer:
         (the same engine at K = 1).
         """
         engine, grads = self._step_ctx
-        return engine.train_step(xb), grads
+        losses = engine.train_step(xb)
+        self._threads = max(self._threads, engine.threads)
+        return losses, grads

@@ -18,7 +18,7 @@ from repro.core.config import CausalFormerConfig
 from repro.core.transformer import CausalityAwareTransformer
 from repro.nn.inference import profiling_hook
 from repro.nn.optim import Adam
-from repro.nn.parallel import get_engine_threads
+from repro.nn.parallel import engine_session
 from repro.nn.training_engine import TrainingEngine
 from repro.telemetry import get_telemetry, verbose_telemetry
 
@@ -165,8 +165,6 @@ class Trainer:
         safe under threaded op execution.
         """
         telemetry = self._telemetry = verbose_telemetry(verbose)
-        if telemetry.enabled:
-            telemetry.gauge("engine.threads").set(get_engine_threads())
         if telemetry.engine_profiling:
             self._training.enable_profiling(profiling_hook(telemetry))
         else:
@@ -203,7 +201,8 @@ class Trainer:
         # repro: allow(telemetry-guard): fit-scoped span; null trace is free
         with telemetry.trace("train_fit", n_windows=windows.shape[0],
                              max_epochs=self.config.max_epochs,
-                             seed=self.config.seed) as fit_span:
+                             seed=self.config.seed) as fit_span, \
+                engine_session():
             for epoch in range(self.config.max_epochs):
                 epoch_loss = self._run_epoch(train_windows, rng)
                 if validation_windows is not None and len(validation_windows):
@@ -213,6 +212,9 @@ class Trainer:
                 if end_epoch(progress, epoch, epoch_loss, validation_loss,
                              self.config, telemetry):
                     break
+            if telemetry.enabled:
+                telemetry.gauge("engine.threads").set(
+                    self._training.fleet.threads)
             fit_span.set(epochs=self.history.n_epochs,
                          best_epoch=self.history.best_epoch,
                          stopped_early=self.history.stopped_early,

@@ -24,14 +24,18 @@ the plain autograd reference
 (:meth:`~repro.core.transformer.CausalityAwareTransformer.forward`, which
 transcribes the paper's equations one op at a time) it agrees up to
 floating-point rounding; the tests pin that at tolerance in float64 and
-float32.  With ``set_engine_threads(n)`` (see :mod:`repro.nn.parallel`) the
-dominant ops chunk an independent leading axis — the model axis or the
-widest per-model axis — across a shared worker pool; each chunk performs
-exactly the per-slice work of the serial op on disjoint output slices, so
-threaded results stay bit-identical in both dtypes.  The detector-facing
-:meth:`StackedInferenceEngine.interpretation_forward` follows a second fixed
-sequence (per-head outputs, 3-D linears, einsum head combination,
-source-major convolution layout) that the detector's scores depend on, and
+float32.  When a call runs on more than one thread — by the work-size rule
+or an explicit ``set_engine_threads(n)`` (see :mod:`repro.nn.parallel`) —
+the dominant ops chunk an independent leading axis (the model axis or a
+per-model axis) across a shared worker pool; each chunk performs exactly
+the per-slice work of the serial op on disjoint output slices, so threaded
+results stay bit-identical in both dtypes.  The training and validation
+forward keeps the convolution values in a float64 ``(model, target,
+source, B·T)`` buffer that its GEMMs read as strided views.  The
+detector-facing :meth:`StackedInferenceEngine.interpretation_forward`
+follows a second fixed sequence (per-head outputs, 3-D linears, einsum
+head combination, source-major convolution layout) that the detector's
+scores depend on, and
 :meth:`StackedInferenceEngine.interpretation_gradients` hand-evaluates the
 backward of that sequence for every target series in one all-ones pass —
 the detector needs no autograd graph at all.
@@ -39,6 +43,7 @@ the detector needs no autograd graph at all.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -46,7 +51,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.contracts import hot_path
-from .parallel import get_engine_threads, parallel_for, slice_axis
+from .parallel import (engine_call, get_engine_threads, parallel_for,
+                       slice_axis)
 
 
 class ScratchSpace:
@@ -232,6 +238,44 @@ def _leaky_slope(space: ScratchSpace, name: str, pre_activation: np.ndarray,
     return slope
 
 
+def sized_by_batch(method: Callable) -> Callable:
+    """Run ``method(self, x, ...)`` on the engine threads its batch earns.
+
+    ``x`` is the ``(K, B, N, T)`` batch, so the call's convolution tensor
+    holds ``K·B·N²·T`` elements (see :func:`repro.nn.parallel.engine_call`).
+    """
+    @functools.wraps(method)
+    def wrapper(self, x: np.ndarray, *args, **kwargs):
+        m, batch, n, window = x.shape
+        with engine_call(m * batch * n * n * window):
+            return method(self, x, *args, **kwargs)
+    return wrapper
+
+
+def tiled_scale(space: ScratchSpace, scale_array: np.ndarray,
+                batch: int) -> np.ndarray:
+    """The Eq. 3 ``1/t`` rescale repeated over ``batch`` windows.
+
+    Multiplying ``(…, B·T)`` rows by it runs one contiguous inner loop per
+    row instead of one ``T``-element loop per window.
+    """
+    return space.view(f"conv.scale.{scale_array.dtype.str}",
+                      lambda: np.tile(scale_array, batch))
+
+
+def series_diagonal(tsbt: np.ndarray) -> np.ndarray:
+    """The writable ``(M, N, …)`` view of ``tsbt[:, i, i]``.
+
+    ``tsbt`` is an ``(M, target, source, …)`` array in any memory layout;
+    the view steps both series axes at once, so one copy shifts every
+    self-series row (Eq. 4) without a per-series loop or a temporary.
+    """
+    strides = tsbt.strides
+    return np.lib.stride_tricks.as_strided(
+        tsbt, shape=tsbt.shape[:2] + tsbt.shape[3:],
+        strides=(strides[0], strides[1] + strides[2]) + strides[3:])
+
+
 def _mse_plus_penalties(diff: np.ndarray, penalties: List[float]) -> float:
     """One model's Eq. 9 loss: windowed MSE, then the penalty terms in order.
 
@@ -406,35 +450,30 @@ class StackedInferenceEngine(ProfilingSeam):
     every reduction keeps its per-model order (per-row ``np.dot`` for the
     head combination, per-model loss accumulation), so each model's results
     are **bit-identical** to running it in a fleet of one — in float64 and
-    float32 alike, at any fleet width.  The per-model memory layouts are
-    fixed (including the source-major convolution layout), because einsum
-    summation order — hence detector bit-identity — depends on operand
-    strides.
+    float32 alike, at any fleet width.  The training and validation path
+    lays the convolution values out for its GEMMs (see
+    :meth:`_convolution`); only the interpretation path fixes the
+    source-major layout, because einsum summation order — hence detector
+    bit-identity — depends on operand strides.
     """
 
     _PROFILED_OPS = ("_causal_windows", "_convolution", "_attention_probs",
                      "_combine_layout")
 
-    #: Which axis stacked ops chunk across under ``set_engine_threads``:
-    #: ``True`` → the model axis ``K``, ``False`` → the widest per-model
-    #: inner axis, ``None`` (default) → whichever offers more lanes for the
-    #: configured thread count.  The batching layer
-    #: (:class:`repro.core.batched.StackedCausalFormerTrainer`) sets this
-    #: per group.  Either choice is bit-identical — chunking any leading
-    #: axis of a batched matmul / element-wise op preserves the per-slice
-    #: work exactly — so this is purely a load-balance knob.
-    parallel_model_axis: Optional[bool] = None
-
     def _model_axis_first(self, m: int, inner: int) -> bool:
-        """Chunk over the model axis (True) or the inner axis (False)?"""
+        """Chunk over the model axis (True) or the inner axis (False)?
+
+        The model axis when the fleet is at least as wide as the running
+        call's thread count or the inner axis.  Either choice is
+        bit-identical — chunking any leading axis of a batched matmul /
+        element-wise op preserves the per-slice work exactly — so this is
+        purely a load-balance decision.
+        """
         if inner <= 1:
             return True
         if m <= 1:
             return False
-        prefer = self.parallel_model_axis
-        if prefer is None:
-            prefer = m >= get_engine_threads() or m >= inner
-        return bool(prefer)
+        return m >= get_engine_threads() or m >= inner
 
     def __init__(self, models: Sequence, arena: Optional[ScratchArena] = None) -> None:
         if not models:
@@ -587,55 +626,68 @@ class StackedInferenceEngine(ProfilingSeam):
     def _convolution(self, space: ScratchSpace, x: np.ndarray, stage: dict,
                      legacy_layout: bool = False
                      ) -> Tuple[np.ndarray, np.ndarray]:
-        """Fused causal convolution with the Eq. 4 right-shift.
+        """Fused causal convolution (Eq. 3) with the Eq. 4 right-shift.
 
         Returns ``(values, windows_flat)`` — the convolution output and the
-        window layout (reused by the detector backward).  ``legacy_layout``
-        allocates the output in source-major memory order, which einsum
-        summation order — hence the detector's scores and graphs — depends
-        on.  The evaluation path only ever reads the values through
-        contiguous re-layouts, so it uses a C-ordered buffer.
+        window layout (reused by the convolution backward).  One GEMM per
+        source series writes ``(target, B·T)`` rows, and one multiply
+        applies the 1/t rescale in the convolution dtype and swaps the
+        series axes over runs of ``B·T`` elements into the output buffer;
+        ``legacy_layout`` only picks that buffer.  By default it is the
+        float64 ``(M, target, source, B, T)`` buffer the Eq. 6 GEMMs read as
+        strided views.  ``legacy_layout`` returns ``(M, B, source, target,
+        T)`` values in the convolution dtype, held in source-major memory
+        order: einsum summation order — hence the detector's scores and
+        graphs — depends on those strides.
         """
         m, batch, n, window = x.shape
         kernel = stage["kernel_eff"]
         cdtype = np.result_type(x.dtype, kernel.dtype)
         _padded, flat = self._causal_windows(space, x)
-        k_out = kernel.shape[2]
-        raw = space.take("conv.raw", (m, n, batch * window, k_out), cdtype)
-        kernel_t = kernel.transpose(0, 1, 3, 2)
+        raw = space.take("conv.out", (m, n, n, batch * window), cdtype)
+        flat_t = space.view("conv.windows_flat.t",
+                            lambda: flat.transpose(0, 1, 3, 2))
         axis = 0 if self._model_axis_first(m, n) else 1
 
         def matmul_body(lo: int, hi: int) -> None:
-            np.matmul(slice_axis(flat, axis, lo, hi),
-                      slice_axis(kernel_t, axis, lo, hi),
+            np.matmul(slice_axis(kernel, axis, lo, hi),
+                      slice_axis(flat_t, axis, lo, hi),
                       out=slice_axis(raw, axis, lo, hi))
 
         parallel_for(matmul_body, raw.shape[axis], outputs=((raw, axis),))
         if legacy_layout:
-            buffer = space.take("conv.values", (m, n, batch, window, k_out),
+            buffer = space.take("conv.values", (m, n, batch, window, n),
                                 cdtype)
             values = space.view("conv.values.t",
                                 lambda: buffer.transpose(0, 2, 1, 4, 3))
+            tsbt = space.view("conv.values.tsbt",
+                              lambda: buffer.transpose(0, 4, 1, 2, 3))
         else:
-            values = space.take("conv.values", (m, batch, n, k_out, window),
-                                cdtype)
-        raw_t = space.view("conv.raw.t",
-                           lambda: raw.reshape(m, n, batch, window, k_out)
-                           .transpose(0, 2, 1, 4, 3))
-        scale_array = stage["scale_array"]
-        scale_axis = 0 if self._model_axis_first(m, batch) else 1
+            # The attention is float64, so the values meet it promoted.
+            # The rescale itself runs in the convolution dtype (the kernel
+            # and the 1/t scale share the model dtype) and only its result
+            # is widened.
+            values = tsbt = space.take("conv.tsbt", (m, n, n, batch, window),
+                                       np.result_type(cdtype, np.float64))
+        scale = tiled_scale(space, stage["scale_array"], batch)
+        raw_t = space.view("conv.out.t", lambda: raw.transpose(0, 2, 1, 3))
+        # Both layouts nest T inside B, so merging them is a view.
+        tsbt_flat = space.view("conv.tsbt.flat", lambda: tsbt.reshape(
+            m, n, n, batch * window))
 
         def scale_body(lo: int, hi: int) -> None:
-            np.multiply(slice_axis(raw_t, scale_axis, lo, hi), scale_array,
-                        out=slice_axis(values, scale_axis, lo, hi))
+            np.multiply(slice_axis(raw_t, axis, lo, hi), scale,
+                        out=slice_axis(tsbt_flat, axis, lo, hi),
+                        dtype=cdtype)
 
-        parallel_for(scale_body, values.shape[scale_axis],
-                     outputs=((values, scale_axis),))
-        shift = space.take("conv.shift", (m, batch, window), cdtype)
-        for index in range(n):
-            np.copyto(shift, values[:, :, index, index, :])
-            values[:, :, index, index, 1:] = shift[..., :-1]
-            values[:, :, index, index, 0] = 0.0
+        parallel_for(scale_body, tsbt_flat.shape[axis],
+                     outputs=((tsbt_flat, axis),))
+        diagonal = space.view("conv.diagonal", lambda: series_diagonal(tsbt))
+        shift = space.take("conv.shift", (m, n, batch, window - 1),
+                           tsbt.dtype)
+        np.copyto(shift, diagonal[..., :-1])
+        np.copyto(diagonal[..., 1:], shift)
+        diagonal[..., 0] = 0.0
         return values, flat
 
     @hot_path
@@ -719,41 +771,55 @@ class StackedInferenceEngine(ProfilingSeam):
 
     @hot_path
     def _combine_layout(self, space: ScratchSpace, probs: np.ndarray,
-                        values: np.ndarray
+                        values: np.ndarray, legacy_layout: bool = False
                         ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Contiguous GEMM layouts + per-head application (Eq. 6)."""
+        """Per-head application of the attention to the values (Eq. 6).
+
+        Returns ``(a_bihj, v_bijt, head_outputs)``: the ``(M, B, i, h, j)``
+        attention and ``(M, B, i, j, T)`` values the per-``(model, batch,
+        target)`` GEMMs read, and their ``(M, B, i, h, T)`` product.  With
+        the default layout both operands are strided views of ``probs`` and
+        of the :meth:`_convolution` buffer; ``legacy_layout`` (values from
+        the interpretation path) stages contiguous copies instead.
+        """
         m, n_heads, batch, n, _ = probs.shape
         window = values.shape[-1]
         out_dtype = np.result_type(probs.dtype, values.dtype)
-        a_bihj = space.take("comb.a", (m, batch, n, n_heads, n), probs.dtype)
-        probs_t = space.view("comb.probs.t",
-                             lambda: probs.transpose(0, 2, 3, 1, 4))
-        # Float64 attention meets model-dtype values here, which numpy
-        # resolves by casting the values up internally on every call;
-        # staging the cast copy once is bit-identical and skips the hidden
-        # per-call buffer.
-        v_bijt = space.take("comb.v", (m, batch, n, n, window), out_dtype)
-        values_t = space.view("comb.values.t",
-                              lambda: values.transpose(0, 1, 3, 2, 4))
+        if legacy_layout:
+            a_bihj = space.take("comb.a", (m, batch, n, n_heads, n),
+                                probs.dtype)
+            np.copyto(a_bihj, probs.transpose(0, 2, 3, 1, 4))
+            # Float64 attention meets model-dtype values here; staging the
+            # cast copy once is bit-identical to numpy's hidden per-call cast.
+            v_bijt = space.take("comb.v", (m, batch, n, n, window), out_dtype)
+            np.copyto(v_bijt, values.transpose(0, 1, 3, 2, 4))
+        else:
+            a_bihj = space.view("comb.probs.t",
+                                lambda: probs.transpose(0, 2, 3, 1, 4))
+            v_bijt = space.view("comb.values.t",
+                                lambda: values.transpose(0, 3, 1, 2, 4))
         head_outputs = space.take("comb.ho", (m, batch, n, n_heads, window),
                                   out_dtype)
-        axis = 0 if self._model_axis_first(m, batch) else 1
+        # One GEMM per (model, target, batch) slice with the batch axis
+        # innermost, so consecutive GEMMs read neighbouring ``T``-runs of
+        # the values buffer.
+        a_ib, v_ib, ho_ib = (space.view(name, lambda array=array:
+                                        array.swapaxes(1, 2))
+                             for name, array in (("comb.a.ib", a_bihj),
+                                                 ("comb.v.ib", v_bijt),
+                                                 ("comb.ho.ib", head_outputs)))
+        axis = 0 if self._model_axis_first(m, n) else 1
 
         def body(lo: int, hi: int) -> None:
-            np.copyto(slice_axis(a_bihj, axis, lo, hi),
-                      slice_axis(probs_t, axis, lo, hi))
-            np.copyto(slice_axis(v_bijt, axis, lo, hi),
-                      slice_axis(values_t, axis, lo, hi))
-            np.matmul(slice_axis(a_bihj, axis, lo, hi),
-                      slice_axis(v_bijt, axis, lo, hi),
-                      out=slice_axis(head_outputs, axis, lo, hi))
+            np.matmul(slice_axis(a_ib, axis, lo, hi),
+                      slice_axis(v_ib, axis, lo, hi),
+                      out=slice_axis(ho_ib, axis, lo, hi))
 
-        parallel_for(body, head_outputs.shape[axis],
-                     outputs=((a_bihj, axis), (v_bijt, axis),
-                              (head_outputs, axis)))
+        parallel_for(body, ho_ib.shape[axis], outputs=((ho_ib, axis),))
         return a_bihj, v_bijt, head_outputs
 
     @hot_path
+    @sized_by_batch
     def _forward(self, x: np.ndarray, stage: dict) -> np.ndarray:
         m, batch, n, window = x.shape
         space = self.arena.space(("stack.eval", x.shape, x.dtype.str))
@@ -1023,7 +1089,6 @@ class StackedInferenceEngine(ProfilingSeam):
                 if sub is None:
                     sub = StackedInferenceEngine(
                         [self.models[row] for row in rows], arena=self.arena)
-                    sub.parallel_model_axis = self.parallel_model_axis
                     if cache is not None:
                         cache[key] = sub
                 losses = sub.evaluate(arrays, batch_size)
@@ -1088,8 +1153,8 @@ class StackedInferenceEngine(ProfilingSeam):
         np.copyto(scores, probs)
         self._softmax_inplace(space, probs)
 
-        a_bihj, v_bijt, head_outputs = self._combine_layout(space, probs,
-                                                            values)
+        a_bihj, v_bijt, head_outputs = self._combine_layout(
+            space, probs, values, legacy_layout=True)
         dtype = head_outputs.dtype
         ho_hbit = arena.take("stack.cache.ho", (m, n_heads, batch, n, window),
                              dtype)

@@ -35,18 +35,36 @@ gradient view — and revalidates it with a handful of identity checks per
 step (the scratch space and the derived dtypes).  Rebinding the engine to
 new parameter or gradient views drops every plan.
 
+Convolution layout
+------------------
+The training step keeps the convolution values in the float64 ``(K,
+target, source, B·T)`` buffer the forward writes (see
+:meth:`~repro.nn.inference.StackedInferenceEngine._convolution`).  The
+Eq. 6 backward GEMMs read the attention and these values as strided views
+and write the attention gradient straight into the softmax backward's
+``(K, h, B, i, j)`` layout and the value gradient into ``(K, i, j, B·T)``.
+One multiply then casts, rescales and transposes that gradient into the
+kernel GEMM's ``(K, source, target, B·T)`` operand; the Eq. 4 shift is
+undone by one copy through a strided view of the self-series diagonal
+(:func:`~repro.nn.inference.series_diagonal`).  The source-major layout
+is fixed only on the interpretation path, whose einsum order the
+detector's scores depend on.
+
 Threaded execution
 ------------------
-The dominant backward ops run through :func:`repro.nn.parallel.parallel_for`
-across the model or batch axis picked by
+A training step runs on the engine threads the work-size rule gives its
+``K·B·N²·T`` convolution tensor, unless a count is set explicitly
+(:mod:`repro.nn.parallel`).  The dominant backward ops run through
+:func:`repro.nn.parallel.parallel_for` across the model axis or the inner
+axis picked by
 :meth:`~repro.nn.inference.StackedInferenceEngine._model_axis_first`.
 Chunking is bit-exact by construction: numpy dispatches batched (3D+)
 matmuls as one 2-D GEMM per leading-axes slice, elementwise ops and
 last-axis reductions are per-row, and every chunk writes a disjoint slice of
 a pre-allocated arena buffer.  Cross-row weight-gradient reductions
 (``ffn.T @ grad2d`` style, ``.sum(axis=1)``) chunk only across models, so
-each model's reduction stays whole.  At ``engine threads = 1`` every
-``body(0, n)`` call is the exact serial path.
+each model's reduction stays whole.  On one thread every ``body(0, n)``
+call is the exact serial path.
 
 Numerical contract
 ------------------
@@ -81,8 +99,9 @@ import numpy as np
 from repro.contracts import hot_path
 from repro.nn.inference import (InferenceEngine, ScratchArena, ScratchSpace,
                                 StackedInferenceEngine, _mse_plus_penalties,
-                                sum_last_keepdims)
-from repro.nn.parallel import parallel_for, slice_axis
+                                series_diagonal, sized_by_batch,
+                                sum_last_keepdims, tiled_scale)
+from repro.nn.parallel import get_engine_threads, parallel_for, slice_axis
 
 
 @hot_path
@@ -179,17 +198,25 @@ class _StackedBackwardPlan:
         self.grad_comb4d = self.grad_combined.reshape(m, batch, n, window)
         self.gc5 = self.grad_comb4d[:, :, :, None, :]
 
-        self.a_bihj = take("comb.a", (m, batch, n, n_heads, n), f64)
-        self.v_bijt = take("comb.v", (m, batch, n, n, window), f64)
+        # The Eq. 6 GEMMs run on strided views, one per (model, target,
+        # batch) slice with the batch axis innermost: attention straight
+        # from the softmax output, values from the (K, target, source, B, T)
+        # convolution buffer.  They write ``grad_a`` in the softmax
+        # backward's (K, h, B, i, j) layout and ``grad_v`` in the values'.
+        self.probs = take("att.probs", (m, n_heads, batch, n, n), f64)
+        self.values = take("conv.tsbt", (m, n, n, batch, window), f64)
         self.head_outputs = take("comb.ho", (m, batch, n, n_heads, window),
                                  f64)
         self.grad_heads = take("comb.bwd.heads",
                                (m, batch, n, n_heads, window), f64)
-        self.grad_a = take("bwd.ga", (m, batch, n, n_heads, n), f64)
-        self.grad_probs = self.grad_a.transpose(0, 3, 1, 2, 4)
-        self.grad_v = take("bwd.gv", (m, batch, n, n, window), f64)
-        self.v_t = self.v_bijt.transpose(0, 1, 2, 4, 3)
-        self.a_t = self.a_bihj.transpose(0, 1, 2, 4, 3)
+        self.grad_heads_ib = self.grad_heads.swapaxes(1, 2)
+        self.gc5_ib = self.gc5.swapaxes(1, 2)
+        self.grad_probs = take("bwd.ga", (m, n_heads, batch, n, n), f64)
+        self.grad_a = self.grad_probs.transpose(0, 3, 2, 1, 4)
+        self.grad_tsbt = take("bwd.gv", (m, n, n, batch, window), f64)
+        self.grad_v = self.grad_tsbt.swapaxes(2, 3)
+        self.v_t = self.values.transpose(0, 1, 3, 4, 2)
+        self.a_t = self.probs.transpose(0, 3, 2, 4, 1)
         self.ho_flat = take("bwd.ho_flat", (m, n_heads, bn * window), f64)
         self.ho_flat_r = self.ho_flat.reshape(m, n_heads, batch, n, window)
         self.ho_src = self.head_outputs.transpose(0, 3, 1, 2, 4)
@@ -197,7 +224,6 @@ class _StackedBackwardPlan:
         # disjoint under model-axis threading (formerly one shared buffer).
         self.wout_tmp = take("bwd.wout", (m, n_heads, 1), f64)
 
-        self.probs = take("att.probs", (m, n_heads, batch, n, n), f64)
         self.raw = take("att.raw", (m, n_heads, batch, n, n), adtype)
         self.qk = take("att.qk", (m, 2 * n_heads, batch, n, d_qk), adtype)
         self.emb = take("att.emb", (m, bn, d_model), adtype)
@@ -229,16 +255,14 @@ class _StackedBackwardPlan:
 
         self.windows_flat = take("conv.windows_flat",
                                  (m, n, batch * window, window), xb_dtype)
-        self.shifted = take("bwd.conv.grad", (m, batch, n, n, window),
-                            cdtype)
-        self.grad_v_t = self.grad_v.transpose(0, 1, 3, 2, 4)
-        self.shift_buf = take("bwd.conv.shift", (m, batch, window), cdtype)
-        self.grad_scaled = take("bwd.conv.scaled",
-                                (m, batch, n, n, window), sdtype)
-        self.grad_scaled_t = self.grad_scaled.transpose(0, 2, 3, 1, 4)
+        self.grad_diagonal = series_diagonal(self.grad_tsbt)
+        self.unshift = take("bwd.conv.unshift", (m, n, batch, window - 1),
+                            f64)
+        self.cdtype = cdtype
+        self.grad_stbt = self.grad_tsbt.reshape(
+            m, n, n, batch * window).transpose(0, 2, 1, 3)
         self.flat_k = take("bwd.conv.flat_k", (m, n, n, batch * window),
                            sdtype)
-        self.flat_k_r = self.flat_k.reshape(m, n, n, batch, window)
         self.ksum = None
         if self.single_kernel:
             self.kgrad = take("bwd.conv.geff", (m, n, n, window), sdtype)
@@ -275,6 +299,11 @@ class StackedTrainingEngine(StackedInferenceEngine):
 
     _PROFILED_OPS = StackedInferenceEngine._PROFILED_OPS + ("_backward",)
 
+    #: The most engine threads any training step of this engine ran on —
+    #: the count the rule (or an explicit count) gave its widest step; the
+    #: trainers report it as the ``engine.threads`` gauge.
+    threads: int = 0
+
     def __init__(self, models: Sequence, stacked: Dict[str, np.ndarray],
                  grad_views: Dict[str, np.ndarray],
                  arena: Optional[ScratchArena] = None) -> None:
@@ -295,8 +324,8 @@ class StackedTrainingEngine(StackedInferenceEngine):
         architecture validation through ``StackedInferenceEngine.__init__``
         keeps the compatibility guarantees while preserving the arena (and
         with it every per-shape scratch space), any installed profiling
-        hooks (instance-dict state, untouched here) and the
-        ``parallel_model_axis`` choice.  Cached backward plans are dropped:
+        hooks (instance-dict state, untouched here) and the thread-count
+        record.  Cached backward plans are dropped:
         plans for the new width rebuild on the next step, and stale-width
         plans must not outlive views they no longer describe.
         """
@@ -389,7 +418,9 @@ class StackedTrainingEngine(StackedInferenceEngine):
         """
         return self._step(batch)
 
+    @sized_by_batch
     def _step(self, batch: np.ndarray) -> List[float]:
+        self.threads = max(self.threads, get_engine_threads())
         stage = self._stage()
         space = self.arena.space(("stack.eval", batch.shape, batch.dtype.str))
         prediction = self._forward(batch, stage)
@@ -476,23 +507,22 @@ class StackedTrainingEngine(StackedInferenceEngine):
                               (p.w2_view, 0), (p.b2_view, 0),
                               (p.w1_view, 0), (p.b1_view, 0)))
 
-        # --- attention combination backward (model or batch axis) ------- #
-        axis = 0 if self._model_axis_first(m, batch) else 1
+        # --- attention combination backward (model or target axis) ------ #
+        axis = 0 if self._model_axis_first(m, n) else 1
         w_out5 = stage["w_output"][:, None, None, :, None]
 
         def combine_body(lo, hi):
             w_out = w_out5[lo:hi] if axis == 0 else w_out5
-            np.multiply(slice_axis(p.gc5, axis, lo, hi), w_out,
-                        out=slice_axis(p.grad_heads, axis, lo, hi))
-            np.matmul(slice_axis(p.grad_heads, axis, lo, hi),
-                      slice_axis(p.v_t, axis, lo, hi),
+            grad_heads = slice_axis(p.grad_heads_ib, axis, lo, hi)
+            np.multiply(slice_axis(p.gc5_ib, axis, lo, hi), w_out,
+                        out=grad_heads)
+            np.matmul(grad_heads, slice_axis(p.v_t, axis, lo, hi),
                       out=slice_axis(p.grad_a, axis, lo, hi))
-            np.matmul(slice_axis(p.a_t, axis, lo, hi),
-                      slice_axis(p.grad_heads, axis, lo, hi),
+            np.matmul(slice_axis(p.a_t, axis, lo, hi), grad_heads,
                       out=slice_axis(p.grad_v, axis, lo, hi))
 
-        parallel_for(combine_body, p.grad_heads.shape[axis],
-                     outputs=((p.grad_heads, axis), (p.grad_a, axis),
+        parallel_for(combine_body, p.grad_heads_ib.shape[axis],
+                     outputs=((p.grad_heads_ib, axis), (p.grad_a, axis),
                               (p.grad_v, axis)))
         # Per-model np.tensordot(head_outputs, grad_combined, ([0,1,3],
         # [0,1,2])) unrolled to its transpose-copy + dot, one row at a time.
@@ -604,39 +634,26 @@ class StackedTrainingEngine(StackedInferenceEngine):
                               (p.mask_cast, 0))
                      + tuple((view, 0) for view in p.mask_views))
 
-        # --- causal convolution backward -------------------------------- #
-        conv_axis = 0 if self._model_axis_first(m, batch) else 1
-
-        def shifted_body(lo, hi):
-            np.copyto(slice_axis(p.shifted, conv_axis, lo, hi),
-                      slice_axis(p.grad_v_t, conv_axis, lo, hi))
-
-        parallel_for(shifted_body, p.shifted.shape[conv_axis],
-                     outputs=((p.shifted, conv_axis),))
-        for index in range(n):
-            np.copyto(p.shift_buf, p.shifted[:, :, index, index, :])
-            p.shifted[:, :, index, index, :-1] = p.shift_buf[..., 1:]
-            p.shifted[:, :, index, index, -1] = 0.0
-        scale_array = stage["scale_array"]
-
-        def scaled_body(lo, hi):
-            np.multiply(slice_axis(p.shifted, conv_axis, lo, hi),
-                        scale_array,
-                        out=slice_axis(p.grad_scaled, conv_axis, lo, hi))
-
-        parallel_for(scaled_body, p.grad_scaled.shape[conv_axis],
-                     outputs=((p.grad_scaled, conv_axis),))
+        # --- causal convolution backward: undo the Eq. 4 shift in float64,
+        # then one multiply casts to the convolution dtype, rescales and
+        # swaps the series axes into the weight GEMM's (K, source, target,
+        # B·T) layout ---------------------------------------------------- #
+        np.copyto(p.unshift, p.grad_diagonal[..., 1:])
+        np.copyto(p.grad_diagonal[..., :-1], p.unshift)
+        p.grad_diagonal[..., -1] = 0.0
+        scale = tiled_scale(space, stage["scale_array"], batch)
         k_axis = 0 if self._model_axis_first(m, n) else 1
 
         def kernel_body(lo, hi):
-            np.copyto(slice_axis(p.flat_k_r, k_axis, lo, hi),
-                      slice_axis(p.grad_scaled_t, k_axis, lo, hi))
+            np.multiply(slice_axis(p.grad_stbt, k_axis, lo, hi), scale,
+                        out=slice_axis(p.flat_k, k_axis, lo, hi),
+                        dtype=p.cdtype)
             np.matmul(slice_axis(p.flat_k, k_axis, lo, hi),
                       slice_axis(p.windows_flat, k_axis, lo, hi),
                       out=slice_axis(p.kgrad, k_axis, lo, hi))
 
         parallel_for(kernel_body, p.flat_k.shape[k_axis],
-                     outputs=((p.flat_k_r, k_axis), (p.kgrad, k_axis)))
+                     outputs=((p.flat_k, k_axis), (p.kgrad, k_axis)))
         if p.single_kernel:
             # Broadcast-multiply backward: gradient × constant ones (exact
             # ×1.0, elided), then the unbroadcast sum down to (K, 1, 1, T).

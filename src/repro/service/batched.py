@@ -324,9 +324,10 @@ def execute_batched_jobs_with_dtype(pairs: Sequence[JobPair], dtype: str,
                                     ) -> List[JobResult]:
     """Pool worker entry point: adopt the submitter's engine dtype, then run.
 
-    ``engine_threads`` re-applies the submitter's engine thread count inside
-    the worker (fresh processes start with an empty engine pool), so stacked
-    groups thread their training pass exactly like an in-process run would.
+    ``engine_threads`` re-applies the submitter's explicit engine thread
+    count inside the worker (``None`` keeps the work-size rule; fresh
+    processes start with an empty engine pool), so stacked groups thread
+    their training pass exactly like an in-process run would.
     ``max_lanes`` and ``cache_dir`` travel as plain data (a cache path, not
     a cache object) so the worker rebuilds its own admission-time cache.
 

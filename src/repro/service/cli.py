@@ -365,8 +365,10 @@ def _add_engine_threads_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--engine-threads", type=int, default=None,
                         metavar="N",
                         help="threads per fused engine (default: "
-                             "REPRO_ENGINE_THREADS or 1 = serial; results "
-                             "are bit-identical at any thread count)")
+                             "REPRO_ENGINE_THREADS, else one thread per "
+                             "WORK_PER_THREAD elements of the convolution "
+                             "tensor, up to the usable CPUs; results are "
+                             "bit-identical at any thread count)")
 
 
 def _add_telemetry_flags(parser: argparse.ArgumentParser) -> None:

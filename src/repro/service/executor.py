@@ -85,10 +85,11 @@ def execute_job_with_dtype(job: DiscoveryJob, dataset: TimeSeriesDataset,
     The engine's default dtype is thread-local state, so a fresh pool worker
     would otherwise silently fall back to float32 even when the submitting
     process opted into float64 (``set_default_dtype``/``default_dtype``).
-    ``engine_threads`` likewise re-applies the submitter's engine thread
-    count (:func:`repro.nn.parallel.set_engine_threads`) — worker processes
-    start with a fresh (empty) engine pool, so the setting must travel with
-    the job rather than rely on inherited module state.
+    ``engine_threads`` likewise re-applies the submitter's explicit engine
+    thread count (:func:`repro.nn.parallel.set_engine_threads`; ``None``
+    keeps the work-size rule) — worker processes start with a fresh (empty)
+    engine pool, so the setting must travel with the job rather than rely
+    on inherited module state.
 
     With ``collect_telemetry`` (requested when the submitting process has
     telemetry configured), the job runs under an in-worker buffering
@@ -391,12 +392,12 @@ class JobExecutor:
         included — kills the pool and flushes telemetry before re-raising,
         so an interrupted sweep never leaks orphan workers.
         """
-        from repro.nn.parallel import get_engine_threads
+        from repro.nn.parallel import configured_engine_threads
         from repro.nn.tensor import get_default_dtype
 
         dtype = str(get_default_dtype())
         collect = telemetry.enabled
-        engine_threads = get_engine_threads()
+        engine_threads = configured_engine_threads()
         cache_dir = self.cache.directory if self.cache is not None else None
         # Pool-level failures get at least one free retry even at
         # retries=0 — a dying worker is infrastructure loss, not evidence
@@ -406,7 +407,7 @@ class JobExecutor:
         units += [_PoolUnit(index=index, job=job, dataset=dataset)
                   for index, (job, dataset) in singles]
         results: dict = {}
-        pool = ProcessPoolExecutor(max_workers=self.max_workers)
+        pool = self._new_pool()
         try:
             queue = units
             while queue:
@@ -615,7 +616,15 @@ class JobExecutor:
     def _respawn(self, pool) -> ProcessPoolExecutor:
         """Hard-kill what is left of a poisoned pool and start a fresh one."""
         self._kill_pool(pool)
-        return ProcessPoolExecutor(max_workers=self.max_workers)
+        return self._new_pool()
+
+    def _new_pool(self) -> ProcessPoolExecutor:
+        """A worker pool whose processes split the usable CPUs evenly."""
+        from repro.nn.parallel import share_cpus
+
+        return ProcessPoolExecutor(max_workers=self.max_workers,
+                                   initializer=share_cpus,
+                                   initargs=(self.max_workers,))
 
     @staticmethod
     def _kill_pool(pool) -> None:

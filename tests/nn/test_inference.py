@@ -18,7 +18,7 @@ from repro.core.config import CausalFormerConfig
 from repro.core.training import Trainer
 from repro.core.transformer import CausalityAwareTransformer
 from repro.nn.inference import (InferenceEngine, ScratchArena,
-                                StackedInferenceEngine)
+                                StackedInferenceEngine, series_diagonal)
 from repro.nn.tensor import Tensor, default_dtype, no_grad
 from tests.conftest import ABLATION_GRID, assert_matches_reference
 
@@ -96,6 +96,7 @@ class TestForwardParity:
                                  dtype)
 
     def test_convolution_matches_reference(self):
+        """The training layout is ``(target, source, B, T)``."""
         model, _config = build(np.float64)
         x = window_batch(model)
         fleet = InferenceEngine(model).fleet
@@ -103,7 +104,45 @@ class TestForwardParity:
         values, _flat = fleet._convolution(space, x[None], fleet._stage())
         with no_grad():
             reference = model.convolution(Tensor(x.copy()))
-        assert_matches_reference(values[0], reference.data, np.float64)
+        assert_matches_reference(values[0].transpose(2, 1, 0, 3),
+                                 reference.data, np.float64)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_both_convolution_layouts_hold_the_same_values(self, dtype):
+        """The interpretation path's source-major values, widened and
+        re-laid out, equal the training layout bit for bit."""
+        model, _config = build(dtype)
+        x = window_batch(model)
+        fleet = InferenceEngine(model).fleet
+        stage = fleet._stage()
+        values, _flat = fleet._convolution(
+            fleet.arena.space(("test", x.shape)), x[None], stage)
+        legacy, _flat = fleet._convolution(
+            fleet.arena.space(("legacy", x.shape)), x[None], stage,
+            legacy_layout=True)
+        assert values.dtype == np.float64 and values.flags.c_contiguous
+        assert legacy.dtype == dtype
+        assert np.array_equal(values[0].transpose(2, 1, 0, 3),
+                              legacy[0].astype(np.float64))
+
+    @pytest.mark.parametrize("layout", ["contiguous", "source_major"])
+    def test_series_diagonal_is_a_writable_view_of_the_self_series_rows(
+            self, layout):
+        m, n, batch, window = 2, 4, 3, 5
+        if layout == "contiguous":
+            tsbt = np.zeros((m, n, n, batch, window))
+        else:
+            tsbt = np.zeros((m, n, batch, window, n)).transpose(0, 4, 1, 2, 3)
+        tsbt[...] = np.random.default_rng(0).normal(size=tsbt.shape)
+        expected = tsbt.copy()
+        diagonal = series_diagonal(tsbt)
+        assert diagonal.shape == (m, n, batch, window)
+        assert np.shares_memory(diagonal, tsbt)
+        series = np.arange(n)
+        assert np.array_equal(diagonal, expected[:, series, series])
+        diagonal[...] = -7.0
+        expected[:, series, series] = -7.0
+        assert np.array_equal(tsbt, expected)
 
     def test_attention_probs_match_reference(self):
         model, _config = build(np.float64)

@@ -10,6 +10,7 @@ concurrent submitters), the debug aliasing audit, forward/backward/stacked
 dtypes, and the propagation seams (pool workers, CLI flag).
 """
 
+import re
 import threading
 from dataclasses import replace
 
@@ -65,10 +66,8 @@ def training_series(seed, n_series=4, length=120):
 @pytest.fixture(autouse=True)
 def _serial_default():
     """Every test starts serial and restores the process-wide setting."""
-    previous = get_engine_threads()
-    set_engine_threads(1)
-    yield
-    set_engine_threads(previous)
+    with engine_threads(1):
+        yield
 
 
 @pytest.fixture
@@ -300,7 +299,7 @@ class TestStackedBitIdentity:
 
             serial_histories, serial_params = fit()
             # k=3 models: 2 threads chunk the model axis, 4 threads the
-            # batch axis (fit picks via ``k >= get_engine_threads()``) —
+            # inner axes (the engine picks per op from the call's count) —
             # both layouts must reproduce the serial trajectory exactly.
             for threads in (2, 4):
                 with engine_threads(threads):
@@ -462,3 +461,224 @@ class TestProfilingUnderThreads:
             threaded = histogram_counts()
         assert serial
         assert serial == threaded
+
+
+# ---------------------------------------------------------------------- #
+# The work-size rule (no explicit count)
+# ---------------------------------------------------------------------- #
+C = parallel.WORK_PER_THREAD
+
+
+@pytest.fixture
+def work_size_rule(monkeypatch):
+    """No explicit count, and a CPU budget of 4 whatever the host has."""
+    monkeypatch.delenv("REPRO_ENGINE_THREADS", raising=False)
+    monkeypatch.setattr(parallel, "_cpu_budget", 4)
+    with engine_threads(None):
+        yield
+
+
+class TestWorkSizeRule:
+    def test_below_the_constant_a_call_is_serial(self, work_size_rule):
+        assert parallel.configured_engine_threads() is None
+        for work in (0, 1, C - 1, C, 2 * C - 1):
+            assert parallel.threads_for_work(work) == 1
+
+    def test_above_it_one_thread_per_constant_up_to_the_budget(
+            self, work_size_rule):
+        assert parallel.threads_for_work(2 * C) == 2
+        assert parallel.threads_for_work(3 * C + C // 2) == 3
+        assert parallel.threads_for_work(4 * C) == 4
+        assert parallel.threads_for_work(1000 * C) == 4
+
+    def test_an_engine_call_runs_on_the_count_chosen_for_it(
+            self, work_size_rule):
+        assert get_engine_threads() == 1
+        with parallel.engine_call(3 * C):
+            assert get_engine_threads() == 3
+            with parallel.engine_call(C):
+                assert get_engine_threads() == 1
+            assert get_engine_threads() == 3
+        assert get_engine_threads() == 1
+
+    def test_an_explicit_count_overrides_the_rule(self, work_size_rule):
+        with engine_threads(3):
+            assert parallel.threads_for_work(0) == 3
+            assert parallel.threads_for_work(1000 * C) == 3
+            with parallel.engine_call(0):
+                assert get_engine_threads() == 3
+        assert parallel.threads_for_work(1000 * C) == 4
+
+    def test_the_environment_count_overrides_the_rule(self, work_size_rule,
+                                                      monkeypatch):
+        monkeypatch.setenv("REPRO_ENGINE_THREADS", "2")
+        assert set_engine_threads(None) == 2
+        assert parallel.threads_for_work(0) == 2
+        assert parallel.threads_for_work(1000 * C) == 2
+
+    @pytest.mark.parametrize("workers, budget", [(1, 8), (2, 4), (3, 2),
+                                                 (8, 1), (16, 1)])
+    def test_a_pool_worker_gets_its_share_of_the_cpus(
+            self, work_size_rule, monkeypatch, workers, budget):
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: 8)
+        parallel.share_cpus(workers)
+        assert parallel.threads_for_work(1000 * C) == budget
+
+    def test_the_executor_pool_shares_the_cpus(self, work_size_rule):
+        from repro.service.executor import JobExecutor
+
+        pool = JobExecutor(max_workers=2, cache=None)._new_pool()
+        try:
+            threads = pool.submit(parallel.threads_for_work, 1000 * C).result()
+        finally:
+            pool.shutdown(wait=True)
+        assert threads == max(1, parallel.usable_cpus() // 2)
+
+    def test_engine_threads_gauge_reports_the_rule(self, work_size_rule,
+                                                   monkeypatch):
+        from repro.telemetry import capture
+
+        # make_config's training step: 8 windows x 4² series x 10 slots
+        monkeypatch.setattr(parallel, "WORK_PER_THREAD", 8 * 16 * 10 // 3)
+        values = training_series(3)
+        config = make_config(max_epochs=1)
+        with capture() as telemetry:
+            Trainer(CausalityAwareTransformer(config), config).fit(values)
+            solo = telemetry.metrics.snapshot()["gauges"]["engine.threads"]
+        with capture() as telemetry:
+            models = [CausalityAwareTransformer(replace(config, seed=seed))
+                      for seed in range(2)]
+            StackedCausalFormerTrainer(models).fit([values, values])
+            stacked = telemetry.metrics.snapshot()["gauges"]["engine.threads"]
+        assert (solo, stacked) == (3, 4)
+
+    def test_lorenz40_fast_fit_is_bit_identical_to_serial(
+            self, work_size_rule):
+        """A fast-preset fit at N = 40 earns two threads under the rule and
+        must reproduce the serial fit's weights and graph exactly."""
+        from repro.core.config import fast_preset
+        from repro.core.discovery import CausalFormer
+        from repro.data.lorenz import lorenz96_dataset
+        from repro.telemetry import capture
+
+        dataset = lorenz96_dataset(n_series=40, length=300, seed=5)
+        config = fast_preset(max_epochs=2)
+        assert parallel.threads_for_work(
+            config.batch_size * 40 ** 2 * config.window) == 2
+
+        def discover():
+            method = CausalFormer(config)
+            graph = method.discover(dataset)
+            weights = [p.data.copy() for p in method.model_.parameters()]
+            return sorted(edge.as_tuple() for edge in graph.edges), weights
+
+        with capture() as telemetry:
+            ruled_graph, ruled_weights = discover()
+            gauge = telemetry.metrics.snapshot()["gauges"]["engine.threads"]
+        with engine_threads(1):
+            serial_graph, serial_weights = discover()
+        assert gauge == 2
+        assert ruled_graph == serial_graph
+        for ruled, serial in zip(ruled_weights, serial_weights):
+            assert np.array_equal(ruled, serial)
+
+
+class _FakeBlas:
+    """A BLAS thread count behind the loaded-library setter/getter seam."""
+
+    def __init__(self, count):
+        self.count = count
+
+    def set(self, count):
+        self.count = count
+
+    def get(self):
+        return self.count
+
+
+@pytest.fixture
+def fake_blas(monkeypatch):
+    """Route BLAS capping to a fake two-thread BLAS, nothing pinned yet."""
+    blas = _FakeBlas(2)
+    monkeypatch.setattr(parallel, "_blas_runtime", [(blas.set, blas.get)])
+    monkeypatch.setattr(parallel, "_blas_limited", False)
+    monkeypatch.setattr(parallel, "_BLAS_ENV_VARS", ())
+    return blas
+
+
+class TestBlasCap:
+    def test_a_serial_call_keeps_the_blas_threads(self, work_size_rule,
+                                                  fake_blas):
+        with parallel.engine_call(C):
+            assert fake_blas.count == 2
+            parallel_for(lambda lo, hi: None, 8)
+        assert fake_blas.count == 2
+
+    def test_a_threaded_call_holds_blas_at_one_only_while_it_runs(
+            self, work_size_rule, fake_blas):
+        with parallel.engine_call(2 * C) as threads:
+            assert threads == 2
+            assert fake_blas.count == 1
+            with parallel.engine_call(2 * C):
+                parallel_for(lambda lo, hi: None, 8)
+            assert fake_blas.count == 1
+        assert fake_blas.count == 2
+        assert not parallel._blas_limited
+
+    def test_concurrent_threaded_calls_share_one_hold(self, work_size_rule,
+                                                      fake_blas):
+        inside, release = threading.Event(), threading.Event()
+
+        def other_call():
+            with parallel.engine_call(2 * C):
+                inside.set()
+                release.wait()
+
+        thread = threading.Thread(target=other_call)
+        thread.start()
+        inside.wait()
+        with parallel.engine_call(2 * C):
+            assert fake_blas.count == 1
+        assert fake_blas.count == 1
+        release.set()
+        thread.join()
+        assert fake_blas.count == 2
+
+    def test_a_session_keeps_the_hold_until_it_ends(self, work_size_rule,
+                                                    fake_blas):
+        with parallel.engine_session():
+            with parallel.engine_call(C):
+                assert fake_blas.count == 2
+            for _ in range(3):
+                with parallel.engine_call(2 * C):
+                    assert fake_blas.count == 1
+                assert fake_blas.count == 1
+        assert fake_blas.count == 2
+
+    def test_a_threaded_fit_caps_blas_once_and_restores_it(
+            self, work_size_rule, fake_blas, monkeypatch):
+        calls = []
+        monkeypatch.setattr(parallel, "_blas_runtime", [(
+            lambda count: (calls.append(count), fake_blas.set(count)),
+            fake_blas.get)])
+        monkeypatch.setattr(parallel, "WORK_PER_THREAD", 8 * 16 * 10 // 2)
+        config = make_config(max_epochs=2)
+        Trainer(CausalityAwareTransformer(config), config).fit(
+            training_series(3))
+        assert calls == [1, 2]
+        assert fake_blas.count == 2
+
+    def test_an_explicit_count_pins_blas_for_good(self, fake_blas):
+        with engine_threads(2):
+            with parallel.engine_call(0):
+                parallel_for(lambda lo, hi: None, 8)
+        assert fake_blas.count == 1
+        assert parallel._blas_limited
+
+
+@pytest.mark.parametrize("raw", ["abc", "0", "-2", "1.5"])
+def test_a_malformed_environment_count_is_an_error(monkeypatch, raw):
+    monkeypatch.setenv("REPRO_ENGINE_THREADS", raw)
+    with pytest.raises(ValueError,
+                       match=f"REPRO_ENGINE_THREADS.*'{re.escape(raw)}'"):
+        set_engine_threads(None)
