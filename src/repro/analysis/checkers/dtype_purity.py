@@ -10,7 +10,7 @@ promotion sites stay expressible:
 
 * ``arena.take(..., np.float64)`` / ``space.take(..., np.float64)`` — an
   arena buffer pinned to float64 is an explicit, visible blessing (the
-  attention-modulation contract of the autograd path);
+  detector's float64 attention and relevance buffers);
 * ``np.result_type(...)`` / ``np.dtype(...)`` operands — dtype *arithmetic*
   is how the engines reason about promotion, not promotion itself;
 * annotations — typing, not computation;

@@ -30,12 +30,15 @@ the dominant ops chunk an independent leading axis (the model axis or a
 per-model axis) across a shared worker pool; each chunk performs exactly
 the per-slice work of the serial op on disjoint output slices, so threaded
 results stay bit-identical in both dtypes.  The training and validation
-forward keeps the convolution values in a float64 ``(model, target,
-source, B·T)`` buffer that its GEMMs read as strided views.  The
-detector-facing :meth:`StackedInferenceEngine.interpretation_forward`
+forward computes in the model dtype throughout, as the reference does —
+mask modulation, convolution values, attention, combination and MLP
+tail — so a float32 model's predictions are float32.  Its convolution
+GEMMs write straight into a ``(model, target, source, B·T)`` values
+buffer, rescaled in place, that the Eq. 6 GEMMs read as strided views.
+The detector-facing :meth:`StackedInferenceEngine.interpretation_forward`
 follows a second fixed sequence (per-head outputs, 3-D linears, einsum
-head combination, source-major convolution layout) that the detector's
-scores depend on, and
+head combination, source-major convolution layout, float64 attention
+and relevance buffers) that the detector's scores depend on, and
 :meth:`StackedInferenceEngine.interpretation_gradients` hand-evaluates the
 backward of that sequence for every target series in one all-ones pass —
 the detector needs no autograd graph at all.
@@ -175,17 +178,18 @@ def max_last_keepdims(values: np.ndarray,
                       out: Optional[np.ndarray] = None) -> np.ndarray:
     """Last-axis max (keepdims) — chained over columns for short rows.
 
-    The maximum is exact whichever way it is reduced, so short rows use one
-    vectorised ``np.maximum`` per column instead of numpy's per-row
-    reduction machinery (~6× faster at this project's row lengths), with
-    bit-identical output.  Shared by the inference softmax and the stacked
-    trainer so the threshold lives in exactly one place.
+    The maximum is exact whichever way it is reduced, so rows of up to 48
+    columns use one vectorised ``np.maximum`` per column instead of numpy's
+    per-row reduction machinery (2–9× faster at 16–40 columns), with
+    bit-identical output; by 64 columns the strided column reads make the
+    reduction faster again.  Shared by the inference softmax and the
+    stacked trainer so the threshold lives in exactly one place.
     """
     n = values.shape[-1]
     if out is None:
         # repro: allow(hot-path-alloc): cold fallback; engines always pass out=
         out = np.empty(values.shape[:-1] + (1,), dtype=values.dtype)
-    if 1 < n <= 16:
+    if 1 < n <= 48:
         flat = out[..., 0]
         np.maximum(values[..., 0], values[..., 1], out=flat)
         for column in range(2, n):
@@ -540,13 +544,13 @@ class StackedInferenceEngine(ProfilingSeam):
                 weight_flat[row, :, columns] = weight.data
                 bias_flat[row, columns] = bias.data
 
-        # ``scale`` is a float64 numpy scalar, so ``mask_stack * scale``
-        # promotes the modulation — and everything downstream of the
-        # attention scores — to float64 even under the float32 engine.
-        # Every engine path keeps that promotion.
+        # The modulation is staged in the model dtype, as the reference
+        # scales its scores by a default-dtype scalar, so the attention
+        # downstream of it runs in the model dtype too.  ``scale`` is a
+        # float64 numpy scalar: each element rounds once, after the product.
         scale = 1.0 / (attention.temperature * np.sqrt(attention.d_qk))
         modulation = arena.take("stack.modulation", (m, n_heads, 1, n, n),
-                                np.float64)
+                                dtype)
         for row, model in enumerate(models):
             for index, mask in enumerate(model.attention.mask_parameters):
                 modulation[row, index, 0] = mask.data
@@ -629,24 +633,41 @@ class StackedInferenceEngine(ProfilingSeam):
         """Fused causal convolution (Eq. 3) with the Eq. 4 right-shift.
 
         Returns ``(values, windows_flat)`` — the convolution output and the
-        window layout (reused by the convolution backward).  One GEMM per
-        source series writes ``(target, B·T)`` rows, and one multiply
-        applies the 1/t rescale in the convolution dtype and swaps the
-        series axes over runs of ``B·T`` elements into the output buffer;
-        ``legacy_layout`` only picks that buffer.  By default it is the
-        float64 ``(M, target, source, B, T)`` buffer the Eq. 6 GEMMs read as
-        strided views.  ``legacy_layout`` returns ``(M, B, source, target,
-        T)`` values in the convolution dtype, held in source-major memory
-        order: einsum summation order — hence the detector's scores and
-        graphs — depends on those strides.
+        window layout (reused by the convolution backward), both in the
+        convolution dtype.  One GEMM per source series writes ``(target,
+        B·T)`` rows and one multiply applies the 1/t rescale over runs of
+        ``B·T`` elements.  By default the GEMMs write straight into the
+        ``(M, target, source, B, T)`` buffer the Eq. 6 GEMMs read as
+        strided views, and the rescale runs in place.  ``legacy_layout``
+        returns ``(M, B, source, target, T)`` values held in source-major
+        memory order — einsum summation order, hence the detector's scores
+        and graphs, depends on those strides — so its GEMMs write a
+        contiguous scratch buffer that the rescale reads back with the
+        series axes swapped.
         """
         m, batch, n, window = x.shape
         kernel = stage["kernel_eff"]
         cdtype = np.result_type(x.dtype, kernel.dtype)
         _padded, flat = self._causal_windows(space, x)
-        raw = space.take("conv.out", (m, n, n, batch * window), cdtype)
         flat_t = space.view("conv.windows_flat.t",
                             lambda: flat.transpose(0, 1, 3, 2))
+        if legacy_layout:
+            buffer = space.take("conv.values", (m, n, batch, window, n),
+                                cdtype)
+            values = space.view("conv.values.t",
+                                lambda: buffer.transpose(0, 2, 1, 4, 3))
+            tsbt = space.view("conv.values.tsbt",
+                              lambda: buffer.transpose(0, 4, 1, 2, 3))
+            raw = space.take("conv.out", (m, n, n, batch * window), cdtype)
+        else:
+            values = tsbt = space.take("conv.tsbt", (m, n, n, batch, window),
+                                       cdtype)
+            # The GEMMs write (M, source, target, B·T) into it directly.
+            raw = space.view("conv.tsbt.st", lambda: tsbt.reshape(
+                m, n, n, batch * window).transpose(0, 2, 1, 3))
+        # Both layouts nest T inside B, so merging them is a view.
+        tsbt_flat = space.view("conv.tsbt.flat", lambda: tsbt.reshape(
+            m, n, n, batch * window))
         axis = 0 if self._model_axis_first(m, n) else 1
 
         def matmul_body(lo: int, hi: int) -> None:
@@ -655,30 +676,13 @@ class StackedInferenceEngine(ProfilingSeam):
                       out=slice_axis(raw, axis, lo, hi))
 
         parallel_for(matmul_body, raw.shape[axis], outputs=((raw, axis),))
-        if legacy_layout:
-            buffer = space.take("conv.values", (m, n, batch, window, n),
-                                cdtype)
-            values = space.view("conv.values.t",
-                                lambda: buffer.transpose(0, 2, 1, 4, 3))
-            tsbt = space.view("conv.values.tsbt",
-                              lambda: buffer.transpose(0, 4, 1, 2, 3))
-        else:
-            # The attention is float64, so the values meet it promoted.
-            # The rescale itself runs in the convolution dtype (the kernel
-            # and the 1/t scale share the model dtype) and only its result
-            # is widened.
-            values = tsbt = space.take("conv.tsbt", (m, n, n, batch, window),
-                                       np.result_type(cdtype, np.float64))
         scale = tiled_scale(space, stage["scale_array"], batch)
+        # By default ``raw_t`` is ``tsbt_flat``: the rescale runs in place.
         raw_t = space.view("conv.out.t", lambda: raw.transpose(0, 2, 1, 3))
-        # Both layouts nest T inside B, so merging them is a view.
-        tsbt_flat = space.view("conv.tsbt.flat", lambda: tsbt.reshape(
-            m, n, n, batch * window))
 
         def scale_body(lo: int, hi: int) -> None:
             np.multiply(slice_axis(raw_t, axis, lo, hi), scale,
-                        out=slice_axis(tsbt_flat, axis, lo, hi),
-                        dtype=cdtype)
+                        out=slice_axis(tsbt_flat, axis, lo, hi))
 
         parallel_for(scale_body, tsbt_flat.shape[axis],
                      outputs=((tsbt_flat, axis),))
@@ -745,9 +749,10 @@ class StackedInferenceEngine(ProfilingSeam):
         raw = space.take("att.raw", (m, n_heads, batch, n, n), cdtype)
         k_t = space.view("att.k.t",
                          lambda: qk[:, n_heads:].transpose(0, 1, 2, 4, 3))
-        probs = space.take("att.probs", (m, n_heads, batch, n, n), np.float64)
-        query = qk[:, :n_heads]
         modulation = stage["modulation"]
+        probs = space.take("att.probs", (m, n_heads, batch, n, n),
+                           np.result_type(cdtype, modulation.dtype))
+        query = qk[:, :n_heads]
         # Layout copy + per-(m, h, b) score GEMMs + modulation multiply in
         # one round: the batch axis sits at index 2 of every operand, the
         # model axis at 0.  ``modulation`` is (m, h, 1, n, n): sliced along

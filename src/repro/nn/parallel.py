@@ -110,6 +110,10 @@ _OPENBLAS_SYMBOLS = (
 #: (64,000 elements per step) from 0.20 to 0.33 s, were within noise at
 #: N = 20 (256,000), N = 30 (576,000) and the Lorenz preset at N = 10
 #: (204,800), and sped N = 40 (1,024,000) up from 2.0-2.4 to 1.7-1.8 s.
+#: Re-checked once training ran in float32 end to end (half the bytes per
+#: step): two threads slowed N = 20 (0.29 to 0.37 s) and N = 30 (0.51 to
+#: 0.61 s) and were faster at N = 40 in 10 of 15 alternating pairs
+#: (median paired ratio 0.94), so the crossover did not move.
 #: The batched synthetic sweep's largest call (114,048) stays serial.
 WORK_PER_THREAD = 400_000
 

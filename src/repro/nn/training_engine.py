@@ -32,22 +32,25 @@ step on buffers whose identity never changes for a fixed ``(batch shape,
 dtype)`` workload.  The engine builds a backward *plan* per workload key —
 one object holding every scratch handle, derived transpose/reshape view and
 gradient view — and revalidates it with a handful of identity checks per
-step (the scratch space and the derived dtypes).  Rebinding the engine to
+step (the scratch space and the compute dtype).  Rebinding the engine to
 new parameter or gradient views drops every plan.
 
-Convolution layout
-------------------
-The training step keeps the convolution values in the float64 ``(K,
-target, source, B·T)`` buffer the forward writes (see
+Dtype and convolution layout
+----------------------------
+Every forward and backward buffer is in the model dtype (unless the batch
+is wider): a float32 model trains in float32, as its autograd reference
+does, and a float64 model in float64.  The training step keeps the
+convolution values in the ``(K, target, source, B·T)`` buffer the forward
+writes (see
 :meth:`~repro.nn.inference.StackedInferenceEngine._convolution`).  The
 Eq. 6 backward GEMMs read the attention and these values as strided views
 and write the attention gradient straight into the softmax backward's
 ``(K, h, B, i, j)`` layout and the value gradient into ``(K, i, j, B·T)``.
-One multiply then casts, rescales and transposes that gradient into the
-kernel GEMM's ``(K, source, target, B·T)`` operand; the Eq. 4 shift is
-undone by one copy through a strided view of the self-series diagonal
-(:func:`~repro.nn.inference.series_diagonal`).  The source-major layout
-is fixed only on the interpretation path, whose einsum order the
+The Eq. 4 shift is undone by one copy through a strided view of the
+self-series diagonal (:func:`~repro.nn.inference.series_diagonal`), the
+1/t rescale runs in place, and the kernel GEMMs read the gradient as
+``(target, B·T)`` strided views, one per source series.  The source-major
+layout is fixed only on the interpretation path, whose einsum order the
 detector's scores depend on.
 
 Threaded execution
@@ -124,7 +127,9 @@ class _StackedBackwardPlan:
 
     The stacked gradient views are fixed at trainer construction (they view
     the trainer's ``(K, P)`` matrix), so the per-step validation only needs
-    the scratch-space identity and the derived-dtype signature.
+    the scratch-space identity and the compute dtype.  Every forward and
+    backward buffer is in that dtype: the model dtype, or the batch dtype
+    when it is wider.
     """
 
     def __init__(self, space: ScratchSpace, stage: dict, engine,
@@ -139,14 +144,10 @@ class _StackedBackwardPlan:
         d_ffn = stage["w1"].shape[-1]
         bn = batch * n
         dtype = engine.dtype
-        f64 = np.float64  # repro: allow(dtype-purity): grads are f64
-        cdtype = np.result_type(xb_dtype, stage["kernel_eff"].dtype)
-        adtype = np.result_type(xb_dtype, stage["embed_weight"].dtype)
-        sdtype = np.result_type(cdtype, stage["scale_array"].dtype)
+        cdtype = np.result_type(xb_dtype, dtype)
 
         self.space = space
-        self.signature = (np.dtype(adtype).str, np.dtype(cdtype).str,
-                          np.dtype(sdtype).str)
+        self.cdtype = cdtype
         self.has_l1_kernel = config.lambda_kernel > 0
         self.has_l1_mask = config.lambda_mask > 0
         self.single_kernel = config.single_kernel
@@ -176,25 +177,25 @@ class _StackedBackwardPlan:
                  query, key))
 
         take = space.take
-        self.grad_pred = take("bwd.pred", (m, batch, n, window), f64)
+        self.grad_pred = take("bwd.pred", (m, batch, n, window), cdtype)
         self.grad2d = self.grad_pred.reshape(m, bn, window)
-        self.ffn = take("mlp.ffn", (m, bn, window), f64)
+        self.ffn = take("mlp.ffn", (m, bn, window), cdtype)
         self.ffn_t = self.ffn.transpose(0, 2, 1)
-        self.hidden = take("mlp.hidden", (m, bn, d_ffn), f64)    # activated
+        self.hidden = take("mlp.hidden", (m, bn, d_ffn), cdtype)    # activated
         self.hidden_t = self.hidden.transpose(0, 2, 1)
-        self.slope = take("mlp.slope", (m, bn, d_ffn), f64)
-        self.w3_tmp = take("bwd.w3", (m, window, window), f64)
-        self.b3_tmp = take("bwd.b3", (m, window), f64)
-        self.grad_ffn = take("bwd.ffn", (m, bn, window), f64)
-        self.w2_tmp = take("bwd.w2", (m, d_ffn, window), f64)
-        self.b2_tmp = take("bwd.b2", (m, window), f64)
-        self.grad_hidden = take("bwd.hidden", (m, bn, d_ffn), f64)
-        self.combined2d = take("comb.out", (m, bn * window, 1), f64) \
+        self.slope = take("mlp.slope", (m, bn, d_ffn), cdtype)
+        self.w3_tmp = take("bwd.w3", (m, window, window), cdtype)
+        self.b3_tmp = take("bwd.b3", (m, window), cdtype)
+        self.grad_ffn = take("bwd.ffn", (m, bn, window), cdtype)
+        self.w2_tmp = take("bwd.w2", (m, d_ffn, window), cdtype)
+        self.b2_tmp = take("bwd.b2", (m, window), cdtype)
+        self.grad_hidden = take("bwd.hidden", (m, bn, d_ffn), cdtype)
+        self.combined2d = take("comb.out", (m, bn * window, 1), cdtype) \
             .reshape(m, bn, window)
         self.combined2d_t = self.combined2d.transpose(0, 2, 1)
-        self.w1_tmp = take("bwd.w1", (m, window, d_ffn), f64)
-        self.b1_tmp = take("bwd.b1", (m, d_ffn), f64)
-        self.grad_combined = take("bwd.comb", (m, bn, window), f64)
+        self.w1_tmp = take("bwd.w1", (m, window, d_ffn), cdtype)
+        self.b1_tmp = take("bwd.b1", (m, d_ffn), cdtype)
+        self.grad_combined = take("bwd.comb", (m, bn, window), cdtype)
         self.grad_comb4d = self.grad_combined.reshape(m, batch, n, window)
         self.gc5 = self.grad_comb4d[:, :, :, None, :]
 
@@ -203,72 +204,71 @@ class _StackedBackwardPlan:
         # from the softmax output, values from the (K, target, source, B, T)
         # convolution buffer.  They write ``grad_a`` in the softmax
         # backward's (K, h, B, i, j) layout and ``grad_v`` in the values'.
-        self.probs = take("att.probs", (m, n_heads, batch, n, n), f64)
-        self.values = take("conv.tsbt", (m, n, n, batch, window), f64)
+        self.probs = take("att.probs", (m, n_heads, batch, n, n), cdtype)
+        self.values = take("conv.tsbt", (m, n, n, batch, window), cdtype)
         self.head_outputs = take("comb.ho", (m, batch, n, n_heads, window),
-                                 f64)
+                                 cdtype)
         self.grad_heads = take("comb.bwd.heads",
-                               (m, batch, n, n_heads, window), f64)
+                               (m, batch, n, n_heads, window), cdtype)
         self.grad_heads_ib = self.grad_heads.swapaxes(1, 2)
         self.gc5_ib = self.gc5.swapaxes(1, 2)
-        self.grad_probs = take("bwd.ga", (m, n_heads, batch, n, n), f64)
+        self.grad_probs = take("bwd.ga", (m, n_heads, batch, n, n), cdtype)
         self.grad_a = self.grad_probs.transpose(0, 3, 2, 1, 4)
-        self.grad_tsbt = take("bwd.gv", (m, n, n, batch, window), f64)
+        self.grad_tsbt = take("bwd.gv", (m, n, n, batch, window), cdtype)
         self.grad_v = self.grad_tsbt.swapaxes(2, 3)
         self.v_t = self.values.transpose(0, 1, 3, 4, 2)
         self.a_t = self.probs.transpose(0, 3, 2, 4, 1)
-        self.ho_flat = take("bwd.ho_flat", (m, n_heads, bn * window), f64)
+        self.ho_flat = take("bwd.ho_flat", (m, n_heads, bn * window), cdtype)
         self.ho_flat_r = self.ho_flat.reshape(m, n_heads, batch, n, window)
         self.ho_src = self.head_outputs.transpose(0, 3, 1, 2, 4)
         # One (n_heads, 1) slice per model so the per-row GEMV outputs are
         # disjoint under model-axis threading (formerly one shared buffer).
-        self.wout_tmp = take("bwd.wout", (m, n_heads, 1), f64)
+        self.wout_tmp = take("bwd.wout", (m, n_heads, 1), cdtype)
 
-        self.raw = take("att.raw", (m, n_heads, batch, n, n), adtype)
-        self.qk = take("att.qk", (m, 2 * n_heads, batch, n, d_qk), adtype)
-        self.emb = take("att.emb", (m, bn, d_model), adtype)
+        self.raw = take("att.raw", (m, n_heads, batch, n, n), cdtype)
+        self.qk = take("att.qk", (m, 2 * n_heads, batch, n, d_qk), cdtype)
+        self.emb = take("att.emb", (m, bn, d_model), cdtype)
         self.emb_t = self.emb.transpose(0, 2, 1)
-        self.product = take("bwd.att.prod", (m, n_heads, batch, n, n), f64)
-        self.dot = take("bwd.att.dot", (m, n_heads, batch, n, 1), f64)
+        self.product = take("bwd.att.prod", (m, n_heads, batch, n, n), cdtype)
+        self.dot = take("bwd.att.dot", (m, n_heads, batch, n, 1), cdtype)
         self.grad_masked = take("bwd.att.masked", (m, n_heads, batch, n, n),
-                                f64)
-        self.grad_raw = take("bwd.att.raw", (m, n_heads, batch, n, n), f64)
+                                cdtype)
+        self.grad_raw = take("bwd.att.raw", (m, n_heads, batch, n, n), cdtype)
         self.grad_raw_t = self.grad_raw.transpose(0, 1, 2, 4, 3)
         self.grad_qk = take("bwd.att.qk", (m, 2 * n_heads, batch, n, d_qk),
-                            adtype)
+                            cdtype)
         self.gq = self.grad_qk[:, :n_heads]
         self.gk = self.grad_qk[:, n_heads:]
         self.query_half = self.qk[:, :n_heads]
         self.key_half = self.qk[:, n_heads:]
         self.grad_2d = take("bwd.att.2d", (m, bn, 2 * n_heads * d_qk),
-                            adtype)
+                            cdtype)
         self.grad_2d_r = self.grad_2d.reshape(m, batch, n, 2 * n_heads, d_qk)
         self.grad_qk_src = self.grad_qk.transpose(0, 2, 3, 1, 4)
-        self.grad_emb = take("bwd.att.emb", (m, bn, d_model), adtype)
-        self.ew_tmp = take("bwd.ew", (m, window, d_model), adtype)
-        self.eb_tmp = take("bwd.eb", (m, d_model), adtype)
+        self.grad_emb = take("bwd.att.emb", (m, bn, d_model), cdtype)
+        self.ew_tmp = take("bwd.ew", (m, window, d_model), cdtype)
+        self.eb_tmp = take("bwd.eb", (m, d_model), cdtype)
         self.gw = take("bwd.att.gw", (m, d_model, 2 * n_heads * d_qk),
-                       adtype)
-        self.gb = take("bwd.att.gb", (m, 2 * n_heads * d_qk), adtype)
-        self.gmask = take("bwd.att.gmask", (m, n_heads, n, n), f64)
+                       cdtype)
+        self.gb = take("bwd.att.gb", (m, 2 * n_heads * d_qk), cdtype)
+        self.gmask = take("bwd.att.gmask", (m, n_heads, n, n), cdtype)
         self.mask_cast = take("bwd.att.gmask_cast", (m, n, n), dtype)
 
         self.windows_flat = take("conv.windows_flat",
                                  (m, n, batch * window, window), xb_dtype)
         self.grad_diagonal = series_diagonal(self.grad_tsbt)
         self.unshift = take("bwd.conv.unshift", (m, n, batch, window - 1),
-                            f64)
-        self.cdtype = cdtype
+                            cdtype)
+        # The value gradient, rescaled in place, is the kernel GEMM's
+        # (K, source, target, B·T) operand as a strided view.
         self.grad_stbt = self.grad_tsbt.reshape(
             m, n, n, batch * window).transpose(0, 2, 1, 3)
-        self.flat_k = take("bwd.conv.flat_k", (m, n, n, batch * window),
-                           sdtype)
         self.ksum = None
         if self.single_kernel:
-            self.kgrad = take("bwd.conv.geff", (m, n, n, window), sdtype)
-            self.ksum = take("bwd.conv.ksum", (m, 1, 1, window), sdtype)
+            self.kgrad = take("bwd.conv.geff", (m, n, n, window), cdtype)
+            self.ksum = take("bwd.conv.ksum", (m, 1, 1, window), cdtype)
         else:
-            self.kgrad = take("bwd.conv.kgrad", (m, n, n, window), sdtype)
+            self.kgrad = take("bwd.conv.kgrad", (m, n, n, window), cdtype)
 
 
 class StackedTrainingEngine(StackedInferenceEngine):
@@ -341,7 +341,7 @@ class StackedTrainingEngine(StackedInferenceEngine):
         buffers because its models are independent objects.  This engine's
         models are backed by the trainer's ``(K, P)`` matrix, so the plain
         per-parameter stacks already exist as live views — only the fused
-        layouts (concatenated Q/K projections, the float64 mask modulation,
+        layouts (concatenated Q/K projections, the scaled mask modulation,
         the broadcast single-kernel) still need a per-step copy.  Each
         stacked view's per-model slice is C-contiguous like the buffer rows
         it replaces, so every per-slice GEMM is unchanged bit for bit.
@@ -374,7 +374,7 @@ class StackedTrainingEngine(StackedInferenceEngine):
 
         scale = 1.0 / (attention.temperature * np.sqrt(attention.d_qk))
         modulation = arena.take("stack.modulation", (m, n_heads, 1, n, n),
-                                np.float64)
+                                dtype)
         for index, name in enumerate(head_names):
             modulation[:, index, 0] = stacked[f"{name}.mask"]
         modulation *= scale
@@ -433,14 +433,10 @@ class StackedTrainingEngine(StackedInferenceEngine):
     def _backward_plan(self, space: ScratchSpace, stage: dict,
                        xb: np.ndarray) -> _StackedBackwardPlan:
         """The cached handle plan for this workload, rebuilt when stale."""
-        cdtype = np.result_type(xb.dtype, stage["kernel_eff"].dtype)
-        adtype = np.result_type(xb.dtype, stage["embed_weight"].dtype)
-        sdtype = np.result_type(cdtype, stage["scale_array"].dtype)
-        signature = (adtype.str, cdtype.str, sdtype.str)
         key = (xb.shape, xb.dtype.str)
         plan = self._backward_plans.get(key)
         if plan is None or plan.space is not space \
-                or plan.signature != signature:
+                or plan.cdtype != np.result_type(xb.dtype, self.dtype):
             plan = _StackedBackwardPlan(space, stage, self, xb.shape,
                                         xb.dtype)
             self._backward_plans[key] = plan
@@ -634,10 +630,9 @@ class StackedTrainingEngine(StackedInferenceEngine):
                               (p.mask_cast, 0))
                      + tuple((view, 0) for view in p.mask_views))
 
-        # --- causal convolution backward: undo the Eq. 4 shift in float64,
-        # then one multiply casts to the convolution dtype, rescales and
-        # swaps the series axes into the weight GEMM's (K, source, target,
-        # B·T) layout ---------------------------------------------------- #
+        # --- causal convolution backward: undo the Eq. 4 shift, rescale
+        # the value gradient in place, then one GEMM per source series
+        # reads it as a (target, B·T) strided view ---------------------- #
         np.copyto(p.unshift, p.grad_diagonal[..., 1:])
         np.copyto(p.grad_diagonal[..., :-1], p.unshift)
         p.grad_diagonal[..., -1] = 0.0
@@ -645,15 +640,13 @@ class StackedTrainingEngine(StackedInferenceEngine):
         k_axis = 0 if self._model_axis_first(m, n) else 1
 
         def kernel_body(lo, hi):
-            np.multiply(slice_axis(p.grad_stbt, k_axis, lo, hi), scale,
-                        out=slice_axis(p.flat_k, k_axis, lo, hi),
-                        dtype=p.cdtype)
-            np.matmul(slice_axis(p.flat_k, k_axis, lo, hi),
-                      slice_axis(p.windows_flat, k_axis, lo, hi),
+            grad = slice_axis(p.grad_stbt, k_axis, lo, hi)
+            np.multiply(grad, scale, out=grad)
+            np.matmul(grad, slice_axis(p.windows_flat, k_axis, lo, hi),
                       out=slice_axis(p.kgrad, k_axis, lo, hi))
 
-        parallel_for(kernel_body, p.flat_k.shape[k_axis],
-                     outputs=((p.flat_k, k_axis), (p.kgrad, k_axis)))
+        parallel_for(kernel_body, p.kgrad.shape[k_axis],
+                     outputs=((p.grad_stbt, k_axis), (p.kgrad, k_axis)))
         if p.single_kernel:
             # Broadcast-multiply backward: gradient × constant ones (exact
             # ×1.0, elided), then the unbroadcast sum down to (K, 1, 1, T).

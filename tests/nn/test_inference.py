@@ -18,7 +18,8 @@ from repro.core.config import CausalFormerConfig
 from repro.core.training import Trainer
 from repro.core.transformer import CausalityAwareTransformer
 from repro.nn.inference import (InferenceEngine, ScratchArena,
-                                StackedInferenceEngine, series_diagonal)
+                                StackedInferenceEngine, max_last_keepdims,
+                                series_diagonal)
 from repro.nn.tensor import Tensor, default_dtype, no_grad
 from tests.conftest import ABLATION_GRID, assert_matches_reference
 
@@ -73,6 +74,26 @@ class TestScratchArena:
         assert len(arena) == 2
 
 
+class TestMaxLastKeepdims:
+    @pytest.mark.parametrize("length", [2, 16, 17, 40, 48, 49, 64])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_equals_numpy_max(self, length, dtype):
+        """Chained or reduced, the row maximum is numpy's, NaN and -inf
+        included."""
+        rows = np.random.default_rng(length).normal(
+            size=(3, 5, length)).astype(dtype)
+        rows[0, 1, length // 2] = np.nan
+        rows[1, 2, :] = -np.inf
+        rows[2, 3, -1] = -np.inf
+        rows[2, 4, 0] = np.nan
+        expected = np.max(rows, axis=-1, keepdims=True)
+        out = np.empty_like(expected)
+        assert max_last_keepdims(rows, out=out) is out
+        assert np.array_equal(out, expected, equal_nan=True)
+        assert np.array_equal(max_last_keepdims(rows), expected,
+                              equal_nan=True)
+
+
 class TestForwardParity:
     @pytest.mark.parametrize("overrides", ABLATION_GRID)
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
@@ -109,8 +130,8 @@ class TestForwardParity:
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_both_convolution_layouts_hold_the_same_values(self, dtype):
-        """The interpretation path's source-major values, widened and
-        re-laid out, equal the training layout bit for bit."""
+        """The interpretation path's source-major values, re-laid out,
+        equal the training layout bit for bit, both in the model dtype."""
         model, _config = build(dtype)
         x = window_batch(model)
         fleet = InferenceEngine(model).fleet
@@ -120,10 +141,9 @@ class TestForwardParity:
         legacy, _flat = fleet._convolution(
             fleet.arena.space(("legacy", x.shape)), x[None], stage,
             legacy_layout=True)
-        assert values.dtype == np.float64 and values.flags.c_contiguous
+        assert values.dtype == dtype and values.flags.c_contiguous
         assert legacy.dtype == dtype
-        assert np.array_equal(values[0].transpose(2, 1, 0, 3),
-                              legacy[0].astype(np.float64))
+        assert np.array_equal(values[0].transpose(2, 1, 0, 3), legacy[0])
 
     @pytest.mark.parametrize("layout", ["contiguous", "source_major"])
     def test_series_diagonal_is_a_writable_view_of_the_self_series_rows(

@@ -213,6 +213,40 @@ class TestStackedGradientParity:
                     (row, name)
 
 
+class TestDtypePolicy:
+    """The model dtype is the compute dtype of every training kernel."""
+
+    @staticmethod
+    def _trained_spaces(dtype):
+        """The ``stack.eval`` spaces after one train step and one evaluate."""
+        with default_dtype(dtype):
+            config = make_config(n_heads=2)
+            model = CausalityAwareTransformer(config)
+            engine = make_engine(model, config)
+            windows = np.random.default_rng(2).normal(
+                size=(20, config.n_series, config.window))
+            engine.train_step(engine.prepare_windows(windows[:8]))
+            engine.evaluate(windows, config.batch_size)
+        spaces = [space for key, space in engine.arena._spaces.items()
+                  if key[0] == "stack.eval"]
+        assert len(spaces) == 2     # the step's batch and the evaluation's
+        return spaces
+
+    def test_float32_training_buffers_are_float32(self):
+        for space in self._trained_spaces(np.float32):
+            wide = {name: buffer.dtype
+                    for name, buffer in space._buffers.items()
+                    if buffer.dtype not in (np.float32, np.bool_)}
+            assert not wide
+            assert "conv.out" not in space._buffers
+            assert "bwd.conv.flat_k" not in space._buffers
+
+    def test_float64_training_buffers_stay_float64(self):
+        for space in self._trained_spaces(np.float64):
+            assert not [name for name, buffer in space._buffers.items()
+                        if buffer.dtype == np.float32]
+
+
 class TestEngineMechanics:
     def test_trainer_validates_on_its_training_engine(self):
         """Training steps and validation passes share the trainer's arena,
