@@ -16,7 +16,6 @@ from repro.core import (
     CausalityAwareTransformer,
     DecompositionCausalityDetector,
 )
-from repro.nn.optim import Adam
 from repro.nn.training_engine import TrainingEngine
 
 
@@ -44,7 +43,7 @@ def test_forward_backward_pass(benchmark, midsize_batch):
     # A private model: the training steps move its weights, and the other
     # benches share ``midsize_model``.
     model = CausalityAwareTransformer(midsize_config())
-    engine = TrainingEngine(model, Adam(list(model.parameters()), lr=1e-3))
+    engine = TrainingEngine(model)
     batch = engine.prepare_windows(midsize_batch)
     loss_value = benchmark(engine.train_step, batch)
     assert np.isfinite(loss_value)

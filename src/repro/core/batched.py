@@ -9,11 +9,14 @@ whole fleet through stacked GEMMs (one set of numpy calls for ``K`` models
 instead of ``K`` sets), and a hand-derived backward with a leading model
 axis, evaluated over persistent scratch arenas by
 :class:`repro.nn.training_engine.StackedTrainingEngine` (the engine a solo
-fit runs at ``K = 1``), fills a stacked flat Adam state.  Mini-batches are built by one stacked gather (a single
-``np.take`` over the concatenated training sets into a persistent batch
-buffer), and the engine that runs the training steps is the same object
-(same arena) that runs every validation pass; its arena is also handed to
-the group detector interpretation.
+fit runs at ``K = 1``), fills the gradient rows of a
+:class:`repro.nn.optim.ParameterStack` that
+:class:`repro.nn.optim.StackedAdam` then updates (the solo fit's storage
+and optimizer, at ``K = 1``).  Mini-batches are built by one stacked gather
+(a single ``np.take`` over the concatenated training sets into a persistent
+batch buffer), and the engine that runs the training steps is the same
+object (same arena) that runs every validation pass; its arena is also
+handed to the group detector interpretation.
 
 This is the scheduler's *steady-state* mode, not a same-shape sweep trick —
 three continuous-batching mechanisms keep the stack full and honest:
@@ -77,7 +80,7 @@ from repro.core.training import (GATHER_ELEMENT_BUDGET, FitProgress,
 from repro.core.transformer import CausalityAwareTransformer
 from repro.data.windows import sliding_windows
 from repro.nn.inference import profiling_hook
-from repro.nn.optim import StackedAdam
+from repro.nn.optim import ParameterStack, StackedAdam
 from repro.nn.parallel import engine_session
 from repro.nn.training_engine import StackedTrainingEngine
 from repro.telemetry import get_telemetry
@@ -159,7 +162,16 @@ class StackedCausalFormerTrainer:
         self.histories = [TrainingHistory() for _ in initial]
         self._parameters = [list(model.parameters()) for model in initial]
         self._lanes: List[_Lane] = []
-        self._build_parameter_stack()
+        # Every model's parameters as one row of a (C, P) matrix; rows past
+        # K are lane capacity for queue refill.
+        self._stack = ParameterStack(
+            [name for name, _p in initial[0].named_parameters()],
+            self._parameters, self.capacity)
+        self.dtype = self._stack.dtype
+        self.params = self._stack.params
+        self._grads = self._stack.grads
+        self._k = len(initial)
+        self._refresh_views()
         # One fused engine serves the whole sweep: training steps (its
         # hand-derived stacked backward writes into self._grads), every
         # validation pass (it is a StackedInferenceEngine) and — via its
@@ -205,46 +217,6 @@ class StackedCausalFormerTrainer:
     # ------------------------------------------------------------------ #
     # Stacked parameter storage
     # ------------------------------------------------------------------ #
-    def _build_parameter_stack(self) -> None:
-        """Stack every model's parameters into one ``(C, P)`` matrix.
-
-        Each model's ``Parameter.data`` is re-pointed at a contiguous view
-        of its row, mirroring the fused flat Adam's parameter fusion — the
-        stacked update is then a single in-place subtraction and the models
-        (and their inference engines) observe it with no copies.  Only the
-        first ``K`` rows are occupied; rows above ``K`` are lane capacity
-        for queue refill.
-        """
-        reference = self._parameters[0]
-        self.dtype = reference[0].data.dtype
-        self._names = [name for name, _p in self.models[0].named_parameters()]
-        self._shapes = [parameter.data.shape for parameter in reference]
-        sizes = [parameter.data.size for parameter in reference]
-        self._slices = []
-        offset = 0
-        for size in sizes:
-            self._slices.append(slice(offset, offset + size))
-            offset += size
-        self.n_params = offset
-        self._k = len(self.models)
-        self.params = np.empty((self.capacity, offset), dtype=self.dtype)
-        self._grads = np.empty((self.capacity, offset), dtype=self.dtype)
-        for row, parameters in enumerate(self._parameters):
-            self._fill_row(row, parameters)
-            self._point_parameters_at_row(parameters, row)
-        self._refresh_views()
-
-    def _fill_row(self, row: int, parameters: Sequence) -> None:
-        for view, parameter in zip(self._slices, parameters):
-            self.params[row, view] = parameter.data.ravel()
-
-    def _point_parameters_at_row(self, parameters: Sequence, row: int) -> None:
-        for view, shape, parameter in zip(self._slices, self._shapes,
-                                          parameters):
-            data = self.params[row, view].reshape(shape)
-            assert np.shares_memory(data, self.params)
-            parameter.data = data
-
     def _refresh_views(self) -> None:
         """(Re)build the ``(K, *shape)`` stacked views over the active prefix.
 
@@ -252,18 +224,7 @@ class StackedCausalFormerTrainer:
         a given width are layout-identical no matter how often lanes come and
         go — the engine's per-shape scratch spaces stay valid across rebinds.
         """
-        self._stacked, self._grad_views = self._views_over(
-            self.params, self._grads, self._k)
-
-    def _views_over(self, params: np.ndarray, grads: np.ndarray,
-                    m: int) -> Tuple[dict, dict]:
-        """Name → ``(m, *shape)`` stacked views over two flat matrices."""
-        stacked = {}
-        grad_views = {}
-        for name, view, shape in zip(self._names, self._slices, self._shapes):
-            stacked[name] = params[:m, view].reshape((m,) + shape)
-            grad_views[name] = grads[:m, view].reshape((m,) + shape)
-        return stacked, grad_views
+        self._stacked, self._grad_views = self._stack.views(self._k)
 
     def _grad_view(self, name: str) -> np.ndarray:
         """The ``(K, *shape)`` stacked view into the flat gradient matrix."""
@@ -307,7 +268,7 @@ class StackedCausalFormerTrainer:
         self._optimizer.permute_rows(order, k)
         self._lanes = [lanes[row] for row in order]
         for row, lane in enumerate(self._lanes):
-            self._point_parameters_at_row(lane.parameters, row)
+            self._stack.point_at_row(lane.parameters, row)
         self._members_dirty = True
 
     def _prefix_engine(self, m: int) -> StackedTrainingEngine:
@@ -323,7 +284,7 @@ class StackedCausalFormerTrainer:
             return self.engine
         engine = self._prefix_engines.get(m)
         if engine is None:
-            stacked, grad_views = self._views_over(self.params, self._grads, m)
+            stacked, grad_views = self._stack.views(m)
             engine = StackedTrainingEngine(
                 [lane.model for lane in self._lanes[:m]], stacked, grad_views,
                 arena=self.engine.arena)
@@ -344,9 +305,9 @@ class StackedCausalFormerTrainer:
         entry = self._tail_stacks.get(rows)
         if entry is None:
             g = len(rows)
-            params = np.empty((g, self.n_params), dtype=self.dtype)
-            grads = np.empty((g, self.n_params), dtype=self.dtype)
-            stacked, grad_views = self._views_over(params, grads, g)
+            params = np.empty((g, self._stack.n_params), dtype=self.dtype)
+            grads = np.empty_like(params)
+            stacked, grad_views = self._stack.views(g, params, grads)
             engine = StackedTrainingEngine(
                 [self._lanes[row].model for row in rows], stacked, grad_views,
                 arena=self.engine.arena)
@@ -397,7 +358,7 @@ class StackedCausalFormerTrainer:
         self._optimizer.compact_row(row, k)
         self._k = k - 1
         for r in range(row, self._k):
-            self._point_parameters_at_row(self._lanes[r].parameters, r)
+            self._stack.point_at_row(self._lanes[r].parameters, r)
         self._members_dirty = True
         if telemetry.enabled:
             telemetry.event("lane_compacted", model=lane.index,
@@ -411,7 +372,7 @@ class StackedCausalFormerTrainer:
             raise ValueError(
                 "refilled model must match the fleet config up to the seed")
         parameters = list(model.parameters())
-        if [p.data.shape for p in parameters] != self._shapes:
+        if [p.data.shape for p in parameters] != self._stack.shapes:
             raise ValueError("refilled model must match the fleet architecture")
         if any(p.data.dtype != self.dtype for p in parameters):
             raise ValueError("refilled model must match the fleet dtype")
@@ -421,8 +382,8 @@ class StackedCausalFormerTrainer:
         self.histories.append(TrainingHistory())
         self._parameters.append(parameters)
         lane = self._make_lane(model, values, index, parameters)
-        self._fill_row(row, parameters)
-        self._point_parameters_at_row(parameters, row)
+        self._stack.fill_row(row, parameters)
+        self._stack.point_at_row(parameters, row)
         self._optimizer.reset_row(row)
         self._lanes.append(lane)
         self._k = row + 1

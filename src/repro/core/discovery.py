@@ -159,7 +159,7 @@ class CausalFormer:
     def fit(self, data: DataLike, verbose: bool = False) -> "CausalFormer":
         """Train the causality-aware transformer on the prediction task."""
         values = self.prepare_fit(data)
-        trainer = Trainer(self.model_, self.config)
+        trainer = Trainer(self.model_)
         return self.finalize_fit(values, trainer.fit(values, verbose=verbose))
 
     def build_detector(self) -> DecompositionCausalityDetector:

@@ -17,7 +17,6 @@ from repro import faults
 from repro.core.config import CausalFormerConfig
 from repro.core.transformer import CausalityAwareTransformer
 from repro.nn.inference import profiling_hook
-from repro.nn.optim import Adam
 from repro.nn.parallel import engine_session
 from repro.nn.training_engine import TrainingEngine
 from repro.telemetry import get_telemetry, verbose_telemetry
@@ -136,20 +135,18 @@ def end_epoch(progress: FitProgress, epoch: int, epoch_loss: float,
 class Trainer:
     """Adam + early stopping over sliding windows of one dataset."""
 
-    def __init__(self, model: CausalityAwareTransformer,
-                 config: Optional[CausalFormerConfig] = None) -> None:
+    def __init__(self, model: CausalityAwareTransformer) -> None:
         self.model = model
-        self.config = config or model.config
+        self.config = model.config
         self._parameters = list(model.parameters())
-        self.optimizer = Adam(self._parameters, lr=self.config.learning_rate,
-                              clip_norm=self.config.grad_clip)
         self.history = TrainingHistory()
         # Training steps and validation passes run on one fused no-autograd
-        # engine (hand-derived backward, gradients written straight into the
-        # flat Adam buffer).  Its scratch arena belongs to the trainer, so
-        # every training buffer is released with it instead of staying
-        # pinned on the model after fit().
-        self._training = TrainingEngine(model, self.optimizer)
+        # engine (hand-derived backward, gradients written straight into its
+        # (1, P) gradient matrix, stacked Adam at K = 1).  Its scratch arena
+        # and parameter matrix belong to the trainer, so every training
+        # buffer is released with it instead of staying pinned on the model
+        # after fit().
+        self._training = TrainingEngine(model)
         # Resolved per fit(): the active telemetry runtime, or a transient
         # stderr one when fit(verbose=True) runs with telemetry off.
         self._telemetry = None
@@ -222,9 +219,9 @@ class Trainer:
 
         if progress.best_state is not None:
             # Copy in place rather than re-pointing ``parameter.data`` at the
-            # snapshot arrays: the fused Adam's flat parameter buffer and the
-            # training engine's views are bound to the current storage —
-            # re-pointing would detach them from the restored weights.
+            # snapshot arrays: the parameters are views of the training
+            # engine's (1, P) matrix, and re-pointing them would detach the
+            # model from the matrix a later step updates.
             for parameter, saved in zip(self._parameters, progress.best_state):
                 parameter.data[...] = saved
         return self.history

@@ -27,7 +27,8 @@ The autograd pieces:
 * :mod:`~repro.nn.layers` — ``Linear``, ``Sequential``, ``Dropout``,
   ``LSTMCell``/``LSTM`` (for the cLSTM baseline), 1-D convolutions (for the
   TCDF baseline).
-* :mod:`~repro.nn.optim` — ``SGD`` and ``Adam`` with gradient clipping.
+* :mod:`~repro.nn.optim` — ``Adam`` (with optional gradient clipping) and
+  its stacked form over a ``(K, P)`` parameter matrix.
 * :mod:`~repro.nn.init` — He / Xavier initialisation (the paper uses He
   initialisation).
 """
@@ -55,7 +56,7 @@ from repro.nn.layers import (
     LSTM,
     Conv1d,
 )
-from repro.nn.optim import Optimizer, SGD, Adam, clip_grad_norm_
+from repro.nn.optim import Adam
 from repro.nn import init
 from repro.nn.serialization import save_state_dict, load_state_dict
 
@@ -81,10 +82,7 @@ __all__ = [
     "LSTMCell",
     "LSTM",
     "Conv1d",
-    "Optimizer",
-    "SGD",
     "Adam",
-    "clip_grad_norm_",
     "init",
     "save_state_dict",
     "load_state_dict",

@@ -1,93 +1,48 @@
-"""Optimisers: SGD (with momentum) and Adam, plus gradient clipping.
+"""Optimisers: Adam over autograd parameters, and its stacked form.
 
 The paper optimises the causality-aware transformer with Adam and an early
-stop strategy; the training loop in :mod:`repro.core.training` uses
-:class:`Adam` from this module.
+stop strategy.  CausalFormer training runs :class:`StackedAdam` over a
+:class:`ParameterStack` — the stacked trainer (:mod:`repro.core.batched`)
+at ``K`` rows, the solo training engine
+(:class:`repro.nn.training_engine.TrainingEngine`) at one.  :class:`Adam`
+is the autograd optimiser of the baselines and the plain per-parameter
+reference the tests compare :class:`StackedAdam` against.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.nn.module import Parameter
 
-
-class Optimizer:
-    """Base class holding a list of parameters to update."""
-
-    def __init__(self, parameters: Iterable[Parameter]) -> None:
-        self.parameters: List[Parameter] = list(parameters)
-        if not self.parameters:
-            raise ValueError("optimizer received an empty parameter list")
-
-    def zero_grad(self) -> None:
-        for parameter in self.parameters:
-            parameter.grad = None
-
-    def step(self) -> None:
-        raise NotImplementedError
-
-
-class SGD(Optimizer):
-    """Stochastic gradient descent with optional momentum and weight decay."""
-
-    def __init__(self, parameters: Iterable[Parameter], lr: float = 1e-2,
-                 momentum: float = 0.0, weight_decay: float = 0.0) -> None:
-        super().__init__(parameters)
-        if lr <= 0:
-            raise ValueError("learning rate must be positive")
-        self.lr = lr
-        self.momentum = momentum
-        self.weight_decay = weight_decay
-        self._velocity: Dict[int, np.ndarray] = {}
-
-    def step(self) -> None:
-        for parameter in self.parameters:
-            if parameter.grad is None:
-                continue
-            grad = parameter.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * parameter.data
-            if self.momentum:
-                velocity = self._velocity.get(id(parameter))
-                if velocity is None:
-                    velocity = np.zeros_like(parameter.data)
-                    self._velocity[id(parameter)] = velocity
-                velocity *= self.momentum
-                velocity += grad
-                grad = velocity
-            parameter.data -= self.lr * grad
-
-
-#: Adam defaults, shared with the stacked trainer's fused replica
-#: (:mod:`repro.core.batched`) so both updates stay bit-identical.
+#: Adam defaults, shared by :class:`Adam` and :class:`StackedAdam` so both
+#: updates stay bit-identical.
 ADAM_BETAS = (0.9, 0.999)
 ADAM_EPS = 1e-8
 ADAM_CLIP_FUZZ = 1e-12
 
 
-class Adam(Optimizer):
+class Adam:
     """Adam optimiser (Kingma & Ba, 2015)."""
 
     def __init__(self, parameters: Iterable[Parameter], lr: float = 1e-3,
                  betas: tuple = ADAM_BETAS, eps: float = ADAM_EPS,
-                 weight_decay: float = 0.0,
                  clip_norm: Optional[float] = None) -> None:
-        super().__init__(parameters)
+        self.parameters: List[Parameter] = list(parameters)
+        if not self.parameters:
+            raise ValueError("optimizer received an empty parameter list")
         if lr <= 0:
             raise ValueError("learning rate must be positive")
         if not (0.0 <= betas[0] < 1.0 and 0.0 <= betas[1] < 1.0):
             raise ValueError("betas must be in [0, 1)")
         self.lr = lr
         #: when set, gradients are globally L2-clipped to this norm inside
-        #: ``step`` — one dot product on the fused gradient vector instead of
-        #: a per-parameter pass through :func:`clip_grad_norm_`.
+        #: ``step`` — one dot product on the fused gradient vector.
         self.clip_norm = clip_norm
         self.beta1, self.beta2 = betas
         self.eps = eps
-        self.weight_decay = weight_decay
         self._step_count = 0
         self._m: Dict[int, np.ndarray] = {}
         self._v: Dict[int, np.ndarray] = {}
@@ -101,13 +56,10 @@ class Adam(Optimizer):
         self._flat_grad: Optional[np.ndarray] = None
         self._flat_m: Optional[np.ndarray] = None
         self._flat_v: Optional[np.ndarray] = None
-        # When every parameter shares one dtype, their .data arrays are
-        # re-pointed at views of one flat vector so the whole update is a
-        # single in-place subtraction (no per-parameter scatter).  External
-        # reassignment of a .data array is detected by identity and the
-        # fusion is rebuilt from the new arrays.
-        self._flat_data: Optional[np.ndarray] = None
-        self._data_ids: List[int] = []
+
+    def zero_grad(self) -> None:
+        for parameter in self.parameters:
+            parameter.grad = None
 
     def _flush_moments(self) -> None:
         """Write the flat moment buffers back to the per-parameter store."""
@@ -136,107 +88,99 @@ class Adam(Optimizer):
             self._flat_views.append((parameter, view_slice, parameter.data.shape))
             offset += size
         self._flat_key = tuple(id(p) for p in active)
-        self._fuse_parameter_data(dtype)
-
-    def _fuse_parameter_data(self, dtype) -> None:
-        if any(p.data.dtype != dtype for p, _s, _shape in self._flat_views):
-            self._flat_data = None
-            self._data_ids = []
-            return
-        self._flat_data = np.concatenate(
-            [p.data.ravel() for p, _s, _shape in self._flat_views])
-        self._data_ids = []
-        for parameter, view_slice, shape in self._flat_views:
-            parameter.data = self._flat_data[view_slice].reshape(shape)
-            self._data_ids.append(id(parameter.data))
-
-    def _ensure_views_current(self, active: List[Parameter]) -> None:
-        """(Re)build the fused flat state for ``active`` if it drifted."""
-        if self._flat_key != tuple(id(p) for p in active):
-            self._rebuild_flat(active)
-        elif self._flat_data is not None:
-            for (parameter, _s, _shape), data_id in zip(self._flat_views,
-                                                        self._data_ids):
-                if id(parameter.data) != data_id:
-                    # A .data array was replaced (e.g. Module.load_state_dict):
-                    # re-fuse from the new arrays.
-                    self._fuse_parameter_data(self._flat_data.dtype)
-                    break
-
-    def ensure_flat(self, parameters: Optional[List[Parameter]] = None
-                    ) -> List[tuple]:
-        """Build (or refresh) the fused flat state and return its views.
-
-        Returns the ``(parameter, slice, shape)`` triples of the flat
-        layout.  Callers that compute gradients *without* the autograd
-        engine (:mod:`repro.nn.training_engine`) write them directly into
-        ``flat_gradient`` views obtained from these triples, then call
-        :meth:`step_flat` — skipping the per-parameter ``.grad`` arrays and
-        the gather entirely.  The layout (hence the update) is identical to
-        what :meth:`step` builds from the same parameter list.
-        """
-        active = list(parameters) if parameters is not None else self.parameters
-        self._ensure_views_current(active)
-        return self._flat_views
-
-    @property
-    def flat_gradient(self) -> Optional[np.ndarray]:
-        """The fused flat gradient buffer (``None`` before the first build)."""
-        return self._flat_grad
-
-    def step_flat(self) -> None:
-        """One Adam update reading the already-filled flat gradient buffer.
-
-        The caller must have obtained the layout via :meth:`ensure_flat`
-        (same step — a parameter-set change in between would misroute the
-        update) and written every parameter's gradient into its
-        ``flat_gradient`` slice.  Performs the exact op sequence of
-        :meth:`step` after its gather, so trajectories are bit-identical.
-        """
-        if self._flat_grad is None:
-            raise RuntimeError("ensure_flat() must run before step_flat()")
-        self._step_count += 1
-        t = self._step_count
-        self._apply_flat_update(1.0 - self.beta1 ** t, 1.0 - self.beta2 ** t)
 
     def step(self) -> None:
         self._step_count += 1
         t = self._step_count
-        bias_correction1 = 1.0 - self.beta1 ** t
-        bias_correction2 = 1.0 - self.beta2 ** t
         active = [p for p in self.parameters if p.grad is not None]
         if not active:
             return
-        self._ensure_views_current(active)
+        if self._flat_key != tuple(id(p) for p in active):
+            self._rebuild_flat(active)
         grad = self._flat_grad
         np.concatenate([p.grad.ravel() for p in active], out=grad)
-        self._apply_flat_update(bias_correction1, bias_correction2)
-
-    def _apply_flat_update(self, bias_correction1: float,
-                           bias_correction2: float) -> None:
-        grad = self._flat_grad
         if self.clip_norm is not None:
             total = float(np.sqrt(np.dot(grad, grad)))
             if total > self.clip_norm:
                 grad *= self.clip_norm / (total + ADAM_CLIP_FUZZ)
-        if self.weight_decay:
-            for parameter, view_slice, _shape in self._flat_views:
-                grad[view_slice] += self.weight_decay * parameter.data.ravel()
         m, v = self._flat_m, self._flat_v
         m *= self.beta1
         m += (1.0 - self.beta1) * grad
         v *= self.beta2
         np.multiply(grad, grad, out=grad)  # grad buffer now holds g²
         v += (1.0 - self.beta2) * grad
-        denominator = np.sqrt(v / bias_correction2)
+        denominator = np.sqrt(v / (1.0 - self.beta2 ** t))
         denominator += self.eps
-        update = (self.lr / bias_correction1) * m
+        update = (self.lr / (1.0 - self.beta1 ** t)) * m
         update /= denominator
-        if self._flat_data is not None:
-            self._flat_data -= update
-        else:
-            for parameter, view_slice, shape in self._flat_views:
-                parameter.data -= update[view_slice].reshape(shape)
+        for parameter, view_slice, shape in self._flat_views:
+            parameter.data -= update[view_slice].reshape(shape)
+
+
+class ParameterStack:
+    """Models' parameters as the rows of one ``(C, P)`` matrix.
+
+    Row ``r`` holds one model's parameters, flattened and concatenated in
+    ``names`` order; ``grads`` is the matching ``(C, P)`` gradient matrix.
+    Each model's ``Parameter.data`` arrays are re-pointed at views of its
+    row, so an in-place update of the matrix (:class:`StackedAdam`) reaches
+    the model, and every engine reading it, with no copies.  ``C`` is the
+    lane capacity: rows past the loaded models stay free for refills.
+
+    The stacked trainer (:mod:`repro.core.batched`) packs its fleet this
+    way and the solo :class:`~repro.nn.training_engine.TrainingEngine`
+    packs one model at ``C = 1``.
+    """
+
+    def __init__(self, names: Sequence[str],
+                 parameter_lists: Sequence[Sequence[Parameter]],
+                 capacity: int = 1) -> None:
+        reference = parameter_lists[0]
+        self.dtype = reference[0].data.dtype
+        if any(parameter.data.dtype != self.dtype
+               for parameters in parameter_lists for parameter in parameters):
+            raise ValueError("stacked parameters must share one dtype")
+        self.names = list(names)
+        self.shapes = [parameter.data.shape for parameter in reference]
+        self.slices = []
+        offset = 0
+        for parameter in reference:
+            self.slices.append(slice(offset, offset + parameter.data.size))
+            offset += parameter.data.size
+        self.n_params = offset
+        self.params = np.empty((capacity, offset), dtype=self.dtype)
+        self.grads = np.empty((capacity, offset), dtype=self.dtype)
+        for row, parameters in enumerate(parameter_lists):
+            self.fill_row(row, parameters)
+            self.point_at_row(parameters, row)
+
+    def fill_row(self, row: int, parameters: Sequence[Parameter]) -> None:
+        """Copy ``parameters``' current values into ``row``."""
+        for view, parameter in zip(self.slices, parameters):
+            self.params[row, view] = parameter.data.ravel()
+
+    def point_at_row(self, parameters: Sequence[Parameter], row: int) -> None:
+        """Re-point ``parameters``' data at views of ``row``."""
+        for view, shape, parameter in zip(self.slices, self.shapes,
+                                          parameters):
+            parameter.data = self.params[row, view].reshape(shape)
+
+    def views(self, m: int, params: Optional[np.ndarray] = None,
+              grads: Optional[np.ndarray] = None) -> Tuple[dict, dict]:
+        """Name → ``(m, *shape)`` views over the first ``m`` rows.
+
+        Over this stack's own matrices by default, or over any pair of
+        ``(g, P)`` matrices with the same layout (the stacked trainer's
+        gathered tail stacks).
+        """
+        params = self.params if params is None else params
+        grads = self.grads if grads is None else grads
+        stacked = {}
+        grad_views = {}
+        for name, view, shape in zip(self.names, self.slices, self.shapes):
+            stacked[name] = params[:m, view].reshape((m,) + shape)
+            grad_views[name] = grads[:m, view].reshape((m,) + shape)
+        return stacked, grad_views
 
 
 class StackedAdam:
@@ -244,21 +188,22 @@ class StackedAdam:
 
     The stacked trainer (:mod:`repro.core.batched`) trains ``K <= C`` models
     whose flat parameter vectors occupy the first ``K`` rows of one matrix
-    (``C`` is the lane capacity).  Under continuous batching the rows stop
-    moving in lockstep: a lane whose dataset has fewer windows sits out the
-    trailing steps of a round, a freshly refilled lane starts its step count
-    at zero, and a finished lane is compacted out of the prefix entirely.
-    Each row therefore carries its *own* Adam step count — and its own bias
+    (``C`` is the lane capacity); the solo training engine runs it at
+    ``K = 1``.  Under continuous batching the rows stop moving in lockstep:
+    a lane whose dataset has fewer windows sits out the trailing steps of a
+    round, a freshly refilled lane starts its step count at zero, and a
+    finished lane is compacted out of the prefix entirely.  Each row
+    therefore carries its *own* Adam step count — and its own bias
     corrections — and :meth:`step_rows` updates only the rows that really
     trained this step.
 
     Bit-exactness contract: every participating row sees the exact scalar
-    arithmetic of the solo fused update (:meth:`Adam._apply_flat_update`) —
-    the per-row bias corrections are computed with Python-float ``**`` and
+    arithmetic of :meth:`Adam.step` over that model's parameters — the
+    per-row bias corrections are computed with Python-float ``**`` and
     applied through columns cast to the parameter dtype, matching the
-    implicit scalar cast of the solo path, and the moment/denominator op
-    sequence is identical — so a row's trajectory equals training that model
-    alone regardless of which other rows ride along.
+    implicit scalar cast of :class:`Adam`, and the clip/moment/denominator
+    op sequence is identical — so a row's trajectory equals training that
+    model alone regardless of which other rows ride along.
     """
 
     def __init__(self, params: np.ndarray, lr: float,
@@ -301,11 +246,11 @@ class StackedAdam:
                   active: int) -> None:
         """One Adam update for ``rows``, reading their ``grads`` rows.
 
-        ``active`` is the current lane count ``K``; when every active row
-        participates the update runs in place on the ``[:K]`` prefix (the
-        lockstep fast path — no gathers), otherwise the participating rows
-        are gathered, updated with the identical op sequence, and scattered
-        back.  Non-participating rows are untouched: no moment decay, no
+        ``active`` is the current lane count ``K``; when ``rows`` is the
+        prefix ``0 .. K-1`` in order the update runs in place on ``[:K]``
+        (the lockstep fast path — no gathers), otherwise the participating
+        rows are gathered, updated with the identical op sequence, and
+        scattered back.  Non-participating rows are untouched: no moment decay, no
         step-count tick, no parameter change.
         """
         rows = list(rows)
@@ -315,7 +260,7 @@ class StackedAdam:
             self.t[row] += 1
         beta1, beta2 = self.beta1, self.beta2
         scale, bias2 = self._bias_columns(rows)
-        if len(rows) == active:
+        if rows == list(range(active)):
             grad = grads[:active]
             self._clip_rows(grad)
             m = self.m[:active]
@@ -384,20 +329,3 @@ class StackedAdam:
         self.m[row] = 0.0
         self.v[row] = 0.0
         self.t[row] = 0
-
-
-def clip_grad_norm_(parameters: Iterable[Parameter], max_norm: float) -> float:
-    """Clip gradients in place so their global L2 norm is at most ``max_norm``.
-
-    Returns the pre-clip norm, which the trainer logs for diagnostics.
-    """
-    parameters = [p for p in parameters if p.grad is not None]
-    if not parameters:
-        return 0.0
-    total = float(np.sqrt(sum(
-        float(np.dot(p.grad.ravel(), p.grad.ravel())) for p in parameters)))
-    if total > max_norm and total > 0:
-        scale = max_norm / (total + 1e-12)
-        for parameter in parameters:
-            parameter.grad *= scale
-    return total

@@ -17,13 +17,15 @@ temporary drawn from the same scratch arena the forward uses.  A
 steady-state training step performs no heap allocation of large arrays and
 no autograd bookkeeping at all.
 
-There is one set of kernels: :class:`TrainingEngine`, one model's training
-step, is the same engine at ``K = 1`` over ``(1, *shape)`` views of the
-model's parameters and of the fused flat Adam buffer
-(:meth:`repro.nn.optim.Adam.ensure_flat`), finishing each step with
-:meth:`~repro.nn.optim.Adam.step_flat`.  The batched sweep
+There is one set of kernels, and one optimizer: :class:`TrainingEngine`,
+one model's training step, is the same engine at ``K = 1``.  It packs the
+model's parameters into a ``(1, P)`` :class:`~repro.nn.optim.ParameterStack`
+once, trains on ``(1, *shape)`` views of it and of its gradient matrix, and
+finishes each step with :meth:`~repro.nn.optim.StackedAdam.step_rows` on
+its one row.  The batched sweep
 (:class:`repro.core.batched.StackedCausalFormerTrainer`) drives the engine
-at full width and applies its own row-masked stacked Adam.
+at full width over a ``(C, P)`` stack of the same kind, with the same
+row-masked :class:`~repro.nn.optim.StackedAdam`.
 
 Buffer-handle plans
 -------------------
@@ -104,6 +106,7 @@ from repro.nn.inference import (InferenceEngine, ScratchArena, ScratchSpace,
                                 StackedInferenceEngine, _mse_plus_penalties,
                                 series_diagonal, sized_by_batch,
                                 sum_last_keepdims, tiled_scale)
+from repro.nn.optim import ParameterStack, StackedAdam
 from repro.nn.parallel import get_engine_threads, parallel_for, slice_axis
 
 
@@ -318,9 +321,7 @@ class StackedTrainingEngine(StackedInferenceEngine):
 
         The stacked trainer repacks its ``(K, P)`` matrices in place when a
         lane retires or a freed lane is refilled from the job queue, then
-        hands the engine the fresh ``(K', *shape)`` views; a
-        :class:`TrainingEngine` rebinds when its optimizer re-fuses the flat
-        buffers.  Re-running the
+        hands the engine the fresh ``(K', *shape)`` views.  Re-running the
         architecture validation through ``StackedInferenceEngine.__init__``
         keeps the compatibility guarantees while preserving the arena (and
         with it every per-shape scratch space), any installed profiling
@@ -667,49 +668,34 @@ class TrainingEngine(InferenceEngine):
     Parameters
     ----------
     model:
-        A :class:`~repro.core.transformer.CausalityAwareTransformer`.
-    optimizer:
-        The model's :class:`~repro.nn.optim.Adam` over all of its
-        parameters; gradients are written directly into its fused flat
-        buffer and :meth:`train_step` finishes with
-        :meth:`~repro.nn.optim.Adam.step_flat`.
+        A :class:`~repro.core.transformer.CausalityAwareTransformer`; its
+        config gives the learning rate and the gradient clip norm.
     arena:
         Optional shared :class:`~repro.nn.inference.ScratchArena`; a private
         one is created when omitted.
 
-    The fleet of one trains on ``(1, *shape)`` views: of each parameter's
-    live data, and of the Adam flat gradient buffer viewed as ``(1, P)``.
-    The views are rebuilt whenever the optimizer re-fuses its buffers or a
-    parameter's storage is replaced.  Being an :class:`InferenceEngine`,
-    the same engine (and arena) also runs the trainer's validation passes.
+    At construction the model's parameters are packed into a ``(1, P)``
+    :class:`~repro.nn.optim.ParameterStack` (their ``.data`` arrays become
+    views of its row), and the fleet of one is bound, once, to
+    ``(1, *shape)`` views of its parameter and gradient matrices.
+    :meth:`train_step` writes the gradients into that matrix and updates the
+    row with :class:`~repro.nn.optim.StackedAdam`, as the stacked trainer
+    does for each of its lanes.  Being an :class:`InferenceEngine`, the same
+    engine (and arena) also runs the trainer's validation passes.
     """
 
-    def __init__(self, model, optimizer,
-                 arena: Optional[ScratchArena] = None) -> None:
+    def __init__(self, model, arena: Optional[ScratchArena] = None) -> None:
         self.model = model
-        self.optimizer = optimizer
-        self._fleet = StackedTrainingEngine([model], {}, {}, arena)
-        self._binding: Optional[tuple] = None
-
-    @property
-    def fleet(self) -> StackedTrainingEngine:
-        """The one-model training fleet, bound to the current buffers."""
-        flat_views = self.optimizer.ensure_flat()
-        gradient = self.optimizer.flat_gradient
-        binding = (id(gradient),) + tuple(
-            id(parameter.data) for parameter, _slice, _shape in flat_views)
-        if binding != self._binding:
-            names = {id(parameter): name
-                     for name, parameter in self.model.named_parameters()}
-            rows = gradient.reshape(1, -1)
-            stacked, grad_views = {}, {}
-            for parameter, view_slice, shape in flat_views:
-                name = names[id(parameter)]
-                stacked[name] = parameter.data[None]
-                grad_views[name] = rows[:, view_slice].reshape((1,) + shape)
-            self._fleet.rebind([self.model], stacked, grad_views)
-            self._binding = binding
-        return self._fleet
+        config = model.config
+        named = list(model.named_parameters())
+        self.stack = ParameterStack([name for name, _p in named],
+                                    [[parameter for _n, parameter in named]])
+        stacked, grad_views = self.stack.views(1)
+        self._fleet = StackedTrainingEngine([model], stacked, grad_views,
+                                            arena)
+        self.optimizer = StackedAdam(self.stack.params,
+                                     lr=config.learning_rate,
+                                     clip_norm=config.grad_clip)
 
     def prepare_windows(self, windows: np.ndarray) -> np.ndarray:
         """Replay the per-batch Tensor-construction cast chain once, up front.
@@ -736,12 +722,12 @@ class TrainingEngine(InferenceEngine):
         :meth:`prepare_windows` (or already in the engine default dtype).
         """
         loss = self.forward_backward(batch)
-        self.optimizer.step_flat()
+        self.optimizer.step_rows(self.stack.grads, [0], 1)
         return loss
 
     def forward_backward(self, batch: np.ndarray) -> float:
-        """Fused forward + loss + hand-derived backward into the flat buffer."""
-        return self.fleet._step(batch[None])[0]
+        """Fused forward + loss + hand-derived backward into the gradient row."""
+        return self._fleet._step(batch[None])[0]
 
     def gradients(self, batch: np.ndarray) -> Dict[str, np.ndarray]:
         """Per-parameter gradient copies for one batch (no optimizer step).

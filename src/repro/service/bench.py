@@ -133,7 +133,7 @@ def _epoch_fixture():
         n_series=5, window=16, d_model=24, d_qk=24, d_ffn=24, n_heads=4,
         batch_size=32, window_stride=2, max_epochs=1, seed=0)
     model = CausalityAwareTransformer(config)
-    trainer = Trainer(model, config)
+    trainer = Trainer(model)
     values = np.random.default_rng(3).normal(size=(5, 400))
     windows = trainer.make_windows(values)
     return trainer, windows
@@ -215,7 +215,7 @@ def _payload_fit_small() -> Callable[[], None]:
 
     def run() -> None:
         model = CausalityAwareTransformer(config)
-        Trainer(model, config).fit(values)
+        Trainer(model).fit(values)
 
     return run
 

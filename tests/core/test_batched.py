@@ -35,7 +35,7 @@ def trained_pair():
                for seed, v in enumerate(values_list)]
     sequential = [CausalityAwareTransformer(config) for config in configs]
     sequential_histories = [
-        Trainer(model, config).fit(values)
+        Trainer(model).fit(values)
         for model, config, values in zip(sequential, configs, values_list)]
     stacked = [CausalityAwareTransformer(config) for config in configs]
     stacked_histories = StackedCausalFormerTrainer(stacked).fit(values_list)
@@ -78,7 +78,7 @@ class TestHeterogeneousStopping:
         stacked = [CausalityAwareTransformer(config) for config in configs]
         histories = StackedCausalFormerTrainer(stacked).fit(values_list)
         reference = [
-            Trainer(CausalityAwareTransformer(config), config).fit(values)
+            Trainer(CausalityAwareTransformer(config)).fit(values)
             for config, values in zip(configs, values_list)]
         for history, expected in zip(histories, reference):
             assert history.n_epochs == expected.n_epochs
@@ -112,7 +112,7 @@ class TestValidation:
         values_list = [make_series(0, length=220), make_series(1, length=222)]
         sequential = [CausalityAwareTransformer(config) for config in configs]
         for model, config, values in zip(sequential, configs, values_list):
-            Trainer(model, config).fit(values)
+            Trainer(model).fit(values)
         stacked = [CausalityAwareTransformer(config) for config in configs]
         StackedCausalFormerTrainer(stacked).fit(values_list)
         for model_a, model_b in zip(sequential, stacked):
@@ -153,7 +153,7 @@ class TestSingleKernelBitIdentity:
                    for seed, v in enumerate(values_list)]
         sequential = [CausalityAwareTransformer(config) for config in configs]
         sequential_histories = [
-            Trainer(model, config).fit(values)
+            Trainer(model).fit(values)
             for model, config, values in zip(sequential, configs, values_list)]
         stacked = [CausalityAwareTransformer(config) for config in configs]
         stacked_histories = StackedCausalFormerTrainer(stacked).fit(values_list)
@@ -260,7 +260,7 @@ class TestDivergenceStopsRow:
         # Sequential reference for row 0: same data, every reported epoch
         # loss NaN, real steps still taken — breaks after epoch 0.
         sequential = CausalityAwareTransformer(configs[0])
-        sequential_trainer = Trainer(sequential, configs[0])
+        sequential_trainer = Trainer(sequential)
         original_epoch = Trainer._run_epoch
 
         def poison_epoch(self, windows, rng):
@@ -312,7 +312,7 @@ class TestHeterogeneousShapes:
             sequential = [CausalityAwareTransformer(config)
                           for config in configs]
             sequential_histories = [
-                Trainer(model, config).fit(values)
+                Trainer(model).fit(values)
                 for model, config, values in zip(sequential, configs,
                                                  values_list)]
             stacked = [CausalityAwareTransformer(config)
@@ -358,7 +358,7 @@ class TestHeterogeneousShapes:
                           for config in configs]
             for model, config, values in zip(sequential, configs,
                                              values_list):
-                Trainer(model, config).fit(values)
+                Trainer(model).fit(values)
             stacked = [CausalityAwareTransformer(config)
                        for config in configs]
             StackedCausalFormerTrainer(stacked).fit(values_list)
@@ -411,7 +411,7 @@ class TestRefill:
                    for seed, v in enumerate(values_list)]
         sequential = [CausalityAwareTransformer(config) for config in configs]
         sequential_histories = [
-            Trainer(model, config).fit(values)
+            Trainer(model).fit(values)
             for model, config, values in zip(sequential, configs, values_list)]
         stacked = [CausalityAwareTransformer(config) for config in configs]
         trainer = StackedCausalFormerTrainer(stacked[:3], capacity=3)

@@ -24,21 +24,21 @@ class TestTrainer:
     def test_loss_decreases(self, training_values):
         config = make_config()
         model = CausalityAwareTransformer(config)
-        trainer = Trainer(model, config)
+        trainer = Trainer(model)
         history = trainer.fit(training_values)
         assert history.n_epochs >= 2
         assert history.train_loss[-1] < history.train_loss[0]
 
     def test_history_lengths_match(self, training_values):
         config = make_config(max_epochs=5, patience=100)
-        trainer = Trainer(CausalityAwareTransformer(config), config)
+        trainer = Trainer(CausalityAwareTransformer(config))
         history = trainer.fit(training_values)
         assert len(history.train_loss) == len(history.validation_loss) == 5
 
     def test_early_stopping_triggers(self, training_values):
         """With zero patience the trainer stops as soon as validation stalls."""
         config = make_config(max_epochs=50, patience=1, min_delta=10.0)
-        trainer = Trainer(CausalityAwareTransformer(config), config)
+        trainer = Trainer(CausalityAwareTransformer(config))
         history = trainer.fit(training_values)
         assert history.stopped_early
         assert history.n_epochs < 50
@@ -46,7 +46,7 @@ class TestTrainer:
     def test_best_state_restored(self, training_values):
         config = make_config(max_epochs=10)
         model = CausalityAwareTransformer(config)
-        trainer = Trainer(model, config)
+        trainer = Trainer(model)
         history = trainer.fit(training_values)
         # After fit, the model must reproduce (approximately) the best
         # validation loss, not the last one.
@@ -55,7 +55,7 @@ class TestTrainer:
 
     def test_window_generation_respects_stride(self, training_values):
         config = make_config(window_stride=8)
-        trainer = Trainer(CausalityAwareTransformer(config), config)
+        trainer = Trainer(CausalityAwareTransformer(config))
         windows = trainer.make_windows(training_values)
         expected = (training_values.shape[1] - config.window) // 8 + 1
         assert windows.shape == (expected, 3, config.window)
@@ -64,7 +64,7 @@ class TestTrainer:
         def run():
             config = make_config(max_epochs=4)
             model = CausalityAwareTransformer(config)
-            Trainer(model, config).fit(training_values)
+            Trainer(model).fit(training_values)
             return model.state_dict()
 
         a, b = run(), run()
@@ -74,13 +74,13 @@ class TestTrainer:
 
 class TestBestStateRestoreStorage:
     """Best-state restoration copies in place, keeping every consumer of the
-    parameter storage (fused Adam flat buffer, shared inference engine)
-    bound to the restored best-epoch weights."""
+    parameter storage (the training engine's (1, P) matrix, the shared
+    inference engine) bound to the restored best-epoch weights."""
 
     def _early_stopped(self, training_values):
         config = make_config(max_epochs=30, patience=1, min_delta=10.0)
         model = CausalityAwareTransformer(config)
-        trainer = Trainer(model, config)
+        trainer = Trainer(model)
         # Warm the shared engine before fit so it is live across the restore.
         model.predict(trainer.make_windows(training_values)[:1])
         history = trainer.fit(training_values)
@@ -88,12 +88,15 @@ class TestBestStateRestoreStorage:
         assert 0 <= history.best_epoch < history.n_epochs - 1
         return config, model, trainer, history
 
-    def test_restore_keeps_optimizer_fusion_live(self, training_values):
+    def test_restore_keeps_parameter_matrix_live(self, training_values):
         _config, _model, trainer, _history = self._early_stopped(training_values)
-        flat = trainer.optimizer._flat_data
-        assert flat is not None
-        for parameter in trainer._parameters:
-            assert np.shares_memory(parameter.data, flat)
+        stack = trainer._training.stack
+        assert stack.params.shape == (1, stack.n_params)
+        for parameter, view, shape in zip(trainer._parameters, stack.slices,
+                                          stack.shapes):
+            assert parameter.data.base is stack.params
+            assert np.array_equal(parameter.data,
+                                  stack.params[0, view].reshape(shape))
 
     def test_predict_uses_best_epoch_weights_through_shared_engine(
             self, training_values):
@@ -104,7 +107,7 @@ class TestBestStateRestoreStorage:
         twin_config = make_config(max_epochs=history.best_epoch + 1,
                                   patience=1000, min_delta=10.0)
         twin = CausalityAwareTransformer(twin_config)
-        Trainer(twin, twin_config).fit(training_values)
+        Trainer(twin).fit(training_values)
         windows = trainer.make_windows(training_values)[:2]
         assert np.array_equal(model.predict(windows), twin.predict(windows))
 
@@ -113,7 +116,7 @@ class TestDivergenceDetection:
     def test_non_finite_loss_stops_and_flags(self, training_values,
                                              monkeypatch):
         config = make_config(max_epochs=10, patience=1000)
-        trainer = Trainer(CausalityAwareTransformer(config), config)
+        trainer = Trainer(CausalityAwareTransformer(config))
         original = Trainer._run_epoch
         calls = {"count": 0}
 
@@ -137,7 +140,7 @@ class TestDivergenceDetection:
     def test_infinite_validation_loss_also_stops(self, training_values,
                                                  monkeypatch):
         config = make_config(max_epochs=10, patience=1000)
-        trainer = Trainer(CausalityAwareTransformer(config), config)
+        trainer = Trainer(CausalityAwareTransformer(config))
 
         def infinite(self, windows):
             return float("inf")
@@ -308,8 +311,7 @@ class TestBothTrainersShareTheRule:
 
         calls = self._counting(monkeypatch, training)
         config = make_config(max_epochs=6, patience=2)
-        history = Trainer(CausalityAwareTransformer(config),
-                          config).fit(training_values)
+        history = Trainer(CausalityAwareTransformer(config)).fit(training_values)
         assert len(calls) == history.n_epochs
         assert all(recorded is history for recorded in calls)
 

@@ -181,7 +181,7 @@ class TestForwardParity:
     def test_evaluate_matches_chunked_reference(self, dtype, overrides):
         """Chunked no_grad reference validation, window-weighted."""
         model, config = build(dtype, window=10, **overrides)
-        trainer = Trainer(model, config)
+        trainer = Trainer(model)
         windows = np.ascontiguousarray(
             np.random.default_rng(2).normal(size=(23, config.n_series, 10)),
             dtype=dtype)

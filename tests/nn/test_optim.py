@@ -1,4 +1,4 @@
-"""Optimiser behaviour: convergence, state handling, gradient clipping."""
+"""Optimisers: Adam behaviour, and StackedAdam rows against Adam bit for bit."""
 
 import numpy as np
 import pytest
@@ -6,8 +6,8 @@ import pytest
 from repro.nn import functional as F
 from repro.nn.layers import Linear
 from repro.nn.module import Parameter
-from repro.nn.optim import Adam, Optimizer, SGD, clip_grad_norm_
-from repro.nn.tensor import Tensor
+from repro.nn.optim import Adam, ParameterStack, StackedAdam
+from repro.nn.tensor import Tensor, default_dtype
 
 
 def _linear_regression_loss(layer, inputs, targets):
@@ -21,54 +21,6 @@ def _make_problem(seed=0, n=80, d=4):
     true_weights = rng.normal(size=d)
     targets = inputs @ true_weights + 0.5
     return inputs, targets
-
-
-class TestSgd:
-    def test_reduces_loss(self):
-        inputs, targets = _make_problem()
-        layer = Linear(4, 1)
-        optimizer = SGD(layer.parameters(), lr=0.05)
-        first = None
-        for _ in range(100):
-            optimizer.zero_grad()
-            loss = _linear_regression_loss(layer, inputs, targets)
-            if first is None:
-                first = float(loss.data)
-            loss.backward()
-            optimizer.step()
-        assert float(loss.data) < first * 0.1
-
-    def test_momentum_accelerates(self):
-        inputs, targets = _make_problem(seed=1)
-
-        def run(momentum):
-            layer = Linear(4, 1, rng=np.random.default_rng(0))
-            optimizer = SGD(layer.parameters(), lr=0.01, momentum=momentum)
-            for _ in range(60):
-                optimizer.zero_grad()
-                loss = _linear_regression_loss(layer, inputs, targets)
-                loss.backward()
-                optimizer.step()
-            return float(loss.data)
-
-        assert run(0.9) < run(0.0)
-
-    def test_weight_decay_shrinks_weights(self):
-        parameter = Parameter(np.array([10.0]))
-        optimizer = SGD([parameter], lr=0.1, weight_decay=0.5)
-        parameter.grad = np.array([0.0])
-        optimizer.step()
-        assert abs(parameter.data[0]) < 10.0
-
-    def test_skips_parameters_without_grad(self):
-        parameter = Parameter(np.array([1.0]))
-        optimizer = SGD([parameter], lr=0.1)
-        optimizer.step()  # no gradient: must not raise nor change the value
-        assert parameter.data[0] == 1.0
-
-    def test_invalid_learning_rate(self):
-        with pytest.raises(ValueError):
-            SGD([Parameter(np.array([1.0]))], lr=0.0)
 
 
 class TestAdam:
@@ -107,34 +59,207 @@ class TestAdam:
         with pytest.raises(ValueError):
             Adam([])
 
-    def test_weight_decay_applies(self):
-        parameter = Parameter(np.array([5.0]))
-        optimizer = Adam([parameter], lr=0.1, weight_decay=1.0)
-        parameter.grad = np.array([0.0])
+    def test_clip_norm_bounds_the_moments(self):
+        parameter = Parameter(np.zeros(4))
+        optimizer = Adam([parameter], lr=0.1, clip_norm=1e-3)
+        parameter.grad = np.full(4, 10.0)
         optimizer.step()
-        assert parameter.data[0] < 5.0
+        # The gradient (norm 20) is scaled to norm 1e-3 before the moments
+        # see it; Adam's first step is ~lr whatever the gradient scale.
+        np.testing.assert_allclose(optimizer._flat_m, 0.1 * 5e-4)
+        np.testing.assert_allclose(parameter.data, -0.1, rtol=1e-3)
 
 
-class TestGradientClipping:
-    def test_clips_large_gradients(self):
-        parameters = [Parameter(np.zeros(3)) for _ in range(2)]
-        for parameter in parameters:
-            parameter.grad = np.full(3, 10.0)
-        norm_before = clip_grad_norm_(parameters, max_norm=1.0)
-        assert norm_before > 1.0
-        total = np.sqrt(sum(float((p.grad ** 2).sum()) for p in parameters))
-        assert total == pytest.approx(1.0, rel=1e-6)
+SHAPES = [(3, 4), (5,), (2, 2, 3)]
+LR = 0.05
 
-    def test_leaves_small_gradients_untouched(self):
-        parameter = Parameter(np.zeros(3))
-        parameter.grad = np.full(3, 0.01)
-        clip_grad_norm_([parameter], max_norm=10.0)
-        np.testing.assert_allclose(parameter.grad, 0.01)
 
-    def test_handles_missing_gradients(self):
-        assert clip_grad_norm_([Parameter(np.zeros(3))], max_norm=1.0) == 0.0
+class _Fleet:
+    """A :class:`StackedAdam` over a :class:`ParameterStack` of ``k``
+    loaded rows, with one plain :class:`Adam` per row as its reference."""
 
-    def test_base_optimizer_step_abstract(self):
-        optimizer = Optimizer([Parameter(np.array([1.0]))])
-        with pytest.raises(NotImplementedError):
-            optimizer.step()
+    def __init__(self, dtype, capacity, k, clip_norm, seed=0):
+        self.dtype = dtype
+        self.clip_norm = clip_norm
+        self.rng = np.random.default_rng(seed)
+        with default_dtype(dtype):
+            self.models = [[Parameter(self.rng.normal(size=shape))
+                            for shape in SHAPES] for _ in range(k)]
+            self.references = [[Parameter(p.data.copy()) for p in model]
+                               for model in self.models]
+        self.stack = ParameterStack([f"p{i}" for i in range(len(SHAPES))],
+                                    self.models, capacity)
+        self.optimizer = StackedAdam(self.stack.params, lr=LR,
+                                     clip_norm=clip_norm)
+        self.adams = [Adam(reference, lr=LR, clip_norm=clip_norm)
+                      for reference in self.references]
+
+    def step(self, rows, active):
+        """One update of ``rows``: the stack, and each row's own Adam."""
+        grads = self.rng.normal(size=self.stack.grads.shape) \
+            .astype(self.dtype)
+        for row in rows:
+            for view, shape, parameter in zip(self.stack.slices,
+                                              self.stack.shapes,
+                                              self.references[row]):
+                parameter.grad = grads[row, view].reshape(shape).copy()
+            self.adams[row].step()
+        self.optimizer.step_rows(grads, rows, active)
+
+    def state(self, row):
+        optimizer = self.optimizer
+        return (self.stack.params[row].copy(), optimizer.m[row].copy(),
+                optimizer.v[row].copy(), optimizer.t[row])
+
+    def assert_row_matches(self, row):
+        """Stack row ``row`` equals its reference Adam bit for bit."""
+        adam = self.adams[row]
+        flat = np.concatenate([p.data.ravel() for p in self.references[row]])
+        assert self.stack.params.dtype == flat.dtype == self.dtype
+        assert np.array_equal(self.stack.params[row], flat), row
+        assert np.array_equal(self.optimizer.m[row], adam._flat_m), row
+        assert np.array_equal(self.optimizer.v[row], adam._flat_v), row
+        assert self.optimizer.t[row] == adam._step_count, row
+
+
+DTYPES = [np.float32, np.float64]
+#: no clipping; a bound every step's gradient exceeds; one none reaches
+CLIPS = [None, 0.5, 1e6]
+
+
+class TestParameterStack:
+    def test_rows_hold_each_models_parameters_as_views(self):
+        fleet = _Fleet(np.float32, capacity=3, k=2, clip_norm=None)
+        stack = fleet.stack
+        assert stack.params.shape == stack.grads.shape == (3, stack.n_params)
+        for row, model in enumerate(fleet.models):
+            flat = np.concatenate([p.data.ravel() for p in model])
+            assert np.array_equal(stack.params[row], flat)
+            for parameter in model:
+                assert parameter.data.base is stack.params
+        stacked, grad_views = stack.views(2)
+        assert stacked["p0"].shape == grad_views["p0"].shape == (2, 3, 4)
+        stacked["p1"][1] += 1.0
+        assert np.array_equal(fleet.models[1][1].data, stacked["p1"][1])
+
+    def test_rejects_mixed_dtypes(self):
+        with default_dtype(np.float32):
+            narrow = Parameter(np.zeros(3))
+        with default_dtype(np.float64):
+            wide = Parameter(np.zeros(3))
+        with pytest.raises(ValueError, match="dtype"):
+            ParameterStack(["a", "b"], [[narrow, wide]])
+
+
+class TestStackedAdam:
+    """Every row of :class:`StackedAdam` is :meth:`Adam.step` bit for bit."""
+
+    @pytest.mark.parametrize("clip_norm", CLIPS)
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_full_prefix_rows_match_adam(self, dtype, clip_norm):
+        fleet = _Fleet(dtype, capacity=3, k=3, clip_norm=clip_norm)
+        for _ in range(6):
+            fleet.step([0, 1, 2], active=3)
+        for row in range(3):
+            fleet.assert_row_matches(row)
+
+    @pytest.mark.parametrize("clip_norm", CLIPS)
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_scattered_rows_match_adam_and_leave_the_rest(self, dtype,
+                                                          clip_norm):
+        fleet = _Fleet(dtype, capacity=5, k=4, clip_norm=clip_norm)
+        fleet.step([0, 1, 2, 3], active=4)
+        # The last set covers every active row, out of prefix order.
+        for rows in ([1, 3], [0, 2, 3], [3], [3, 0, 2, 1]):
+            still = {row: fleet.state(row) for row in range(5)
+                     if row not in rows}
+            fleet.step(rows, active=4)
+            for row, (params, m, v, t) in still.items():
+                after = fleet.state(row)
+                assert np.array_equal(after[0], params), row
+                assert np.array_equal(after[1], m), row
+                assert np.array_equal(after[2], v), row
+                assert after[3] == t, row
+        for row in range(4):
+            fleet.assert_row_matches(row)
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_one_row_matches_adam(self, dtype):
+        """K = 1, the solo training engine's optimizer."""
+        fleet = _Fleet(dtype, capacity=1, k=1, clip_norm=0.5)
+        for _ in range(5):
+            fleet.step([0], active=1)
+        fleet.assert_row_matches(0)
+
+    def test_clipping_is_per_row(self):
+        fleet = _Fleet(np.float64, capacity=2, k=2, clip_norm=0.5)
+        grads = np.zeros_like(fleet.stack.grads)
+        grads[0] = 100.0
+        grads[1] = 1e-4
+        fleet.optimizer.step_rows(grads, [0, 1], 2)
+        # After the in-place g² each row holds its squared clipped gradient.
+        assert np.sqrt(grads[0].sum()) == pytest.approx(0.5)
+        assert np.array_equal(grads[1], np.full_like(grads[1], 1e-4) ** 2)
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_permute_rows_carries_moments_and_step_counts(self, dtype):
+        fleet = _Fleet(dtype, capacity=3, k=3, clip_norm=0.5)
+        fleet.step([0, 1, 2], active=3)
+        fleet.step([0, 2], active=3)
+        order = [2, 0, 1]
+        before = [fleet.state(row) for row in order]
+        stack = fleet.stack
+        stack.params[:3] = stack.params[order]
+        fleet.optimizer.permute_rows(order, 3)
+        for row, (params, m, v, t) in enumerate(before):
+            after = fleet.state(row)
+            assert np.array_equal(after[0], params)
+            assert np.array_equal(after[1], m)
+            assert np.array_equal(after[2], v)
+            assert after[3] == t
+        fleet.adams = [fleet.adams[row] for row in order]
+        fleet.references = [fleet.references[row] for row in order]
+        fleet.step([0, 1, 2], active=3)
+        for row in range(3):
+            fleet.assert_row_matches(row)
+        with pytest.raises(ValueError):
+            fleet.optimizer.permute_rows([1, 0], 3)
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_compact_row_shifts_the_tail_and_clears_the_last(self, dtype):
+        fleet = _Fleet(dtype, capacity=4, k=4, clip_norm=None)
+        for rows in ([0, 1, 2, 3], [0, 1, 2], [0, 1, 2, 3]):
+            fleet.step(rows, active=4)
+        stack = fleet.stack
+        for r in range(1, 3):
+            stack.params[r] = stack.params[r + 1]
+        fleet.optimizer.compact_row(1, 4)
+        del fleet.adams[1], fleet.references[1]
+        for row in range(3):
+            fleet.assert_row_matches(row)
+        assert not fleet.optimizer.m[3].any()
+        assert not fleet.optimizer.v[3].any()
+        assert fleet.optimizer.t[3] == 0
+        fleet.step([0, 1, 2], active=3)
+        for row in range(3):
+            fleet.assert_row_matches(row)
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_reset_row_restarts_like_a_fresh_adam(self, dtype):
+        fleet = _Fleet(dtype, capacity=2, k=2, clip_norm=0.5)
+        for _ in range(3):
+            fleet.step([0, 1], active=2)
+        fleet.optimizer.reset_row(1)
+        assert fleet.optimizer.t[1] == 0
+        assert not fleet.optimizer.m[1].any()
+        assert not fleet.optimizer.v[1].any()
+        # A refilled lane: its row reloaded, its reference a fresh Adam.
+        with default_dtype(dtype):
+            fresh = [Parameter(p.data.copy()) for p in fleet.references[1]]
+        fleet.references[1] = fresh
+        fleet.adams[1] = Adam(fresh, lr=LR, clip_norm=0.5)
+        fleet.stack.fill_row(1, fresh)
+        for _ in range(2):
+            fleet.step([0, 1], active=2)
+        for row in range(2):
+            fleet.assert_row_matches(row)

@@ -25,7 +25,6 @@ from repro.core.training import Trainer
 from repro.core.transformer import CausalityAwareTransformer
 from repro.nn import parallel
 from repro.nn.inference import InferenceEngine
-from repro.nn.optim import Adam
 from repro.nn.parallel import (EngineThreadPool, engine_threads,
                                get_engine_threads, parallel_for,
                                set_engine_threads, set_parallel_debug,
@@ -247,10 +246,7 @@ class TestBackwardBitIdentity:
                 size=(8, config.n_series, config.window)).astype(dtype)
 
             def gradients():
-                engine = TrainingEngine(
-                    model, Adam(list(model.parameters()),
-                                lr=config.learning_rate,
-                                clip_norm=config.grad_clip))
+                engine = TrainingEngine(model)
                 return engine.gradients(batch)
 
             serial = gradients()
@@ -266,7 +262,7 @@ class TestBackwardBitIdentity:
 
         def fit():
             model = CausalityAwareTransformer(config)
-            history = Trainer(model, config).fit(values)
+            history = Trainer(model).fit(values)
             return history, [p.data.copy() for p in model.parameters()]
 
         serial_history, serial_params = fit()
@@ -347,7 +343,7 @@ class TestConcurrentTrainers:
         def fit(seed):
             with default_dtype(np.float64):
                 model = CausalityAwareTransformer(replace(config, seed=seed))
-                history = Trainer(model, replace(config, seed=seed)).fit(
+                history = Trainer(model).fit(
                     series[seed])
             return history.train_loss, [p.data.copy()
                                         for p in model.parameters()]
@@ -426,7 +422,7 @@ class TestPropagation:
         config = make_config(max_epochs=1)
         with engine_threads(2):
             with capture() as telemetry:
-                Trainer(CausalityAwareTransformer(config), config).fit(values)
+                Trainer(CausalityAwareTransformer(config)).fit(values)
                 snapshot = telemetry.metrics.snapshot()
         assert snapshot["gauges"]["engine.threads"] == 2
 
@@ -543,7 +539,7 @@ class TestWorkSizeRule:
         values = training_series(3)
         config = make_config(max_epochs=1)
         with capture() as telemetry:
-            Trainer(CausalityAwareTransformer(config), config).fit(values)
+            Trainer(CausalityAwareTransformer(config)).fit(values)
             solo = telemetry.metrics.snapshot()["gauges"]["engine.threads"]
         with capture() as telemetry:
             models = [CausalityAwareTransformer(replace(config, seed=seed))
@@ -663,7 +659,7 @@ class TestBlasCap:
             fake_blas.get)])
         monkeypatch.setattr(parallel, "WORK_PER_THREAD", 8 * 16 * 10 // 2)
         config = make_config(max_epochs=2)
-        Trainer(CausalityAwareTransformer(config), config).fit(
+        Trainer(CausalityAwareTransformer(config)).fit(
             training_series(3))
         assert calls == [1, 2]
         assert fake_blas.count == 2

@@ -36,12 +36,6 @@ def make_config(**overrides):
     return CausalFormerConfig(**base)
 
 
-def make_engine(model, config):
-    return TrainingEngine(model, Adam(list(model.parameters()),
-                                      lr=config.learning_rate,
-                                      clip_norm=config.grad_clip))
-
-
 def reference_gradients(model, batch_np):
     """Loss and parameter gradients from one plain autograd reference step."""
     batch = Tensor(batch_np)
@@ -62,7 +56,7 @@ def naive_fit(model, config, values):
     ``TrainingEngine.train_step`` — what ``Trainer._run_epoch``'s block
     gather must reproduce bit for bit.
     """
-    trainer = Trainer(model, config)
+    trainer = Trainer(model)
 
     def run_epoch(self, windows, rng):
         engine = self._training
@@ -97,7 +91,7 @@ class TestReferenceParity:
             batch = np.random.default_rng(1).normal(
                 size=(8, config.n_series, config.window))
             reference_loss, reference = reference_gradients(model, batch)
-            engine = make_engine(model, config)
+            engine = TrainingEngine(model)
             grads = engine.gradients(batch)
             loss = engine.forward_backward(engine.prepare_windows(batch))
             assert_matches_reference(loss, reference_loss, dtype)
@@ -119,20 +113,20 @@ class TestReferenceParity:
         batch = np.random.default_rng(2).normal(
             size=(6, config.n_series, config.window))
         reference_loss, _grads = reference_gradients(model, batch)
-        engine = make_engine(model, config)
+        engine = TrainingEngine(model)
         loss = engine.forward_backward(engine.prepare_windows(batch))
         assert_matches_reference(loss, reference_loss, np.float64)
 
     def test_partial_batch_uses_its_own_space(self):
         """A trailing short batch must not corrupt the full-batch buffers."""
         config = make_config()
-        engine = make_engine(CausalityAwareTransformer(config), config)
+        engine = TrainingEngine(CausalityAwareTransformer(config))
         rng = np.random.default_rng(3)
         full = rng.normal(size=(8, config.n_series, config.window))
         short = rng.normal(size=(3, config.n_series, config.window))
         for batch in (full, short, full):
             # A fresh engine on an identical model is the uncorrupted answer.
-            fresh = make_engine(CausalityAwareTransformer(config), config)
+            fresh = TrainingEngine(CausalityAwareTransformer(config))
             expected = fresh.gradients(batch)
             grads = engine.gradients(batch)
             for name, value in expected.items():
@@ -151,7 +145,7 @@ class TestFitParity:
             reference_model = CausalityAwareTransformer(config)
             reference = naive_fit(reference_model, config, values)
             model = CausalityAwareTransformer(config)
-            history = Trainer(model, config).fit(values)
+            history = Trainer(model).fit(values)
             assert history.train_loss == reference.train_loss
             assert history.validation_loss == reference.validation_loss
             assert history.best_epoch == reference.best_epoch
@@ -170,7 +164,7 @@ class TestFitParity:
 
         def run():
             model = CausalityAwareTransformer(config)
-            history = Trainer(model, config).fit(values)
+            history = Trainer(model).fit(values)
             return history, model.state_dict()
 
         history_a, state_a = run()
@@ -198,7 +192,7 @@ class TestStackedGradientParity:
                    for _ in configs]
         references = []
         for model, config, batch in zip(solo_models, configs, batches):
-            engine = make_engine(model, config)
+            engine = TrainingEngine(model)
             grads = engine.gradients(batch)
             references.append(
                 (engine.forward_backward(engine.prepare_windows(batch)), grads))
@@ -222,7 +216,7 @@ class TestDtypePolicy:
         with default_dtype(dtype):
             config = make_config(n_heads=2)
             model = CausalityAwareTransformer(config)
-            engine = make_engine(model, config)
+            engine = TrainingEngine(model)
             windows = np.random.default_rng(2).normal(
                 size=(20, config.n_series, config.window))
             engine.train_step(engine.prepare_windows(windows[:8]))
@@ -253,7 +247,7 @@ class TestEngineMechanics:
         which is not the model's."""
         config = make_config()
         model = CausalityAwareTransformer(config)
-        trainer = Trainer(model, config)
+        trainer = Trainer(model)
         calls = []
         evaluate = trainer._training.evaluate
         trainer._training.evaluate = \
@@ -277,8 +271,7 @@ class TestEngineMechanics:
         assert not [name for name in names
                     if name.startswith(("train.", "bwd."))]
         # The trainer's own arena held them while it trained.
-        trainer = Trainer(CausalityAwareTransformer(method.config),
-                          method.config)
+        trainer = Trainer(CausalityAwareTransformer(method.config))
         trainer.fit(training_series(4, length=120))
         names = buffer_names(trainer._training.arena)
         assert any(name.startswith("train.") for name in names)
@@ -298,8 +291,7 @@ class TestEngineMechanics:
     def test_steady_state_steps_reuse_buffers(self):
         config = make_config()
         model = CausalityAwareTransformer(config)
-        engine = TrainingEngine(
-            model, Adam(list(model.parameters()), lr=config.learning_rate))
+        engine = TrainingEngine(model)
         batch = engine.prepare_windows(np.random.default_rng(4).normal(
             size=(8, config.n_series, config.window)))
         engine.train_step(batch)
@@ -309,30 +301,31 @@ class TestEngineMechanics:
             engine.train_step(batch)
         assert engine.arena.buffer_ids() == identifiers
 
-    def test_gradients_written_into_flat_adam_buffer(self):
+    def test_gradients_written_into_the_gradient_row(self):
+        """The model's parameters are views of the engine's (1, P) matrix,
+        bound once, and the gradients land in the matching gradient row."""
         config = make_config()
         model = CausalityAwareTransformer(config)
-        optimizer = Adam(list(model.parameters()), lr=config.learning_rate)
-        engine = TrainingEngine(model, optimizer)
-        batch = np.random.default_rng(6).normal(
-            size=(4, config.n_series, config.window))
-        grads = engine.gradients(batch)
-        flat = optimizer.flat_gradient
-        assert flat is not None
+        engine = TrainingEngine(model)
+        stack = engine.stack
+        assert stack.params.shape == stack.grads.shape == (1, stack.n_params)
         offset = 0
         for _name, parameter in model.named_parameters():
             size = parameter.data.size
-            view = flat[offset:offset + size]
-            assert np.shares_memory(view, flat)
+            assert np.shares_memory(parameter.data,
+                                    stack.params[0, offset:offset + size])
             offset += size
-        assert offset == flat.size
-        # The per-name copies must agree with the flat layout contents.
+        assert offset == stack.n_params
+        batch = np.random.default_rng(6).normal(
+            size=(4, config.n_series, config.window))
+        grads = engine.gradients(batch)
+        # The per-name copies must agree with the gradient row's contents.
         rebuilt = np.concatenate(
             [grads[name].ravel() for name, _p in model.named_parameters()])
-        assert np.array_equal(rebuilt, flat)
+        assert np.array_equal(rebuilt, stack.grads[0])
 
-    def test_step_flat_matches_step(self):
-        """ensure_flat + direct writes + step_flat == grads + step()."""
+    def test_engine_step_matches_adam_step(self):
+        """Engine step + StackedAdam at K = 1 == the same grads + Adam.step()."""
         config = make_config()
         model_a = CausalityAwareTransformer(config)
         model_b = CausalityAwareTransformer(config)
@@ -342,24 +335,14 @@ class TestEngineMechanics:
         optimizer_a = Adam(list(model_a.parameters()),
                            lr=config.learning_rate,
                            clip_norm=config.grad_clip)
-        grads = make_engine(CausalityAwareTransformer(config),
-                            config).gradients(batch)
+        grads = TrainingEngine(CausalityAwareTransformer(config)) \
+            .gradients(batch)
         for name, parameter in model_a.named_parameters():
             parameter.grad = grads[name]
         optimizer_a.step()
-        # Path B: engine writes into the flat buffer + step_flat().
-        optimizer_b = Adam(list(model_b.parameters()),
-                           lr=config.learning_rate,
-                           clip_norm=config.grad_clip)
-        engine = TrainingEngine(model_b, optimizer_b)
+        # Path B: the engine writes its gradient row + StackedAdam.step_rows.
+        engine = TrainingEngine(model_b)
         engine.train_step(engine.prepare_windows(batch))
         for (name, parameter_a), (_n, parameter_b) in zip(
                 model_a.named_parameters(), model_b.named_parameters()):
             assert np.array_equal(parameter_a.data, parameter_b.data), name
-
-    def test_step_flat_requires_ensure_flat(self):
-        config = make_config()
-        model = CausalityAwareTransformer(config)
-        optimizer = Adam(list(model.parameters()), lr=1e-3)
-        with pytest.raises(RuntimeError, match="ensure_flat"):
-            optimizer.step_flat()
