@@ -58,25 +58,24 @@ def test_batched_sweep_matches_per_job_results():
 
 def test_hetero_sweep_faster_than_per_job_dispatch():
     """Mixed-length jobs (the ``sweep_hetero`` fixture) must also win
-    stacked: shape bucketing + pad-and-mask lanes + compaction/refill
-    amortise the dispatch overhead even when no two jobs share a shape."""
+    stacked: three exact-shape groups of two amortise the dispatch
+    overhead of six jobs at three lengths."""
     pairs = bench._hetero_sweep_pairs()
     sequential = JobExecutor(max_workers=1, cache=None)
-    batched = JobExecutor(max_workers=1, cache=None, batch_jobs=True,
-                          bucket_slack=0.5, max_lanes=4)
+    batched = JobExecutor(max_workers=1, cache=None, batch_jobs=True)
     batched_median, sequential_median = interleaved_medians(
         6, lambda: batched.run(pairs), lambda: sequential.run(pairs))
     assert batched_median < sequential_median, (
         f"hetero batched sweep took {batched_median:.3f}s (median of 6), "
-        f"per-job dispatch {sequential_median:.3f}s — continuous batching "
-        "should win on 6 mixed-shape jobs")
+        f"per-job dispatch {sequential_median:.3f}s — exact-shape groups "
+        "should win on 6 jobs at 3 lengths")
 
 
 def test_hetero_sweep_matches_per_job_results():
     pairs = bench._hetero_sweep_pairs()
     sequential = JobExecutor(max_workers=1, cache=None).run(pairs)
-    batched = JobExecutor(max_workers=1, cache=None, batch_jobs=True,
-                          bucket_slack=0.5, max_lanes=4).run(pairs)
+    batched = JobExecutor(max_workers=1, cache=None,
+                          batch_jobs=True).run(pairs)
     for result_a, result_b in zip(sequential, batched):
         assert result_a.ok and result_b.ok
         assert sorted(edge.as_tuple() for edge in result_a.graph.edges) \

@@ -1047,59 +1047,16 @@ class StackedInferenceEngine(ProfilingSeam):
             count += chunk.shape[1]
         return [total / count if count else float("nan") for total in totals]
 
-    def evaluate_grouped(self, window_sets: Sequence[Optional[np.ndarray]],
-                         batch_size: int,
-                         cache: Optional[dict] = None
-                         ) -> List[Optional[float]]:
-        """Per-model losses when the fleet's window sets differ in count.
+    def evaluate_grouped(self, window_sets: Sequence[np.ndarray],
+                         batch_size: int) -> List[float]:
+        """The stacked trainer's per-epoch validation pass.
 
-        The heterogeneous stacked trainer validates lanes whose datasets
-        carry different window counts (pad-and-mask bucketing).  Padding a
-        model's own batch axis is off the table — a different GEMM ``M``
-        dimension may pick a different BLAS kernel — so instead the rows are
-        grouped by shape and each group runs :meth:`evaluate` at its exact
-        shape: all rows together through this engine when they share one
-        shape, otherwise through a sub-fleet :class:`StackedInferenceEngine`
-        per shape group (one row is a fleet of one) over the same arena.
-
-        ``None`` entries (lanes without a validation split) are skipped and
-        returned as ``None``.  Every returned loss is bit-identical to
-        evaluating that model's windows alone.
-
-        ``cache`` (optional) is a caller-owned dict that keeps the sub-fleet
-        engines alive across calls — validation groups are stable between
-        epochs, so a trainer passes one dict per lane era and the engines
-        (with their staged buffers) rebuild only when membership changes.
-        The caller must discard it whenever ``self.models`` changes, because
-        the cached engines hold references to the models by row.
+        The trainer's lanes carry equal validation counts, so this is
+        :meth:`evaluate` over the whole fleet; it stays a method of its own
+        so that a profiler can time validation apart from other stacked
+        evaluations.
         """
-        m = len(self.models)
-        if len(window_sets) != m:
-            raise ValueError("one window set per model required")
-        results: List[Optional[float]] = [None] * m
-        groups: Dict[tuple, List[tuple]] = {}
-        for row, windows in enumerate(window_sets):
-            if windows is None:
-                continue
-            arr = np.asarray(windows)
-            groups.setdefault(arr.shape, []).append((row, arr))
-        for members in groups.values():
-            rows = [row for row, _arr in members]
-            arrays = [arr for _row, arr in members]
-            if len(rows) == m:
-                losses = self.evaluate(arrays, batch_size)
-            else:
-                key = tuple(rows)
-                sub = cache.get(key) if cache is not None else None
-                if sub is None:
-                    sub = StackedInferenceEngine(
-                        [self.models[row] for row in rows], arena=self.arena)
-                    if cache is not None:
-                        cache[key] = sub
-                losses = sub.evaluate(arrays, batch_size)
-            for row, loss in zip(rows, losses):
-                results[row] = loss
-        return results
+        return self.evaluate(window_sets, batch_size)
 
     # ------------------------------------------------------------------ #
     # Detector support: stacked cache forward + all-targets backward

@@ -118,23 +118,22 @@ class Adam:
 
 
 class ParameterStack:
-    """Models' parameters as the rows of one ``(C, P)`` matrix.
+    """Models' parameters as the rows of one ``(K, P)`` matrix.
 
-    Row ``r`` holds one model's parameters, flattened and concatenated in
-    ``names`` order; ``grads`` is the matching ``(C, P)`` gradient matrix.
+    Row ``r`` holds model ``r``'s parameters, flattened and concatenated in
+    ``names`` order; ``grads`` is the matching ``(K, P)`` gradient matrix.
     Each model's ``Parameter.data`` arrays are re-pointed at views of its
     row, so an in-place update of the matrix (:class:`StackedAdam`) reaches
-    the model, and every engine reading it, with no copies.  ``C`` is the
-    lane capacity: rows past the loaded models stay free for refills.
+    the model, and every engine reading it, with no copies.
 
     The stacked trainer (:mod:`repro.core.batched`) packs its fleet this
-    way and the solo :class:`~repro.nn.training_engine.TrainingEngine`
-    packs one model at ``C = 1``.
+    way, and views only the live prefix once finished lanes are compacted
+    out; the solo :class:`~repro.nn.training_engine.TrainingEngine` packs
+    one model at ``K = 1``.
     """
 
     def __init__(self, names: Sequence[str],
-                 parameter_lists: Sequence[Sequence[Parameter]],
-                 capacity: int = 1) -> None:
+                 parameter_lists: Sequence[Sequence[Parameter]]) -> None:
         reference = parameter_lists[0]
         self.dtype = reference[0].data.dtype
         if any(parameter.data.dtype != self.dtype
@@ -148,8 +147,9 @@ class ParameterStack:
             self.slices.append(slice(offset, offset + parameter.data.size))
             offset += parameter.data.size
         self.n_params = offset
-        self.params = np.empty((capacity, offset), dtype=self.dtype)
-        self.grads = np.empty((capacity, offset), dtype=self.dtype)
+        rows = len(parameter_lists)
+        self.params = np.empty((rows, offset), dtype=self.dtype)
+        self.grads = np.empty((rows, offset), dtype=self.dtype)
         for row, parameters in enumerate(parameter_lists):
             self.fill_row(row, parameters)
             self.point_at_row(parameters, row)
@@ -165,52 +165,41 @@ class ParameterStack:
                                           parameters):
             parameter.data = self.params[row, view].reshape(shape)
 
-    def views(self, m: int, params: Optional[np.ndarray] = None,
-              grads: Optional[np.ndarray] = None) -> Tuple[dict, dict]:
-        """Name → ``(m, *shape)`` views over the first ``m`` rows.
-
-        Over this stack's own matrices by default, or over any pair of
-        ``(g, P)`` matrices with the same layout (the stacked trainer's
-        gathered tail stacks).
-        """
-        params = self.params if params is None else params
-        grads = self.grads if grads is None else grads
+    def views(self, m: int) -> Tuple[dict, dict]:
+        """Name → ``(m, *shape)`` parameter and gradient views over the
+        first ``m`` rows."""
         stacked = {}
         grad_views = {}
         for name, view, shape in zip(self.names, self.slices, self.shapes):
-            stacked[name] = params[:m, view].reshape((m,) + shape)
-            grad_views[name] = grads[:m, view].reshape((m,) + shape)
+            stacked[name] = self.params[:m, view].reshape((m,) + shape)
+            grad_views[name] = self.grads[:m, view].reshape((m,) + shape)
         return stacked, grad_views
 
 
 class StackedAdam:
-    """Row-masked Adam over a stacked ``(C, P)`` parameter matrix.
+    """Adam over the first ``K`` rows of a stacked parameter matrix.
 
-    The stacked trainer (:mod:`repro.core.batched`) trains ``K <= C`` models
-    whose flat parameter vectors occupy the first ``K`` rows of one matrix
-    (``C`` is the lane capacity); the solo training engine runs it at
-    ``K = 1``.  Under continuous batching the rows stop moving in lockstep:
-    a lane whose dataset has fewer windows sits out the trailing steps of a
-    round, a freshly refilled lane starts its step count at zero, and a
-    finished lane is compacted out of the prefix entirely.  Each row
-    therefore carries its *own* Adam step count — and its own bias
-    corrections — and :meth:`step_rows` updates only the rows that really
-    trained this step.
+    The stacked trainer (:mod:`repro.core.batched`) trains ``K`` models
+    whose flat parameter vectors are the rows of one matrix, in lockstep:
+    every live row trains on every step, so one step count — and one pair
+    of bias corrections — serves them all.  A finished lane leaves through
+    :meth:`compact_row`, and later steps update the shorter prefix.  The
+    solo training engine runs it at ``K = 1``.
 
-    Bit-exactness contract: every participating row sees the exact scalar
-    arithmetic of :meth:`Adam.step` over that model's parameters — the
-    per-row bias corrections are computed with Python-float ``**`` and
-    applied through columns cast to the parameter dtype, matching the
-    implicit scalar cast of :class:`Adam`, and the clip/moment/denominator
-    op sequence is identical — so a row's trajectory equals training that
-    model alone regardless of which other rows ride along.
+    Bit-exactness contract: every row sees the exact scalar arithmetic of
+    :meth:`Adam.step` over that model's parameters — the bias corrections
+    are computed with Python-float ``**`` and applied as scalars of the
+    parameter dtype, matching the implicit scalar cast of :class:`Adam`,
+    clipping is per row, and the clip/moment/denominator op sequence is
+    identical — so a row's trajectory equals training that model alone
+    regardless of which other rows ride along.
     """
 
     def __init__(self, params: np.ndarray, lr: float,
                  clip_norm: Optional[float] = None,
                  betas: tuple = ADAM_BETAS, eps: float = ADAM_EPS) -> None:
         if params.ndim != 2:
-            raise ValueError("StackedAdam expects a (C, P) parameter matrix")
+            raise ValueError("StackedAdam expects a (K, P) parameter matrix")
         if lr <= 0:
             raise ValueError("learning rate must be positive")
         self.params = params
@@ -220,9 +209,10 @@ class StackedAdam:
         self.eps = eps
         self.m = np.zeros_like(params)
         self.v = np.zeros_like(params)
-        #: per-row step counts (Python ints: the bias corrections must come
-        #: from the same ``float ** int`` the solo optimiser computes).
-        self.t: List[int] = [0] * params.shape[0]
+        #: step count of every live row (a Python int: the bias corrections
+        #: must come from the same ``float ** int`` the solo optimiser
+        #: computes)
+        self.t = 0
 
     def _clip_rows(self, grad: np.ndarray) -> None:
         clip = self.clip_norm
@@ -234,98 +224,35 @@ class StackedAdam:
             if total > clip:
                 g *= clip / (total + ADAM_CLIP_FUZZ)
 
-    def _bias_columns(self, rows: List[int]):
-        dtype = self.params.dtype
-        scale = np.array([[self.lr / (1.0 - self.beta1 ** self.t[row])]
-                          for row in rows], dtype=dtype)
-        bias2 = np.array([[1.0 - self.beta2 ** self.t[row]]
-                          for row in rows], dtype=dtype)
-        return scale, bias2
-
-    def step_rows(self, grads: np.ndarray, rows: Iterable[int],
-                  active: int) -> None:
-        """One Adam update for ``rows``, reading their ``grads`` rows.
-
-        ``active`` is the current lane count ``K``; when ``rows`` is the
-        prefix ``0 .. K-1`` in order the update runs in place on ``[:K]``
-        (the lockstep fast path — no gathers), otherwise the participating
-        rows are gathered, updated with the identical op sequence, and
-        scattered back.  Non-participating rows are untouched: no moment decay, no
-        step-count tick, no parameter change.
-        """
-        rows = list(rows)
-        if not rows:
-            return
-        for row in rows:
-            self.t[row] += 1
+    def step(self, grads: np.ndarray, active: int) -> None:
+        """One Adam update of rows ``0 .. active-1`` from their ``grads``
+        rows, in place (the gradient rows end up holding ``g²``)."""
+        self.t += 1
+        t = self.t
         beta1, beta2 = self.beta1, self.beta2
-        scale, bias2 = self._bias_columns(rows)
-        if rows == list(range(active)):
-            grad = grads[:active]
-            self._clip_rows(grad)
-            m = self.m[:active]
-            v = self.v[:active]
-            m *= beta1
-            m += (1.0 - beta1) * grad
-            v *= beta2
-            np.multiply(grad, grad, out=grad)  # grad buffer now holds g²
-            v += (1.0 - beta2) * grad
-            denominator = np.sqrt(v / bias2)
-            denominator += self.eps
-            update = scale * m
-            update /= denominator
-            self.params[:active] -= update
-            return
-        index = np.asarray(rows, dtype=np.intp)
-        grad = grads[index]
+        scalar = self.params.dtype.type
+        grad = grads[:active]
         self._clip_rows(grad)
-        m = self.m[index]
-        v = self.v[index]
+        m = self.m[:active]
+        v = self.v[:active]
         m *= beta1
         m += (1.0 - beta1) * grad
         v *= beta2
-        np.multiply(grad, grad, out=grad)
+        np.multiply(grad, grad, out=grad)  # grad buffer now holds g²
         v += (1.0 - beta2) * grad
-        self.m[index] = m
-        self.v[index] = v
-        denominator = np.sqrt(v / bias2)
+        denominator = np.sqrt(v / scalar(1.0 - beta2 ** t))
         denominator += self.eps
-        update = scale * m
+        update = scalar(self.lr / (1.0 - beta1 ** t)) * m
         update /= denominator
-        self.params[index] -= update
-
-    def permute_rows(self, order: Sequence[int], active: int) -> None:
-        """Reorder the first ``active`` rows of the moments and step counts.
-
-        The stacked trainer keeps its lanes sorted by descending window
-        count so that every full step's participants form a contiguous
-        prefix; admissions and compactions can disturb that order, and the
-        matching permutation of the parameter matrix must be mirrored here.
-        Fancy indexing materialises the gathered rows before assignment, so
-        the in-place overwrite is safe for any permutation.
-        """
-        index = np.asarray(list(order), dtype=np.intp)
-        if index.shape[0] != active:
-            raise ValueError("permutation must cover the active prefix")
-        self.m[:active] = self.m[index]
-        self.v[:active] = self.v[index]
-        self.t[:active] = [self.t[row] for row in order]
+        self.params[:active] -= update
 
     def compact_row(self, row: int, active: int) -> None:
-        """Drop ``row`` from the first ``active`` rows, shifting the tail up.
+        """Drop ``row`` from the first ``active`` rows' moments, shifting
+        the rows above it up one.
 
         Row-by-row copies (no overlapping slice assignment); the caller
-        performs the matching shift on the parameter matrix itself.  The
-        vacated row at ``active - 1`` is left cleared for a future refill.
+        performs the matching shift on the parameter matrix itself.
         """
         for r in range(row, active - 1):
             self.m[r] = self.m[r + 1]
             self.v[r] = self.v[r + 1]
-            self.t[r] = self.t[r + 1]
-        self.reset_row(active - 1)
-
-    def reset_row(self, row: int) -> None:
-        """Zero one lane's moments and step count for a fresh admission."""
-        self.m[row] = 0.0
-        self.v[row] = 0.0
-        self.t[row] = 0

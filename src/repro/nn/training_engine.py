@@ -21,11 +21,11 @@ There is one set of kernels, and one optimizer: :class:`TrainingEngine`,
 one model's training step, is the same engine at ``K = 1``.  It packs the
 model's parameters into a ``(1, P)`` :class:`~repro.nn.optim.ParameterStack`
 once, trains on ``(1, *shape)`` views of it and of its gradient matrix, and
-finishes each step with :meth:`~repro.nn.optim.StackedAdam.step_rows` on
-its one row.  The batched sweep
+finishes each step with :meth:`~repro.nn.optim.StackedAdam.step` on its
+one row.  The batched sweep
 (:class:`repro.core.batched.StackedCausalFormerTrainer`) drives the engine
-at full width over a ``(C, P)`` stack of the same kind, with the same
-row-masked :class:`~repro.nn.optim.StackedAdam`.
+at full width over a ``(K, P)`` stack of the same kind, with the same
+:class:`~repro.nn.optim.StackedAdam`.
 
 Buffer-handle plans
 -------------------
@@ -320,8 +320,8 @@ class StackedTrainingEngine(StackedInferenceEngine):
         """Re-point the engine at new parameter and gradient views.
 
         The stacked trainer repacks its ``(K, P)`` matrices in place when a
-        lane retires or a freed lane is refilled from the job queue, then
-        hands the engine the fresh ``(K', *shape)`` views.  Re-running the
+        lane retires, then hands the engine the fresh ``(K - 1, *shape)``
+        views of the surviving prefix.  Re-running the
         architecture validation through ``StackedInferenceEngine.__init__``
         keeps the compatibility guarantees while preserving the arena (and
         with it every per-shape scratch space), any installed profiling
@@ -722,7 +722,7 @@ class TrainingEngine(InferenceEngine):
         :meth:`prepare_windows` (or already in the engine default dtype).
         """
         loss = self.forward_backward(batch)
-        self.optimizer.step_rows(self.stack.grads, [0], 1)
+        self.optimizer.step(self.stack.grads, 1)
         return loss
 
     def forward_backward(self, batch: np.ndarray) -> float:

@@ -14,9 +14,9 @@ The suite times the layers the training loop actually exercises —
 * ``evaluate``      — ``Trainer._evaluate`` (the no-grad validation pass),
 * ``detector_interpret`` — the causality detector's full interpretation,
 * ``sweep_batched`` — four same-shape discovery jobs through the executor,
-* ``sweep_hetero``  — six mixed-length discovery jobs through the
-  continuous-batching path (shape bucketing, pad-and-mask lanes, lane
-  compaction and queue refill under ``max_lanes``),
+* ``sweep_hetero``  — six discovery jobs at three series lengths through
+  the batched executor (three exact-shape groups of two, with lane
+  compaction),
 * ``evaluate_stacked``  — four models' validation sets through the stacked
   inference engine (what a batched sweep runs every epoch),
 * ``interpret_batched`` — group detector interpretation of four models in
@@ -293,9 +293,8 @@ def _hetero_sweep_pairs():
     """Six mixed-length CausalFormer discovery jobs on fork datasets.
 
     Three series lengths (200/240/280) with two dataset seeds each — the
-    shape mix of a Table-3-style sweep — so the run exercises shape
-    bucketing, pad-and-mask prefix scheduling, tail sub-stacks, lane
-    compaction and queue refill rather than the exact-shape fast case.
+    shape mix of a Table-3-style sweep — so the batched executor forms one
+    stacked group per length instead of one group for the whole sweep.
     """
     from repro.service.jobs import DiscoveryJob, fingerprint_dataset
     from repro.service.registry import build_dataset
@@ -319,13 +318,12 @@ def _hetero_sweep_pairs():
 
 
 def _payload_sweep_hetero() -> Callable[[], None]:
-    """Six mixed-shape discovery jobs through the continuous-batching path:
-    one slack bucket, four live lanes, queue refill as lanes finish."""
+    """Six mixed-length discovery jobs through the batched executor: three
+    exact-shape groups of two."""
     from repro.service.executor import JobExecutor
 
     pairs = _hetero_sweep_pairs()
-    executor = JobExecutor(max_workers=1, cache=None, batch_jobs=True,
-                           bucket_slack=0.5, max_lanes=4)
+    executor = JobExecutor(max_workers=1, cache=None, batch_jobs=True)
 
     def run() -> None:
         executor.run(pairs)

@@ -67,7 +67,8 @@ def _make_cache(args: argparse.Namespace) -> Optional[ResultCache]:
 
 def _parse_lengths(raw) -> List[int]:
     """Sweep ``--length``: one series length, or a comma list cycled across
-    seeds (mixed-shape sweeps exercise the shape-bucketed stacked path)."""
+    seeds (with ``--batch-jobs``, jobs stack only with jobs of the same
+    length)."""
     if raw is None:
         return []
     try:
@@ -84,10 +85,12 @@ def _dataset_kwargs(args: argparse.Namespace) -> Dict[str, Any]:
 
 
 def _build_dataset_checked(name: str, seed: int, **kwargs: Any):
-    """Build a dataset, turning registry/signature errors into clean exits."""
+    """Build a dataset, turning registry, signature and value errors (an
+    unknown name, an unsupported option, a non-positive length) into clean
+    exits."""
     try:
         return build_dataset(name, seed=seed, **kwargs)
-    except (KeyError, TypeError) as error:
+    except (KeyError, TypeError, ValueError) as error:
         message = error.args[0] if error.args else str(error)
         raise SystemExit(f"error: {message}")
 
@@ -186,8 +189,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
     executor = JobExecutor(max_workers=args.workers, cache=_make_cache(args),
                            batch_jobs=args.batch_jobs,
-                           bucket_slack=args.bucket_slack,
-                           max_lanes=args.max_lanes,
                            **_executor_kwargs(args))
     results = executor.run(pairs)
     run_path = _persist(args, results, {"subcommand": "sweep", "metric": args.metric})
@@ -415,12 +416,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="configuration overrides for --config-method")
     sweep.add_argument("--config-method", default="causalformer",
                        help="method that receives the --config overrides")
-    sweep.add_argument("--bucket-slack", type=float, default=0.0,
-                       help="relative series-length slack for stacking "
-                            "mixed-shape jobs (0 = exact shapes only)")
-    sweep.add_argument("--max-lanes", type=int, default=None,
-                       help="cap on live stacked lanes per group; the rest "
-                            "queue and refill freed lanes")
     sweep.add_argument("--batch-jobs", action="store_true",
                        help="pack same-shape causalformer jobs into stacked "
                             "training passes (identical results, faster)")

@@ -12,10 +12,11 @@ returns one :class:`~repro.service.jobs.JobResult` per pair, in order:
    ``JobResult`` with a formatted traceback instead of killing the sweep;
 4. fresh successful results are written back to the cache.
 
-With ``batch_jobs=True``, same-shape CausalFormer jobs are additionally
-packed into stacked training passes (:mod:`repro.service.batched`): each
-group runs as one unit — in-process or as a single pool task — with
-bit-identical results to per-job dispatch.
+With ``batch_jobs=True``, CausalFormer jobs that share a configuration
+(up to the seed) and a dataset shape are additionally packed into stacked
+training passes (:mod:`repro.service.batched`): each group runs as one
+unit — in-process or as a single pool task — with bit-identical results to
+per-job dispatch.
 
 Fault tolerance: pooled dispatch survives dying workers and wall-clock
 overruns.  A worker death breaks the whole ``ProcessPoolExecutor``
@@ -218,18 +219,11 @@ class JobExecutor:
         :class:`~repro.service.cache.ResultCache` there; an existing cache
         instance is used as-is.
     batch_jobs:
-        Pack compatible CausalFormer jobs into stacked training passes (see
+        Pack CausalFormer jobs with the same configuration (up to the seed)
+        and the same dataset shape into stacked training passes (see
         :mod:`repro.service.batched`).  Each group runs as one unit — one
         in-process pass, or one pool task when workers are available — and
         returns the same results as per-job dispatch, faster.
-    bucket_slack:
-        Relative series-length slack for shape bucketing (``0.0`` groups
-        only exact same-length jobs; ``0.25`` lets lengths within 25% of a
-        bucket's shortest job stack together via pad-and-mask lanes).
-    max_lanes:
-        Cap on a stacked group's live lane count; the rest of the bucket
-        queues and refills lanes freed by compaction.  ``None`` (default)
-        trains each bucket at its full width.
     retries:
         Extra attempts for a job whose execution *errored* (its result
         carries a traceback).  Independently of this, pool-level failures —
@@ -253,8 +247,6 @@ class JobExecutor:
     def __init__(self, max_workers: Optional[int] = 1,
                  cache: CacheLike = None,
                  batch_jobs: bool = False,
-                 bucket_slack: float = 0.0,
-                 max_lanes: Optional[int] = None,
                  retries: int = 0,
                  retry_backoff: float = 0.5,
                  job_timeout: Optional[float] = None) -> None:
@@ -264,10 +256,6 @@ class JobExecutor:
             import os
 
             max_workers = os.cpu_count() or 1
-        if bucket_slack < 0:
-            raise ValueError("bucket_slack must be non-negative")
-        if max_lanes is not None and max_lanes < 1:
-            raise ValueError("max_lanes must be at least 1 (or None)")
         if retries < 0:
             raise ValueError("retries must be non-negative")
         if retry_backoff < 0:
@@ -277,8 +265,6 @@ class JobExecutor:
         self.max_workers = max_workers
         self.cache = _coerce_cache(cache)
         self.batch_jobs = batch_jobs
-        self.bucket_slack = bucket_slack
-        self.max_lanes = max_lanes
         self.retries = int(retries)
         self.retry_backoff = float(retry_backoff)
         self.job_timeout = job_timeout
@@ -332,9 +318,9 @@ class JobExecutor:
     def _dispatch(self, pending: List[Tuple[int, JobPair]]) -> dict:
         """Run the uncached jobs; returns ``{original index: result}``.
 
-        Work is split into *units*: stacked groups of same-shape jobs (only
-        when ``batch_jobs`` is on) plus per-job leftovers.  Every unit runs
-        either on the process pool (one submit per unit, each wrapped so a
+        Work is split into *units*: stacked groups of same-signature jobs
+        (only when ``batch_jobs`` is on) plus per-job leftovers.  Every unit
+        runs either on the process pool (one submit per unit, each wrapped so a
         dying worker degrades to per-job error results) or inline — the
         inline path also serves as the fallback when the pool cannot be
         created (e.g. sandboxes without working semaphores).
@@ -345,10 +331,8 @@ class JobExecutor:
         if self.batch_jobs:
             # The cache travels into grouping too: a job cached between the
             # run()-level lookup and here (another process finishing it)
-            # must not anchor a bucket.
-            groups, singles = group_batchable(pending,
-                                              slack=self.bucket_slack,
-                                              cache=self.cache)
+            # must not occupy a lane.
+            groups, singles = group_batchable(pending, cache=self.cache)
         else:
             groups, singles = [], list(pending)
         results: dict = {}
@@ -367,7 +351,6 @@ class JobExecutor:
                 results.clear()
         for members in groups:
             fresh = execute_batched_jobs([pair for _idx, pair in members],
-                                         max_lanes=self.max_lanes,
                                          cache=self.cache)
             for (index, _pair), result in zip(members, fresh):
                 results[index] = result
@@ -513,7 +496,7 @@ class JobExecutor:
             unit.future = pool.submit(
                 execute_batched_jobs_with_dtype,
                 [pair for _idx, pair in unit.members], dtype, collect,
-                engine_threads, self.max_lanes, cache_dir, directives)
+                engine_threads, cache_dir, directives)
         else:
             unit.future = pool.submit(
                 execute_job_with_dtype, unit.job, unit.dataset, dtype,
@@ -657,6 +640,4 @@ class JobExecutor:
 
     def __repr__(self) -> str:
         return (f"JobExecutor(max_workers={self.max_workers}, "
-                f"cache={self.cache!r}, batch_jobs={self.batch_jobs}, "
-                f"bucket_slack={self.bucket_slack}, "
-                f"max_lanes={self.max_lanes})")
+                f"cache={self.cache!r}, batch_jobs={self.batch_jobs})")

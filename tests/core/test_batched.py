@@ -101,25 +101,6 @@ class TestValidation:
         trainer = StackedCausalFormerTrainer(models)
         assert trainer.config.single_kernel
 
-    def test_unequal_validation_counts_train_identically(self):
-        """Equal training shapes with unequal validation shapes (a round()
-        artefact of the validation fraction) train bit-identically: the
-        grouped evaluation runs each validation count at its exact shape."""
-        configs = [replace(base_config(validation_fraction=0.1, max_epochs=3),
-                           n_series=4, seed=seed) for seed in range(2)]
-        # window=12, stride=2: lengths 220 and 222 give 105 and 106 windows,
-        # which split into 95 + 10 and 95 + 11 under a 0.1 fraction.
-        values_list = [make_series(0, length=220), make_series(1, length=222)]
-        sequential = [CausalityAwareTransformer(config) for config in configs]
-        for model, config, values in zip(sequential, configs, values_list):
-            Trainer(model).fit(values)
-        stacked = [CausalityAwareTransformer(config) for config in configs]
-        StackedCausalFormerTrainer(stacked).fit(values_list)
-        for model_a, model_b in zip(sequential, stacked):
-            for (name, param_a), (_n, param_b) in zip(
-                    model_a.named_parameters(), model_b.named_parameters()):
-                assert np.array_equal(param_a.data, param_b.data), name
-
     def test_rejects_empty_model_list(self):
         with pytest.raises(ValueError, match="at least one"):
             StackedCausalFormerTrainer([])
@@ -179,8 +160,8 @@ class TestSingleKernelBitIdentity:
 class TestRetiredModelsOwnTheirWeights:
     def test_best_state_restore_detaches_from_stack(self):
         """A finished lane's model leaves with *owned* best-epoch arrays —
-        its stack row is compacted away and may be reused by a refilled
-        lane, so the restored weights must not alias the (K, P) matrix."""
+        its stack row is overwritten when the lanes above it shift down, so
+        the restored weights must not alias the (K, P) matrix."""
         values_list = [make_series(seed + 60) for seed in range(2)]
         configs = [replace(base_config(max_epochs=8, patience=1,
                                        min_delta=10.0),
@@ -290,66 +271,74 @@ ABLATION_GRID = [
 ]
 
 
-class TestHeterogeneousShapes:
-    """Pad-and-mask lanes: mixed window counts must train bit-identically.
+class TestEqualWindowCounts:
+    """Lanes must carry equal train and validation window counts: every
+    stacked step runs all lanes at the solo batch shape."""
 
-    Series lengths are chosen so every lane has a different window count
-    (and a different full-step/tail split), forcing masked full steps,
-    ragged tail groups and grouped validation — and, with finite patience,
-    mid-fit lane compaction when lanes stop at different epochs."""
+    @staticmethod
+    def _fit(lengths, **overrides):
+        configs = [replace(base_config(**overrides), n_series=4, seed=seed)
+                   for seed in range(len(lengths))]
+        models = [CausalityAwareTransformer(config) for config in configs]
+        StackedCausalFormerTrainer(models).fit(
+            [make_series(seed, length=length)
+             for seed, length in enumerate(lengths)])
 
-    LENGTHS = [150, 190, 166]
+    def test_rejects_unequal_train_counts(self):
+        # window=12, stride=2: 70, 90 and 78 windows.
+        with pytest.raises(ValueError, match="equal train and validation"):
+            self._fit([150, 190, 166])
 
-    def _run(self, dtype):
-        from repro.nn.tensor import default_dtype
+    def test_rejects_unequal_validation_counts(self):
+        # 105 and 106 windows split into 95 + 10 and 95 + 11 under a 0.1
+        # validation fraction: equal train counts, unequal validation.
+        with pytest.raises(ValueError, match=r"95 \+ 11 against 95 \+ 10"):
+            self._fit([220, 222], validation_fraction=0.1)
 
-        with default_dtype(dtype):
-            values_list = [make_series(seed, length=length)
-                           for seed, length in enumerate(self.LENGTHS)]
-            configs = [replace(base_config(max_epochs=6, patience=2),
-                               n_series=v.shape[0], seed=seed)
-                       for seed, v in enumerate(values_list)]
-            sequential = [CausalityAwareTransformer(config)
-                          for config in configs]
-            sequential_histories = [
-                Trainer(model).fit(values)
-                for model, config, values in zip(sequential, configs,
-                                                 values_list)]
-            stacked = [CausalityAwareTransformer(config)
-                       for config in configs]
-            trainer = StackedCausalFormerTrainer(stacked)
-            stacked_histories = trainer.fit(values_list)
-        return (sequential, sequential_histories, stacked, stacked_histories,
-                trainer)
+    def test_rejected_fit_leaves_the_trainer_usable(self):
+        """A fit refused for its window counts trains nothing, so the same
+        trainer then fits equal-length series bit-identically to solo
+        training."""
+        configs = [replace(base_config(), n_series=4, seed=seed)
+                   for seed in range(2)]
+        stacked = [CausalityAwareTransformer(config) for config in configs]
+        trainer = StackedCausalFormerTrainer(stacked)
+        with pytest.raises(ValueError, match="equal train and validation"):
+            trainer.fit([make_series(0, length=150),
+                         make_series(1, length=190)])
+        values_list = [make_series(seed) for seed in range(2)]
+        trainer.fit(values_list)
+        for config, model, values in zip(configs, stacked, values_list):
+            solo = CausalityAwareTransformer(config)
+            Trainer(solo).fit(values)
+            for (name, a), (_n, b) in zip(solo.named_parameters(),
+                                          model.named_parameters()):
+                assert np.array_equal(a.data, b.data), name
 
-    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    def test_mixed_lengths_bit_identical(self, dtype):
-        sequential, seq_histories, stacked, stk_histories, trainer = \
-            self._run(dtype)
-        for model_a, model_b in zip(sequential, stacked):
-            for (name, param_a), (_n, param_b) in zip(
-                    model_a.named_parameters(), model_b.named_parameters()):
-                assert param_a.data.dtype == param_b.data.dtype
-                assert np.array_equal(param_a.data, param_b.data), name
-        for history_a, history_b in zip(seq_histories, stk_histories):
-            assert history_a.train_loss == history_b.train_loss
-            assert history_a.validation_loss == history_b.validation_loss
-            assert history_a.best_epoch == history_b.best_epoch
-            assert history_a.stopped_early == history_b.stopped_early
-            assert history_a.diverged == history_b.diverged
 
-    def test_padding_is_accounted(self):
-        *_rest, trainer = self._run(np.float64)
-        assert 0.0 < trainer.padded_window_fraction < 1.0
+class TestFitsOnce:
+    def test_second_fit_raises_a_clear_error(self):
+        """Fit compacts every lane out of the stack, so a second fit on
+        the same trainer is refused up front."""
+        configs = [replace(base_config(max_epochs=2), n_series=4, seed=seed)
+                   for seed in range(2)]
+        models = [CausalityAwareTransformer(config) for config in configs]
+        trainer = StackedCausalFormerTrainer(models)
+        values_list = [make_series(seed) for seed in range(2)]
+        trainer.fit(values_list)
+        with pytest.raises(RuntimeError, match="fits once"):
+            trainer.fit(values_list)
 
+
+class TestAblationGrid:
     @pytest.mark.parametrize("overrides", ABLATION_GRID)
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_ablation_grid_bit_identical(self, overrides, dtype):
-        """Two mixed-length lanes across the Table 3 ablation grid."""
+        """Two equal-length lanes across the Table 3 ablation grid."""
         from repro.nn.tensor import default_dtype
 
         with default_dtype(dtype):
-            values_list = [make_series(7, length=150),
+            values_list = [make_series(7, length=198),
                            make_series(8, length=198)]
             configs = [replace(base_config(max_epochs=3, **overrides),
                                n_series=v.shape[0], seed=seed)
@@ -365,6 +354,7 @@ class TestHeterogeneousShapes:
         for model_a, model_b in zip(sequential, stacked):
             for (name, param_a), (_n, param_b) in zip(
                     model_a.named_parameters(), model_b.named_parameters()):
+                assert param_a.data.dtype == param_b.data.dtype
                 assert np.array_equal(param_a.data, param_b.data), name
 
 
@@ -398,52 +388,44 @@ class TestCompaction:
         assert widths[-1] == 2         # survivors run without the dead lane
         assert set(widths) == {3, 2}
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_survivors_bit_identical_after_compaction(self, dtype,
+                                                      monkeypatch):
+        """A lane retired mid-fit shifts the survivors down a row; their
+        weights and histories still equal solo fits bit for bit."""
+        from repro.nn.tensor import default_dtype
 
-class TestRefill:
-    def test_refilled_lanes_train_bit_identically(self):
-        """A model admitted into a freed lane mid-sweep trains exactly like
-        a fresh solo fit (epoch 0, zeroed Adam state, its own rng)."""
-        lengths = [150, 190, 166, 222, 174]
-        values_list = [make_series(seed, length=length)
-                       for seed, length in enumerate(lengths)]
-        configs = [replace(base_config(max_epochs=6, patience=2),
-                           n_series=v.shape[0], seed=seed)
-                   for seed, v in enumerate(values_list)]
-        sequential = [CausalityAwareTransformer(config) for config in configs]
-        sequential_histories = [
-            Trainer(model).fit(values)
-            for model, config, values in zip(sequential, configs, values_list)]
-        stacked = [CausalityAwareTransformer(config) for config in configs]
-        trainer = StackedCausalFormerTrainer(stacked[:3], capacity=3)
-        queue = list(zip(stacked[3:], values_list[3:]))
+        values_list = [make_series(seed + 110) for seed in range(3)]
+        original = StackedCausalFormerTrainer._forward_backward
+        state = {"steps": 0}
 
-        def refill(free):
-            admissions = []
-            while free and queue:
-                admissions.append(queue.pop(0))
-                free -= 1
-            return admissions
+        def poison_model0_late(self, xb):
+            losses, grads = original(self, xb)
+            state["steps"] += 1
+            if state["steps"] > 8 and len(losses) == 3:
+                losses[0] = float("nan")
+            return losses, grads
 
-        histories = trainer.fit(values_list[:3], refill=refill)
-        assert not queue and len(histories) == 5
-        assert len(trainer.models) == 5
-        for model_a, model_b in zip(sequential, stacked):
+        monkeypatch.setattr(StackedCausalFormerTrainer, "_forward_backward",
+                            poison_model0_late)
+        with default_dtype(dtype):
+            configs = [replace(base_config(max_epochs=5, patience=1000),
+                               n_series=4, seed=seed) for seed in range(3)]
+            stacked = [CausalityAwareTransformer(config)
+                       for config in configs]
+            histories = StackedCausalFormerTrainer(stacked).fit(values_list)
+            solo = [CausalityAwareTransformer(config)
+                    for config in configs[1:]]
+            solo_histories = [Trainer(model).fit(values) for model, values
+                              in zip(solo, values_list[1:])]
+        assert histories[0].diverged
+        assert 1 < histories[0].n_epochs < histories[1].n_epochs == 5
+        for model_a, model_b in zip(solo, stacked[1:]):
             for (name, param_a), (_n, param_b) in zip(
                     model_a.named_parameters(), model_b.named_parameters()):
+                assert param_a.data.dtype == param_b.data.dtype == dtype
                 assert np.array_equal(param_a.data, param_b.data), name
-        for history_a, history_b in zip(sequential_histories, histories):
+        for history_a, history_b in zip(solo_histories, histories[1:]):
             assert history_a.train_loss == history_b.train_loss
+            assert history_a.validation_loss == history_b.validation_loss
             assert history_a.best_epoch == history_b.best_epoch
-
-    def test_refill_respects_capacity(self):
-        values_list = [make_series(seed + 30) for seed in range(2)]
-        configs = [replace(base_config(max_epochs=2), n_series=4, seed=seed)
-                   for seed in range(2)]
-        models = [CausalityAwareTransformer(config) for config in configs]
-        trainer = StackedCausalFormerTrainer(models, capacity=2)
-        with pytest.raises(RuntimeError, match="no free lane"):
-            trainer._admit_lane(
-                CausalityAwareTransformer(replace(configs[0], seed=9)),
-                make_series(9), __import__("repro.telemetry",
-                                           fromlist=["get_telemetry"])
-                .get_telemetry())

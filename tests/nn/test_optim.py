@@ -76,9 +76,9 @@ LR = 0.05
 
 class _Fleet:
     """A :class:`StackedAdam` over a :class:`ParameterStack` of ``k``
-    loaded rows, with one plain :class:`Adam` per row as its reference."""
+    rows, with one plain :class:`Adam` per row as its reference."""
 
-    def __init__(self, dtype, capacity, k, clip_norm, seed=0):
+    def __init__(self, dtype, k, clip_norm, seed=0):
         self.dtype = dtype
         self.clip_norm = clip_norm
         self.rng = np.random.default_rng(seed)
@@ -88,28 +88,24 @@ class _Fleet:
             self.references = [[Parameter(p.data.copy()) for p in model]
                                for model in self.models]
         self.stack = ParameterStack([f"p{i}" for i in range(len(SHAPES))],
-                                    self.models, capacity)
+                                    self.models)
         self.optimizer = StackedAdam(self.stack.params, lr=LR,
                                      clip_norm=clip_norm)
         self.adams = [Adam(reference, lr=LR, clip_norm=clip_norm)
                       for reference in self.references]
 
-    def step(self, rows, active):
-        """One update of ``rows``: the stack, and each row's own Adam."""
+    def step(self, active):
+        """One update of the first ``active`` rows: the stack, and each
+        row's own Adam."""
         grads = self.rng.normal(size=self.stack.grads.shape) \
             .astype(self.dtype)
-        for row in rows:
+        for row in range(active):
             for view, shape, parameter in zip(self.stack.slices,
                                               self.stack.shapes,
                                               self.references[row]):
                 parameter.grad = grads[row, view].reshape(shape).copy()
             self.adams[row].step()
-        self.optimizer.step_rows(grads, rows, active)
-
-    def state(self, row):
-        optimizer = self.optimizer
-        return (self.stack.params[row].copy(), optimizer.m[row].copy(),
-                optimizer.v[row].copy(), optimizer.t[row])
+        self.optimizer.step(grads, active)
 
     def assert_row_matches(self, row):
         """Stack row ``row`` equals its reference Adam bit for bit."""
@@ -119,7 +115,7 @@ class _Fleet:
         assert np.array_equal(self.stack.params[row], flat), row
         assert np.array_equal(self.optimizer.m[row], adam._flat_m), row
         assert np.array_equal(self.optimizer.v[row], adam._flat_v), row
-        assert self.optimizer.t[row] == adam._step_count, row
+        assert self.optimizer.t == adam._step_count, row
 
 
 DTYPES = [np.float32, np.float64]
@@ -129,9 +125,9 @@ CLIPS = [None, 0.5, 1e6]
 
 class TestParameterStack:
     def test_rows_hold_each_models_parameters_as_views(self):
-        fleet = _Fleet(np.float32, capacity=3, k=2, clip_norm=None)
+        fleet = _Fleet(np.float32, k=2, clip_norm=None)
         stack = fleet.stack
-        assert stack.params.shape == stack.grads.shape == (3, stack.n_params)
+        assert stack.params.shape == stack.grads.shape == (2, stack.n_params)
         for row, model in enumerate(fleet.models):
             flat = np.concatenate([p.data.ravel() for p in model])
             assert np.array_equal(stack.params[row], flat)
@@ -141,6 +137,23 @@ class TestParameterStack:
         assert stacked["p0"].shape == grad_views["p0"].shape == (2, 3, 4)
         stacked["p1"][1] += 1.0
         assert np.array_equal(fleet.models[1][1].data, stacked["p1"][1])
+
+    def test_views_cover_only_the_live_prefix(self):
+        """After compaction the engine views the first ``m`` rows: the
+        views alias those rows of both matrices and no row past them."""
+        fleet = _Fleet(np.float64, k=3, clip_norm=None)
+        stack = fleet.stack
+        stacked, grad_views = stack.views(2)
+        for name, shape in zip(stack.names, SHAPES):
+            assert stacked[name].shape == grad_views[name].shape \
+                == (2,) + shape
+            assert not np.shares_memory(stacked[name], stack.params[2])
+            assert not np.shares_memory(grad_views[name], stack.grads[2])
+        stack.grads[:] = 0.0
+        grad_views["p2"][1] = 7.0
+        assert np.array_equal(stack.grads[1, stack.slices[2]],
+                              np.full(12, 7.0))
+        assert not stack.grads[[0, 2]].any()
 
     def test_rejects_mixed_dtypes(self):
         with default_dtype(np.float32):
@@ -157,79 +170,61 @@ class TestStackedAdam:
     @pytest.mark.parametrize("clip_norm", CLIPS)
     @pytest.mark.parametrize("dtype", DTYPES)
     def test_full_prefix_rows_match_adam(self, dtype, clip_norm):
-        fleet = _Fleet(dtype, capacity=3, k=3, clip_norm=clip_norm)
+        fleet = _Fleet(dtype, k=3, clip_norm=clip_norm)
         for _ in range(6):
-            fleet.step([0, 1, 2], active=3)
+            fleet.step(active=3)
         for row in range(3):
-            fleet.assert_row_matches(row)
-
-    @pytest.mark.parametrize("clip_norm", CLIPS)
-    @pytest.mark.parametrize("dtype", DTYPES)
-    def test_scattered_rows_match_adam_and_leave_the_rest(self, dtype,
-                                                          clip_norm):
-        fleet = _Fleet(dtype, capacity=5, k=4, clip_norm=clip_norm)
-        fleet.step([0, 1, 2, 3], active=4)
-        # The last set covers every active row, out of prefix order.
-        for rows in ([1, 3], [0, 2, 3], [3], [3, 0, 2, 1]):
-            still = {row: fleet.state(row) for row in range(5)
-                     if row not in rows}
-            fleet.step(rows, active=4)
-            for row, (params, m, v, t) in still.items():
-                after = fleet.state(row)
-                assert np.array_equal(after[0], params), row
-                assert np.array_equal(after[1], m), row
-                assert np.array_equal(after[2], v), row
-                assert after[3] == t, row
-        for row in range(4):
             fleet.assert_row_matches(row)
 
     @pytest.mark.parametrize("dtype", DTYPES)
     def test_one_row_matches_adam(self, dtype):
         """K = 1, the solo training engine's optimizer."""
-        fleet = _Fleet(dtype, capacity=1, k=1, clip_norm=0.5)
+        fleet = _Fleet(dtype, k=1, clip_norm=0.5)
         for _ in range(5):
-            fleet.step([0], active=1)
+            fleet.step(active=1)
         fleet.assert_row_matches(0)
 
+    @pytest.mark.parametrize("clip_norm", CLIPS)
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_rows_past_active_are_untouched(self, dtype, clip_norm):
+        """A step over the first ``active`` rows leaves a compacted-away
+        row's parameters, moments and gradient row as they were, and the
+        live rows still match Adam."""
+        fleet = _Fleet(dtype, k=3, clip_norm=clip_norm)
+        for _ in range(2):
+            fleet.step(active=3)
+        optimizer = fleet.optimizer
+        before = (fleet.stack.params[2].copy(), optimizer.m[2].copy(),
+                  optimizer.v[2].copy())
+        for _ in range(3):
+            fleet.step(active=2)
+        for row in range(2):
+            fleet.assert_row_matches(row)
+        # Large enough for the 0.5 bound to clip every row.
+        grads = fleet.rng.normal(size=fleet.stack.grads.shape) \
+            .astype(dtype) * 100.0
+        spare = grads[2].copy()
+        optimizer.step(grads, 2)
+        assert np.array_equal(grads[2], spare)
+        after = (fleet.stack.params[2], optimizer.m[2], optimizer.v[2])
+        for old, new in zip(before, after):
+            assert np.array_equal(old, new)
+
     def test_clipping_is_per_row(self):
-        fleet = _Fleet(np.float64, capacity=2, k=2, clip_norm=0.5)
+        fleet = _Fleet(np.float64, k=2, clip_norm=0.5)
         grads = np.zeros_like(fleet.stack.grads)
         grads[0] = 100.0
         grads[1] = 1e-4
-        fleet.optimizer.step_rows(grads, [0, 1], 2)
+        fleet.optimizer.step(grads, 2)
         # After the in-place g² each row holds its squared clipped gradient.
         assert np.sqrt(grads[0].sum()) == pytest.approx(0.5)
         assert np.array_equal(grads[1], np.full_like(grads[1], 1e-4) ** 2)
 
     @pytest.mark.parametrize("dtype", DTYPES)
-    def test_permute_rows_carries_moments_and_step_counts(self, dtype):
-        fleet = _Fleet(dtype, capacity=3, k=3, clip_norm=0.5)
-        fleet.step([0, 1, 2], active=3)
-        fleet.step([0, 2], active=3)
-        order = [2, 0, 1]
-        before = [fleet.state(row) for row in order]
-        stack = fleet.stack
-        stack.params[:3] = stack.params[order]
-        fleet.optimizer.permute_rows(order, 3)
-        for row, (params, m, v, t) in enumerate(before):
-            after = fleet.state(row)
-            assert np.array_equal(after[0], params)
-            assert np.array_equal(after[1], m)
-            assert np.array_equal(after[2], v)
-            assert after[3] == t
-        fleet.adams = [fleet.adams[row] for row in order]
-        fleet.references = [fleet.references[row] for row in order]
-        fleet.step([0, 1, 2], active=3)
-        for row in range(3):
-            fleet.assert_row_matches(row)
-        with pytest.raises(ValueError):
-            fleet.optimizer.permute_rows([1, 0], 3)
-
-    @pytest.mark.parametrize("dtype", DTYPES)
-    def test_compact_row_shifts_the_tail_and_clears_the_last(self, dtype):
-        fleet = _Fleet(dtype, capacity=4, k=4, clip_norm=None)
-        for rows in ([0, 1, 2, 3], [0, 1, 2], [0, 1, 2, 3]):
-            fleet.step(rows, active=4)
+    def test_compact_row_shifts_the_tail(self, dtype):
+        fleet = _Fleet(dtype, k=4, clip_norm=None)
+        for _ in range(3):
+            fleet.step(active=4)
         stack = fleet.stack
         for r in range(1, 3):
             stack.params[r] = stack.params[r + 1]
@@ -237,29 +232,25 @@ class TestStackedAdam:
         del fleet.adams[1], fleet.references[1]
         for row in range(3):
             fleet.assert_row_matches(row)
-        assert not fleet.optimizer.m[3].any()
-        assert not fleet.optimizer.v[3].any()
-        assert fleet.optimizer.t[3] == 0
-        fleet.step([0, 1, 2], active=3)
+        fleet.step(active=3)
         for row in range(3):
             fleet.assert_row_matches(row)
 
-    @pytest.mark.parametrize("dtype", DTYPES)
-    def test_reset_row_restarts_like_a_fresh_adam(self, dtype):
-        fleet = _Fleet(dtype, capacity=2, k=2, clip_norm=0.5)
+    @pytest.mark.parametrize("row", [0, 3])
+    def test_compact_an_end_row(self, row):
+        """Compacting the first row shifts every other row up; compacting
+        the last one moves nothing.  Either way the survivors keep
+        matching Adam."""
+        fleet = _Fleet(np.float64, k=4, clip_norm=0.5)
         for _ in range(3):
-            fleet.step([0, 1], active=2)
-        fleet.optimizer.reset_row(1)
-        assert fleet.optimizer.t[1] == 0
-        assert not fleet.optimizer.m[1].any()
-        assert not fleet.optimizer.v[1].any()
-        # A refilled lane: its row reloaded, its reference a fresh Adam.
-        with default_dtype(dtype):
-            fresh = [Parameter(p.data.copy()) for p in fleet.references[1]]
-        fleet.references[1] = fresh
-        fleet.adams[1] = Adam(fresh, lr=LR, clip_norm=0.5)
-        fleet.stack.fill_row(1, fresh)
-        for _ in range(2):
-            fleet.step([0, 1], active=2)
-        for row in range(2):
-            fleet.assert_row_matches(row)
+            fleet.step(active=4)
+        stack = fleet.stack
+        for r in range(row, 3):
+            stack.params[r] = stack.params[r + 1]
+        fleet.optimizer.compact_row(row, 4)
+        del fleet.adams[row], fleet.references[row]
+        for survivor in range(3):
+            fleet.assert_row_matches(survivor)
+        fleet.step(active=3)
+        for survivor in range(3):
+            fleet.assert_row_matches(survivor)

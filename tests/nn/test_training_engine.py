@@ -340,7 +340,7 @@ class TestEngineMechanics:
         for name, parameter in model_a.named_parameters():
             parameter.grad = grads[name]
         optimizer_a.step()
-        # Path B: the engine writes its gradient row + StackedAdam.step_rows.
+        # Path B: the engine writes its gradient row + StackedAdam.step.
         engine = TrainingEngine(model_b)
         engine.train_step(engine.prepare_windows(batch))
         for (name, parameter_a), (_n, parameter_b) in zip(

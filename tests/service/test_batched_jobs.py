@@ -59,6 +59,24 @@ class TestGrouping:
         assert len(groups) == 1 and len(groups[0]) == 4
         assert [index for index, _pair in singles] == [4]
 
+    def test_series_count_separates_signatures(self):
+        """Same configuration and length, different number of series: the
+        lanes' window geometry differs, so the jobs never share a group."""
+        fork = causalformer_pair(0, dataset="fork")
+        diamond = causalformer_pair(0, dataset="diamond")
+        assert fork[1].values.shape[1] == diamond[1].values.shape[1]
+        assert fork[1].values.shape[0] != diamond[1].values.shape[0]
+        assert batch_signature(*fork) != batch_signature(*diamond)
+        groups, singles = group_batchable(list(enumerate([fork, diamond])))
+        assert groups == [] and len(singles) == 2
+
+    def test_config_seed_does_not_split_a_group(self):
+        """A seed carried inside the configuration is not part of the
+        signature: the lanes differ only in their initialisation."""
+        a = causalformer_pair(0, config=dict(CONFIG, seed=5))
+        b = causalformer_pair(1, config=dict(CONFIG, seed=7))
+        assert batch_signature(*a) == batch_signature(*b)
+
     def test_lone_batchable_job_stays_single(self, four_pairs):
         indexed = [(0, four_pairs[0])]
         groups, singles = group_batchable(indexed)
@@ -195,6 +213,45 @@ class TestFallback:
         assert all(result.ok for result in results)
 
 
+class TestGroupInterpretation:
+    @staticmethod
+    def _recording(monkeypatch):
+        import repro.core.detector as detector
+
+        calls = []
+        original = detector.compute_scores_group
+
+        def recording(detectors, windows, **kwargs):
+            calls.append(len(detectors))
+            return original(detectors, windows, **kwargs)
+
+        monkeypatch.setattr(detector, "compute_scores_group", recording)
+        return calls
+
+    def test_group_interprets_in_one_call(self, four_pairs, monkeypatch):
+        calls = self._recording(monkeypatch)
+        results = execute_batched_jobs(four_pairs[:3])
+        assert all(result.ok for result in results)
+        assert calls == [3]
+
+    def test_lone_job_left_by_the_cache_interprets_per_job(
+            self, four_pairs, tmp_path, monkeypatch):
+        """One job left to train after cache hits trains alone on the
+        stacked trainer and interprets per job, with the per-job result."""
+        cache = ResultCache(str(tmp_path / "cache"))
+        pairs = four_pairs[:2]
+        JobExecutor(max_workers=1, cache=cache).run(pairs[:1])
+        expected = JobExecutor(max_workers=1, cache=None).run(pairs[1:])[0]
+        calls = self._recording(monkeypatch)
+        results = execute_batched_jobs(pairs, cache=cache)
+        assert calls == []
+        assert results[0].cached and results[0].ok
+        assert results[1].ok and not results[1].cached
+        assert sorted(edge.as_tuple() for edge in results[1].graph.edges) \
+            == sorted(edge.as_tuple() for edge in expected.graph.edges)
+        assert results[1].scores.f1 == expected.scores.f1
+
+
 class TestCaching:
     def test_batched_results_cached(self, four_pairs, tmp_path):
         cache = ResultCache(str(tmp_path / "cache"))
@@ -257,47 +314,24 @@ class TestUnequalWindowCounts:
         assert all(result.ok for result in results)
 
 
-class TestShapeBucketing:
-    """Slack-based length bucketing: mixed-shape jobs stack via pad-and-mask."""
+class TestShapeGrouping:
+    """Jobs group by exact signature: configuration up to the seed, and the
+    dataset's (N, T) shape."""
 
-    def test_slack_groups_mixed_lengths(self):
-        pairs = [causalformer_pair(seed, length=length)
-                 for seed, length in enumerate([160, 200, 176])]
-        indexed = list(enumerate(pairs))
-        groups, singles = group_batchable(indexed, slack=0.5)
-        assert len(groups) == 1 and not singles
-        assert sorted(index for index, _pair in groups[0]) == [0, 1, 2]
-
-    def test_zero_slack_reproduces_exact_grouping(self):
+    def test_lengths_group_exactly(self):
         pairs = [causalformer_pair(seed, length=length)
                  for seed, length in enumerate([160, 200, 160])]
         indexed = list(enumerate(pairs))
-        groups, singles = group_batchable(indexed, slack=0.0)
+        groups, singles = group_batchable(indexed)
         assert len(groups) == 1
         assert sorted(index for index, _pair in groups[0]) == [0, 2]
         assert [index for index, _pair in singles] == [1]
 
-    def test_slack_bound_is_relative_to_bucket_anchor(self):
-        """Admission compares against the bucket's *shortest* job, so chains
-        of pairwise-close lengths cannot stretch a bucket unboundedly."""
-        pairs = [causalformer_pair(seed, length=length)
-                 for seed, length in enumerate([160, 200, 250])]
-        indexed = list(enumerate(pairs))
-        groups, singles = group_batchable(indexed, slack=0.25)
-        # 200 <= 160 * 1.25, but 250 > 160 * 1.25 even though 250 = 200 * 1.25.
-        assert len(groups) == 1
-        assert sorted(index for index, _pair in groups[0]) == [0, 1]
-        assert [index for index, _pair in singles] == [2]
-
-    def test_rejects_negative_slack(self):
-        with pytest.raises(ValueError, match="non-negative"):
-            group_batchable([], slack=-0.1)
-
     @pytest.mark.parametrize("trial", range(4))
     def test_random_shape_mixes_partition_exactly(self, trial):
-        """Property: whatever the shape mix and slack, every job lands in
-        exactly one bucket or the per-job leftovers, buckets meet MIN_GROUP,
-        and every bucket obeys the anchor-relative slack bound."""
+        """Property: whatever the shape mix, every job lands in exactly one
+        group or the per-job leftovers, groups meet MIN_GROUP and share one
+        signature, and no leftover shares its signature with a group."""
         import numpy as np
 
         from repro.service.batched import (MIN_GROUP, batch_signature)
@@ -310,29 +344,46 @@ class TestShapeBucketing:
             pairs.append(causalformer_pair(
                 seed, length=int(rng.choice(lengths)),
                 config=configs[int(rng.integers(0, 2))]))
-        slack = float(rng.choice([0.0, 0.1, 0.3, 0.6]))
         indexed = list(enumerate(pairs))
-        groups, singles = group_batchable(indexed, slack=slack)
+        groups, singles = group_batchable(indexed)
         seen = sorted([index for group in groups for index, _pair in group]
                       + [index for index, _pair in singles])
         assert seen == list(range(len(pairs)))
+        group_signatures = []
         for group in groups:
             assert len(group) >= MIN_GROUP
             signatures = {batch_signature(job, data)
                           for _idx, (job, data) in group}
             assert len(signatures) == 1
-            group_lengths = sorted(data.values.shape[1]
-                                   for _idx, (_job, data) in group)
-            assert group_lengths[-1] <= group_lengths[0] * (1.0 + slack)
+            group_signatures.extend(signatures)
+            assert len({data.values.shape for _idx, (_job, data)
+                        in group}) == 1
+        assert len(set(group_signatures)) == len(groups)
+        for _idx, (job, data) in singles:
+            assert batch_signature(job, data) not in group_signatures
 
     def test_mixed_shape_group_executes_identically(self):
-        """The acceptance contract: a slack-bucketed, lane-capped sweep over
-        mixed lengths returns results bit-identical to per-job dispatch."""
+        """A sweep over two lengths forms one group per length and returns
+        results bit-identical to per-job dispatch."""
+        from repro.telemetry import capture, reset
+
         pairs = [causalformer_pair(seed, length=length)
-                 for seed, length in enumerate([160, 200, 176, 168])]
+                 for seed, length in enumerate([160, 200, 160, 200])]
+        groups, singles = group_batchable(list(enumerate(pairs)))
+        assert not singles
+        assert [sorted(index for index, _pair in group)
+                for group in groups] == [[0, 2], [1, 3]]
         sequential = JobExecutor(max_workers=1, cache=None).run(pairs)
-        batched = JobExecutor(max_workers=1, cache=None, batch_jobs=True,
-                              bucket_slack=0.5, max_lanes=2).run(pairs)
+        try:
+            with capture() as telemetry:
+                batched = JobExecutor(max_workers=1, cache=None,
+                                      batch_jobs=True).run(pairs)
+        finally:
+            reset(close=False)
+        spans = [record for record in telemetry.records()
+                 if record.get("kind") == "span"
+                 and record.get("name") == "train_fit_stacked"]
+        assert [span["attrs"]["models"] for span in spans] == [2, 2]
         for result_a, result_b in zip(sequential, batched):
             assert result_a.ok and result_b.ok
             edges_a = sorted(edge.as_tuple() for edge in result_a.graph.edges)
@@ -368,9 +419,9 @@ class TestCacheAwareGrouping:
         trained = []
         original = StackedCausalFormerTrainer.__init__
 
-        def recording(self, models, capacity=None):
+        def recording(self, models):
             trained.append(len(models))
-            return original(self, models, capacity=capacity)
+            return original(self, models)
 
         import repro.core.batched as core_batched
         try:
@@ -393,31 +444,16 @@ class TestCacheAwareGrouping:
         assert all(result.cached and result.ok for result in results)
 
 
-class TestMaxLanes:
-    def test_lane_cap_with_queue_refill_matches_full_width(self):
-        """Capping lanes forces admission-queue refill; results must match
-        the uncapped stacked run (which matches per-job dispatch)."""
-        pairs = [causalformer_pair(seed) for seed in range(4)]
-        full = execute_batched_jobs(pairs)
-        capped = execute_batched_jobs(pairs, max_lanes=2)
-        for result_a, result_b in zip(full, capped):
-            assert result_a.ok and result_b.ok
-            edges_a = sorted(edge.as_tuple() for edge in result_a.graph.edges)
-            edges_b = sorted(edge.as_tuple() for edge in result_b.graph.edges)
-            assert edges_a == edges_b
-
-
 class TestSchedulerTelemetry:
     def test_lane_lifecycle_is_observable(self):
-        """The continuous-batching scheduler reports its lane occupancy,
-        compaction/refill churn, and padding waste."""
+        """The stacked scheduler reports its lane occupancy and compaction
+        churn."""
         from repro.telemetry import capture, reset
 
-        pairs = [causalformer_pair(seed, length=length)
-                 for seed, length in enumerate([160, 200, 176])]
+        pairs = [causalformer_pair(seed) for seed in range(3)]
         try:
             with capture() as telemetry:
-                results = execute_batched_jobs(pairs, max_lanes=2)
+                results = execute_batched_jobs(pairs)
         finally:
             reset(close=False)
         assert all(result.ok for result in results)
@@ -427,10 +463,6 @@ class TestSchedulerTelemetry:
                     if record.get("kind") == "event"
                     and record.get("name") == name]
 
-        # Every trained job's lane retires through compaction; the third
-        # job waits in the queue and is admitted into a freed lane.
+        # Every trained job's lane retires through compaction.
         assert len(events("lane_compacted")) == 3
-        assert len(events("lane_refilled")) == 1
         assert telemetry.gauge("scheduler.lanes_active").value == 0.0
-        fraction = telemetry.gauge("scheduler.padded_window_fraction").value
-        assert 0.0 <= fraction < 1.0

@@ -131,6 +131,20 @@ class TestInProcessEntryPoints:
             capsys.readouterr().err
         assert not (tmp_path / "cache").exists()
 
+    @pytest.mark.parametrize("length", ["0", "-3"])
+    @pytest.mark.parametrize("argv", [
+        ["discover", "--dataset", "fork", "--method", "var_granger"],
+        ["sweep", "--datasets", "fork", "--methods", "var_granger",
+         "--seeds", "0"],
+    ], ids=["discover", "sweep"])
+    def test_non_positive_length_is_a_clean_error(self, tmp_path, argv,
+                                                  length):
+        with pytest.raises(SystemExit,
+                           match="^error: length must be positive$"):
+            main(argv + [f"--length={length}",
+                         "--cache-dir", str(tmp_path / "cache")])
+        assert not (tmp_path / "cache").exists()
+
     def test_bad_config_rejected(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["discover", "--dataset", "fork", "--method", "var_granger",
