@@ -103,6 +103,12 @@ class CausalFormerConfig:
             raise ValueError("batch_size must be at least 1")
         if not (0.0 <= self.validation_fraction < 1.0):
             raise ValueError("validation_fraction must be in [0, 1)")
+        if self.window_stride < 1:
+            raise ValueError("window_stride must be at least 1")
+        if not self.relevance_epsilon > 0:
+            raise ValueError("relevance_epsilon must be positive")
+        if self.max_detector_windows < 1:
+            raise ValueError("max_detector_windows must be at least 1")
 
     @property
     def density_ratio(self) -> float:

@@ -33,19 +33,16 @@ bias term from the RRP denominators.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.clustering import select_top_scores
 from repro.core.config import CausalFormerConfig
-from repro.core.relevance import (RegressionRelevancePropagation,
-                                  RelevanceResult,
-                                  StackedRelevancePropagation)
+from repro.core.relevance import RelevanceResult, StackedRelevancePropagation
 from repro.core.transformer import CausalityAwareTransformer
 from repro.graph.causal_graph import TemporalCausalGraph
-from repro.nn.inference import (InferenceEngine, InterpretationForward,
-                                StackedInferenceEngine)
+from repro.nn.inference import StackedInferenceEngine
 
 
 @dataclass
@@ -69,7 +66,8 @@ class CausalScores:
         return self.kernel.shape[-1]
 
 
-def _combine(cache, attention_grads: Optional[np.ndarray],
+def _combine(shape: Tuple[int, int, int],
+             attention_grads: Optional[np.ndarray],
              kernel_grads: Optional[np.ndarray],
              relevance: Optional[RelevanceResult]) -> CausalScores:
     """Gradient modulation ``S = E_h[|∇f| ⊙ R]⁺`` (Eq. 19), all rows.
@@ -77,14 +75,14 @@ def _combine(cache, attention_grads: Optional[np.ndarray],
     Row ``i`` of the attention map and effect column ``i`` of the kernel
     map (``[source, target, τ]``) hold target ``i``'s scores.  A missing
     factor (the w/o-gradient or w/o-relevance ablation) counts as ones.
+    ``shape`` is ``(heads, series, window)``.
     """
-    n_series, window = cache.output.shape[1:]
+    n_heads, n_series, window = shape
     if kernel_grads is not None:
         kernel_grads = np.broadcast_to(np.abs(kernel_grads),
                                        (n_series, n_series, window))
     attention_accumulator = np.zeros((n_series, n_series))
     kernel_accumulator = np.zeros((n_series, n_series, window))
-    n_heads = len(cache.head_caches)
     for head_index in range(n_heads):
         if relevance is None:
             attention_term = np.abs(attention_grads[head_index])
@@ -125,11 +123,13 @@ class DecompositionCausalityDetector:
         self.use_bias = use_bias
         if not use_relevance and not use_gradient:
             raise ValueError("at least one of relevance or gradients must be used")
-        self._rrp = RegressionRelevancePropagation(
-            self.model, use_bias=use_bias, epsilon=self.config.relevance_epsilon)
-        # Fused no-autograd engine over the interpretation model; its scratch
+        # The fused no-autograd engine and relevance propagation over the
+        # interpretation model, as a fleet of one; the engine's scratch
         # arena is reused across every scoring call.
-        self._engine = InferenceEngine(self.model)
+        self._fleet = StackedInferenceEngine([self.model])
+        self._relevance = StackedRelevancePropagation(
+            [self.model], use_bias=use_bias,
+            epsilon=self.config.relevance_epsilon)
 
     @staticmethod
     def _interpretation_model(model: CausalityAwareTransformer
@@ -174,7 +174,7 @@ class DecompositionCausalityDetector:
         """Causal scores of every potential relation from a batch of windows.
 
         The interpretation runs entirely on the fused no-autograd engine:
-        one cache forward, one hand-derived all-ones backward for the
+        the training forward, one hand-derived all-ones backward for the
         Fig. 6b gradients and one all-ones relevance propagation, shared by
         every target series (see the module docstring).  It matches one
         autograd pass per target on the reference forward up to
@@ -182,11 +182,7 @@ class DecompositionCausalityDetector:
         """
         windows = self._checked_windows(windows)
         self._sync_interpretation_model()
-        forward = self._engine.interpretation_forward(windows)
-        return _score(
-            [self], [forward],
-            lambda: [self._engine.interpretation_gradients(forward)],
-            lambda: [self._rrp.propagate_targets(forward.cache)])[0]
+        return _interpret([self], self._fleet, self._relevance, [windows])[0]
 
     def _checked_windows(self, windows: np.ndarray) -> np.ndarray:
         """``windows`` as a float ``(B, N, T)`` batch matching the model."""
@@ -200,13 +196,12 @@ class DecompositionCausalityDetector:
             )
         return windows
 
-    def _raw_weight_scores(self, forward: InterpretationForward) -> CausalScores:
+    def _raw_weight_scores(self, attention_probs: np.ndarray) -> CausalScores:
         """The "w/o interpretation" ablation: read model weights directly."""
-        cache = forward.cache
-        # Mean attention over heads and batch; attention[b, i, j] already has
-        # target as the row index, matching CausalScores' convention.
-        attention = np.mean(
-            [head.attention_data for head in cache.head_caches], axis=0).mean(axis=0)
+        # Mean ``(h, B, N, N)`` attention over heads and batch;
+        # attention[b, i, j] already has target as the row index, matching
+        # CausalScores' convention.
+        attention = attention_probs.mean(axis=0).mean(axis=0)
         kernel = np.abs(self.model.convolution.effective_kernel().data)
         # kernel[source, target, τ] → scores[target, source, τ]
         kernel_scores = np.transpose(kernel, (1, 0, 2))
@@ -256,7 +251,7 @@ def compute_scores_group(detectors: Sequence[DecompositionCausalityDetector],
     """Causal scores for a whole group of same-architecture detectors at once.
 
     The stacked analogue of :meth:`DecompositionCausalityDetector
-    .compute_scores` for a batched sweep group: one stacked cache forward,
+    .compute_scores` for a batched sweep group: one stacked forward,
     one stacked all-ones backward and one model-axis all-ones relevance
     propagation, each shared by every model *and* target — instead of one
     full interpretation per job.  Every returned :class:`CausalScores` is
@@ -269,10 +264,10 @@ def compute_scores_group(detectors: Sequence[DecompositionCausalityDetector],
     :class:`~repro.nn.inference.ScratchArena` — the batched sweep passes its
     trainer's engine arena so training, validation and interpretation share
     one buffer pool.  Safe because the phases run sequentially and every
-    call site fully overwrites the buffers it reads before reading them
-    (arena buffers are keyed by name and shape; a same-key take with a new
-    dtype replaces the buffer, so interleaving phases mid-call is not
-    supported).
+    call site fully overwrites the buffers it reads before reading them.
+    The engines key their scratch spaces by batch shape and model dtype, so
+    the float64 twins of a float32 fleet interpret in spaces of their own;
+    only the staged weights, re-staged on every call, share buffer names.
     """
     detectors = list(detectors)
     if not detectors:
@@ -304,38 +299,36 @@ def compute_scores_group(detectors: Sequence[DecompositionCausalityDetector],
     for detector in detectors:
         detector._sync_interpretation_model()
     models = [detector.model for detector in detectors]
-    engine = StackedInferenceEngine(models, arena=arena)
-    forward = engine.interpretation_forward(prepared_windows)
-    return _score(
-        detectors, forward.forwards,
-        lambda: list(zip(*engine.interpretation_gradients(forward))),
-        lambda: StackedRelevancePropagation(
-            models, use_bias=first.use_bias,
-            epsilon=first.config.relevance_epsilon).propagate_targets(forward))
+    return _interpret(
+        detectors, StackedInferenceEngine(models, arena=arena),
+        StackedRelevancePropagation(models, use_bias=first.use_bias,
+                                    epsilon=first.config.relevance_epsilon),
+        prepared_windows)
 
 
-def _score(detectors: Sequence[DecompositionCausalityDetector],
-           forwards: Sequence[InterpretationForward],
-           gradients: Callable[[], List[tuple]],
-           relevances: Callable[[], List[RelevanceResult]]
-           ) -> List[CausalScores]:
-    """Causal scores of every model of one interpreted fleet.
+def _interpret(detectors: Sequence[DecompositionCausalityDetector],
+               engine: StackedInferenceEngine,
+               relevance: StackedRelevancePropagation,
+               windows_list: Sequence[np.ndarray]) -> List[CausalScores]:
+    """Causal scores of every model of one fleet, interpreted at once.
 
     The scoring body shared by :meth:`DecompositionCausalityDetector
-    .compute_scores` (a fleet of one) and :func:`compute_scores_group`.
-    ``gradients`` and ``relevances`` run the fleet's all-ones passes and
-    return one ``(attention, kernel)`` gradient pair and one
-    :class:`RelevanceResult` per model; each runs only when the detectors'
-    ablation flags use it.
+    .compute_scores` (a fleet of one) and :func:`compute_scores_group`:
+    one forward, then the all-ones gradient and relevance passes, each only
+    when the detectors' ablation flags use it.
     """
+    forward = engine.interpretation_forward(windows_list)
     first = detectors[0]
     if not first.use_interpretation:
-        return [detector._raw_weight_scores(forward)
-                for detector, forward in zip(detectors, forwards)]
-    model_gradients = gradients() if first.use_gradient \
-        else [(None, None)] * len(forwards)
-    model_relevances = relevances() if first.use_relevance \
-        else [None] * len(forwards)
-    return [_combine(forward.cache, attention, kernel, relevance)
-            for forward, (attention, kernel), relevance
-            in zip(forwards, model_gradients, model_relevances)]
+        return [detector._raw_weight_scores(probs)
+                for detector, probs in zip(detectors, forward.attention_probs)]
+    count = len(detectors)
+    attention_grads, kernel_grads = \
+        engine.interpretation_gradients(forward) if first.use_gradient \
+        else ([None] * count, [None] * count)
+    relevances = relevance.propagate_targets(forward) if first.use_relevance \
+        else [None] * count
+    shape = (forward.attention_probs.shape[1],) + forward.output.shape[2:]
+    return [_combine(shape, attention, kernel, result)
+            for attention, kernel, result
+            in zip(attention_grads, kernel_grads, relevances)]

@@ -117,10 +117,12 @@ class StackedRelevancePropagation:
     exactly this, across all Table 3 ablations).
 
     ``forward`` arguments are
-    :class:`~repro.nn.inference.StackedInterpretationForward` objects, or
-    anything with the same model-axis ``output``, ``ffn_output``,
-    ``hidden``, ``activated``, ``combined``, ``head_outputs``, ``values``,
-    ``values_pre``, ``conv_windows`` and ``attention_probs`` arrays.
+    :class:`~repro.nn.inference.StackedInterpretationForward` objects
+    (whose ``values``, ``head_outputs`` and ``conv_windows`` are strided
+    views of the training forward's buffers), or anything with the same
+    model-axis ``output``, ``ffn_output``, ``hidden``, ``activated``,
+    ``combined``, ``head_outputs``, ``values``, ``values_pre``,
+    ``conv_windows`` and ``attention_probs`` arrays.
     """
 
     def __init__(self, models: Sequence[CausalityAwareTransformer],

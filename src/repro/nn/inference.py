@@ -29,19 +29,20 @@ or an explicit ``set_engine_threads(n)`` (see :mod:`repro.nn.parallel`) —
 the dominant ops chunk an independent leading axis (the model axis or a
 per-model axis) across a shared worker pool; each chunk performs exactly
 the per-slice work of the serial op on disjoint output slices, so threaded
-results stay bit-identical in both dtypes.  The training and validation
-forward computes in the model dtype throughout, as the reference does —
+results stay bit-identical in both dtypes.  The forward computes in the
+model dtype throughout, as the reference does —
 mask modulation, convolution values, attention, combination and MLP
 tail — so a float32 model's predictions are float32.  Its convolution
 GEMMs write straight into a ``(model, target, source, B·T)`` values
 buffer, rescaled in place, that the Eq. 6 GEMMs read as strided views.
-The detector-facing :meth:`StackedInferenceEngine.interpretation_forward`
-follows a second fixed sequence (per-head outputs, 3-D linears, einsum
-head combination, source-major convolution layout, float64 attention
-and relevance buffers) that the detector's scores depend on, and
-:meth:`StackedInferenceEngine.interpretation_gradients` hand-evaluates the
-backward of that sequence for every target series in one all-ones pass —
-the detector needs no autograd graph at all.
+The detector interprets on that same forward:
+:meth:`StackedInferenceEngine.interpretation_forward` runs it and hands out
+views of the buffers it leaves behind — among them the pre-activation MLP
+hidden and the self-series convolution rows before the Eq. 4 shift, which
+relevance propagation reads — and
+:meth:`StackedInferenceEngine.interpretation_gradients` evaluates its
+backward for every target series in one all-ones pass, so the detector
+needs no autograd graph at all.
 """
 
 from __future__ import annotations
@@ -81,6 +82,10 @@ class ScratchSpace:
             buffer = self._buffers[name] = np.zeros(shape, dtype=dtype)
             self._views.clear()
         return buffer
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        """The buffer held under ``name`` (as the last ``take`` left it)."""
+        return self._buffers[name]
 
     def view(self, name: str, factory) -> np.ndarray:
         """A cached derived view (``factory`` builds it on first use)."""
@@ -156,18 +161,17 @@ class InterpretationForward:
 
     ``cache`` is a :class:`~repro.core.transformer.TransformerCache`-shaped
     object consumed by regression relevance propagation; the remaining
-    arrays are the forward internals the hand-derived all-targets backward
-    reads.  ``stacked``/``row`` name the fleet forward this row belongs to,
-    which :meth:`InferenceEngine.interpretation_gradients` differentiates.
-    All arrays are views into the engine's arena — valid until the next
-    engine call.
+    arrays are the forward buffers the all-targets backward reads, in the
+    training layout.  ``stacked``/``row`` name the fleet forward this row
+    belongs to, which :meth:`InferenceEngine.interpretation_gradients`
+    differentiates.  All arrays are views into the engine's arena — valid
+    until the next engine call.
     """
 
     cache: object
     attention_probs: np.ndarray        # (h, B, N, N)
-    slope: np.ndarray                  # (B, N, d_ffn) leaky-ReLU slopes
-    a_bihj: np.ndarray                 # (B, i, h, j) attention, GEMM layout
-    v_bijt: np.ndarray                 # (B, i, j, t) values, GEMM layout
+    slope: np.ndarray                  # (B·N, d_ffn) leaky-ReLU slopes
+    tsbt: np.ndarray                   # (target, source, B, T) values
     windows_flat: np.ndarray           # (N, B·T, K) causal windows, GEMM layout
     stacked: "StackedInterpretationForward"
     row: int
@@ -222,24 +226,6 @@ def sum_last_keepdims(values: np.ndarray,
     else:
         np.sum(values, axis=-1, keepdims=True, out=out)
     return out
-
-
-@hot_path
-def _leaky_slope(space: ScratchSpace, name: str, pre_activation: np.ndarray,
-                 negative_slope: float) -> np.ndarray:
-    """``np.where(x > 0, 1, negative_slope)`` without temporaries.
-
-    The constants are written exactly (``copyto`` with a mask), matching
-    ``np.where``'s selection (:func:`repro.nn.functional.leaky_relu`) bit
-    for bit.
-    """
-    dtype = pre_activation.dtype
-    slope = space.take(name, pre_activation.shape, dtype)
-    mask = space.take(name + ".mask", pre_activation.shape, np.bool_)
-    np.greater(pre_activation, 0, out=mask)
-    slope.fill(dtype.type(negative_slope))
-    np.copyto(slope, dtype.type(1.0), where=mask)
-    return slope
 
 
 def sized_by_batch(method: Callable) -> Callable:
@@ -369,60 +355,93 @@ class ProfilingSeam:
         return any(name in self.__dict__ for name in self._PROFILED_OPS)
 
 
+def _restore_pre_shift(values: np.ndarray, pre_shift: np.ndarray
+                       ) -> np.ndarray:
+    """A copy of ``(…, B, source, target, T)`` ``values`` before the Eq. 4
+    shift: the self-series rows come from ``(…, N, B, T)`` ``pre_shift``."""
+    series = np.arange(values.shape[-2])
+    restored = values.copy()
+    restored[..., series, series, :] = np.moveaxis(pre_shift, -3, -2)
+    return restored
+
+
 @dataclass
 class StackedInterpretationForward:
-    """One fused cache forward for ``M`` same-architecture models at once.
+    """The training forward of ``M`` same-architecture models, kept for
+    interpretation.
 
-    The stacked arrays feed the model-axis gradient backward and relevance
-    propagation; :meth:`row` views model ``m`` as an ordinary
-    :class:`InterpretationForward` (its cache arrays are row-``m`` views of
-    these buffers), so every per-model consumer (gradient modulation,
-    raw-weight ablation, graph construction) runs on bit-identical data.
-    All arrays are arena views — valid until the next engine call.
+    The fields are the buffers :meth:`StackedInferenceEngine._forward`
+    leaves in its scratch space, in the training layout, which the
+    all-ones backward reads; the properties view them in the ``(M, B, …)``
+    layout of a :class:`~repro.core.transformer.TransformerCache` with a
+    model axis, which relevance propagation reads.
+    :meth:`row` views model ``m`` as an ordinary
+    :class:`InterpretationForward`, so every per-model consumer runs on
+    bit-identical data.  All arrays are arena views — valid until the next
+    engine call.
     """
 
     inputs: np.ndarray                 # (M, B, N, T)
     embedding: np.ndarray              # (M, B, N, d_model)
-    output: np.ndarray                 # (M, B, N, T)
-    values: np.ndarray                 # (M, B, N, N, T) source-major layout
-    values_pre: np.ndarray             # (M, B, N, N, T) pre-shift, float64
-    conv_windows: np.ndarray           # (M, B, N, T, K) strided float64 view
-    scores: np.ndarray                 # (M, h, B, N, N) pre-softmax
+    tsbt: np.ndarray                   # (M, target, source, B, T) values
+    pre_shift: np.ndarray              # (M, N, B, T) self rows before Eq. 4
+    windows_flat: np.ndarray           # (M, N, B·T, K)
+    raw_scores: np.ndarray             # (M, h, B, N, N) Q·Kᵀ, unmodulated
     attention_probs: np.ndarray        # (M, h, B, N, N)
-    head_outputs: np.ndarray           # (M, h, B, N, T)
+    heads: np.ndarray                  # (M, B, N, h, T) per-head outputs
     combined: np.ndarray               # (M, B, N, T)
     hidden: np.ndarray                 # (M, B, N, d_ffn) pre-activation
+    slope: np.ndarray                  # (M, B·N, d_ffn)
     activated: np.ndarray              # (M, B, N, d_ffn)
     ffn_output: np.ndarray             # (M, B, N, T)
-    slope: np.ndarray                  # (M, B, N, d_ffn)
-    a_bihj: np.ndarray                 # (M, B, i, h, j)
-    v_bijt: np.ndarray                 # (M, B, i, j, t)
-    windows_flat: np.ndarray           # (M, N, B·T, K)
+    output: np.ndarray                 # (M, B, N, T)
     stage: dict                        # the staged weights the pass ran on
 
     @property
-    def forwards(self) -> List[InterpretationForward]:
-        return [self.row(index) for index in range(self.output.shape[0])]
+    def values(self) -> np.ndarray:
+        """``(M, B, source, target, T)``: the convolution values (Eq. 4)."""
+        return self.tsbt.transpose(0, 3, 2, 1, 4)
+
+    @property
+    def values_pre(self) -> np.ndarray:
+        """An owned ``(M, B, source, target, T)`` copy before the shift."""
+        return _restore_pre_shift(self.values, self.pre_shift)
+
+    @property
+    def conv_windows(self) -> np.ndarray:
+        """``(M, B, N, T, K)``: each series' causal window per time slot."""
+        m, n, _bt, window = self.windows_flat.shape
+        return self.windows_flat.reshape(m, n, -1, window, window) \
+            .transpose(0, 2, 1, 3, 4)
+
+    @property
+    def head_outputs(self) -> np.ndarray:
+        """``(M, h, B, N, T)``: each head's attention applied (Eq. 6)."""
+        return self.heads.transpose(0, 3, 1, 2, 4)
 
     def row(self, index: int) -> InterpretationForward:
         """Model ``index``'s forward, cache included, as row views."""
         from repro.core.attention import AttentionHeadCache
         from repro.core.transformer import TransformerCache
 
+        # The forward's modulation multiply, replayed for this row.
+        scores = self.raw_scores[index] * self.stage["modulation"][index]
+        head_outputs = self.head_outputs[index]
         head_caches = [
             AttentionHeadCache(
                 attention=None, head_output=None,
                 attention_data=self.attention_probs[index, head],
-                head_output_data=self.head_outputs[index, head],
-                scores_data=self.scores[index, head],
+                head_output_data=head_outputs[head],
+                scores_data=scores[head],
             )
             for head in range(self.attention_probs.shape[1])
         ]
+        values = self.values[index]
         cache = TransformerCache(
             inputs=self.inputs[index],
             embedding=self.embedding[index],
-            values_pre_shift=self.values_pre[index],
-            values=self.values[index],
+            values_pre_shift=_restore_pre_shift(values, self.pre_shift[index]),
+            values=values,
             conv_windows=self.conv_windows[index],
             head_caches=head_caches,
             attention_combined=self.combined[index],
@@ -434,9 +453,8 @@ class StackedInterpretationForward:
         )
         return InterpretationForward(
             cache=cache, attention_probs=self.attention_probs[index],
-            slope=self.slope[index], a_bihj=self.a_bihj[index],
-            v_bijt=self.v_bijt[index], windows_flat=self.windows_flat[index],
-            stacked=self, row=index)
+            slope=self.slope[index], tsbt=self.tsbt[index],
+            windows_flat=self.windows_flat[index], stacked=self, row=index)
 
 
 class StackedInferenceEngine(ProfilingSeam):
@@ -454,11 +472,9 @@ class StackedInferenceEngine(ProfilingSeam):
     every reduction keeps its per-model order (per-row ``np.dot`` for the
     head combination, per-model loss accumulation), so each model's results
     are **bit-identical** to running it in a fleet of one — in float64 and
-    float32 alike, at any fleet width.  The training and validation path
-    lays the convolution values out for its GEMMs (see
-    :meth:`_convolution`); only the interpretation path fixes the
-    source-major layout, because einsum summation order — hence detector
-    bit-identity — depends on operand strides.
+    float32 alike, at any fleet width.  Training, validation and
+    interpretation run the one :meth:`_forward`, with the convolution
+    values laid out for its GEMMs (see :meth:`_convolution`).
     """
 
     _PROFILED_OPS = ("_causal_windows", "_convolution", "_attention_probs",
@@ -627,23 +643,18 @@ class StackedInferenceEngine(ProfilingSeam):
         return padded, flat
 
     @hot_path
-    def _convolution(self, space: ScratchSpace, x: np.ndarray, stage: dict,
-                     legacy_layout: bool = False
+    def _convolution(self, space: ScratchSpace, x: np.ndarray, stage: dict
                      ) -> Tuple[np.ndarray, np.ndarray]:
         """Fused causal convolution (Eq. 3) with the Eq. 4 right-shift.
 
-        Returns ``(values, windows_flat)`` — the convolution output and the
-        window layout (reused by the convolution backward), both in the
-        convolution dtype.  One GEMM per source series writes ``(target,
-        B·T)`` rows and one multiply applies the 1/t rescale over runs of
-        ``B·T`` elements.  By default the GEMMs write straight into the
-        ``(M, target, source, B, T)`` buffer the Eq. 6 GEMMs read as
-        strided views, and the rescale runs in place.  ``legacy_layout``
-        returns ``(M, B, source, target, T)`` values held in source-major
-        memory order — einsum summation order, hence the detector's scores
-        and graphs, depends on those strides — so its GEMMs write a
-        contiguous scratch buffer that the rescale reads back with the
-        series axes swapped.
+        Returns ``(tsbt, windows_flat)``: the ``(M, target, source, B, T)``
+        convolution values and the window layout (reused by the
+        convolution backward), both in the convolution dtype.  One GEMM per
+        source series writes its ``(target, B·T)`` rows straight into the
+        values buffer, which the Eq. 6 GEMMs read as strided views, and one
+        in-place multiply applies the 1/t rescale over runs of ``B·T``
+        elements.  The self-series rows are kept in ``conv.pre_shift``
+        before the shift, for relevance propagation.
         """
         m, batch, n, window = x.shape
         kernel = stage["kernel_eff"]
@@ -651,48 +662,36 @@ class StackedInferenceEngine(ProfilingSeam):
         _padded, flat = self._causal_windows(space, x)
         flat_t = space.view("conv.windows_flat.t",
                             lambda: flat.transpose(0, 1, 3, 2))
-        if legacy_layout:
-            buffer = space.take("conv.values", (m, n, batch, window, n),
-                                cdtype)
-            values = space.view("conv.values.t",
-                                lambda: buffer.transpose(0, 2, 1, 4, 3))
-            tsbt = space.view("conv.values.tsbt",
-                              lambda: buffer.transpose(0, 4, 1, 2, 3))
-            raw = space.take("conv.out", (m, n, n, batch * window), cdtype)
-        else:
-            values = tsbt = space.take("conv.tsbt", (m, n, n, batch, window),
-                                       cdtype)
-            # The GEMMs write (M, source, target, B·T) into it directly.
-            raw = space.view("conv.tsbt.st", lambda: tsbt.reshape(
-                m, n, n, batch * window).transpose(0, 2, 1, 3))
-        # Both layouts nest T inside B, so merging them is a view.
+        tsbt = space.take("conv.tsbt", (m, n, n, batch, window), cdtype)
+        # T nests inside B, so merging them is a view; the GEMMs write
+        # (M, source, target, B·T) through its transpose.
         tsbt_flat = space.view("conv.tsbt.flat", lambda: tsbt.reshape(
             m, n, n, batch * window))
+        stbt = space.view("conv.tsbt.st",
+                          lambda: tsbt_flat.transpose(0, 2, 1, 3))
         axis = 0 if self._model_axis_first(m, n) else 1
 
         def matmul_body(lo: int, hi: int) -> None:
             np.matmul(slice_axis(kernel, axis, lo, hi),
                       slice_axis(flat_t, axis, lo, hi),
-                      out=slice_axis(raw, axis, lo, hi))
+                      out=slice_axis(stbt, axis, lo, hi))
 
-        parallel_for(matmul_body, raw.shape[axis], outputs=((raw, axis),))
+        parallel_for(matmul_body, stbt.shape[axis], outputs=((stbt, axis),))
         scale = tiled_scale(space, stage["scale_array"], batch)
-        # By default ``raw_t`` is ``tsbt_flat``: the rescale runs in place.
-        raw_t = space.view("conv.out.t", lambda: raw.transpose(0, 2, 1, 3))
 
         def scale_body(lo: int, hi: int) -> None:
-            np.multiply(slice_axis(raw_t, axis, lo, hi), scale,
-                        out=slice_axis(tsbt_flat, axis, lo, hi))
+            rows = slice_axis(tsbt_flat, axis, lo, hi)
+            np.multiply(rows, scale, out=rows)
 
         parallel_for(scale_body, tsbt_flat.shape[axis],
                      outputs=((tsbt_flat, axis),))
         diagonal = space.view("conv.diagonal", lambda: series_diagonal(tsbt))
-        shift = space.take("conv.shift", (m, n, batch, window - 1),
-                           tsbt.dtype)
-        np.copyto(shift, diagonal[..., :-1])
-        np.copyto(diagonal[..., 1:], shift)
+        pre_shift = space.take("conv.pre_shift", (m, n, batch, window),
+                               tsbt.dtype)
+        np.copyto(pre_shift, diagonal)
+        np.copyto(diagonal[..., 1:], pre_shift[..., :-1])
         diagonal[..., 0] = 0.0
-        return values, flat
+        return tsbt, flat
 
     @hot_path
     def _softmax_inplace(self, space: ScratchSpace, probs: np.ndarray) -> None:
@@ -776,43 +775,23 @@ class StackedInferenceEngine(ProfilingSeam):
 
     @hot_path
     def _combine_layout(self, space: ScratchSpace, probs: np.ndarray,
-                        values: np.ndarray, legacy_layout: bool = False
-                        ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+                        tsbt: np.ndarray) -> np.ndarray:
         """Per-head application of the attention to the values (Eq. 6).
 
-        Returns ``(a_bihj, v_bijt, head_outputs)``: the ``(M, B, i, h, j)``
-        attention and ``(M, B, i, j, T)`` values the per-``(model, batch,
-        target)`` GEMMs read, and their ``(M, B, i, h, T)`` product.  With
-        the default layout both operands are strided views of ``probs`` and
-        of the :meth:`_convolution` buffer; ``legacy_layout`` (values from
-        the interpretation path) stages contiguous copies instead.
+        Returns the ``(M, B, i, h, T)`` head outputs.  One GEMM per
+        ``(model, target, batch)`` slice reads the attention probabilities
+        and the :meth:`_convolution` buffer as strided views.
         """
         m, n_heads, batch, n, _ = probs.shape
-        window = values.shape[-1]
-        out_dtype = np.result_type(probs.dtype, values.dtype)
-        if legacy_layout:
-            a_bihj = space.take("comb.a", (m, batch, n, n_heads, n),
-                                probs.dtype)
-            np.copyto(a_bihj, probs.transpose(0, 2, 3, 1, 4))
-            # Float64 attention meets model-dtype values here; staging the
-            # cast copy once is bit-identical to numpy's hidden per-call cast.
-            v_bijt = space.take("comb.v", (m, batch, n, n, window), out_dtype)
-            np.copyto(v_bijt, values.transpose(0, 1, 3, 2, 4))
-        else:
-            a_bihj = space.view("comb.probs.t",
-                                lambda: probs.transpose(0, 2, 3, 1, 4))
-            v_bijt = space.view("comb.values.t",
-                                lambda: values.transpose(0, 3, 1, 2, 4))
+        window = tsbt.shape[-1]
+        out_dtype = np.result_type(probs.dtype, tsbt.dtype)
         head_outputs = space.take("comb.ho", (m, batch, n, n_heads, window),
                                   out_dtype)
-        # One GEMM per (model, target, batch) slice with the batch axis
-        # innermost, so consecutive GEMMs read neighbouring ``T``-runs of
-        # the values buffer.
-        a_ib, v_ib, ho_ib = (space.view(name, lambda array=array:
-                                        array.swapaxes(1, 2))
-                             for name, array in (("comb.a.ib", a_bihj),
-                                                 ("comb.v.ib", v_bijt),
-                                                 ("comb.ho.ib", head_outputs)))
+        # The batch axis sits innermost, so consecutive GEMMs read
+        # neighbouring ``T``-runs of the values buffer.
+        a_ib = space.view("comb.a.ib", lambda: probs.transpose(0, 3, 2, 1, 4))
+        v_ib = space.view("comb.v.ib", lambda: tsbt.transpose(0, 1, 3, 2, 4))
+        ho_ib = space.view("comb.ho.ib", lambda: head_outputs.swapaxes(1, 2))
         axis = 0 if self._model_axis_first(m, n) else 1
 
         def body(lo: int, hi: int) -> None:
@@ -821,16 +800,16 @@ class StackedInferenceEngine(ProfilingSeam):
                       out=slice_axis(ho_ib, axis, lo, hi))
 
         parallel_for(body, ho_ib.shape[axis], outputs=((ho_ib, axis),))
-        return a_bihj, v_bijt, head_outputs
+        return head_outputs
 
     @hot_path
     @sized_by_batch
     def _forward(self, x: np.ndarray, stage: dict) -> np.ndarray:
         m, batch, n, window = x.shape
-        space = self.arena.space(("stack.eval", x.shape, x.dtype.str))
-        values, _flat = self._convolution(space, x, stage)
+        space = self._space(x)
+        tsbt, _flat = self._convolution(space, x, stage)
         probs = self._attention_probs(space, x, stage)
-        _a, _v, head_outputs = self._combine_layout(space, probs, values)
+        head_outputs = self._combine_layout(space, probs, tsbt)
         n_heads = stage["n_heads"]
         dtype = head_outputs.dtype
         at = space.take("comb.at", (m, batch, n, window, n_heads), dtype)
@@ -863,6 +842,7 @@ class StackedInferenceEngine(ProfilingSeam):
                          lambda: combined.reshape(m, batch * n, window))
         d_ffn = stage["w1"].shape[-1]
         hidden = space.take("mlp.hidden", (m, batch * n, d_ffn), dtype)
+        activated = space.take("mlp.activated", hidden.shape, dtype)
         ffn = space.take("mlp.ffn", (m, batch * n, window), dtype)
         out2d = space.take("mlp.out", (m, batch * n, window), dtype)
         slope = space.take("mlp.slope", hidden.shape, dtype)
@@ -874,24 +854,26 @@ class StackedInferenceEngine(ProfilingSeam):
         one = dtype.type(1.0)
 
         # The MLP tail's GEMMs are batched over the model axis (per-model
-        # weights), so the whole tail — including the inlined
-        # ``_leaky_slope`` selection, same buffers, same ops — chunks
-        # across models.
+        # weights), so the whole tail chunks across models.  The slope is
+        # ``np.where(hidden > 0, 1, negative_slope)`` (the reference's
+        # leaky ReLU) without temporaries: the constants are written
+        # exactly.  The pre-activation hidden stays for relevance
+        # propagation.
         def mlp_body(lo: int, hi: int) -> None:
             np.matmul(x2d[lo:hi], w1[lo:hi], out=hidden[lo:hi])
             hidden[lo:hi] += b1[lo:hi, None, :]
             np.greater(hidden[lo:hi], 0, out=mask[lo:hi])
             slope[lo:hi].fill(low)
             np.copyto(slope[lo:hi], one, where=mask[lo:hi])
-            hidden[lo:hi] *= slope[lo:hi]
-            np.matmul(hidden[lo:hi], w2[lo:hi], out=ffn[lo:hi])
+            np.multiply(hidden[lo:hi], slope[lo:hi], out=activated[lo:hi])
+            np.matmul(activated[lo:hi], w2[lo:hi], out=ffn[lo:hi])
             ffn[lo:hi] += b2[lo:hi, None, :]
             np.matmul(ffn[lo:hi], w3[lo:hi], out=out2d[lo:hi])
             out2d[lo:hi] += b3[lo:hi, None, :]
 
         parallel_for(mlp_body, m,
-                     outputs=((hidden, 0), (ffn, 0), (out2d, 0), (slope, 0),
-                              (mask, 0)))
+                     outputs=((hidden, 0), (activated, 0), (ffn, 0),
+                              (out2d, 0), (slope, 0), (mask, 0)))
         return space.view("mlp.out.4d",
                           lambda: out2d.reshape(m, batch, n, window))
 
@@ -1059,12 +1041,12 @@ class StackedInferenceEngine(ProfilingSeam):
         return self.evaluate(window_sets, batch_size)
 
     # ------------------------------------------------------------------ #
-    # Detector support: stacked cache forward + all-targets backward
+    # Detector support: the training forward + all-targets backward
     # ------------------------------------------------------------------ #
     def interpretation_forward(self, windows_list: Sequence[np.ndarray]
                                ) -> StackedInterpretationForward:
-        """One stacked cache-path forward shared by every model and target."""
-        return self._interpretation_forward(windows_list)
+        """One stacked forward shared by every model and target."""
+        return self._interpretation_pass(windows_list)
 
     def interpretation_gradients(self, forward: StackedInterpretationForward
                                  ) -> Tuple[np.ndarray, np.ndarray]:
@@ -1078,97 +1060,43 @@ class StackedInferenceEngine(ProfilingSeam):
         """
         return self._interpretation_gradients(forward)
 
-    def _interpretation_forward(self, windows_list: Sequence[np.ndarray]
-                                ) -> StackedInterpretationForward:
-        arena = self.arena
+    def _space(self, x: np.ndarray) -> ScratchSpace:
+        """The scratch space of the ``(M, B, N, T)`` batch ``x``.
+
+        Keyed by the model dtype too, so a float64 interpretation of a
+        float32 fleet on a shared arena never reallocates its buffers.
+        """
+        return self.arena.space(("stack.eval", x.shape, x.dtype.str,
+                                 self.dtype.str))
+
+    def _interpretation_pass(self, windows_list: Sequence[np.ndarray]
+                             ) -> StackedInterpretationForward:
+        """:meth:`_forward` on the windows, with views of what it leaves."""
         stage = self._stage()
         # repro: allow(dtype-purity): ingestion cast to the f64 reference
         x = self._as_model_batch([np.asarray(w, dtype=float)
                                   for w in windows_list])
+        output = self._forward(x, stage)
         m, batch, n, window = x.shape
-        n_heads, d_qk = stage["n_heads"], stage["d_qk"]
-        space = arena.space(("stack.cache", x.shape, x.dtype.str))
+        space = self._space(x)
 
-        values, windows_flat = self._convolution(space, x, stage,
-                                                 legacy_layout=True)
-        cdtype = np.result_type(x.dtype, stage["embed_weight"].dtype)
-        d_model = stage["embed_weight"].shape[-1]
-        emb3d = arena.take("stack.cache.emb", (m, batch, n, d_model), cdtype)
-        np.matmul(x, stage["embed_weight"][:, None], out=emb3d)
-        emb3d += stage["embed_bias"][:, None, None, :]
-        proj = arena.take("stack.att.proj", (m, batch * n, 2 * n_heads * d_qk),
-                          cdtype)
-        np.matmul(emb3d.reshape(m, batch * n, d_model), stage["weight_flat"],
-                  out=proj)
-        proj += stage["bias_flat"][:, None, :]
-        qk = arena.take("stack.att.qk", (m, 2 * n_heads, batch, n, d_qk), cdtype)
-        np.copyto(qk, proj.reshape(m, batch, n, 2 * n_heads, d_qk)
-                  .transpose(0, 3, 1, 2, 4))
-        q_data, k_data = qk[:, :n_heads], qk[:, n_heads:]
-        raw = arena.take("stack.att.raw", (m, n_heads, batch, n, n), cdtype)
-        np.matmul(q_data, k_data.transpose(0, 1, 2, 4, 3), out=raw)
-        probs = arena.take("stack.att.probs", (m, n_heads, batch, n, n),
-                           np.float64)
-        np.multiply(raw, stage["modulation"], out=probs)
-        scores = arena.take("stack.att.scores", (m, n_heads, batch, n, n),
-                            np.float64)
-        np.copyto(scores, probs)
-        self._softmax_inplace(space, probs)
-
-        a_bihj, v_bijt, head_outputs = self._combine_layout(
-            space, probs, values, legacy_layout=True)
-        dtype = head_outputs.dtype
-        ho_hbit = arena.take("stack.cache.ho", (m, n_heads, batch, n, window),
-                             dtype)
-        np.copyto(ho_hbit, head_outputs.transpose(0, 3, 1, 2, 4))
-        combined = arena.take("stack.cache.combined", (m, batch, n, window),
-                              dtype)
-        np.einsum("mhbit,mh->mbit", ho_hbit,
-                  stage["w_output"].astype(dtype, copy=False), out=combined)
-
-        d_ffn = stage["w1"].shape[-1]
-        hidden = arena.take("stack.cache.hidden", (m, batch, n, d_ffn), dtype)
-        np.matmul(combined, stage["w1"][:, None], out=hidden)
-        hidden += stage["b1"][:, None, None, :]
-        slope = _leaky_slope(space, "cache.slope", hidden,
-                             stage["negative_slope"])
-        activated = arena.take("stack.cache.activated", (m, batch, n, d_ffn),
-                               dtype)
-        np.multiply(hidden, slope, out=activated)
-        ffn_output = arena.take("stack.cache.ffn", (m, batch, n, window), dtype)
-        np.matmul(activated, stage["w2"][:, None], out=ffn_output)
-        ffn_output += stage["b2"][:, None, None, :]
-        prediction = arena.take("stack.cache.out", (m, batch, n, window), dtype)
-        np.matmul(ffn_output, stage["w3"][:, None], out=prediction)
-        prediction += stage["b3"][:, None, None, :]
-
-        # repro: allow(dtype-purity): relevance propagation is f64 by spec
-        x64 = np.asarray(x, dtype=float)
-        padded64 = arena.take("stack.cache.pad64", (m, batch, n, 2 * window),
-                              np.float64)
-        padded64[..., window:] = x64
-        view64 = np.lib.stride_tricks.sliding_window_view(
-            padded64, window, axis=-1)[..., 1:, :]         # (M, B, N, T, K)
-        values_pre = arena.take("stack.cache.values_pre",
-                                (m, batch, n, n, window),
-                                np.result_type(np.float64, x.dtype))
-        np.einsum("mbitk,mijk->mbijt", view64, stage["kernel_eff"],
-                  out=values_pre)
-        values_pre *= stage["scale_array"]
+        def per_series(name: str) -> np.ndarray:
+            return space[name].reshape(m, batch, n, -1)
 
         return StackedInterpretationForward(
-            inputs=x, embedding=emb3d, output=prediction, values=values,
-            values_pre=values_pre, conv_windows=view64, scores=scores,
-            attention_probs=probs, head_outputs=ho_hbit, combined=combined,
-            hidden=hidden, activated=activated, ffn_output=ffn_output,
-            slope=slope, a_bihj=a_bihj, v_bijt=v_bijt,
-            windows_flat=windows_flat, stage=stage,
-        )
+            inputs=x, embedding=per_series("att.emb"),
+            tsbt=space["conv.tsbt"], pre_shift=space["conv.pre_shift"],
+            windows_flat=space["conv.windows_flat"],
+            raw_scores=space["att.raw"], attention_probs=space["att.probs"],
+            heads=space["comb.ho"], combined=per_series("comb.out"),
+            hidden=per_series("mlp.hidden"), slope=space["mlp.slope"],
+            activated=per_series("mlp.activated"),
+            ffn_output=per_series("mlp.ffn"), output=output, stage=stage)
 
     def _interpretation_gradients(self, forward: StackedInterpretationForward
                                   ) -> Tuple[np.ndarray, np.ndarray]:
-        """Hand-evaluated backward of :meth:`interpretation_forward`, seeded
-        with ones on every output row.
+        """The backward of :meth:`_forward`, seeded with ones on every
+        output row.
 
         The FFN and output linears act along time only, so effect rows
         never mix after the attention: row ``g`` of the attention gradients
@@ -1176,46 +1104,47 @@ class StackedInferenceEngine(ProfilingSeam):
         backward seeded on output row ``g`` alone computes.  The tests pin
         this against one autograd ``backward()`` per target on the
         reference forward.
+
+        Each stage runs the GEMM shapes of the training step's backward
+        (:meth:`repro.nn.training_engine.StackedTrainingEngine._backward`)
+        on the same buffer layouts, but stops at the attention
+        probabilities and the kernel: no loss seed, no softmax or
+        parameter-gradient GEMMs, and a per-target single-kernel sum.
         """
         stage = forward.stage
         m, batch, n, window = forward.output.shape
+        n_heads = stage["n_heads"]
         dtype = forward.output.dtype
-        diag = np.arange(n)
+        tsbt, probs = forward.tsbt, forward.attention_probs
 
-        # All-ones output seed → back through the three cache-path linears.
-        grad_pred = np.ones((m, batch, n, window), dtype=dtype)
-        grad_ffn = grad_pred @ stage["w3"].transpose(0, 2, 1)[:, None]
-        grad_hidden = grad_ffn @ stage["w2"].transpose(0, 2, 1)[:, None]
+        # All-ones output seed → back through the MLP tail's linears.
+        grad_ffn = np.ones((m, batch * n, window), dtype) \
+            @ stage["w3"].transpose(0, 2, 1)
+        grad_hidden = grad_ffn @ stage["w2"].transpose(0, 2, 1)
         grad_hidden *= forward.slope
-        grad_combined = grad_hidden \
-            @ stage["w1"].transpose(0, 2, 1)[:, None]          # (M,B,N,T)
+        grad_combined = grad_hidden @ stage["w1"].transpose(0, 2, 1)
 
-        # Head-combination einsum backward: grad per head = grad ⊗ w_output,
-        # then the attention application backward (Eq. 6).
-        grad_heads = np.einsum("mbit,mh->mhbit", grad_combined,
-                               stage["w_output"])
-        grad_biht = np.ascontiguousarray(grad_heads.transpose(0, 2, 3, 1, 4))
-        grad_a = grad_biht \
-            @ forward.v_bijt.transpose(0, 1, 2, 4, 3)           # (M,B,i,h,j)
-        attention_grads = grad_a.transpose(0, 3, 1, 2, 4)       # (M,h,B,i,j)
-        grad_v = forward.a_bihj.transpose(0, 1, 2, 4, 3) \
-            @ grad_biht                                         # (M,B,i,j,t)
-        grad_values = grad_v.transpose(0, 1, 3, 2, 4)           # (M,B,j,i,t)
+        # Head combination, then the attention application (Eq. 6): one
+        # GEMM per (model, target, batch) slice, batch axis innermost.
+        grad_heads = grad_combined.reshape(m, batch, n, 1, window) \
+            * stage["w_output"][:, None, None, :, None]         # (M,B,i,h,T)
+        grad_heads_ib = grad_heads.swapaxes(1, 2)
+        attention_grads = np.empty((m, n_heads, batch, n, n), dtype)
+        np.matmul(grad_heads_ib, tsbt.transpose(0, 1, 3, 4, 2),
+                  out=attention_grads.transpose(0, 3, 2, 1, 4))
+        grad_tsbt = np.empty((m, n, n, batch, window), dtype)
+        np.matmul(probs.transpose(0, 3, 2, 4, 1), grad_heads_ib,
+                  out=grad_tsbt.swapaxes(2, 3))
 
-        # Causal convolution backward: undo the Eq. 4 right-shift, rescale,
-        # contract against the causal windows.  The autograd engine casts the
-        # routed gradient to the values tensor's dtype at the node boundary,
-        # and the final accumulation casts to the kernel parameter's dtype —
-        # replicate both.
-        grad_values = np.ascontiguousarray(grad_values,
-                                           dtype=forward.values.dtype)
-        diagonal = grad_values[:, :, diag, diag, :]
-        grad_values[:, :, diag, diag, :-1] = diagonal[..., 1:]
-        grad_values[:, :, diag, diag, -1] = 0.0
-        grad_values = grad_values * stage["scale_array"]
-        flat = np.ascontiguousarray(grad_values.transpose(0, 2, 3, 1, 4)) \
-            .reshape(m, n, n, batch * window)
-        kernel_grads = flat @ forward.windows_flat              # (M,N,N,K)
+        # Causal convolution: undo the Eq. 4 shift on the self-series
+        # rows, rescale in place, then one GEMM per source series.
+        diagonal = series_diagonal(grad_tsbt)
+        diagonal[..., :-1] = diagonal[..., 1:].copy()
+        diagonal[..., -1] = 0.0
+        grad_stbt = grad_tsbt.reshape(m, n, n, batch * window) \
+            .transpose(0, 2, 1, 3)
+        grad_stbt *= np.tile(stage["scale_array"], batch)
+        kernel_grads = grad_stbt @ forward.windows_flat         # (M,N,N,K)
         kernel_dtype = self.models[0].convolution.kernel.data.dtype
         if kernel_grads.dtype != kernel_dtype:
             # The node-boundary cast happens before the single-kernel
@@ -1316,13 +1245,13 @@ class InferenceEngine:
     # ------------------------------------------------------------------ #
     def interpretation_forward(self, windows: np.ndarray
                                ) -> InterpretationForward:
-        """One fused forward in the detector's fixed operation order.
+        """The fused forward, kept for the detector.
 
         Fills a :class:`~repro.core.transformer.TransformerCache` for
-        relevance propagation plus the internals the all-targets backward
-        needs.  Shared by every target series.
+        relevance propagation plus the buffers the all-targets backward
+        reads.  Shared by every target series.
         """
-        return self.fleet._interpretation_forward([windows]).row(0)
+        return self.fleet._interpretation_pass([windows]).row(0)
 
     def interpretation_gradients(self, forward: InterpretationForward
                                  ) -> Tuple[np.ndarray, np.ndarray]:

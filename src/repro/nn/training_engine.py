@@ -51,9 +51,13 @@ and write the attention gradient straight into the softmax backward's
 The Eq. 4 shift is undone by one copy through a strided view of the
 self-series diagonal (:func:`~repro.nn.inference.series_diagonal`), the
 1/t rescale runs in place, and the kernel GEMMs read the gradient as
-``(target, B·T)`` strided views, one per source series.  The source-major
-layout is fixed only on the interpretation path, whose einsum order the
-detector's scores depend on.
+``(target, B·T)`` strided views, one per source series.  The detector's
+all-ones backward
+(:meth:`~repro.nn.inference.StackedInferenceEngine.interpretation_gradients`)
+runs the Eq. 6 and convolution stages in the same shapes over the same
+forward buffers, as a function of its own: it writes no parameter
+gradients, skips the loss, softmax and projection stages, and sums the
+single kernel per target.
 
 Threaded execution
 ------------------
@@ -184,8 +188,8 @@ class _StackedBackwardPlan:
         self.grad2d = self.grad_pred.reshape(m, bn, window)
         self.ffn = take("mlp.ffn", (m, bn, window), cdtype)
         self.ffn_t = self.ffn.transpose(0, 2, 1)
-        self.hidden = take("mlp.hidden", (m, bn, d_ffn), cdtype)    # activated
-        self.hidden_t = self.hidden.transpose(0, 2, 1)
+        self.activated = take("mlp.activated", (m, bn, d_ffn), cdtype)
+        self.activated_t = self.activated.transpose(0, 2, 1)
         self.slope = take("mlp.slope", (m, bn, d_ffn), cdtype)
         self.w3_tmp = take("bwd.w3", (m, window, window), cdtype)
         self.b3_tmp = take("bwd.b3", (m, window), cdtype)
@@ -423,7 +427,7 @@ class StackedTrainingEngine(StackedInferenceEngine):
     def _step(self, batch: np.ndarray) -> List[float]:
         self.threads = max(self.threads, get_engine_threads())
         stage = self._stage()
-        space = self.arena.space(("stack.eval", batch.shape, batch.dtype.str))
+        space = self._space(batch)
         prediction = self._forward(batch, stage)
         diff = self._windowed_diff(prediction, batch)
         losses = [_mse_plus_penalties(diff[row], self._penalty_terms(row))
@@ -479,7 +483,7 @@ class StackedTrainingEngine(StackedInferenceEngine):
             p.grad2d[lo:hi].sum(axis=1, out=p.b3_tmp[lo:hi])
             p.b3_view[lo:hi] = p.b3_tmp[lo:hi]
             np.matmul(p.grad2d[lo:hi], w3_t[lo:hi], out=p.grad_ffn[lo:hi])
-            np.matmul(p.hidden_t[lo:hi], p.grad_ffn[lo:hi],
+            np.matmul(p.activated_t[lo:hi], p.grad_ffn[lo:hi],
                       out=p.w2_tmp[lo:hi])
             p.w2_view[lo:hi] = p.w2_tmp[lo:hi]
             p.grad_ffn[lo:hi].sum(axis=1, out=p.b2_tmp[lo:hi])

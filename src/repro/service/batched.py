@@ -180,7 +180,7 @@ def execute_batched_jobs(pairs: Sequence[JobPair],
                     else execute_job(job, dataset)
                     for position, (job, dataset) in enumerate(pairs)]
 
-        # Stacked detector interpretation: one cache forward, all-ones
+        # Stacked detector interpretation: one forward, all-ones
         # backward and relevance propagation for the whole group
         # (bit-identical per-model scores).  A lone job left after cache
         # hits, or any failure, interprets per job.
@@ -195,7 +195,7 @@ def execute_batched_jobs(pairs: Sequence[JobPair],
                     detectors = [entry.method.build_detector()
                                  for entry in admitted]
                     # The trainer's engine arena is reused for the stacked
-                    # cache forward/backward — training, validation and
+                    # forward/backward — training, validation and
                     # interpretation share one buffer pool for the group.
                     scores_list = compute_scores_group(
                         detectors,

@@ -32,6 +32,24 @@ class TestValidation:
         with pytest.raises(ValueError):
             CausalFormerConfig(**{field: value})
 
+    @pytest.mark.parametrize("value", [0, -3])
+    def test_max_detector_windows_must_be_positive(self, value):
+        """Zero windows would reach k-means++ with NaN probabilities, and a
+        negative count np.linspace — both only after the whole fit."""
+        with pytest.raises(ValueError, match="max_detector_windows"):
+            CausalFormerConfig(max_detector_windows=value)
+
+    @pytest.mark.parametrize("value", [0, -2])
+    def test_window_stride_must_be_positive(self, value):
+        with pytest.raises(ValueError, match="window_stride"):
+            CausalFormerConfig(window_stride=value)
+
+    @pytest.mark.parametrize("value", [0.0, -1e-9, float("nan")])
+    def test_relevance_epsilon_must_be_positive(self, value):
+        """A non-positive stabiliser can turn an RRP denominator into 0."""
+        with pytest.raises(ValueError, match="relevance_epsilon"):
+            CausalFormerConfig(relevance_epsilon=value)
+
     def test_top_clusters_must_not_exceed_n_clusters(self):
         with pytest.raises(ValueError):
             CausalFormerConfig(top_clusters=3, n_clusters=2)

@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 from repro.core import CausalFormer, fast_preset
+from repro.core import detector as detector_module
 from repro.core.config import CausalFormerConfig
 from repro.core.detector import (DecompositionCausalityDetector,
                                  compute_scores_group)
@@ -183,15 +184,20 @@ class TestOnePassCallCounts:
         monkeypatch.setattr(owner, name, counting)
 
     def test_solo(self, monkeypatch):
-        counts = {"interpretation_gradients": 0, "propagate_targets": 0}
-        self.count_calls(monkeypatch, InferenceEngine,
+        """A solo call runs the fleet passes at M = 1, never the group
+        entry point (a profiler times that one as batched work)."""
+        counts = {"interpretation_gradients": 0, "propagate_targets": 0,
+                  "compute_scores_group": 0}
+        self.count_calls(monkeypatch, StackedInferenceEngine,
                          "interpretation_gradients", counts)
-        self.count_calls(monkeypatch, RegressionRelevancePropagation,
+        self.count_calls(monkeypatch, StackedRelevancePropagation,
                          "propagate_targets", counts)
+        self.count_calls(monkeypatch, detector_module,
+                         "compute_scores_group", counts)
         (model,), (windows,) = fleet(n_models=1, n_series=12)
         DecompositionCausalityDetector(model).compute_scores(windows)
         assert counts == {"interpretation_gradients": 1,
-                          "propagate_targets": 1}
+                          "propagate_targets": 1, "compute_scores_group": 0}
 
     def test_stacked(self, monkeypatch):
         counts = {"interpretation_gradients": 0, "propagate_targets": 0}

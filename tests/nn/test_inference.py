@@ -128,23 +128,6 @@ class TestForwardParity:
         assert_matches_reference(values[0].transpose(2, 1, 0, 3),
                                  reference.data, np.float64)
 
-    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    def test_both_convolution_layouts_hold_the_same_values(self, dtype):
-        """The interpretation path's source-major values, re-laid out,
-        equal the training layout bit for bit, both in the model dtype."""
-        model, _config = build(dtype)
-        x = window_batch(model)
-        fleet = InferenceEngine(model).fleet
-        stage = fleet._stage()
-        values, _flat = fleet._convolution(
-            fleet.arena.space(("test", x.shape)), x[None], stage)
-        legacy, _flat = fleet._convolution(
-            fleet.arena.space(("legacy", x.shape)), x[None], stage,
-            legacy_layout=True)
-        assert values.dtype == dtype and values.flags.c_contiguous
-        assert legacy.dtype == dtype
-        assert np.array_equal(values[0].transpose(2, 1, 0, 3), legacy[0])
-
     @pytest.mark.parametrize("layout", ["contiguous", "source_major"])
     def test_series_diagonal_is_a_writable_view_of_the_self_series_rows(
             self, layout):
@@ -361,7 +344,7 @@ class TestStackedEngine:
         forward = stacked.interpretation_forward(window_sets)
         for row, (model, windows) in enumerate(zip(models, window_sets)):
             reference = InferenceEngine(model).interpretation_forward(windows)
-            cache_a, cache_b = reference.cache, forward.forwards[row].cache
+            cache_a, cache_b = reference.cache, forward.row(row).cache
             for name in ("inputs", "embedding", "values_pre_shift", "values",
                          "conv_windows", "attention_combined", "ffn_hidden",
                          "ffn_activated", "ffn_output", "output"):

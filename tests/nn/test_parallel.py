@@ -21,10 +21,11 @@ from repro.core.batched import StackedCausalFormerTrainer
 from repro.core.config import CausalFormerConfig
 from repro.core.detector import (DecompositionCausalityDetector,
                                  compute_scores_group)
+from repro.core.relevance import StackedRelevancePropagation
 from repro.core.training import Trainer
 from repro.core.transformer import CausalityAwareTransformer
 from repro.nn import parallel
-from repro.nn.inference import InferenceEngine
+from repro.nn.inference import InferenceEngine, StackedInferenceEngine
 from repro.nn.parallel import (EngineThreadPool, engine_threads,
                                get_engine_threads, parallel_for,
                                set_engine_threads, set_parallel_debug,
@@ -308,22 +309,47 @@ class TestStackedBitIdentity:
                         assert np.array_equal(left, right)
 
     @pytest.mark.parametrize("single_kernel", [False, True])
-    def test_group_interpretation(self, single_kernel, debug_audit):
-        configs = [CausalFormerConfig(n_series=4, window=10, d_model=12,
-                                      d_qk=12, d_ffn=12, n_heads=2, seed=seed,
-                                      single_kernel=single_kernel)
-                   for seed in range(3)]
-        models = [CausalityAwareTransformer(config) for config in configs]
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_group_interpretation(self, dtype, single_kernel, debug_audit):
+        """Group and solo scores, the all-ones gradients and the relevance
+        of float64 and float32 source models are bit-identical at 1, 2 and
+        3 explicit engine threads (the interpretation forward is threaded
+        like any training forward)."""
+        with default_dtype(dtype):
+            configs = [CausalFormerConfig(n_series=4, window=10, d_model=12,
+                                          d_qk=12, d_ffn=12, n_heads=2,
+                                          seed=seed,
+                                          single_kernel=single_kernel)
+                       for seed in range(3)]
+            models = [CausalityAwareTransformer(config) for config in configs]
         detectors = [DecompositionCausalityDetector(model, config)
                      for model, config in zip(models, configs)]
         rng = np.random.default_rng(17)
         window_sets = [rng.normal(size=(4, 4, 10)) for _ in models]
-        serial = compute_scores_group(detectors, window_sets)
-        with engine_threads(3):
-            threaded = compute_scores_group(detectors, window_sets)
-        for expected, actual in zip(serial, threaded):
-            assert np.array_equal(expected.attention, actual.attention)
-            assert np.array_equal(expected.kernel, actual.kernel)
+
+        def interpret():
+            scores = compute_scores_group(detectors, window_sets) + [
+                detector.compute_scores(windows)
+                for detector, windows in zip(detectors, window_sets)]
+            twins = [detector.model for detector in detectors]
+            engine = StackedInferenceEngine(twins)
+            forward = engine.interpretation_forward(window_sets)
+            arrays = list(engine.interpretation_gradients(forward))
+            for result in StackedRelevancePropagation(
+                    twins).propagate_targets(forward):
+                arrays.extend(array for head in result.heads
+                              for array in (head.attention, head.values,
+                                            head.kernel))
+            return arrays + [array for score in scores
+                             for array in (score.attention, score.kernel)]
+
+        serial = interpret()
+        for threads in (2, 3):
+            with engine_threads(threads):
+                threaded = interpret()
+            assert len(threaded) == len(serial)
+            for expected, actual in zip(serial, threaded):
+                assert np.array_equal(expected, actual)
 
 
 class TestConcurrentTrainers:

@@ -16,7 +16,9 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from repro.core.detector import CausalScores
-from repro.core.relevance import HeadRelevance, stabilize
+from repro.core.relevance import (HeadRelevance,
+                                  RegressionRelevancePropagation, stabilize)
+from repro.nn.inference import InferenceEngine
 
 
 def one_hot_seed(shape: Tuple[int, int, int], targets: Sequence[int],
@@ -32,34 +34,36 @@ def per_target_gradients(model, forward, targets: Sequence[int]
                          ) -> Tuple[np.ndarray, np.ndarray]:
     """The engines' ``interpretation_gradients`` seeded one-hot per target.
 
-    ``forward`` is one model's ``InterpretationForward`` (of ``model``).
-    Returns ``(G, h, B, N, N)`` attention and ``(G, N, N, K)`` kernel
-    gradients (``(G, 1, 1, K)`` for the single-kernel ablation, summed over
-    both series axes as the autograd unbroadcast does).
+    ``forward`` is one model's ``InterpretationForward`` (of ``model``),
+    whose buffers are in the training layout.  Returns ``(G, h, B, N, N)``
+    attention and ``(G, N, N, K)`` kernel gradients (``(G, 1, 1, K)`` for
+    the single-kernel ablation, summed over both series axes as the
+    autograd unbroadcast does).
     """
-    cache = forward.cache
-    batch, n, window = cache.output.shape
-    diag = np.arange(n)
-    grad_pred = one_hot_seed(cache.output.shape, targets, cache.output.dtype)
-    grad_ffn = grad_pred @ model.output_layer.weight.data.T
+    batch, n, window = forward.cache.output.shape
+    count = len(targets)
+    seed = one_hot_seed((batch, n, window), targets,
+                        forward.cache.output.dtype)
+    grad_ffn = seed.reshape(count, batch * n, window) \
+        @ model.output_layer.weight.data.T
     grad_hidden = grad_ffn @ model.feed_forward.w2.data.T
     grad_hidden *= forward.slope
     grad_combined = grad_hidden @ model.feed_forward.w1.data.T
-    grad_heads = np.einsum("gbit,h->ghbit", grad_combined,
-                           model.attention.w_output.data)
-    grad_biht = np.ascontiguousarray(grad_heads.transpose(0, 2, 3, 1, 4))
-    grad_a = grad_biht @ forward.v_bijt.transpose(0, 1, 3, 2)
-    attention_grads = grad_a.transpose(0, 3, 1, 2, 4)
-    grad_v = forward.a_bihj.transpose(0, 1, 3, 2) @ grad_biht
-    grad_values = np.ascontiguousarray(grad_v.transpose(0, 1, 3, 2, 4),
-                                       dtype=cache.values.dtype)
-    diagonal = grad_values[:, :, diag, diag, :]
-    grad_values[:, :, diag, diag, :-1] = diagonal[..., 1:]
-    grad_values[:, :, diag, diag, -1] = 0.0
-    grad_values = grad_values * model.convolution._scale_array
-    flat = np.ascontiguousarray(grad_values.transpose(0, 2, 3, 1, 4)) \
-        .reshape(len(targets), n, n, batch * window)
-    kernel_grads = flat @ forward.windows_flat
+    grad_heads = grad_combined.reshape(count, batch, n, 1, window) \
+        * model.attention.w_output.data[:, None]                # (G,B,i,h,T)
+    grad_heads_ib = grad_heads.swapaxes(1, 2)                   # (G,i,B,h,T)
+    tsbt = forward.tsbt                                         # (i,j,B,T)
+    attention_grads = (grad_heads_ib @ tsbt.transpose(0, 2, 3, 1)) \
+        .transpose(0, 3, 2, 1, 4)                               # (G,h,B,i,j)
+    grad_tsbt = (forward.attention_probs.transpose(2, 1, 3, 0)
+                 @ grad_heads_ib).swapaxes(2, 3)                # (G,i,j,B,T)
+    diag = np.arange(n)
+    grad_tsbt[:, diag, diag, :, :-1] = grad_tsbt[:, diag, diag, :, 1:]
+    grad_tsbt[:, diag, diag, :, -1] = 0.0
+    grad_stbt = grad_tsbt.reshape(count, n, n, batch * window) \
+        .transpose(0, 2, 1, 3)
+    grad_stbt *= np.tile(model.convolution._scale_array, batch)
+    kernel_grads = grad_stbt @ forward.windows_flat             # (G,j,i,K)
     kernel_dtype = model.convolution.kernel.data.dtype
     if kernel_grads.dtype != kernel_dtype:
         kernel_grads = np.asarray(kernel_grads, dtype=kernel_dtype)
@@ -142,15 +146,19 @@ def per_target_scores(detector, windows: np.ndarray) -> CausalScores:
     if windows.ndim == 2:
         windows = windows[None]
     detector._sync_interpretation_model()
-    forward = detector._engine.interpretation_forward(windows)
+    model = detector.model
+    forward = InferenceEngine(model).interpretation_forward(windows)
     cache = forward.cache
     _batch, n_series, window = cache.output.shape
     targets = list(range(n_series))
     if detector.use_gradient:
         attention_grads, kernel_grads = per_target_gradients(
-            detector.model, forward, targets)
+            model, forward, targets)
     if detector.use_relevance:
-        relevances = per_target_relevance(detector._rrp, cache, targets)
+        rrp = RegressionRelevancePropagation(
+            model, use_bias=detector.use_bias,
+            epsilon=detector.config.relevance_epsilon)
+        relevances = per_target_relevance(rrp, cache, targets)
     n_heads = len(cache.head_caches)
     attention_scores = np.zeros((n_series, n_series))
     kernel_scores = np.zeros((n_series, n_series, window))
