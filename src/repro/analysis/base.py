@@ -126,7 +126,7 @@ class CheckerConfig:
         "zeros", "empty", "ones", "full",
         "zeros_like", "empty_like", "ones_like", "full_like",
         "array", "copy", "concatenate", "stack", "vstack", "hstack",
-        "tile", "repeat", "ascontiguousarray",
+        "tile", "repeat", "ascontiguousarray", "roll",
     )
 
 

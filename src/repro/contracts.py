@@ -26,7 +26,8 @@ def hot_path(function):
     """Mark ``function`` as a steady-state hot path (allocation-free zone).
 
     A hot-path function runs once per training step / evaluation call in
-    the fused engines; every large temporary it touches must come from a
+    the fused engines, or once per step of an integrator such as the
+    Lorenz-96 simulator's; every temporary it touches must come from a
     scratch arena or an ``out=`` buffer.  The ``hot-path-alloc`` checker in
     :mod:`repro.analysis` statically flags allocating numpy calls
     (``np.zeros``, ``np.empty``, ``np.concatenate``, ``.copy()``,

@@ -10,10 +10,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import (TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional,
+                    Sequence, Tuple)
 
-import networkx as nx
 import numpy as np
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 @dataclass(frozen=True)
@@ -179,6 +182,8 @@ class TemporalCausalGraph:
     # ------------------------------------------------------------------ #
     def to_networkx(self) -> nx.DiGraph:
         """Export to a ``networkx.DiGraph`` with ``delay`` edge attributes."""
+        import networkx as nx
+
         digraph = nx.DiGraph()
         for index, name in enumerate(self.names):
             digraph.add_node(index, name=name)
@@ -239,6 +244,8 @@ class TemporalCausalGraph:
 
     def is_acyclic_ignoring_self_loops(self) -> bool:
         """True when the graph has no directed cycle besides self-loops."""
+        import networkx as nx
+
         digraph = self.without_self_loops().to_networkx()
         return nx.is_directed_acyclic_graph(digraph)
 

@@ -188,10 +188,48 @@ class TestHotPathAlloc:
         assert rules_of(result) == []
         assert result.suppressed == 1
 
+    def test_fires_on_roll(self, lint_source):
+        result = lint_source("""\
+            import numpy as np
+            from repro.contracts import hot_path
+
+            @hot_path
+            def derivative(x, out):
+                np.subtract(np.roll(x, -1), x, out=out)
+            """, relative=PLAIN_PATH, rules=["hot-path-alloc"])
+        assert rules_of(result) == ["hot-path-alloc"]
+        assert "np.roll" in result.findings[0].message
+
+    def test_suppressed_roll(self, lint_source):
+        result = lint_source("""\
+            import numpy as np
+            from repro.contracts import hot_path
+
+            @hot_path
+            def derivative(x, out):
+                # repro: allow(hot-path-alloc): reference form, fixture
+                np.subtract(np.roll(x, -1), x, out=out)
+            """, relative=PLAIN_PATH, rules=["hot-path-alloc"])
+        assert rules_of(result) == []
+        assert result.suppressed == 1
+
+    def test_ring_slices_are_quiet(self, lint_source):
+        result = lint_source("""\
+            import numpy as np
+            from repro.contracts import hot_path
+
+            @hot_path
+            def derivative(ring, out):
+                ring[-1] = ring[1]
+                np.subtract(ring[2:], ring[1:-1], out=out)
+            """, relative=PLAIN_PATH, rules=["hot-path-alloc"])
+        assert rules_of(result) == []
+
     def test_real_engine_modules_are_clean(self):
         real_module_is_clean("hot-path-alloc", "src/repro/nn/inference.py")
         real_module_is_clean("hot-path-alloc",
                              "src/repro/nn/training_engine.py")
+        real_module_is_clean("hot-path-alloc", "src/repro/data/lorenz.py")
 
 
 # ---------------------------------------------------------------------- #

@@ -1,5 +1,9 @@
 """TemporalCausalGraph data structure."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -140,6 +144,17 @@ class TestConversions:
         assert digraph[0][1]["delay"] == 2
         restored = TemporalCausalGraph.from_networkx(digraph)
         assert restored == graph
+
+    def test_networkx_loads_only_on_demand(self):
+        """Discovery and the CLI never import networkx; graph export does."""
+        src = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir, "src")
+        probe = ("import sys, repro.core.discovery, repro.service.cli\n"
+                 "assert 'networkx' not in sys.modules\n"
+                 "from repro.graph import TemporalCausalGraph\n"
+                 "TemporalCausalGraph(2).to_networkx()\n"
+                 "assert 'networkx' in sys.modules\n")
+        subprocess.run([sys.executable, "-c", probe], check=True,
+                       env={**os.environ, "PYTHONPATH": os.path.abspath(src)})
 
     def test_dict_roundtrip(self):
         graph = self._sample_graph()
