@@ -82,7 +82,7 @@ class TestBitIdentity:
     @pytest.mark.parametrize("case", range(len(_GRID)))
     def test_matches_reference(self, case):
         n_series, dt, subsample, burn_in, noise_std = _GRID[case]
-        seed, forcing = 100 + case, (8.0, 30.0, 35.0, 40.0)[case % 4]
+        seed, forcing = 100 + case, (8.0, 30.0, 33.3, 36.7, 40.0)[case % 5]
         kwargs = dict(n_series=n_series, length=40, forcing=forcing, dt=dt,
                       subsample=subsample, burn_in=burn_in,
                       noise_std=noise_std)
