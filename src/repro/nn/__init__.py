@@ -20,8 +20,8 @@ The autograd pieces:
   gradients on intermediate tensors (required by the paper's gradient
   modulation step, which reads gradients of the attention matrix and the
   causal convolution kernel).
-* :mod:`~repro.nn.functional` — softmax, leaky ReLU, MSE, L1 penalties and the
-  other point-wise functions the model uses.
+* :mod:`~repro.nn.functional` — softmax, leaky ReLU, the MSE loss, the
+  causal-window primitives and the other functions the models use.
 * :class:`~repro.nn.module.Module` / :class:`~repro.nn.module.Parameter` —
   PyTorch-style containers with ``state_dict`` save/load.
 * :mod:`~repro.nn.layers` — ``Linear``, ``Sequential``, ``Dropout``,

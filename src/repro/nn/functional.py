@@ -177,10 +177,6 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     return out
 
 
-def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
-    return T.log(softmax(x, axis=axis) + 1e-12)
-
-
 def dropout(x: Tensor, p: float = 0.5, training: bool = True,
             rng: Optional[np.random.Generator] = None) -> Tensor:
     """Inverted dropout; identity when ``training`` is false or ``p == 0``."""
@@ -223,40 +219,3 @@ def mse_loss(prediction: Tensor, target: Tensor, reduction: str = "mean") -> Ten
 
         out._backward = backward
     return out
-
-
-def mae_loss(prediction: Tensor, target: Tensor) -> Tensor:
-    """Mean absolute error."""
-    target = target if isinstance(target, Tensor) else Tensor(target)
-    return (prediction - target).abs().mean()
-
-
-def l1_norm(x: Tensor) -> Tensor:
-    """Sum of absolute values — the paper's sparsity penalty (Eq. 9)."""
-    return x.abs().sum()
-
-
-def l2_norm(x: Tensor) -> Tensor:
-    """Euclidean norm (square root of the sum of squares)."""
-    return ((x * x).sum() + 1e-12) ** 0.5
-
-
-def group_lasso(weight: Tensor, axis: int = 0) -> Tensor:
-    """Group-lasso penalty: sum over groups of the L2 norms along ``axis``.
-
-    Used by the cMLP / cLSTM neural-Granger baselines to push whole input
-    groups (one group per candidate cause series) to zero.
-    """
-    squared = (weight * weight).sum(axis=axis)
-    return ((squared + 1e-12) ** 0.5).sum()
-
-
-def huber_loss(prediction: Tensor, target: Tensor, delta: float = 1.0) -> Tensor:
-    """Huber loss, provided for robustness experiments."""
-    target = target if isinstance(target, Tensor) else Tensor(target)
-    diff = prediction - target
-    abs_diff = diff.abs()
-    quadratic = 0.5 * diff * diff
-    linear = delta * abs_diff - 0.5 * delta * delta
-    mask = abs_diff.data <= delta
-    return T.where(mask, quadratic, linear).mean()

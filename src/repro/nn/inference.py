@@ -42,7 +42,8 @@ hidden and the self-series convolution rows before the Eq. 4 shift, which
 relevance propagation reads — and
 :meth:`StackedInferenceEngine.interpretation_gradients` evaluates its
 backward for every target series in one all-ones pass, so the detector
-needs no autograd graph at all.
+needs no autograd graph at all; it runs the training backward's own stages,
+which live here because both callers need them.
 """
 
 from __future__ import annotations
@@ -878,6 +879,90 @@ class StackedInferenceEngine(ProfilingSeam):
                           lambda: out2d.reshape(m, batch, n, window))
 
     # ------------------------------------------------------------------ #
+    # Backward stages shared by the training step and the detector
+    # ------------------------------------------------------------------ #
+    @hot_path
+    def _mlp_input_backward(self, grad_output: np.ndarray, stage: dict,
+                            slope: np.ndarray, grad_ffn: np.ndarray,
+                            grad_hidden: np.ndarray,
+                            grad_combined: np.ndarray) -> None:
+        """Back through the MLP tail's linears, from the ``(M, B·N, T)``
+        prediction gradient to ``grad_combined``; the GEMMs carry per-model
+        weights, so the chain chunks across models only."""
+        w3_t = stage["w3"].transpose(0, 2, 1)
+        w2_t = stage["w2"].transpose(0, 2, 1)
+        w1_t = stage["w1"].transpose(0, 2, 1)
+
+        def body(lo: int, hi: int) -> None:
+            np.matmul(grad_output[lo:hi], w3_t[lo:hi], out=grad_ffn[lo:hi])
+            np.matmul(grad_ffn[lo:hi], w2_t[lo:hi], out=grad_hidden[lo:hi])
+            grad_hidden[lo:hi] *= slope[lo:hi]
+            np.matmul(grad_hidden[lo:hi], w1_t[lo:hi],
+                      out=grad_combined[lo:hi])
+
+        parallel_for(body, len(grad_output),
+                     outputs=((grad_ffn, 0), (grad_hidden, 0),
+                              (grad_combined, 0)))
+
+    @hot_path
+    def _combine_backward(self, grad_combined: np.ndarray, stage: dict,
+                          probs: np.ndarray, tsbt: np.ndarray,
+                          grad_heads: np.ndarray, grad_probs: np.ndarray,
+                          grad_tsbt: np.ndarray) -> None:
+        """Back through the head combination and Eq. 6, into the head
+        gradients, the attention gradient in the softmax's layout and the
+        value gradient in ``tsbt``'s: one GEMM per ``(model, target,
+        batch)`` slice, batch axis innermost, as :meth:`_combine_layout`."""
+        m, _heads, batch, n, _ = probs.shape
+        grad_in = grad_combined.reshape(m, batch, n, 1, -1).swapaxes(1, 2)
+        heads_ib = grad_heads.swapaxes(1, 2)
+        values_t = tsbt.transpose(0, 1, 3, 4, 2)
+        probs_t = probs.transpose(0, 3, 2, 4, 1)
+        grad_a = grad_probs.transpose(0, 3, 2, 1, 4)
+        grad_v = grad_tsbt.swapaxes(2, 3)
+        w_out5 = stage["w_output"][:, None, None, :, None]
+        axis = 0 if self._model_axis_first(m, n) else 1
+
+        def body(lo: int, hi: int) -> None:
+            heads = slice_axis(heads_ib, axis, lo, hi)
+            np.multiply(slice_axis(grad_in, axis, lo, hi),
+                        w_out5[lo:hi] if axis == 0 else w_out5, out=heads)
+            np.matmul(heads, slice_axis(values_t, axis, lo, hi),
+                      out=slice_axis(grad_a, axis, lo, hi))
+            np.matmul(slice_axis(probs_t, axis, lo, hi), heads,
+                      out=slice_axis(grad_v, axis, lo, hi))
+
+        parallel_for(body, heads_ib.shape[axis],
+                     outputs=((heads_ib, axis), (grad_a, axis),
+                              (grad_v, axis)))
+
+    @hot_path
+    def _convolution_backward(self, grad_tsbt: np.ndarray,
+                              unshift: np.ndarray, scale: np.ndarray,
+                              windows_flat: np.ndarray,
+                              kernel_grads: np.ndarray) -> None:
+        """Back through the Eq. 4 shift (via the ``(M, N, B, T − 1)``
+        ``unshift`` scratch) and the convolution: the 1/t rescale in place,
+        then one GEMM per source series into ``(M, source, target, K)``."""
+        m, n, _, batch, window = grad_tsbt.shape
+        diagonal = series_diagonal(grad_tsbt)
+        np.copyto(unshift, diagonal[..., 1:])
+        np.copyto(diagonal[..., :-1], unshift)
+        diagonal[..., -1] = 0.0
+        grad_stbt = grad_tsbt.reshape(m, n, n, batch * window) \
+            .transpose(0, 2, 1, 3)
+        axis = 0 if self._model_axis_first(m, n) else 1
+
+        def body(lo: int, hi: int) -> None:
+            grad = slice_axis(grad_stbt, axis, lo, hi)
+            np.multiply(grad, scale, out=grad)
+            np.matmul(grad, slice_axis(windows_flat, axis, lo, hi),
+                      out=slice_axis(kernel_grads, axis, lo, hi))
+
+        parallel_for(body, kernel_grads.shape[axis],
+                     outputs=((grad_stbt, axis), (kernel_grads, axis)))
+
+    # ------------------------------------------------------------------ #
     # Batch staging and evaluation
     # ------------------------------------------------------------------ #
     def _as_model_batch(self, windows_list: Sequence[np.ndarray]) -> np.ndarray:
@@ -1105,46 +1190,35 @@ class StackedInferenceEngine(ProfilingSeam):
         this against one autograd ``backward()`` per target on the
         reference forward.
 
-        Each stage runs the GEMM shapes of the training step's backward
-        (:meth:`repro.nn.training_engine.StackedTrainingEngine._backward`)
-        on the same buffer layouts, but stops at the attention
-        probabilities and the kernel: no loss seed, no softmax or
-        parameter-gradient GEMMs, and a per-target single-kernel sum.
+        The stages are the training backward's
+        (:meth:`repro.nn.training_engine.StackedTrainingEngine._backward`);
+        only the all-ones seed, the kernel-dtype cast and the per-target
+        single-kernel sum are the detector's own.  The buffers are allocated
+        per call, so none stays in the arena while relevance propagation
+        runs.  Not sized by its batch, the call is serial under the
+        work-size rule; under an explicit count its stages thread.
         """
         stage = forward.stage
         m, batch, n, window = forward.output.shape
-        n_heads = stage["n_heads"]
+        rows = (m, batch * n)
         dtype = forward.output.dtype
-        tsbt, probs = forward.tsbt, forward.attention_probs
-
-        # All-ones output seed → back through the MLP tail's linears.
-        grad_ffn = np.ones((m, batch * n, window), dtype) \
-            @ stage["w3"].transpose(0, 2, 1)
-        grad_hidden = grad_ffn @ stage["w2"].transpose(0, 2, 1)
-        grad_hidden *= forward.slope
-        grad_combined = grad_hidden @ stage["w1"].transpose(0, 2, 1)
-
-        # Head combination, then the attention application (Eq. 6): one
-        # GEMM per (model, target, batch) slice, batch axis innermost.
-        grad_heads = grad_combined.reshape(m, batch, n, 1, window) \
-            * stage["w_output"][:, None, None, :, None]         # (M,B,i,h,T)
-        grad_heads_ib = grad_heads.swapaxes(1, 2)
-        attention_grads = np.empty((m, n_heads, batch, n, n), dtype)
-        np.matmul(grad_heads_ib, tsbt.transpose(0, 1, 3, 4, 2),
-                  out=attention_grads.transpose(0, 3, 2, 1, 4))
-        grad_tsbt = np.empty((m, n, n, batch, window), dtype)
-        np.matmul(probs.transpose(0, 3, 2, 4, 1), grad_heads_ib,
-                  out=grad_tsbt.swapaxes(2, 3))
-
-        # Causal convolution: undo the Eq. 4 shift on the self-series
-        # rows, rescale in place, then one GEMM per source series.
-        diagonal = series_diagonal(grad_tsbt)
-        diagonal[..., :-1] = diagonal[..., 1:].copy()
-        diagonal[..., -1] = 0.0
-        grad_stbt = grad_tsbt.reshape(m, n, n, batch * window) \
-            .transpose(0, 2, 1, 3)
-        grad_stbt *= np.tile(stage["scale_array"], batch)
-        kernel_grads = grad_stbt @ forward.windows_flat         # (M,N,N,K)
+        grad_combined = np.empty(rows + (window,), dtype)
+        self._mlp_input_backward(
+            np.ones(rows + (window,), dtype), stage, forward.slope,
+            np.empty(rows + (window,), dtype),
+            np.empty(forward.slope.shape, dtype), grad_combined)
+        attention_grads = np.empty(forward.attention_probs.shape, dtype)
+        grad_tsbt = np.empty(forward.tsbt.shape, dtype)
+        self._combine_backward(
+            grad_combined, stage, forward.attention_probs, forward.tsbt,
+            np.empty((m, batch, n, stage["n_heads"], window), dtype),
+            attention_grads, grad_tsbt)
+        kernel_grads = np.empty((m, n, n, window), dtype)   # (M,N,N,K)
+        self._convolution_backward(
+            grad_tsbt, np.empty((m, n, batch, window - 1), dtype),
+            tiled_scale(self._space(forward.inputs), stage["scale_array"],
+                        batch),
+            forward.windows_flat, kernel_grads)
         kernel_dtype = self.models[0].convolution.kernel.data.dtype
         if kernel_grads.dtype != kernel_dtype:
             # The node-boundary cast happens before the single-kernel

@@ -828,18 +828,6 @@ def pad(a: ArrayLike, pad_width, constant_value: float = 0.0) -> Tensor:
     return out
 
 
-def where(condition: np.ndarray, a: ArrayLike, b: ArrayLike) -> Tensor:
-    a, b = _wrap(a), _wrap(b)
-    cond = np.asarray(condition, dtype=bool)
-    out = _make_op(np.where(cond, a.data, b.data), (a, b))
-    if out.requires_grad:
-        def backward(grad, route):
-            route(a, grad * cond)
-            route(b, grad * (~cond))
-        out._backward = backward
-    return out
-
-
 def einsum(subscripts: str, *operands: ArrayLike) -> Tensor:
     """Differentiable einsum for the contraction patterns the model uses.
 

@@ -44,20 +44,19 @@ is wider): a float32 model trains in float32, as its autograd reference
 does, and a float64 model in float64.  The training step keeps the
 convolution values in the ``(K, target, source, B·T)`` buffer the forward
 writes (see
-:meth:`~repro.nn.inference.StackedInferenceEngine._convolution`).  The
-Eq. 6 backward GEMMs read the attention and these values as strided views
-and write the attention gradient straight into the softmax backward's
-``(K, h, B, i, j)`` layout and the value gradient into ``(K, i, j, B·T)``.
-The Eq. 4 shift is undone by one copy through a strided view of the
-self-series diagonal (:func:`~repro.nn.inference.series_diagonal`), the
-1/t rescale runs in place, and the kernel GEMMs read the gradient as
-``(target, B·T)`` strided views, one per source series.  The detector's
+:meth:`~repro.nn.inference.StackedInferenceEngine._convolution`), and the
+backward reads it and the attention as strided views.
+
+Three backward stages are methods of
+:class:`~repro.nn.inference.StackedInferenceEngine`, because the detector's
 all-ones backward
 (:meth:`~repro.nn.inference.StackedInferenceEngine.interpretation_gradients`)
-runs the Eq. 6 and convolution stages in the same shapes over the same
-forward buffers, as a function of its own: it writes no parameter
-gradients, skips the loss, softmax and projection stages, and sums the
-single kernel per target.
+runs them too: the MLP input-gradient chain (``_mlp_input_backward``), the
+Eq. 6 GEMMs (``_combine_backward``) and the Eq. 4 shift undo with the
+kernel GEMMs (``_convolution_backward``).  They write into buffers the
+caller passes: the plan's arena buffers here, buffers allocated per call
+there.  Every parameter gradient is :meth:`StackedTrainingEngine._backward`'s
+own.
 
 Threaded execution
 ------------------
@@ -108,8 +107,8 @@ import numpy as np
 from repro.contracts import hot_path
 from repro.nn.inference import (InferenceEngine, ScratchArena, ScratchSpace,
                                 StackedInferenceEngine, _mse_plus_penalties,
-                                series_diagonal, sized_by_batch,
-                                sum_last_keepdims, tiled_scale)
+                                sized_by_batch, sum_last_keepdims,
+                                tiled_scale)
 from repro.nn.optim import ParameterStack, StackedAdam
 from repro.nn.parallel import get_engine_threads, parallel_for, slice_axis
 
@@ -203,28 +202,15 @@ class _StackedBackwardPlan:
         self.w1_tmp = take("bwd.w1", (m, window, d_ffn), cdtype)
         self.b1_tmp = take("bwd.b1", (m, d_ffn), cdtype)
         self.grad_combined = take("bwd.comb", (m, bn, window), cdtype)
-        self.grad_comb4d = self.grad_combined.reshape(m, batch, n, window)
-        self.gc5 = self.grad_comb4d[:, :, :, None, :]
 
-        # The Eq. 6 GEMMs run on strided views, one per (model, target,
-        # batch) slice with the batch axis innermost: attention straight
-        # from the softmax output, values from the (K, target, source, B, T)
-        # convolution buffer.  They write ``grad_a`` in the softmax
-        # backward's (K, h, B, i, j) layout and ``grad_v`` in the values'.
         self.probs = take("att.probs", (m, n_heads, batch, n, n), cdtype)
         self.values = take("conv.tsbt", (m, n, n, batch, window), cdtype)
         self.head_outputs = take("comb.ho", (m, batch, n, n_heads, window),
                                  cdtype)
         self.grad_heads = take("comb.bwd.heads",
                                (m, batch, n, n_heads, window), cdtype)
-        self.grad_heads_ib = self.grad_heads.swapaxes(1, 2)
-        self.gc5_ib = self.gc5.swapaxes(1, 2)
         self.grad_probs = take("bwd.ga", (m, n_heads, batch, n, n), cdtype)
-        self.grad_a = self.grad_probs.transpose(0, 3, 2, 1, 4)
         self.grad_tsbt = take("bwd.gv", (m, n, n, batch, window), cdtype)
-        self.grad_v = self.grad_tsbt.swapaxes(2, 3)
-        self.v_t = self.values.transpose(0, 1, 3, 4, 2)
-        self.a_t = self.probs.transpose(0, 3, 2, 4, 1)
         self.ho_flat = take("bwd.ho_flat", (m, n_heads, bn * window), cdtype)
         self.ho_flat_r = self.ho_flat.reshape(m, n_heads, batch, n, window)
         self.ho_src = self.head_outputs.transpose(0, 3, 1, 2, 4)
@@ -263,13 +249,8 @@ class _StackedBackwardPlan:
 
         self.windows_flat = take("conv.windows_flat",
                                  (m, n, batch * window, window), xb_dtype)
-        self.grad_diagonal = series_diagonal(self.grad_tsbt)
         self.unshift = take("bwd.conv.unshift", (m, n, batch, window - 1),
                             cdtype)
-        # The value gradient, rescaled in place, is the kernel GEMM's
-        # (K, source, target, B·T) operand as a strided view.
-        self.grad_stbt = self.grad_tsbt.reshape(
-            m, n, n, batch * window).transpose(0, 2, 1, 3)
         self.ksum = None
         if self.single_kernel:
             self.kgrad = take("bwd.conv.geff", (m, n, n, window), cdtype)
@@ -471,60 +452,38 @@ class StackedTrainingEngine(StackedInferenceEngine):
         # Slot 0 is never written; the allocation zero-fill persists there.
         np.multiply(diff, 2.0 / diff[0].size, out=p.grad_pred[..., 1:])
 
-        # --- MLP tail backward (threaded over the model axis: each row
-        # is an independent 2-D GEMM / reduction, unchanged per model) --- #
-        w3_t = stage["w3"].transpose(0, 2, 1)
-        w2_t = stage["w2"].transpose(0, 2, 1)
-        w1_t = stage["w1"].transpose(0, 2, 1)
+        # --- MLP tail backward: the input-gradient chain, then the weight
+        # gradients (threaded over the model axis: each row is an
+        # independent 2-D GEMM / reduction, unchanged per model) --------- #
+        self._mlp_input_backward(p.grad2d, stage, p.slope, p.grad_ffn,
+                                 p.grad_hidden, p.grad_combined)
 
-        def mlp_body(lo, hi):
+        def mlp_weights_body(lo, hi):
             np.matmul(p.ffn_t[lo:hi], p.grad2d[lo:hi], out=p.w3_tmp[lo:hi])
             p.w3_view[lo:hi] = p.w3_tmp[lo:hi]
             p.grad2d[lo:hi].sum(axis=1, out=p.b3_tmp[lo:hi])
             p.b3_view[lo:hi] = p.b3_tmp[lo:hi]
-            np.matmul(p.grad2d[lo:hi], w3_t[lo:hi], out=p.grad_ffn[lo:hi])
             np.matmul(p.activated_t[lo:hi], p.grad_ffn[lo:hi],
                       out=p.w2_tmp[lo:hi])
             p.w2_view[lo:hi] = p.w2_tmp[lo:hi]
             p.grad_ffn[lo:hi].sum(axis=1, out=p.b2_tmp[lo:hi])
             p.b2_view[lo:hi] = p.b2_tmp[lo:hi]
-            np.matmul(p.grad_ffn[lo:hi], w2_t[lo:hi],
-                      out=p.grad_hidden[lo:hi])
-            p.grad_hidden[lo:hi] *= p.slope[lo:hi]
             np.matmul(p.combined2d_t[lo:hi], p.grad_hidden[lo:hi],
                       out=p.w1_tmp[lo:hi])
             p.w1_view[lo:hi] = p.w1_tmp[lo:hi]
             p.grad_hidden[lo:hi].sum(axis=1, out=p.b1_tmp[lo:hi])
             p.b1_view[lo:hi] = p.b1_tmp[lo:hi]
-            np.matmul(p.grad_hidden[lo:hi], w1_t[lo:hi],
-                      out=p.grad_combined[lo:hi])
 
-        parallel_for(mlp_body, m,
-                     outputs=((p.w3_tmp, 0), (p.b3_tmp, 0), (p.grad_ffn, 0),
-                              (p.w2_tmp, 0), (p.b2_tmp, 0),
-                              (p.grad_hidden, 0), (p.w1_tmp, 0),
-                              (p.b1_tmp, 0), (p.grad_combined, 0),
+        parallel_for(mlp_weights_body, m,
+                     outputs=((p.w3_tmp, 0), (p.b3_tmp, 0), (p.w2_tmp, 0),
+                              (p.b2_tmp, 0), (p.w1_tmp, 0), (p.b1_tmp, 0),
                               (p.w3_view, 0), (p.b3_view, 0),
                               (p.w2_view, 0), (p.b2_view, 0),
                               (p.w1_view, 0), (p.b1_view, 0)))
 
-        # --- attention combination backward (model or target axis) ------ #
-        axis = 0 if self._model_axis_first(m, n) else 1
-        w_out5 = stage["w_output"][:, None, None, :, None]
-
-        def combine_body(lo, hi):
-            w_out = w_out5[lo:hi] if axis == 0 else w_out5
-            grad_heads = slice_axis(p.grad_heads_ib, axis, lo, hi)
-            np.multiply(slice_axis(p.gc5_ib, axis, lo, hi), w_out,
-                        out=grad_heads)
-            np.matmul(grad_heads, slice_axis(p.v_t, axis, lo, hi),
-                      out=slice_axis(p.grad_a, axis, lo, hi))
-            np.matmul(slice_axis(p.a_t, axis, lo, hi), grad_heads,
-                      out=slice_axis(p.grad_v, axis, lo, hi))
-
-        parallel_for(combine_body, p.grad_heads_ib.shape[axis],
-                     outputs=((p.grad_heads_ib, axis), (p.grad_a, axis),
-                              (p.grad_v, axis)))
+        # --- attention combination backward ----------------------------- #
+        self._combine_backward(p.grad_combined, stage, p.probs, p.values,
+                               p.grad_heads, p.grad_probs, p.grad_tsbt)
         # Per-model np.tensordot(head_outputs, grad_combined, ([0,1,3],
         # [0,1,2])) unrolled to its transpose-copy + dot, one row at a time.
         ho_axis = 0 if self._model_axis_first(m, batch) else 2
@@ -635,23 +594,11 @@ class StackedTrainingEngine(StackedInferenceEngine):
                               (p.mask_cast, 0))
                      + tuple((view, 0) for view in p.mask_views))
 
-        # --- causal convolution backward: undo the Eq. 4 shift, rescale
-        # the value gradient in place, then one GEMM per source series
-        # reads it as a (target, B·T) strided view ---------------------- #
-        np.copyto(p.unshift, p.grad_diagonal[..., 1:])
-        np.copyto(p.grad_diagonal[..., :-1], p.unshift)
-        p.grad_diagonal[..., -1] = 0.0
-        scale = tiled_scale(space, stage["scale_array"], batch)
-        k_axis = 0 if self._model_axis_first(m, n) else 1
-
-        def kernel_body(lo, hi):
-            grad = slice_axis(p.grad_stbt, k_axis, lo, hi)
-            np.multiply(grad, scale, out=grad)
-            np.matmul(grad, slice_axis(p.windows_flat, k_axis, lo, hi),
-                      out=slice_axis(p.kgrad, k_axis, lo, hi))
-
-        parallel_for(kernel_body, p.kgrad.shape[k_axis],
-                     outputs=((p.grad_stbt, k_axis), (p.kgrad, k_axis)))
+        # --- causal convolution backward ------------------------------- #
+        self._convolution_backward(
+            p.grad_tsbt, p.unshift,
+            tiled_scale(space, stage["scale_array"], batch), p.windows_flat,
+            p.kgrad)
         if p.single_kernel:
             # Broadcast-multiply backward: gradient × constant ones (exact
             # ×1.0, elided), then the unbroadcast sum down to (K, 1, 1, T).

@@ -91,10 +91,6 @@ class TestSoftmax:
         (F.softmax(x, axis=-1) * weights).sum().backward()
         np.testing.assert_allclose(x.grad.sum(axis=-1), 0.0, atol=1e-10)
 
-    def test_log_softmax_finite(self):
-        out = F.log_softmax(Tensor(self.rng.normal(size=(3, 4)) * 10))
-        assert np.isfinite(out.data).all()
-
 
 class TestLosses:
     def setup_method(self):
@@ -121,32 +117,6 @@ class TestLosses:
     def test_mse_invalid_reduction(self):
         with pytest.raises(ValueError):
             F.mse_loss(Tensor([1.0]), Tensor([1.0]), reduction="bogus")
-
-    def test_mae_matches_numpy(self):
-        a, b = self.rng.normal(size=(4,)), self.rng.normal(size=(4,))
-        assert float(F.mae_loss(Tensor(a), Tensor(b)).data) == pytest.approx(
-            np.mean(np.abs(a - b)))
-
-    def test_l1_norm(self):
-        x = self.rng.normal(size=(3, 3))
-        assert float(F.l1_norm(Tensor(x)).data) == pytest.approx(np.abs(x).sum())
-
-    def test_l2_norm(self):
-        x = self.rng.normal(size=(5,))
-        assert float(F.l2_norm(Tensor(x)).data) == pytest.approx(np.linalg.norm(x), rel=1e-5)
-
-    def test_group_lasso_matches_manual(self):
-        weight = self.rng.normal(size=(6, 4))
-        expected = np.sqrt((weight ** 2).sum(axis=0)).sum()
-        assert float(F.group_lasso(Tensor(weight), axis=0).data) == pytest.approx(expected, rel=1e-5)
-
-    def test_huber_quadratic_region(self):
-        a = Tensor([0.5]); b = Tensor([0.0])
-        assert float(F.huber_loss(a, b, delta=1.0).data) == pytest.approx(0.125)
-
-    def test_huber_linear_region(self):
-        a = Tensor([3.0]); b = Tensor([0.0])
-        assert float(F.huber_loss(a, b, delta=1.0).data) == pytest.approx(2.5)
 
 
 class TestDropout:

@@ -287,6 +287,29 @@ class TestSteadyStateReuse:
         engine.interpretation_forward(windows)
         assert engine.arena.buffer_ids() == identifiers
 
+    def test_interpretation_gradients_stay_out_of_the_arena(self):
+        """The all-ones backward allocates its buffers per call: the arena
+        holds nothing new afterwards, the forward views relevance
+        propagation reads are left untouched, and two calls return equal
+        gradients in arrays of their own."""
+        model, _config = build(np.float64)
+        engine = InferenceEngine(model)
+        forward = engine.interpretation_forward(window_batch(model, batch=4))
+        identifiers = engine.fleet.arena.buffer_ids()
+        nbytes = engine.fleet.arena.nbytes
+        before = {name: np.copy(value)
+                  for name, value in vars(forward).items()
+                  if isinstance(value, np.ndarray)}
+        first = engine.interpretation_gradients(forward)
+        second = engine.interpretation_gradients(forward)
+        assert engine.fleet.arena.buffer_ids() == identifiers
+        assert engine.fleet.arena.nbytes == nbytes
+        for name, value in before.items():
+            assert np.array_equal(getattr(forward, name), value), name
+        for left, right in zip(first, second):
+            assert np.array_equal(left, right)
+            assert not np.shares_memory(left, right)
+
 
 class TestStackedEngine:
     """A K-model StackedInferenceEngine: per-model results bit-identical to
@@ -427,3 +450,88 @@ class TestStackedEngineValidation:
         finally:
             StackedInferenceEngine.FULL_BATCH_ELEMENT_LIMIT = original
         assert stacked == single
+
+
+class TestSharedBackwardStages:
+    """The backward stages the training step and the detector share, each
+    against a plain einsum of its math.  One model chunks over the inner
+    axis and three over the model axis, so both layouts are covered."""
+
+    BATCH, N, WINDOW, HEADS, D_FFN = 3, 4, 5, 2, 6
+    # einsum and the stages' GEMMs sum in different orders.
+    TOLERANCE = {"rtol": 1e-12, "atol": 1e-12}
+
+    @staticmethod
+    def engine(n_models):
+        model, _config = build(np.float64)
+        return StackedInferenceEngine([model] * n_models)
+
+    @pytest.mark.parametrize("n_models", [1, 3])
+    def test_mlp_input_backward_matches_einsum(self, n_models):
+        rng = np.random.default_rng(11)
+        rows = self.BATCH * self.N
+        grad_output = rng.normal(size=(n_models, rows, self.WINDOW))
+        stage = {"w1": rng.normal(size=(n_models, self.WINDOW, self.D_FFN)),
+                 "w2": rng.normal(size=(n_models, self.D_FFN, self.WINDOW)),
+                 "w3": rng.normal(size=(n_models, self.WINDOW, self.WINDOW))}
+        slope = np.where(rng.random((n_models, rows, self.D_FFN)) > 0.5,
+                         1.0, 0.01)
+        grad_ffn = np.empty_like(grad_output)
+        grad_hidden = np.empty_like(slope)
+        grad_combined = np.empty_like(grad_output)
+        self.engine(n_models)._mlp_input_backward(
+            grad_output, stage, slope, grad_ffn, grad_hidden, grad_combined)
+        expected_ffn = np.einsum("mrt,mst->mrs", grad_output, stage["w3"])
+        expected_hidden = np.einsum("mrt,mft->mrf", expected_ffn,
+                                    stage["w2"]) * slope
+        expected = np.einsum("mrf,mtf->mrt", expected_hidden, stage["w1"])
+        np.testing.assert_allclose(grad_ffn, expected_ffn, **self.TOLERANCE)
+        np.testing.assert_allclose(grad_hidden, expected_hidden,
+                                   **self.TOLERANCE)
+        np.testing.assert_allclose(grad_combined, expected, **self.TOLERANCE)
+
+    @pytest.mark.parametrize("n_models", [1, 3])
+    def test_combine_backward_matches_einsum(self, n_models):
+        rng = np.random.default_rng(12)
+        m, b, n, h, t = n_models, self.BATCH, self.N, self.HEADS, self.WINDOW
+        grad_combined = rng.normal(size=(m, b * n, t))
+        stage = {"w_output": rng.normal(size=(m, h))}
+        probs = rng.random((m, h, b, n, n))
+        tsbt = rng.normal(size=(m, n, n, b, t))
+        grad_heads = np.empty((m, b, n, h, t))
+        grad_probs = np.empty_like(probs)
+        grad_tsbt = np.empty_like(tsbt)
+        self.engine(m)._combine_backward(grad_combined, stage, probs, tsbt,
+                                         grad_heads, grad_probs, grad_tsbt)
+        expected_heads = np.einsum("mbit,mh->mbiht",
+                                   grad_combined.reshape(m, b, n, t),
+                                   stage["w_output"])
+        np.testing.assert_allclose(grad_heads, expected_heads,
+                                   **self.TOLERANCE)
+        np.testing.assert_allclose(
+            grad_probs, np.einsum("mbiht,mijbt->mhbij", expected_heads, tsbt),
+            **self.TOLERANCE)
+        np.testing.assert_allclose(
+            grad_tsbt, np.einsum("mhbij,mbiht->mijbt", probs, expected_heads),
+            **self.TOLERANCE)
+
+    @pytest.mark.parametrize("n_models", [1, 3])
+    def test_convolution_backward_matches_einsum(self, n_models):
+        rng = np.random.default_rng(13)
+        m, b, n, t = n_models, self.BATCH, self.N, self.WINDOW
+        grad_tsbt = rng.normal(size=(m, n, n, b, t))
+        scale = rng.random(b * t) + 0.5
+        windows_flat = rng.normal(size=(m, n, b * t, t))
+        kernel_grads = np.empty((m, n, n, t))
+        # Undo the Eq. 4 right-shift of the self-series rows by hand.
+        unshifted = grad_tsbt.copy()
+        for i in range(n):
+            unshifted[:, i, i, :, :-1] = grad_tsbt[:, i, i, :, 1:]
+            unshifted[:, i, i, :, -1] = 0.0
+        rescaled = unshifted.reshape(m, n, n, b * t) * scale
+        self.engine(m)._convolution_backward(
+            grad_tsbt, np.empty((m, n, b, t - 1)), scale, windows_flat,
+            kernel_grads)
+        np.testing.assert_allclose(
+            kernel_grads, np.einsum("mjsr,msrk->msjk", rescaled, windows_flat),
+            **self.TOLERANCE)

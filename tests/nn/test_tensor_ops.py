@@ -179,12 +179,6 @@ class TestShapeGradients:
         check_gradient(lambda x: (T.pad(x, ((0, 0), (2, 1))) ** 2).sum(),
                        self.rng.normal(size=(3, 4)))
 
-    def test_where(self):
-        condition = self.rng.random((3, 4)) > 0.5
-        other = self.rng.normal(size=(3, 4))
-        check_gradient(lambda x: (T.where(condition, x, Tensor(other)) ** 2).sum(),
-                       self.rng.normal(size=(3, 4)))
-
 
 class TestEinsumGradients:
     def setup_method(self):
@@ -262,6 +256,3 @@ class TestCompositeGradients:
     def test_mse_loss_gradient(self):
         target = self.rng.normal(size=(4, 5))
         check_gradient(lambda x: F.mse_loss(x, Tensor(target)), self.rng.normal(size=(4, 5)))
-
-    def test_l1_norm_gradient(self):
-        check_gradient(lambda x: F.l1_norm(x), self.rng.normal(size=(4, 5)) + 0.2)

@@ -22,6 +22,7 @@ from repro.core.batched import StackedCausalFormerTrainer
 from repro.core.config import CausalFormerConfig
 from repro.core.training import Trainer
 from repro.core.transformer import CausalityAwareTransformer
+from repro.nn.inference import StackedInferenceEngine
 from repro.nn.optim import Adam
 from repro.nn.tensor import Tensor, default_dtype
 from repro.nn.training_engine import TrainingEngine
@@ -205,6 +206,59 @@ class TestStackedGradientParity:
                 assert np.array_equal(expected,
                                       trainer._grad_view(name)[row]), \
                     (row, name)
+
+
+class TestOneBackward:
+    """The training step and the detector run one set of backward stages.
+
+    Each call must reach every shared stage exactly once, so a private copy
+    of a stage in either caller fails here.
+    """
+
+    STAGES = ("_mlp_input_backward", "_combine_backward",
+              "_convolution_backward")
+
+    def count_stage_calls(self, monkeypatch):
+        counts = dict.fromkeys(self.STAGES, 0)
+        for name in self.STAGES:
+            original = getattr(StackedInferenceEngine, name)
+
+            def counting(*args, _name=name, _original=original, **kwargs):
+                counts[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(StackedInferenceEngine, name, counting)
+        return counts
+
+    @staticmethod
+    def fleet(single_kernel):
+        configs = [make_config(seed=seed, single_kernel=single_kernel)
+                   for seed in range(2)]
+        models = [CausalityAwareTransformer(config) for config in configs]
+        rng = np.random.default_rng(6)
+        batch = rng.normal(size=(len(models), 8, configs[0].n_series,
+                                 configs[0].window))
+        return models, batch
+
+    @pytest.mark.parametrize("single_kernel", [False, True])
+    def test_train_step_runs_each_stage_once(self, monkeypatch,
+                                             single_kernel):
+        models, batch = self.fleet(single_kernel)
+        trainer = StackedCausalFormerTrainer(models)
+        counts = self.count_stage_calls(monkeypatch)
+        trainer.engine.train_step(np.ascontiguousarray(batch,
+                                                       dtype=trainer.dtype))
+        assert counts == dict.fromkeys(self.STAGES, 1)
+
+    @pytest.mark.parametrize("single_kernel", [False, True])
+    def test_interpretation_gradients_run_each_stage_once(
+            self, monkeypatch, single_kernel):
+        models, batch = self.fleet(single_kernel)
+        engine = StackedInferenceEngine(models)
+        forward = engine.interpretation_forward(list(batch))
+        counts = self.count_stage_calls(monkeypatch)
+        engine.interpretation_gradients(forward)
+        assert counts == dict.fromkeys(self.STAGES, 1)
 
 
 class TestDtypePolicy:
