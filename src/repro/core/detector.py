@@ -114,8 +114,7 @@ class DecompositionCausalityDetector:
                  use_relevance: bool = True,
                  use_gradient: bool = True,
                  use_bias: bool = True) -> None:
-        self._source_model = model
-        self.model = self._interpretation_model(model)
+        self.model = model
         self.config = config or model.config
         self.use_interpretation = use_interpretation
         self.use_relevance = use_relevance
@@ -124,48 +123,13 @@ class DecompositionCausalityDetector:
         if not use_relevance and not use_gradient:
             raise ValueError("at least one of relevance or gradients must be used")
         # The fused no-autograd engine and relevance propagation over the
-        # interpretation model, as a fleet of one; the engine's scratch
-        # arena is reused across every scoring call.
+        # model itself, in its own dtype, as a fleet of one; the engine
+        # re-reads the live weights and reuses its scratch arena on every
+        # scoring call.
         self._fleet = StackedInferenceEngine([self.model])
         self._relevance = StackedRelevancePropagation(
             [self.model], use_bias=use_bias,
             epsilon=self.config.relevance_epsilon)
-
-    @staticmethod
-    def _interpretation_model(model: CausalityAwareTransformer
-                              ) -> CausalityAwareTransformer:
-        """A float64 view of the trained model for interpretation.
-
-        Training runs in float32 (the engine default), but the detector's
-        gradient-modulated relevance scores divide by stabilised activations
-        (Eq. 15–18) — float32 noise there measurably shifts Table 2/3
-        scores, and interpretation cost is bounded by
-        ``max_detector_windows``, so precision is cheap here.  The trained
-        weights are copied into a float64 twin; a model that is already
-        float64 is used as-is.
-        """
-        parameter = next(iter(model.parameters()))
-        if parameter.data.dtype == np.float64:
-            return model
-        from repro.nn.tensor import default_dtype
-
-        with default_dtype(np.float64):
-            twin = CausalityAwareTransformer(model.config)
-        twin.load_state_dict(model.state_dict())
-        return twin
-
-    def _sync_interpretation_model(self) -> None:
-        """Copy the source model's current weights into the float64 twin.
-
-        The twin must track the live model — the detector may be constructed
-        before (or between) training runs, so weights are re-synced on every
-        scoring call rather than frozen at construction time.
-        """
-        if self.model is self._source_model:
-            return
-        for twin_param, source_param in zip(self.model.parameters(),
-                                            self._source_model.parameters()):
-            twin_param.data = source_param.data.astype(twin_param.data.dtype)
 
     # ------------------------------------------------------------------ #
     # Causal scores
@@ -181,12 +145,11 @@ class DecompositionCausalityDetector:
         floating-point rounding.
         """
         windows = self._checked_windows(windows)
-        self._sync_interpretation_model()
         return _interpret([self], self._fleet, self._relevance, [windows])[0]
 
     def _checked_windows(self, windows: np.ndarray) -> np.ndarray:
-        """``windows`` as a float ``(B, N, T)`` batch matching the model."""
-        windows = np.asarray(windows, dtype=float)
+        """``windows`` as a ``(B, N, T)`` batch matching the model."""
+        windows = np.asarray(windows)
         if windows.ndim == 2:
             windows = windows[None, :, :]
         if windows.shape[1:] != (self.config.n_series, self.config.window):
@@ -197,12 +160,18 @@ class DecompositionCausalityDetector:
         return windows
 
     def _raw_weight_scores(self, attention_probs: np.ndarray) -> CausalScores:
-        """The "w/o interpretation" ablation: read model weights directly."""
+        """The "w/o interpretation" ablation: read model weights directly.
+
+        Scores are float64 whatever the model dtype, as the interpreting
+        paths' are.
+        """
         # Mean ``(h, B, N, N)`` attention over heads and batch;
         # attention[b, i, j] already has target as the row index, matching
         # CausalScores' convention.
-        attention = attention_probs.mean(axis=0).mean(axis=0)
-        kernel = np.abs(self.model.convolution.effective_kernel().data)
+        attention = attention_probs.mean(axis=0, dtype=np.float64) \
+            .mean(axis=0)
+        kernel = np.abs(self.model.convolution.effective_kernel().data) \
+            .astype(np.float64, copy=False)
         # kernel[source, target, τ] → scores[target, source, τ]
         kernel_scores = np.transpose(kernel, (1, 0, 2))
         return CausalScores(attention=attention, kernel=kernel_scores)
@@ -265,9 +234,8 @@ def compute_scores_group(detectors: Sequence[DecompositionCausalityDetector],
     trainer's engine arena so training, validation and interpretation share
     one buffer pool.  Safe because the phases run sequentially and every
     call site fully overwrites the buffers it reads before reading them.
-    The engines key their scratch spaces by batch shape and model dtype, so
-    the float64 twins of a float32 fleet interpret in spaces of their own;
-    only the staged weights, re-staged on every call, share buffer names.
+    Each detector interprets its model in that model's dtype, re-reading
+    the live weights on every call.
     """
     detectors = list(detectors)
     if not detectors:
@@ -296,8 +264,6 @@ def compute_scores_group(detectors: Sequence[DecompositionCausalityDetector],
         raise ValueError(
             "grouped interpretation requires same-shape window sets")
 
-    for detector in detectors:
-        detector._sync_interpretation_model()
     models = [detector.model for detector in detectors]
     return _interpret(
         detectors, StackedInferenceEngine(models, arena=arena),

@@ -18,7 +18,7 @@ detector (Sec. 4.2) and returns the temporal causal graph.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Optional, Union
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -84,21 +84,26 @@ class CausalFormer:
     # ------------------------------------------------------------------ #
     # Data handling
     # ------------------------------------------------------------------ #
-    def _extract_values(self, data: DataLike) -> np.ndarray:
+    def _extract_values(self, data: DataLike
+                        ) -> Tuple[np.ndarray, Optional[List[str]]]:
+        """``(values, series_names)`` of ``data``, checked and normalised.
+
+        Leaves the fitted state alone: :meth:`prepare_fit` adopts the names.
+        """
         if isinstance(data, TimeSeriesDataset):
-            self._series_names = list(data.series_names)
+            names = list(data.series_names)
             values = data.values
         else:
             values = np.asarray(data, dtype=float)
             if values.ndim != 2:
                 raise ValueError("expected an (n_series, n_timesteps) array")
-            self._series_names = None
+            names = None
         bad = np.argwhere(~np.isfinite(values))
         if len(bad):
             # Reject here: a NaN or ±inf would otherwise train, get
             # interpreted, and only fail deep inside the k-means clustering.
             series, step = (int(index) for index in bad[0])
-            name = self._series_names[series] if self._series_names else series
+            name = names[series] if names else series
             raise ValueError(
                 f"input series {name!r} holds the non-finite value "
                 f"{values[series, step]} at step {step}; CausalFormer needs "
@@ -111,7 +116,7 @@ class CausalFormer:
             )
         if self.normalize:
             values = zscore_normalize(values)
-        return values
+        return values, names
 
     def _detector_windows(self, values: np.ndarray) -> np.ndarray:
         """A bounded, evenly-spaced subset of windows for interpretation."""
@@ -143,7 +148,7 @@ class CausalFormer:
         self.scores_ = None
         self.graph_ = None
         self._fitted_values = None
-        values = self._extract_values(data)
+        values, self._series_names = self._extract_values(data)
         config = replace(self.config, n_series=values.shape[0])
         self.config = config
         self.model_ = CausalityAwareTransformer(config)
@@ -215,13 +220,21 @@ class CausalFormer:
         return self.model_ is not None
 
     def prediction_error(self, data: Optional[DataLike] = None) -> float:
-        """Window-prediction MSE of the trained transformer."""
+        """Window-prediction MSE of the trained transformer.
+
+        Scores the fitted data, or ``data`` when given; either way the
+        fitted state is left as it was.
+        """
         if self.model_ is None:
             raise RuntimeError("call fit() first")
         if data is None:
             values = self._fitted_values
         else:
-            values = self._extract_values(data)
+            values, _names = self._extract_values(data)
+            if values.shape[0] != self.config.n_series:
+                raise ValueError(
+                    f"the data has {values.shape[0]} series; the model was "
+                    f"fitted on {self.config.n_series}")
         windows = self._detector_windows(values)
         return self.model_.prediction_error(windows)
 

@@ -533,33 +533,63 @@ class StackedInferenceEngine(ProfilingSeam):
         """Stage the fused weight layouts for the current parameter values.
 
         The engine re-reads the models' parameters on every public call
-        (they change between validation passes during training), copying
-        them into stacked arena buffers and building the fused layouts:
-        concatenated Q/K projections, the scaled mask modulation and the
-        broadcast single kernel.
+        (they change between validation passes during training):
+        :meth:`_parameter_stacks` serves each one as an ``(M, *shape)``
+        stack, and :meth:`_fuse` builds the fused layouts from the stacks.
+        """
+        return self._fuse(self._parameter_stacks())
+
+    def _parameter_stacks(self) -> Dict[str, np.ndarray]:
+        """Name → ``(M, *shape)`` arena stack of every model's parameter.
+
+        The models are independent objects here, so each stack is a copy;
+        a training engine, whose models already live in one stacked
+        matrix, serves views of it instead.
         """
         arena = self.arena
-        models = self.models
-        m = len(models)
-        first = models[0]
+        m = len(self.models)
+        stacks = {name: arena.take(f"stack.{name}",
+                                   (m,) + parameter.data.shape,
+                                   parameter.data.dtype)
+                  for name, parameter in self.models[0].named_parameters()}
+        for row, model in enumerate(self.models):
+            for name, parameter in model.named_parameters():
+                stacks[name][row] = parameter.data
+        return stacks
+
+    def _fuse(self, stacked: Dict[str, np.ndarray]) -> dict:
+        """The fused weight layouts over ``(M, *shape)`` parameter stacks.
+
+        Concatenated Q/K projections, the scaled mask modulation and the
+        broadcast single kernel are copied into arena buffers; every other
+        entry is the stack itself.  A stack's per-model slice is
+        C-contiguous whether it is an arena copy or a view of a stacked
+        parameter matrix, so every per-slice GEMM is the same bit for bit.
+        """
+        arena = self.arena
+        first = self.models[0]
         attention = first.attention
         dtype = self.dtype
+        m = len(self.models)
         n_heads = attention.n_heads
         d_qk = attention.query_weights[0].data.shape[-1]
         d_model = first.embedding.weight.data.shape[-1]
         n = first.convolution.n_series
         window = first.convolution.window
+        head_names = [f"attention.heads.{h}" for h in range(n_heads)]
 
         weight_flat = arena.take("stack.weight_flat",
                                  (m, d_model, 2 * n_heads * d_qk), dtype)
-        bias_flat = arena.take("stack.bias_flat", (m, 2 * n_heads * d_qk), dtype)
-        for row, model in enumerate(models):
-            weights = model.attention.query_weights + model.attention.key_weights
-            biases = model.attention.query_biases + model.attention.key_biases
-            for index, (weight, bias) in enumerate(zip(weights, biases)):
-                columns = slice(index * d_qk, (index + 1) * d_qk)
-                weight_flat[row, :, columns] = weight.data
-                bias_flat[row, columns] = bias.data
+        bias_flat = arena.take("stack.bias_flat", (m, 2 * n_heads * d_qk),
+                               dtype)
+        stacks = [stacked[f"{name}.w_query"] for name in head_names] \
+            + [stacked[f"{name}.w_key"] for name in head_names]
+        bias_stacks = [stacked[f"{name}.b_query"] for name in head_names] \
+            + [stacked[f"{name}.b_key"] for name in head_names]
+        for index, (weights, biases) in enumerate(zip(stacks, bias_stacks)):
+            columns = slice(index * d_qk, (index + 1) * d_qk)
+            weight_flat[:, :, columns] = weights
+            bias_flat[:, columns] = biases
 
         # The modulation is staged in the model dtype, as the reference
         # scales its scores by a default-dtype scalar, so the attention
@@ -568,26 +598,18 @@ class StackedInferenceEngine(ProfilingSeam):
         scale = 1.0 / (attention.temperature * np.sqrt(attention.d_qk))
         modulation = arena.take("stack.modulation", (m, n_heads, 1, n, n),
                                 dtype)
-        for row, model in enumerate(models):
-            for index, mask in enumerate(model.attention.mask_parameters):
-                modulation[row, index, 0] = mask.data
+        for index, name in enumerate(head_names):
+            modulation[:, index, 0] = stacked[f"{name}.mask"]
         modulation *= scale
 
-        kernel_eff = arena.take("stack.kernel", (m, n, n, window), dtype)
-        for row, model in enumerate(models):
-            convolution = model.convolution
-            if convolution.single_kernel:
-                np.multiply(convolution.kernel.data,
-                            convolution._ones_broadcast.data,
-                            out=kernel_eff[row])
-            else:
-                kernel_eff[row] = convolution.kernel.data
-
-        def stacked_copy(name: str, arrays: List[np.ndarray]) -> np.ndarray:
-            buffer = arena.take(name, (m,) + arrays[0].shape, arrays[0].dtype)
-            for row, array in enumerate(arrays):
-                buffer[row] = array
-            return buffer
+        kernel_stack = stacked["convolution.kernel"]
+        if first.convolution.single_kernel:
+            kernel_eff = arena.take("stack.kernel", (m, n, n, window), dtype)
+            np.multiply(kernel_stack,
+                        first.convolution._ones_broadcast.data,
+                        out=kernel_eff)
+        else:
+            kernel_eff = kernel_stack
 
         return {
             "dtype": dtype,
@@ -598,19 +620,16 @@ class StackedInferenceEngine(ProfilingSeam):
             "modulation": modulation,
             "kernel_eff": kernel_eff,
             "scale_array": first.convolution._scale_array,
-            "embed_weight": stacked_copy(
-                "stack.embed_w", [model.embedding.weight.data for model in models]),
-            "embed_bias": stacked_copy(
-                "stack.embed_b", [model.embedding.bias.data for model in models]),
-            "w1": stacked_copy("stack.w1", [model.feed_forward.w1.data for model in models]),
-            "b1": stacked_copy("stack.b1", [model.feed_forward.b1.data for model in models]),
-            "w2": stacked_copy("stack.w2", [model.feed_forward.w2.data for model in models]),
-            "b2": stacked_copy("stack.b2", [model.feed_forward.b2.data for model in models]),
-            "w3": stacked_copy("stack.w3", [model.output_layer.weight.data for model in models]),
-            "b3": stacked_copy("stack.b3", [model.output_layer.bias.data for model in models]),
+            "embed_weight": stacked["embedding.weight"],
+            "embed_bias": stacked["embedding.bias"],
+            "w1": stacked["feed_forward.w1"],
+            "b1": stacked["feed_forward.b1"],
+            "w2": stacked["feed_forward.w2"],
+            "b2": stacked["feed_forward.b2"],
+            "w3": stacked["output_layer.weight"],
+            "b3": stacked["output_layer.bias"],
             "negative_slope": first.feed_forward.negative_slope,
-            "w_output": stacked_copy(
-                "stack.w_out", [model.attention.w_output.data for model in models]),
+            "w_output": stacked["attention.w_output"],
         }
 
     # ------------------------------------------------------------------ #
@@ -1148,8 +1167,11 @@ class StackedInferenceEngine(ProfilingSeam):
     def _space(self, x: np.ndarray) -> ScratchSpace:
         """The scratch space of the ``(M, B, N, T)`` batch ``x``.
 
-        Keyed by the model dtype too, so a float64 interpretation of a
-        float32 fleet on a shared arena never reallocates its buffers.
+        Keyed by the model dtype too: engines of different dtypes may share
+        an arena, and were they to share a space, one engine's reallocation
+        of a buffer would leave the other's cached
+        :class:`~repro.nn.training_engine._StackedBackwardPlan` handles
+        pointing at stale buffers.
         """
         return self.arena.space(("stack.eval", x.shape, x.dtype.str,
                                  self.dtype.str))
@@ -1158,9 +1180,7 @@ class StackedInferenceEngine(ProfilingSeam):
                              ) -> StackedInterpretationForward:
         """:meth:`_forward` on the windows, with views of what it leaves."""
         stage = self._stage()
-        # repro: allow(dtype-purity): ingestion cast to the f64 reference
-        x = self._as_model_batch([np.asarray(w, dtype=float)
-                                  for w in windows_list])
+        x = self._as_model_batch(windows_list)
         output = self._forward(x, stage)
         m, batch, n, window = x.shape
         space = self._space(x)

@@ -320,80 +320,11 @@ class StackedTrainingEngine(StackedInferenceEngine):
         self._grad_views = grad_views
         self._backward_plans.clear()
 
-    def _stage(self) -> dict:
-        """Stage only the genuinely fused layouts; serve the rest as views.
-
-        The base class copies every model's weights into stacked arena
-        buffers because its models are independent objects.  This engine's
-        models are backed by the trainer's ``(K, P)`` matrix, so the plain
-        per-parameter stacks already exist as live views — only the fused
-        layouts (concatenated Q/K projections, the scaled mask modulation,
-        the broadcast single-kernel) still need a per-step copy.  Each
-        stacked view's per-model slice is C-contiguous like the buffer rows
-        it replaces, so every per-slice GEMM is unchanged bit for bit.
-        """
-        arena = self.arena
-        first = self.models[0]
-        attention = first.attention
-        dtype = self.dtype
-        m = len(self.models)
-        n_heads = attention.n_heads
-        d_qk = attention.query_weights[0].data.shape[-1]
-        d_model = first.embedding.weight.data.shape[-1]
-        n = first.convolution.n_series
-        window = first.convolution.window
-        stacked = self._stacked
-        head_names = [f"attention.heads.{h}" for h in range(n_heads)]
-
-        weight_flat = arena.take("stack.weight_flat",
-                                 (m, d_model, 2 * n_heads * d_qk), dtype)
-        bias_flat = arena.take("stack.bias_flat", (m, 2 * n_heads * d_qk),
-                               dtype)
-        stacks = [stacked[f"{name}.w_query"] for name in head_names] \
-            + [stacked[f"{name}.w_key"] for name in head_names]
-        bias_stacks = [stacked[f"{name}.b_query"] for name in head_names] \
-            + [stacked[f"{name}.b_key"] for name in head_names]
-        for index, (weights, biases) in enumerate(zip(stacks, bias_stacks)):
-            columns = slice(index * d_qk, (index + 1) * d_qk)
-            weight_flat[:, :, columns] = weights
-            bias_flat[:, columns] = biases
-
-        scale = 1.0 / (attention.temperature * np.sqrt(attention.d_qk))
-        modulation = arena.take("stack.modulation", (m, n_heads, 1, n, n),
-                                dtype)
-        for index, name in enumerate(head_names):
-            modulation[:, index, 0] = stacked[f"{name}.mask"]
-        modulation *= scale
-
-        kernel_stack = stacked["convolution.kernel"]
-        if first.convolution.single_kernel:
-            kernel_eff = arena.take("stack.kernel", (m, n, n, window), dtype)
-            np.multiply(kernel_stack,
-                        first.convolution._ones_broadcast.data,
-                        out=kernel_eff)
-        else:
-            kernel_eff = kernel_stack
-
-        return {
-            "dtype": dtype,
-            "n_heads": n_heads,
-            "d_qk": d_qk,
-            "weight_flat": weight_flat,
-            "bias_flat": bias_flat,
-            "modulation": modulation,
-            "kernel_eff": kernel_eff,
-            "scale_array": first.convolution._scale_array,
-            "embed_weight": stacked["embedding.weight"],
-            "embed_bias": stacked["embedding.bias"],
-            "w1": stacked["feed_forward.w1"],
-            "b1": stacked["feed_forward.b1"],
-            "w2": stacked["feed_forward.w2"],
-            "b2": stacked["feed_forward.b2"],
-            "w3": stacked["output_layer.weight"],
-            "b3": stacked["output_layer.bias"],
-            "negative_slope": first.feed_forward.negative_slope,
-            "w_output": stacked["attention.w_output"],
-        }
+    def _parameter_stacks(self) -> Dict[str, np.ndarray]:
+        """The trainer's live ``(K, *shape)`` parameter views: the models
+        are backed by its ``(K, P)`` matrix, so only the fused layouts
+        need a per-step copy."""
+        return self._stacked
 
     def train_step(self, batch: np.ndarray) -> List[float]:
         """Fused forward + per-model losses + backward into the grad matrix.

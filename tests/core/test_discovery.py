@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import CausalFormer, fast_preset
-from repro.data import fork_dataset, synthetic_dataset
+from repro.data import TimeSeriesDataset, fork_dataset, synthetic_dataset
 from repro.graph import TemporalCausalGraph, evaluate_discovery
 
 
@@ -45,6 +45,28 @@ class TestLifecycle:
 
     def test_prediction_error_positive(self, trained_causalformer):
         assert trained_causalformer.prediction_error() > 0.0
+
+
+class TestPredictionError:
+    @pytest.fixture(scope="class")
+    def named_fit(self):
+        values = fork_dataset(seed=7, length=300).values
+        dataset = TimeSeriesDataset(values=values, series_names=["x", "y", "z"])
+        method = CausalFormer(fast_preset(max_epochs=2, seed=3))
+        method.discover(dataset)
+        return method, dataset
+
+    def test_leaves_fitted_state_alone(self, named_fit):
+        method, dataset = named_fit
+        fitted_error = method.prediction_error()
+        assert method.prediction_error(dataset.values) == fitted_error
+        assert method.prediction_error() == fitted_error
+        assert method.interpret().names == ["x", "y", "z"]
+
+    def test_rejects_a_different_series_count(self, named_fit):
+        method, dataset = named_fit
+        with pytest.raises(ValueError, match="fitted on 3"):
+            method.prediction_error(dataset.values[:2])
 
 
 class TestInputHandling:

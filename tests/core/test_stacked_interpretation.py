@@ -4,8 +4,9 @@
 backward and model-axis relevance propagation across a whole sweep group;
 every per-model :class:`CausalScores` must equal the sequential
 ``compute_scores`` bit for bit — across all Table 3 ablation switches and
-the single-kernel configuration, in float64 (the detector always interprets
-through a float64 twin, so this is the contract production sweeps rely on).
+the single-kernel configuration.  The models here are float64 (the suite's
+reference dtype); ``tests/nn/test_parallel.py`` repeats the group check
+on float32 models.
 """
 
 import itertools
@@ -92,19 +93,24 @@ class TestGroupScoringValidation:
         assert np.array_equal(solo.attention, group[0].attention)
         assert np.array_equal(solo.kernel, group[0].kernel)
 
-    def test_resyncs_after_weight_change(self):
-        """The float64 twins must track the live models on every group call."""
+    def test_reads_the_live_weights_on_every_call(self):
+        """Group scoring interprets the models themselves, as they are now."""
         models, configs, window_sets = fleet(n_models=2)
         detectors = [DecompositionCausalityDetector(model, config)
                      for model, config in zip(models, configs)]
-        compute_scores_group(detectors, window_sets[:2])
+        before = compute_scores_group(detectors, window_sets[:2])
         for model in models:
             for parameter in model.parameters():
                 parameter.data[...] = parameter.data * 0.5
         group = compute_scores_group(detectors, window_sets[:2])
-        for detector, windows, scores in zip(detectors, window_sets, group):
-            solo = detector.compute_scores(windows)
-            assert np.array_equal(solo.attention, scores.attention)
+        for detector, model, windows, old, scores in zip(
+                detectors, models, window_sets, before, group):
+            assert detector.model is model
+            assert not np.array_equal(old.attention, scores.attention)
+            fresh = DecompositionCausalityDetector(model).compute_scores(
+                windows)
+            assert np.array_equal(fresh.attention, scores.attention)
+            assert np.array_equal(fresh.kernel, scores.kernel)
 
 
 class TestGroupScoringEpsilonGuard:

@@ -331,12 +331,11 @@ class TestStackedBitIdentity:
             scores = compute_scores_group(detectors, window_sets) + [
                 detector.compute_scores(windows)
                 for detector, windows in zip(detectors, window_sets)]
-            twins = [detector.model for detector in detectors]
-            engine = StackedInferenceEngine(twins)
+            engine = StackedInferenceEngine(models)
             forward = engine.interpretation_forward(window_sets)
             arrays = list(engine.interpretation_gradients(forward))
             for result in StackedRelevancePropagation(
-                    twins).propagate_targets(forward):
+                    models).propagate_targets(forward):
                 arrays.extend(array for head in result.heads
                               for array in (head.attention, head.values,
                                             head.kernel))

@@ -145,7 +145,6 @@ def per_target_scores(detector, windows: np.ndarray) -> CausalScores:
     windows = np.asarray(windows, dtype=float)
     if windows.ndim == 2:
         windows = windows[None]
-    detector._sync_interpretation_model()
     model = detector.model
     forward = InferenceEngine(model).interpretation_forward(windows)
     cache = forward.cache
