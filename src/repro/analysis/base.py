@@ -103,6 +103,7 @@ class CheckerConfig:
         "src/repro/nn/functional.py",
         "src/repro/nn/optim.py",
         "src/repro/core/batched.py",
+        "src/repro/core/relevance.py",
     )
 
     #: ``telemetry-guard``: hot modules whose telemetry emissions must be

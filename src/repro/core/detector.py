@@ -78,26 +78,26 @@ def _combine(shape: Tuple[int, int, int],
     ``shape`` is ``(heads, series, window)``.
     """
     n_heads, n_series, window = shape
-    if kernel_grads is not None:
-        kernel_grads = np.broadcast_to(np.abs(kernel_grads),
-                                       (n_series, n_series, window))
     attention_accumulator = np.zeros((n_series, n_series))
-    kernel_accumulator = np.zeros((n_series, n_series, window))
     for head_index in range(n_heads):
         if relevance is None:
             attention_term = np.abs(attention_grads[head_index])
-            kernel_term = kernel_grads
         elif attention_grads is None:
-            attention_term = relevance.heads[head_index].attention
-            kernel_term = relevance.heads[head_index].kernel
+            attention_term = relevance.attention[head_index]
         else:
             attention_term = (np.abs(attention_grads[head_index])
-                              * relevance.heads[head_index].attention)
-            kernel_term = kernel_grads * relevance.heads[head_index].kernel
+                              * relevance.attention[head_index])
         attention_accumulator += attention_term.mean(axis=0)
-        kernel_accumulator += kernel_term
     attention_scores = np.maximum(attention_accumulator / n_heads, 0.0)
-    kernel_scores = np.maximum(kernel_accumulator / n_heads, 0.0)
+    # The kernel gradient is one tensor for every head, so the head mean
+    # of |∇K| ⊙ R_h(K) is |∇K| ⊙ Σ_h R_h(K) / h.
+    kernel_scores = np.ones((n_series, n_series, window))
+    if kernel_grads is not None:
+        kernel_scores *= np.abs(kernel_grads)
+    if relevance is not None:
+        kernel_scores *= relevance.kernel
+        kernel_scores /= n_heads
+    np.maximum(kernel_scores, 0.0, out=kernel_scores)
     # The paper selects S(A)[i]_{i,:} (causes of target i) and
     # S(K)[i]_{:,i,:} (kernel scores of its sources): row i and column i.
     return CausalScores(

@@ -37,6 +37,22 @@ attention application and convolution route it only into row ``g`` of
 ``A`` and effect column ``g`` of ``K`` — the entries the paper reads for
 target ``g``.  :meth:`RegressionRelevancePropagation.propagate` keeps the
 one-hot pass as a diagnostic.
+
+The kernel relevance is returned summed over heads.  Eq. 19 averages
+``|∇K| ⊙ R_h(K)`` over heads, and the kernel gradient ``∇K`` is one tensor
+shared by every head, so only ``Σ_h R_h(K)`` is ever read.  Each head's
+kernel relevance is a contraction that is linear in that head's value
+relevance, and each head's value relevance is ``values`` times
+``A_h[b, i, j] · ratio_h[b, i, t]``.  The propagation therefore mixes the
+heads' ratios first and builds one ``(B, N, N, T)`` value relevance, then
+contracts it over ``B·T`` once: one GEMM per (model, source series)
+against the causal windows.  No ``(B, N, N, T)`` array is built per head,
+and the value relevance itself is not returned.  Attention relevance
+stays per head, because Eq. 19 multiplies it by each head's own ``|∇A|``.
+
+Relevance is float64 whatever the model dtype (:data:`RELEVANCE_DTYPE`):
+the Eq. 15 output step divides by the model's predictions, which can sit
+near zero.
 """
 
 from __future__ import annotations
@@ -50,19 +66,17 @@ import numpy as np
 from repro.core.transformer import CausalityAwareTransformer, TransformerCache
 
 
+#: The dtype relevance is computed in, whatever the model dtype.
+# repro: allow(dtype-purity): the Eq. 15 output step divides by near-zero predictions
+RELEVANCE_DTYPE = np.float64
+
+
 def stabilize(values: np.ndarray, epsilon: float) -> np.ndarray:
     """Add a sign-preserving epsilon so divisions by activations are safe."""
-    signs = np.where(values >= 0, 1.0, -1.0)
-    return values + signs * epsilon
-
-
-@dataclass
-class HeadRelevance:
-    """Relevance scores reaching one attention head."""
-
-    attention: np.ndarray   # (B, N, N) — relevance of the attention matrix
-    values: np.ndarray      # (B, N, N, T) — relevance of the convolution output
-    kernel: np.ndarray      # (N, N, T) — relevance of the convolution kernel
+    shifted = np.where(values >= 0, 1.0, -1.0)
+    shifted *= epsilon
+    shifted += values
+    return shifted
 
 
 @dataclass
@@ -75,7 +89,8 @@ class RelevanceResult:
     """
 
     target: Optional[int]
-    heads: List[HeadRelevance]
+    attention: np.ndarray         # (h, B, N, N) — per head, of A
+    kernel: np.ndarray            # (N, N, T) — of K, summed over heads
     output_relevance: np.ndarray  # the seed (B, N, T)
 
 
@@ -95,10 +110,10 @@ class PreparedStackedPropagation:
     d_hidden: np.ndarray            # (M, B, N, d_ffn)
     d_combined: np.ndarray          # (M, B, N, T)
     d_heads: np.ndarray             # (M, h, B, N, T)
-    d_values_pre: np.ndarray        # (M, B, N, N, T)
-    weighted_heads: np.ndarray      # (M, h, B, N, T)
+    d_values_pre: np.ndarray        # (M, target, source, B, T)
+    w_heads: np.ndarray             # (M, h, 1, 1, 1) head-combination weights
     kernel: np.ndarray              # (M, N, N, T)
-    scaled_windows: np.ndarray      # (M, B, N, T, K)
+    scaled_windows: np.ndarray      # (M, N, B·T, K)
     w_output: np.ndarray            # (M, T, T)   output-layer weights
     w2: np.ndarray                  # (M, d_ffn, T)
     w1: np.ndarray                  # (M, T, d_ffn)
@@ -110,8 +125,8 @@ class StackedRelevancePropagation:
     Propagates the output relevance of ``M`` same-architecture models (a
     batched sweep group, or one model through
     :class:`RegressionRelevancePropagation`) in one vectorised pass.  Every
-    between-layer matmul and Eq. 18 einsum carries a leading model
-    subscript; batched matmuls dispatch the same per-slice GEMMs and einsum
+    between-layer matmul, Eq. 18 einsum and kernel GEMM carries a leading
+    model axis; batched matmuls dispatch the same per-slice GEMMs and einsum
     keeps its per-element contraction order, so row ``m`` of every result is
     **bit-identical** to propagating model ``m`` alone (the tests assert
     exactly this, across all Table 3 ablations).
@@ -145,12 +160,13 @@ class StackedRelevancePropagation:
         kernel relevance belong to target ``g`` (see the module docstring).
         """
         prepared = self.prepare(forward)
-        return self._propagate(prepared, np.ones(forward.output.shape), None)
+        return self._propagate(
+            prepared, np.ones(forward.output.shape, RELEVANCE_DTYPE), None)
 
     def _prepare(self, forward) -> PreparedStackedPropagation:
         models = self.models
-        window = models[0].config.window
-        scale = 1.0 / np.arange(1, window + 1, dtype=float)
+        n_series, window = forward.output.shape[2:]
+        scale = 1.0 / np.arange(1, window + 1, dtype=RELEVANCE_DTYPE)
 
         def denominator(outputs: np.ndarray, biases: np.ndarray,
                         expand) -> np.ndarray:
@@ -161,7 +177,6 @@ class StackedRelevancePropagation:
                                 for model in models])
         b2 = np.stack([model.feed_forward.b2.data for model in models])
         b1 = np.stack([model.feed_forward.b1.data for model in models])
-        w_out = np.stack([model.attention.w_output.data for model in models])
         channel = (slice(None), None, None, slice(None))
         return PreparedStackedPropagation(
             forward=forward,
@@ -170,13 +185,15 @@ class StackedRelevancePropagation:
             d_hidden=denominator(forward.hidden, b1, channel),
             d_combined=stabilize(forward.combined, self.epsilon),
             d_heads=stabilize(forward.head_outputs, self.epsilon),
-            d_values_pre=stabilize(forward.values_pre, self.epsilon),
-            weighted_heads=forward.head_outputs
-            * w_out[:, :, None, None, None],
+            d_values_pre=stabilize(np.ascontiguousarray(
+                forward.values_pre.transpose(0, 3, 2, 1, 4)), self.epsilon),
+            w_heads=np.stack([model.attention.w_output.data
+                              for model in models])[:, :, None, None, None],
             kernel=np.stack([model.convolution.effective_kernel().data
                              for model in models]),
-            scaled_windows=forward.conv_windows
-            * scale[None, None, None, :, None],
+            scaled_windows=(forward.conv_windows.transpose(0, 2, 1, 3, 4)
+                            * scale[:, None]).reshape(
+                                len(models), n_series, -1, window),
             w_output=np.stack([model.output_layer.weight.data
                                for model in models]),
             w2=np.stack([model.feed_forward.w2.data for model in models]),
@@ -188,7 +205,7 @@ class StackedRelevancePropagation:
                    target: Optional[int]) -> List[RelevanceResult]:
         """Relevance reaching A and K from the ``(M, B, N, T)`` ``seed``."""
         forward = prepared.forward
-        n_series = forward.output.shape[2]
+        n_models, batch, n_series, window = forward.output.shape
         diag = np.arange(n_series)
         n_heads = forward.attention_probs.shape[1]
 
@@ -204,46 +221,58 @@ class StackedRelevancePropagation:
             (relevance_activated / prepared.d_hidden)
             @ prepared.w1.transpose(0, 2, 1)[:, None])
 
+        # Attention application (two-operand rule, Eq. 18):
+        #   head_output[b, i, t] = Σ_j attention[b, i, j] · values[b, j, i, t]
         values = forward.values
-        per_head: List[HeadRelevance] = []
+        attention = forward.attention_probs
+        relevance_attention = np.empty(attention.shape, RELEVANCE_DTYPE)
+        ratios = np.empty((n_models, n_heads, batch, n_series, window),
+                          RELEVANCE_DTYPE)
         for head_index in range(n_heads):
             # Head concatenation: combined = Σ_h W_O[h] · head_output_h.
-            relevance_head = (prepared.weighted_heads[:, head_index]
+            relevance_head = (forward.head_outputs[:, head_index]
+                              * prepared.w_heads[:, head_index]
                               * relevance_attention_combined
                               / prepared.d_combined)
+            ratio = np.divide(relevance_head, prepared.d_heads[:, head_index],
+                              out=ratios[:, head_index])
+            np.multiply(attention[:, head_index],
+                        np.einsum("mbjit,mbit->mbij", values, ratio),
+                        out=relevance_attention[:, head_index])
 
-            # Attention application (two-operand rule, Eq. 18):
-            #   head_output[b, i, t] = Σ_j attention[b, i, j] · values[b, j, i, t]
-            attention = forward.attention_probs[:, head_index]
-            ratio = relevance_head / prepared.d_heads[:, head_index]
-            relevance_attention = attention * np.einsum(
-                "mbjit,mbit->mbij", values, ratio)
-            relevance_values = np.einsum(
-                "mbij,mbjit,mbit->mbjit", attention, values, ratio)
+        # Each head's value relevance is values[b, j, i, t] times
+        # attention_h[b, i, j] · ratio_h[b, i, t], and only their head sum
+        # reaches the kernel.  Mix the heads first, into the (M, target,
+        # source, B, T) layout of the engine's convolution values: small
+        # GEMMs over h, one target row at a time so that only that row of
+        # the attention is ever cast to the relevance dtype.
+        mixed = np.empty((n_models, n_series, n_series, batch, window),
+                         RELEVANCE_DTYPE)
+        for row in range(n_series):
+            np.matmul(attention[:, :, :, row].transpose(0, 2, 3, 1),
+                      ratios[:, :, :, row].transpose(0, 2, 1, 3),
+                      out=mixed[:, row].transpose(0, 2, 1, 3))
 
-            # Undo the diagonal right-shift before touching the kernel: the
-            # post-shift value at slot t+1 came from the pre-shift value at t.
-            relevance_pre_shift = relevance_values.copy()
-            relevance_pre_shift[:, :, diag, diag, :-1] = \
-                relevance_values[:, :, diag, diag, 1:]
-            relevance_pre_shift[:, :, diag, diag, -1] = 0.0
+        # The value relevance, in place: values · the mixed ratio.  Then
+        # undo the diagonal right-shift before touching the kernel: the
+        # post-shift value at slot t+1 came from the pre-shift value at t.
+        mixed *= values.transpose(0, 3, 2, 1, 4)
+        mixed[:, diag, diag, :, :-1] = mixed[:, diag, diag, :, 1:]
+        mixed[:, diag, diag, :, -1] = 0.0
 
-            # Convolution (two-operand rule): values_pre[b, i, j, t] =
-            #   Σ_τ kernel[i, j, τ] · windows[b, i, t, τ] / (t + 1)
-            ratio_values = relevance_pre_shift / prepared.d_values_pre
-            relevance_kernel = prepared.kernel * np.einsum(
-                "mbitk,mbijt->mijk", prepared.scaled_windows, ratio_values)
-            per_head.append(HeadRelevance(attention=relevance_attention,
-                                          values=relevance_values,
-                                          kernel=relevance_kernel))
+        # Convolution (two-operand rule): values_pre[b, i, j, t] =
+        #   Σ_τ kernel[i, j, τ] · windows[b, i, t, τ] / (t + 1),
+        # contracted over B·T as one GEMM per (model, source series).
+        mixed /= prepared.d_values_pre
+        relevance_kernel = prepared.kernel * (
+            mixed.reshape(n_models, n_series, n_series, -1)
+            .transpose(0, 2, 1, 3) @ prepared.scaled_windows)
 
-        return [RelevanceResult(
-            target=target,
-            heads=[HeadRelevance(attention=head.attention[row],
-                                 values=head.values[row],
-                                 kernel=head.kernel[row])
-                   for head in per_head],
-            output_relevance=seed[row]) for row in range(len(seed))]
+        return [RelevanceResult(target=target,
+                                attention=relevance_attention[row],
+                                kernel=relevance_kernel[row],
+                                output_relevance=seed[row])
+                for row in range(n_models)]
 
 
 def _model_axis_view(cache: TransformerCache) -> SimpleNamespace:
@@ -311,7 +340,7 @@ class RegressionRelevancePropagation:
         batch, n_series, window = cache.output.shape
         if not (0 <= target < n_series):
             raise IndexError(f"target series {target} out of range [0, {n_series})")
-        relevance = np.zeros((batch, n_series, window))
+        relevance = np.zeros((batch, n_series, window), RELEVANCE_DTYPE)
         relevance[:, target, :] = 1.0
         return relevance
 
@@ -328,10 +357,11 @@ class RegressionRelevancePropagation:
         """Propagate every target series in one all-ones pass.
 
         Row ``g`` of each head's attention relevance and effect column ``g``
-        of its kernel relevance equal :meth:`propagate` at ``target=g``
+        of the kernel relevance equal :meth:`propagate` at ``target=g``
         (see the module docstring).
         """
-        return self._propagate(cache, np.ones(cache.output.shape), None)
+        return self._propagate(
+            cache, np.ones(cache.output.shape, RELEVANCE_DTYPE), None)
 
     def _propagate(self, cache: TransformerCache, seed: np.ndarray,
                    target: Optional[int]) -> RelevanceResult:
@@ -351,7 +381,7 @@ class RegressionRelevancePropagation:
         """
         result = self.propagate(cache, target)
         total_out = float(result.output_relevance.sum())
-        total_attention = float(sum(head.attention.sum() for head in result.heads))
+        total_attention = float(sum(head.sum() for head in result.attention))
         if total_out == 0:
             return 0.0
         return abs(total_out - total_attention) / abs(total_out)

@@ -1330,8 +1330,7 @@ class InferenceEngine:
     def predict(self, windows: np.ndarray) -> np.ndarray:
         """Numpy-in / numpy-out prediction (returns an owned copy)."""
         squeeze = np.ndim(windows) == 2
-        # repro: allow(dtype-purity): ingestion cast to the f64 reference
-        prediction = self.fleet.forward([np.asarray(windows, dtype=float)])[0]
+        prediction = self.fleet.forward([windows])[0]
         return prediction[0].copy() if squeeze else prediction.copy()
 
     # ------------------------------------------------------------------ #

@@ -46,10 +46,6 @@ class Module:
         self._buffers[name] = np.asarray(value)
         object.__setattr__(self, name, self._buffers[name])
 
-    def register_parameter(self, name: str, value: Parameter) -> None:
-        self._parameters[name] = value
-        object.__setattr__(self, name, value)
-
     # ------------------------------------------------------------------ #
     # Iteration
     # ------------------------------------------------------------------ #

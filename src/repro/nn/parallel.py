@@ -395,10 +395,6 @@ def set_parallel_debug(enabled: bool) -> None:
     _parallel_debug = bool(enabled)
 
 
-def parallel_debug_enabled() -> bool:
-    return _parallel_debug
-
-
 def _chunk_bounds(n_items: int, n_chunks: int) -> List[Tuple[int, int]]:
     """Static contiguous chunking of ``range(n_items)`` into ``n_chunks``."""
     n_chunks = max(1, min(n_chunks, n_items))

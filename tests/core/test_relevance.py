@@ -1,11 +1,16 @@
 """Regression relevance propagation (RRP): shapes, rules, and diagnostics."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from repro.core import RegressionRelevancePropagation
-from repro.core.relevance import stabilize
+from repro.core import (CausalityAwareTransformer,
+                        RegressionRelevancePropagation, fast_preset)
+from repro.core.relevance import StackedRelevancePropagation, stabilize
+from repro.nn.inference import StackedInferenceEngine
 from repro.nn.tensor import Tensor
+from tests.conftest import assert_matches_reference
 
 
 @pytest.fixture()
@@ -89,26 +94,22 @@ class TestFullPropagation:
         result = rrp.propagate(cache, target=0)
         n, t = tiny_config.n_series, tiny_config.window
         batch = cache.output.shape[0]
-        assert len(result.heads) == tiny_config.n_heads
-        for head in result.heads:
-            assert head.attention.shape == (batch, n, n)
-            assert head.values.shape == (batch, n, n, t)
-            assert head.kernel.shape == (n, n, t)
+        assert result.attention.shape == (tiny_config.n_heads, batch, n, n)
+        assert result.kernel.shape == (n, n, t)
 
     def test_finite(self, cache_and_model):
         model, cache = cache_and_model
         rrp = RegressionRelevancePropagation(model)
         for target in range(cache.output.shape[1]):
             result = rrp.propagate(cache, target)
-            for head in result.heads:
-                assert np.isfinite(head.attention).all()
-                assert np.isfinite(head.kernel).all()
+            assert np.isfinite(result.attention).all()
+            assert np.isfinite(result.kernel).all()
 
     def test_different_targets_give_different_relevance(self, cache_and_model):
         model, cache = cache_and_model
         rrp = RegressionRelevancePropagation(model)
-        a = rrp.propagate(cache, 0).heads[0].attention
-        b = rrp.propagate(cache, 1).heads[0].attention
+        a = rrp.propagate(cache, 0).attention[0]
+        b = rrp.propagate(cache, 1).attention[0]
         assert not np.allclose(a, b)
 
     def test_bias_ablation_changes_result(self, tiny_config, window_batch):
@@ -122,7 +123,7 @@ class TestFullPropagation:
         _prediction, cache = model(Tensor(window_batch))
         with_bias = RegressionRelevancePropagation(model, use_bias=True).propagate(cache, 0)
         without_bias = RegressionRelevancePropagation(model, use_bias=False).propagate(cache, 0)
-        assert not np.allclose(with_bias.heads[0].attention, without_bias.heads[0].attention)
+        assert not np.allclose(with_bias.attention[0], without_bias.attention[0])
 
     def test_conservation_gap_bounded(self, cache_and_model):
         """RRP deliberately breaks strict conservation, but it must not explode."""
@@ -138,7 +139,71 @@ class TestFullPropagation:
         _prediction, cache = model(Tensor(windows))
         rrp = RegressionRelevancePropagation(model)
         result = rrp.propagate(cache, target=1)  # S1 is caused by S0 in the fork
-        attention_relevance = np.mean([head.attention for head in result.heads], axis=0)
+        attention_relevance = result.attention.mean(axis=0)
         row = attention_relevance.mean(axis=0)[1]   # relevance of sources for target 1
         assert np.isfinite(row).all()
         assert row.max() > 0.0
+
+
+class TestHeadSummedPropagation:
+    """The propagation mixes the heads before its one kernel contraction."""
+
+    N_SERIES, BATCH, WINDOW = 40, 64, 10
+
+    def forward(self, n_heads, n_models=1):
+        models = [CausalityAwareTransformer(fast_preset(
+            n_series=self.N_SERIES, window=self.WINDOW, n_heads=n_heads,
+            seed=seed)) for seed in range(n_models)]
+        rng = np.random.default_rng(3)
+        window_sets = [rng.normal(size=(self.BATCH, self.N_SERIES,
+                                        self.WINDOW)) for _ in models]
+        engine = StackedInferenceEngine(models)
+        return models, engine.interpretation_forward(window_sets)
+
+    def propagation_peak(self, n_heads):
+        models, forward = self.forward(n_heads)
+        propagation = StackedRelevancePropagation(models)
+        tracemalloc.start()
+        try:
+            propagation.propagate_targets(forward)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_memory_barely_grows_with_the_head_count(self):
+        """The (B, N, N, T) arrays are built once, not once per head: only
+        arrays without the N·N·T factor grow with h.  A value relevance
+        per head would make the 8-head peak about three times the 1-head
+        one."""
+        assert self.propagation_peak(8) <= 1.5 * self.propagation_peak(1)
+
+    def test_no_value_relevance_is_returned(self):
+        """No returned array is, or is a view of, a (B, N, N, T) array."""
+        models, forward = self.forward(n_heads=2, n_models=2)
+        value_size = self.BATCH * self.N_SERIES ** 2 * self.WINDOW
+        pending = list(StackedRelevancePropagation(models)
+                       .propagate_targets(forward))
+        while pending:
+            item = pending.pop()
+            if isinstance(item, np.ndarray):
+                assert item.size < value_size
+                if item.base is not None:
+                    pending.append(item.base)
+            elif isinstance(item, (list, tuple)):
+                pending.extend(item)
+            elif hasattr(item, "__dict__"):
+                pending.extend(vars(item).values())
+
+    @pytest.mark.parametrize("factor", [3.7, -0.25])
+    def test_relevance_is_linear_in_the_seed(self, cache_and_model, factor):
+        """Metamorphic: scaling the seed scales A's and K's relevance.  The
+        detector's single all-ones pass rests on this linearity."""
+        model, cache = cache_and_model
+        rrp = RegressionRelevancePropagation(model)
+        seed = np.random.default_rng(5).random(cache.output.shape)
+        base = rrp._propagate(cache, seed, None)
+        scaled = rrp._propagate(cache, factor * seed, None)
+        for name in ("attention", "kernel"):
+            expected = factor * getattr(base, name)
+            assert_matches_reference(getattr(scaled, name), expected,
+                                     np.float64, err_msg=name)

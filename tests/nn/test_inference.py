@@ -11,6 +11,8 @@ stays exact: a K-model fleet reproduces each model's fleet of one (the
 its scratch buffers instead of allocating.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -203,6 +205,29 @@ class TestForwardParity:
         model, config = build(np.float64)
         x = window_batch(model, batch=1)
         assert model.predict(x[0]).shape == (config.n_series, config.window)
+
+    @pytest.mark.parametrize("window_dtype",
+                             [np.float32, np.float64, np.int64])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_predict_ingests_windows_without_a_float64_detour(
+            self, dtype, window_dtype):
+        """Casting straight to the model batch gives the same bytes as
+        casting every window set to float64 first, for 3-D batches and a
+        2-D single window alike, under either session default dtype."""
+        model, _config = build(dtype)
+        x = window_batch(model, batch=3).astype(np.float64)
+        x = (4 * x).astype(window_dtype)
+        engine = InferenceEngine(model)
+        for session_dtype, windows in itertools.product(
+                dict.fromkeys((dtype, np.float64)), (x, x[0])):
+            with default_dtype(session_dtype):
+                detour = engine.fleet.forward(
+                    [windows.astype(np.float64)])[0].copy()
+                if windows.ndim == 2:
+                    detour = detour[0]
+                prediction = engine.predict(windows)
+                assert prediction.dtype == detour.dtype
+                assert prediction.tobytes() == detour.tobytes()
 
 
 CACHE_FIELDS = ("inputs", "embedding", "values", "values_pre_shift",

@@ -336,9 +336,7 @@ class TestStackedBitIdentity:
             arrays = list(engine.interpretation_gradients(forward))
             for result in StackedRelevancePropagation(
                     models).propagate_targets(forward):
-                arrays.extend(array for head in result.heads
-                              for array in (head.attention, head.values,
-                                            head.kernel))
+                arrays.extend((result.attention, result.kernel))
             return arrays + [array for score in scores
                              for array in (score.attention, score.kernel)]
 

@@ -5,20 +5,29 @@ seeded on output row ``g`` alone (Fig. 6), and combines them per target
 (Eq. 19).  The detector runs a single all-ones pass instead and reads row
 ``g``.  This module keeps the one-hot, per-target form — the same
 arithmetic with a leading target axis ``G``, written against the model's
-weights and the interpretation cache alone — so the tests can assert that
-the one-pass scores, gradients and relevance equal it bit for bit.
+weights and the interpretation cache alone, with one kernel contraction
+per head — so the tests can assert that the one-pass gradients and
+attention relevance equal it bit for bit, and that the head-summed kernel
+relevance equals the sum of its per-head kernels to rounding.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.detector import CausalScores
-from repro.core.relevance import (HeadRelevance,
-                                  RegressionRelevancePropagation, stabilize)
+from repro.core.relevance import RegressionRelevancePropagation, stabilize
 from repro.nn.inference import InferenceEngine
+
+
+class HeadRelevance(NamedTuple):
+    """Relevance reaching one attention head from one seed."""
+
+    attention: np.ndarray   # (B, N, N) — of the attention matrix
+    values: np.ndarray      # (B, N, N, T) — of the convolution output
+    kernel: np.ndarray      # (N, N, T) — of the convolution kernel
 
 
 def one_hot_seed(shape: Tuple[int, int, int], targets: Sequence[int],
