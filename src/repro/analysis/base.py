@@ -14,8 +14,8 @@ breakage must not take the lint gate down with it).
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field, replace
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, Iterator, List, Optional, Tuple
 
 
 @dataclass(frozen=True)
@@ -139,9 +139,6 @@ class LintConfig:
     root: str = "."
     checkers: CheckerConfig = field(default_factory=CheckerConfig)
 
-    def with_root(self, root: str) -> "LintConfig":
-        return replace(self, root=root)
-
 
 class Checker:
     """Base class for lint rules.
@@ -180,8 +177,3 @@ class Checker:
         while isinstance(node, ast.Subscript):
             node = node.value
         return Checker.dotted_name(node)
-
-    @staticmethod
-    def in_scope(module: ModuleSource, scope: Sequence[str]) -> bool:
-        """Whether the module's path is listed in ``scope``."""
-        return module.path in scope

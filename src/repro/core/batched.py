@@ -148,10 +148,6 @@ class StackedCausalFormerTrainer:
         payload_b = {k: v for k, v in b.to_dict().items() if k != "seed"}
         return payload_a == payload_b
 
-    def _grad_view(self, name: str) -> np.ndarray:
-        """The ``(K, *shape)`` stacked view into the flat gradient matrix."""
-        return self._grad_views[name]
-
     # ------------------------------------------------------------------ #
     # Lane lifecycle
     # ------------------------------------------------------------------ #

@@ -20,11 +20,15 @@ weight, the attention application, and the causal convolution, stopping at
 the attention matrix ``A`` and the convolution kernel ``K`` — exactly the
 two tensors the causal-graph construction reads (Sec. 4.2.3).
 
-There is one propagation body.  :class:`StackedRelevancePropagation` runs
-it for ``M`` same-architecture models at once (every array carries a
-leading model axis); :class:`RegressionRelevancePropagation` is one model's
-face of it — the same body at ``M = 1`` over a model-axis view of a
-:class:`~repro.core.transformer.TransformerCache`.
+There is one propagation body, and it reads one layout: the buffers the
+engine's forward leaves behind
+(:class:`~repro.nn.inference.StackedInterpretationForward`), as they lie.
+:class:`StackedRelevancePropagation` runs it for ``M`` same-architecture
+models at once (every array carries a leading model axis);
+:class:`RegressionRelevancePropagation` is one model's face of it for the
+autograd reference's forward — the same body at ``M = 1``, over that
+forward's :class:`~repro.core.transformer.TransformerCache` translated
+into the engine's layout.
 
 The paper seeds one pass per target series ``g`` with a one-hot relevance on
 output row ``g`` (Fig. 6a).  The detector seeds a single pass with ones on
@@ -42,13 +46,14 @@ The kernel relevance is returned summed over heads.  Eq. 19 averages
 ``|∇K| ⊙ R_h(K)`` over heads, and the kernel gradient ``∇K`` is one tensor
 shared by every head, so only ``Σ_h R_h(K)`` is ever read.  Each head's
 kernel relevance is a contraction that is linear in that head's value
-relevance, and each head's value relevance is ``values`` times
-``A_h[b, i, j] · ratio_h[b, i, t]``.  The propagation therefore mixes the
-heads' ratios first and builds one ``(B, N, N, T)`` value relevance, then
-contracts it over ``B·T`` once: one GEMM per (model, source series)
-against the causal windows.  No ``(B, N, N, T)`` array is built per head,
-and the value relevance itself is not returned.  Attention relevance
-stays per head, because Eq. 19 multiplies it by each head's own ``|∇A|``.
+relevance, and each head's value relevance is the convolution values
+``tsbt[i, j, b, t]`` times ``A_h[b, i, j] · ratio_h[b, i, t]``.  The
+propagation therefore mixes the heads' ratios first and builds one
+``(B, N, N, T)`` value relevance, then contracts it over ``B·T`` once: one
+GEMM per (model, source series) against the causal windows.  No
+``(B, N, N, T)`` array is built per head, and the value relevance itself
+is not returned.  Attention relevance stays per head, because Eq. 19
+multiplies it by each head's own ``|∇A|``.
 
 Relevance is float64 whatever the model dtype (:data:`RELEVANCE_DTYPE`):
 the Eq. 15 output step divides by the model's predictions, which can sit
@@ -64,6 +69,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from repro.core.transformer import CausalityAwareTransformer, TransformerCache
+from repro.nn.inference import series_diagonal
 
 
 #: The dtype relevance is computed in, whatever the model dtype.
@@ -71,12 +77,28 @@ from repro.core.transformer import CausalityAwareTransformer, TransformerCache
 RELEVANCE_DTYPE = np.float64
 
 
+#: elements :func:`_stabilize_inplace` shifts per step
+_STABILIZE_BLOCK = 1 << 16
+
+
 def stabilize(values: np.ndarray, epsilon: float) -> np.ndarray:
-    """Add a sign-preserving epsilon so divisions by activations are safe."""
-    shifted = np.where(values >= 0, 1.0, -1.0)
-    shifted *= epsilon
-    shifted += values
-    return shifted
+    """Add a sign-preserving epsilon so divisions by activations are safe.
+
+    Returns a :data:`RELEVANCE_DTYPE` copy; zeros move up.
+    """
+    return _stabilize_inplace(
+        np.array(values, dtype=RELEVANCE_DTYPE, order="C"), epsilon)
+
+
+def _stabilize_inplace(values: np.ndarray, epsilon: float) -> np.ndarray:
+    """:func:`stabilize` on a C-contiguous :data:`RELEVANCE_DTYPE` array,
+    in place.  It runs one block at a time, so the signed-epsilon
+    temporary stays small and in cache."""
+    flat = values.reshape(-1)
+    for start in range(0, flat.size, _STABILIZE_BLOCK):
+        block = flat[start:start + _STABILIZE_BLOCK]
+        block += np.where(block >= 0, epsilon, -epsilon)
+    return values
 
 
 @dataclass
@@ -101,7 +123,8 @@ class PreparedStackedPropagation:
     Every denominator of the RRP rules (Eq. 15–18) depends only on the
     forward activations, not on the output-relevance seed, so it is
     stabilised once per forward.  Stabilisation is elementwise, so each row
-    is bit-identical to preparing that model alone.
+    is bit-identical to preparing that model alone.  The weights are read
+    from the forward's ``stage``.
     """
 
     forward: object                 # the model-axis forward it was built from
@@ -109,14 +132,9 @@ class PreparedStackedPropagation:
     d_ffn_output: np.ndarray        # (M, B, N, T)
     d_hidden: np.ndarray            # (M, B, N, d_ffn)
     d_combined: np.ndarray          # (M, B, N, T)
-    d_heads: np.ndarray             # (M, h, B, N, T)
+    d_heads: np.ndarray             # (M, B, N, h, T)
     d_values_pre: np.ndarray        # (M, target, source, B, T)
-    w_heads: np.ndarray             # (M, h, 1, 1, 1) head-combination weights
-    kernel: np.ndarray              # (M, N, N, T)
     scaled_windows: np.ndarray      # (M, N, B·T, K)
-    w_output: np.ndarray            # (M, T, T)   output-layer weights
-    w2: np.ndarray                  # (M, d_ffn, T)
-    w1: np.ndarray                  # (M, T, d_ffn)
 
 
 class StackedRelevancePropagation:
@@ -132,12 +150,15 @@ class StackedRelevancePropagation:
     exactly this, across all Table 3 ablations).
 
     ``forward`` arguments are
-    :class:`~repro.nn.inference.StackedInterpretationForward` objects
-    (whose ``values``, ``head_outputs`` and ``conv_windows`` are strided
-    views of the training forward's buffers), or anything with the same
-    model-axis ``output``, ``ffn_output``, ``hidden``, ``activated``,
-    ``combined``, ``head_outputs``, ``values``, ``values_pre``,
-    ``conv_windows`` and ``attention_probs`` arrays.
+    :class:`~repro.nn.inference.StackedInterpretationForward` objects, read
+    in the layout the engine's forward leaves its buffers in: the
+    ``(M, target, source, B, T)`` convolution values ``tsbt`` and their
+    self-series rows before the Eq. 4 shift ``pre_shift``, the
+    ``(M, N, B·T, K)`` causal windows ``windows_flat``, the
+    ``(M, B, N, h, T)`` head outputs ``heads``, the ``(M, h, B, N, N)``
+    ``attention_probs``, the ``(M, B, N, ·)`` ``combined``, ``hidden``,
+    ``activated``, ``ffn_output`` and ``output``, and the staged weights
+    ``stage``.
     """
 
     def __init__(self, models: Sequence[CausalityAwareTransformer],
@@ -164,40 +185,29 @@ class StackedRelevancePropagation:
             prepared, np.ones(forward.output.shape, RELEVANCE_DTYPE), None)
 
     def _prepare(self, forward) -> PreparedStackedPropagation:
-        models = self.models
-        n_series, window = forward.output.shape[2:]
-        scale = 1.0 / np.arange(1, window + 1, dtype=RELEVANCE_DTYPE)
+        stage = forward.stage
+        n_models, batch, n_series, window = forward.output.shape
+        scale = np.tile(1.0 / np.arange(1, window + 1, dtype=RELEVANCE_DTYPE),
+                        batch)
 
-        def denominator(outputs: np.ndarray, biases: np.ndarray,
-                        expand) -> np.ndarray:
-            base = outputs if self.use_bias else outputs - biases[expand]
-            return stabilize(base, self.epsilon)
+        def denominator(outputs: np.ndarray, bias: str) -> np.ndarray:
+            if not self.use_bias:
+                outputs = outputs - stage[bias][:, None, None, :]
+            return stabilize(outputs, self.epsilon)
 
-        output_bias = np.stack([model.output_layer.bias.data
-                                for model in models])
-        b2 = np.stack([model.feed_forward.b2.data for model in models])
-        b1 = np.stack([model.feed_forward.b1.data for model in models])
-        channel = (slice(None), None, None, slice(None))
+        # The convolution values before the Eq. 4 shift: the shifted values
+        # with their self-series rows put back.
+        values_pre = np.array(forward.tsbt, dtype=RELEVANCE_DTYPE, order="C")
+        np.copyto(series_diagonal(values_pre), forward.pre_shift)
         return PreparedStackedPropagation(
             forward=forward,
-            d_output=denominator(forward.output, output_bias, channel),
-            d_ffn_output=denominator(forward.ffn_output, b2, channel),
-            d_hidden=denominator(forward.hidden, b1, channel),
+            d_output=denominator(forward.output, "b3"),
+            d_ffn_output=denominator(forward.ffn_output, "b2"),
+            d_hidden=denominator(forward.hidden, "b1"),
             d_combined=stabilize(forward.combined, self.epsilon),
-            d_heads=stabilize(forward.head_outputs, self.epsilon),
-            d_values_pre=stabilize(np.ascontiguousarray(
-                forward.values_pre.transpose(0, 3, 2, 1, 4)), self.epsilon),
-            w_heads=np.stack([model.attention.w_output.data
-                              for model in models])[:, :, None, None, None],
-            kernel=np.stack([model.convolution.effective_kernel().data
-                             for model in models]),
-            scaled_windows=(forward.conv_windows.transpose(0, 2, 1, 3, 4)
-                            * scale[:, None]).reshape(
-                                len(models), n_series, -1, window),
-            w_output=np.stack([model.output_layer.weight.data
-                               for model in models]),
-            w2=np.stack([model.feed_forward.w2.data for model in models]),
-            w1=np.stack([model.feed_forward.w1.data for model in models]),
+            d_heads=stabilize(forward.heads, self.epsilon),
+            d_values_pre=_stabilize_inplace(values_pre, self.epsilon),
+            scaled_windows=forward.windows_flat * scale[:, None],
         )
 
     def _propagate(self, prepared: PreparedStackedPropagation,
@@ -205,6 +215,7 @@ class StackedRelevancePropagation:
                    target: Optional[int]) -> List[RelevanceResult]:
         """Relevance reaching A and K from the ``(M, B, N, T)`` ``seed``."""
         forward = prepared.forward
+        stage = forward.stage
         n_models, batch, n_series, window = forward.output.shape
         diag = np.arange(n_series)
         n_heads = forward.attention_probs.shape[1]
@@ -213,39 +224,41 @@ class StackedRelevancePropagation:
         # ReLU) → feed-forward first linear (Eq. 15/17), model axis leading.
         relevance_ffn_out = forward.ffn_output * (
             (seed / prepared.d_output)
-            @ prepared.w_output.transpose(0, 2, 1)[:, None])
+            @ stage["w3"].transpose(0, 2, 1)[:, None])
         relevance_activated = forward.activated * (
             (relevance_ffn_out / prepared.d_ffn_output)
-            @ prepared.w2.transpose(0, 2, 1)[:, None])
+            @ stage["w2"].transpose(0, 2, 1)[:, None])
         relevance_attention_combined = forward.combined * (
             (relevance_activated / prepared.d_hidden)
-            @ prepared.w1.transpose(0, 2, 1)[:, None])
+            @ stage["w1"].transpose(0, 2, 1)[:, None])
 
         # Attention application (two-operand rule, Eq. 18):
-        #   head_output[b, i, t] = Σ_j attention[b, i, j] · values[b, j, i, t]
-        values = forward.values
+        #   head_output[b, i, t] = Σ_j attention[b, i, j] · tsbt[i, j, b, t]
+        tsbt = forward.tsbt
         attention = forward.attention_probs
         relevance_attention = np.empty(attention.shape, RELEVANCE_DTYPE)
         ratios = np.empty((n_models, n_heads, batch, n_series, window),
                           RELEVANCE_DTYPE)
         for head_index in range(n_heads):
             # Head concatenation: combined = Σ_h W_O[h] · head_output_h.
-            relevance_head = (forward.head_outputs[:, head_index]
-                              * prepared.w_heads[:, head_index]
+            relevance_head = (forward.heads[:, :, :, head_index]
+                              * stage["w_output"][:, head_index,
+                                                  None, None, None]
                               * relevance_attention_combined
                               / prepared.d_combined)
-            ratio = np.divide(relevance_head, prepared.d_heads[:, head_index],
+            ratio = np.divide(relevance_head,
+                              prepared.d_heads[:, :, :, head_index],
                               out=ratios[:, head_index])
             np.multiply(attention[:, head_index],
-                        np.einsum("mbjit,mbit->mbij", values, ratio),
+                        np.einsum("mijbt,mbit->mbij", tsbt, ratio),
                         out=relevance_attention[:, head_index])
 
-        # Each head's value relevance is values[b, j, i, t] times
+        # Each head's value relevance is tsbt[i, j, b, t] times
         # attention_h[b, i, j] · ratio_h[b, i, t], and only their head sum
-        # reaches the kernel.  Mix the heads first, into the (M, target,
-        # source, B, T) layout of the engine's convolution values: small
-        # GEMMs over h, one target row at a time so that only that row of
-        # the attention is ever cast to the relevance dtype.
+        # reaches the kernel.  Mix the heads first, into tsbt's (M, target,
+        # source, B, T) layout: small GEMMs over h, one target row at a time
+        # so that only that row of the attention is ever cast to the
+        # relevance dtype.
         mixed = np.empty((n_models, n_series, n_series, batch, window),
                          RELEVANCE_DTYPE)
         for row in range(n_series):
@@ -253,18 +266,18 @@ class StackedRelevancePropagation:
                       ratios[:, :, :, row].transpose(0, 2, 1, 3),
                       out=mixed[:, row].transpose(0, 2, 1, 3))
 
-        # The value relevance, in place: values · the mixed ratio.  Then
+        # The value relevance, in place: tsbt · the mixed ratio.  Then
         # undo the diagonal right-shift before touching the kernel: the
         # post-shift value at slot t+1 came from the pre-shift value at t.
-        mixed *= values.transpose(0, 3, 2, 1, 4)
+        mixed *= tsbt
         mixed[:, diag, diag, :, :-1] = mixed[:, diag, diag, :, 1:]
         mixed[:, diag, diag, :, -1] = 0.0
 
-        # Convolution (two-operand rule): values_pre[b, i, j, t] =
-        #   Σ_τ kernel[i, j, τ] · windows[b, i, t, τ] / (t + 1),
+        # Convolution (two-operand rule): values_pre[j, i, b, t] =
+        #   Σ_τ kernel[i, j, τ] · windows_flat[i, b·T + t, τ] / (t + 1),
         # contracted over B·T as one GEMM per (model, source series).
         mixed /= prepared.d_values_pre
-        relevance_kernel = prepared.kernel * (
+        relevance_kernel = stage["kernel_eff"] * (
             mixed.reshape(n_models, n_series, n_series, -1)
             .transpose(0, 2, 1, 3) @ prepared.scaled_windows)
 
@@ -275,30 +288,45 @@ class StackedRelevancePropagation:
                 for row in range(n_models)]
 
 
-def _model_axis_view(cache: TransformerCache) -> SimpleNamespace:
-    """``cache`` as a one-model fleet forward (a leading model axis of 1)."""
+def _model_axis_view(cache: TransformerCache,
+                     model: CausalityAwareTransformer) -> SimpleNamespace:
+    """The autograd reference's ``cache`` of ``model`` as a one-model fleet
+    forward: the engine's layout, with a leading model axis of 1."""
     heads = cache.head_caches
+    batch, n_series, window, _ = cache.conv_windows.shape
+    series = np.arange(n_series)
+    ffn = model.feed_forward
+    weights = {"w3": model.output_layer.weight, "b3": model.output_layer.bias,
+               "w2": ffn.w2, "b2": ffn.b2, "w1": ffn.w1, "b1": ffn.b1,
+               "w_output": model.attention.w_output,
+               "kernel_eff": model.convolution.effective_kernel()}
     return SimpleNamespace(
         output=cache.output[None],
         ffn_output=cache.ffn_output[None],
         hidden=cache.ffn_hidden[None],
         activated=cache.ffn_activated[None],
         combined=cache.attention_combined[None],
-        head_outputs=np.stack([head.head_output_data for head in heads])[None],
-        values=cache.values[None],
-        values_pre=cache.values_pre_shift[None],
-        conv_windows=cache.conv_windows[None],
-        attention_probs=np.stack([head.attention_data for head in heads])[None],
+        heads=np.stack([head.head_output_data for head in heads],
+                       axis=2)[None],
+        attention_probs=np.stack([head.attention_data
+                                  for head in heads])[None],
+        tsbt=cache.values.transpose(2, 1, 0, 3)[None],
+        pre_shift=cache.values_pre_shift[:, series, series]
+        .transpose(1, 0, 2)[None],
+        windows_flat=cache.conv_windows.transpose(1, 0, 2, 3)
+        .reshape(n_series, batch * window, -1)[None],
+        stage={name: tensor.data[None] for name, tensor in weights.items()},
     )
 
 
 class RegressionRelevancePropagation:
     """Backward relevance decomposition of a trained causality-aware transformer.
 
-    One model's face of :class:`StackedRelevancePropagation`: each method
-    views its :class:`~repro.core.transformer.TransformerCache` with a
-    model axis of one, runs the stacked propagation body and strips the
-    axis from the result.
+    One model's face of :class:`StackedRelevancePropagation` for the
+    autograd reference's forward: each method translates its
+    :class:`~repro.core.transformer.TransformerCache` into the engine's
+    layout with a model axis of one, runs the stacked propagation body and
+    strips the axis from the result.
 
     Parameters
     ----------
@@ -346,7 +374,7 @@ class RegressionRelevancePropagation:
 
     def prepare(self, cache: TransformerCache) -> PreparedStackedPropagation:
         """Precompute everything that does not depend on the seed."""
-        return self._fleet()._prepare(_model_axis_view(cache))
+        return self._fleet()._prepare(_model_axis_view(cache, self.model))
 
     def propagate(self, cache: TransformerCache, target: int) -> RelevanceResult:
         """Propagate a one-hot relevance on series ``target`` (Fig. 6a)."""

@@ -42,7 +42,6 @@ class TransformerCache:
     ffn_activated: np.ndarray = None         # (B, N, d_ffn)
     ffn_output: np.ndarray = None            # (B, N, T)
     output: np.ndarray = None                # (B, N, T)
-    values_tensor: object = None             # live Tensor for gradient access
 
 
 class CausalityAwareTransformer(Module):
@@ -95,8 +94,7 @@ class CausalityAwareTransformer(Module):
             x = x.unsqueeze(0)
         embedding = self.embedding(x)                                  # Eq. 2
         values_pre = self.convolution.convolve(x)                      # Eq. 3
-        # The detector reads values.grad (Fig. 6b), so keep it.
-        values = F.diagonal_right_shift(values_pre).retain_grad()      # Eq. 4
+        values = F.diagonal_right_shift(values_pre)                    # Eq. 4
         combined, head_caches = self.attention(embedding, values)      # Eq. 5–7
         ffn = self.feed_forward
         ffn_hidden = F.linear(combined, ffn.w1, ffn.b1)                # Eq. 8
@@ -115,7 +113,6 @@ class CausalityAwareTransformer(Module):
             ffn_activated=ffn_activated.data,
             ffn_output=ffn_output.data,
             output=prediction.data,
-            values_tensor=values,
         )
         return prediction, cache
 

@@ -37,9 +37,9 @@ GEMMs write straight into a ``(model, target, source, B·T)`` values
 buffer, rescaled in place, that the Eq. 6 GEMMs read as strided views.
 The detector interprets on that same forward:
 :meth:`StackedInferenceEngine.interpretation_forward` runs it and hands out
-views of the buffers it leaves behind — among them the pre-activation MLP
-hidden and the self-series convolution rows before the Eq. 4 shift, which
-relevance propagation reads — and
+the buffers it leaves behind, in the one layout the kernels write — among
+them the pre-activation MLP hidden and the self-series convolution rows
+before the Eq. 4 shift, which relevance propagation reads as they lie — and
 :meth:`StackedInferenceEngine.interpretation_gradients` evaluates its
 backward for every target series in one all-ones pass, so the detector
 needs no autograd graph at all; it runs the training backward's own stages,
@@ -156,28 +156,6 @@ class ScratchArena:
         self._spaces.clear()
 
 
-@dataclass
-class InterpretationForward:
-    """One model's row of a :class:`StackedInterpretationForward`.
-
-    ``cache`` is a :class:`~repro.core.transformer.TransformerCache`-shaped
-    object consumed by regression relevance propagation; the remaining
-    arrays are the forward buffers the all-targets backward reads, in the
-    training layout.  ``stacked``/``row`` name the fleet forward this row
-    belongs to, which :meth:`InferenceEngine.interpretation_gradients`
-    differentiates.  All arrays are views into the engine's arena — valid
-    until the next engine call.
-    """
-
-    cache: object
-    attention_probs: np.ndarray        # (h, B, N, N)
-    slope: np.ndarray                  # (B·N, d_ffn) leaky-ReLU slopes
-    tsbt: np.ndarray                   # (target, source, B, T) values
-    windows_flat: np.ndarray           # (N, B·T, K) causal windows, GEMM layout
-    stacked: "StackedInterpretationForward"
-    row: int
-
-
 @hot_path
 def max_last_keepdims(values: np.ndarray,
                       out: Optional[np.ndarray] = None) -> np.ndarray:
@@ -252,6 +230,27 @@ def tiled_scale(space: ScratchSpace, scale_array: np.ndarray,
     """
     return space.view(f"conv.scale.{scale_array.dtype.str}",
                       lambda: np.tile(scale_array, batch))
+
+
+def reference_cast(windows, dtype) -> np.ndarray:
+    """``windows`` with the Tensor-construction casts of the autograd forward.
+
+    The reference first builds ``Tensor(x)`` (casting to the *engine
+    default* dtype), then — when that differs from the model ``dtype`` —
+    rebuilds ``Tensor(x.astype(dtype))``, whose constructor casts **back**
+    to the default dtype.  Net effect: the result always carries the
+    default dtype, with values rounded through the model dtype when that is
+    the narrower type, so mixed-dtype configurations (e.g. a float32 model
+    probed under a float64 session) see the same input values as the
+    reference.  Both casts are elementwise.
+    """
+    from repro.nn import tensor as T
+
+    default = np.dtype(T.get_default_dtype())
+    arr = np.asarray(windows, dtype=default)
+    if arr.dtype != dtype:
+        arr = np.asarray(arr.astype(dtype), dtype=default)
+    return arr
 
 
 def series_diagonal(tsbt: np.ndarray) -> np.ndarray:
@@ -356,30 +355,16 @@ class ProfilingSeam:
         return any(name in self.__dict__ for name in self._PROFILED_OPS)
 
 
-def _restore_pre_shift(values: np.ndarray, pre_shift: np.ndarray
-                       ) -> np.ndarray:
-    """A copy of ``(…, B, source, target, T)`` ``values`` before the Eq. 4
-    shift: the self-series rows come from ``(…, N, B, T)`` ``pre_shift``."""
-    series = np.arange(values.shape[-2])
-    restored = values.copy()
-    restored[..., series, series, :] = np.moveaxis(pre_shift, -3, -2)
-    return restored
-
-
 @dataclass
 class StackedInterpretationForward:
     """The training forward of ``M`` same-architecture models, kept for
     interpretation.
 
     The fields are the buffers :meth:`StackedInferenceEngine._forward`
-    leaves in its scratch space, in the training layout, which the
-    all-ones backward reads; the properties view them in the ``(M, B, …)``
-    layout of a :class:`~repro.core.transformer.TransformerCache` with a
-    model axis, which relevance propagation reads.
-    :meth:`row` views model ``m`` as an ordinary
-    :class:`InterpretationForward`, so every per-model consumer runs on
-    bit-identical data.  All arrays are arena views — valid until the next
-    engine call.
+    leaves in its scratch space, in the one layout its kernels write, and
+    both the all-ones backward and relevance propagation read them as they
+    lie.  A one-model forward is the ``M = 1`` case.  All arrays are arena
+    views — valid until the next engine call.
     """
 
     inputs: np.ndarray                 # (M, B, N, T)
@@ -397,65 +382,6 @@ class StackedInterpretationForward:
     ffn_output: np.ndarray             # (M, B, N, T)
     output: np.ndarray                 # (M, B, N, T)
     stage: dict                        # the staged weights the pass ran on
-
-    @property
-    def values(self) -> np.ndarray:
-        """``(M, B, source, target, T)``: the convolution values (Eq. 4)."""
-        return self.tsbt.transpose(0, 3, 2, 1, 4)
-
-    @property
-    def values_pre(self) -> np.ndarray:
-        """An owned ``(M, B, source, target, T)`` copy before the shift."""
-        return _restore_pre_shift(self.values, self.pre_shift)
-
-    @property
-    def conv_windows(self) -> np.ndarray:
-        """``(M, B, N, T, K)``: each series' causal window per time slot."""
-        m, n, _bt, window = self.windows_flat.shape
-        return self.windows_flat.reshape(m, n, -1, window, window) \
-            .transpose(0, 2, 1, 3, 4)
-
-    @property
-    def head_outputs(self) -> np.ndarray:
-        """``(M, h, B, N, T)``: each head's attention applied (Eq. 6)."""
-        return self.heads.transpose(0, 3, 1, 2, 4)
-
-    def row(self, index: int) -> InterpretationForward:
-        """Model ``index``'s forward, cache included, as row views."""
-        from repro.core.attention import AttentionHeadCache
-        from repro.core.transformer import TransformerCache
-
-        # The forward's modulation multiply, replayed for this row.
-        scores = self.raw_scores[index] * self.stage["modulation"][index]
-        head_outputs = self.head_outputs[index]
-        head_caches = [
-            AttentionHeadCache(
-                attention=None, head_output=None,
-                attention_data=self.attention_probs[index, head],
-                head_output_data=head_outputs[head],
-                scores_data=scores[head],
-            )
-            for head in range(self.attention_probs.shape[1])
-        ]
-        values = self.values[index]
-        cache = TransformerCache(
-            inputs=self.inputs[index],
-            embedding=self.embedding[index],
-            values_pre_shift=_restore_pre_shift(values, self.pre_shift[index]),
-            values=values,
-            conv_windows=self.conv_windows[index],
-            head_caches=head_caches,
-            attention_combined=self.combined[index],
-            ffn_hidden=self.hidden[index],
-            ffn_activated=self.activated[index],
-            ffn_output=self.ffn_output[index],
-            output=self.output[index],
-            values_tensor=None,
-        )
-        return InterpretationForward(
-            cache=cache, attention_probs=self.attention_probs[index],
-            slope=self.slope[index], tsbt=self.tsbt[index],
-            windows_flat=self.windows_flat[index], stacked=self, row=index)
 
 
 class StackedInferenceEngine(ProfilingSeam):
@@ -985,27 +911,11 @@ class StackedInferenceEngine(ProfilingSeam):
     # Batch staging and evaluation
     # ------------------------------------------------------------------ #
     def _as_model_batch(self, windows_list: Sequence[np.ndarray]) -> np.ndarray:
-        """Stack ``M`` window sets into one contiguous ``(M, B, N, T)`` buffer.
-
-        Replays the Tensor-construction casts of the autograd forward per
-        model: the reference first builds ``Tensor(x)`` (casting to the
-        *engine default* dtype), then — when that differs from the model
-        dtype — rebuilds ``Tensor(x.astype(model_dtype))``, whose
-        constructor casts **back** to the default dtype.  Net effect: the
-        batch always carries the default dtype, with values rounded through
-        the model dtype when that is the narrower type, so mixed-dtype
-        configurations (e.g. a float32 model probed under a float64
-        session) see the same input values as the reference.
-        """
-        from repro.nn import tensor as T
-
-        default = np.dtype(T.get_default_dtype())
-        dtype = self.dtype
+        """Stack ``M`` window sets into one contiguous ``(M, B, N, T)`` buffer,
+        each cast as the autograd forward casts it (:func:`reference_cast`)."""
         cast: List[np.ndarray] = []
         for windows in windows_list:
-            arr = np.asarray(windows, dtype=default)
-            if arr.dtype != dtype:
-                arr = np.asarray(arr.astype(dtype), dtype=default)
+            arr = reference_cast(windows, self.dtype)
             if arr.ndim == 2:
                 arr = arr[None, :, :]
             cast.append(arr)
@@ -1013,7 +923,7 @@ class StackedInferenceEngine(ProfilingSeam):
         if len(shapes) != 1:
             raise ValueError("stacked evaluation requires same-shape window sets")
         batch = self.arena.take("stack.batch", (len(cast),) + cast[0].shape,
-                                default)
+                                cast[0].dtype)
         for row, arr in enumerate(cast):
             batch[row] = arr
         return batch
@@ -1337,25 +1247,21 @@ class InferenceEngine:
     # Detector support
     # ------------------------------------------------------------------ #
     def interpretation_forward(self, windows: np.ndarray
-                               ) -> InterpretationForward:
-        """The fused forward, kept for the detector.
+                               ) -> StackedInterpretationForward:
+        """The fused forward, kept for the detector: the one-model
+        :class:`StackedInterpretationForward`, shared by every target
+        series."""
+        return self.fleet._interpretation_pass([windows])
 
-        Fills a :class:`~repro.core.transformer.TransformerCache` for
-        relevance propagation plus the buffers the all-targets backward
-        reads.  Shared by every target series.
-        """
-        return self.fleet._interpretation_pass([windows]).row(0)
-
-    def interpretation_gradients(self, forward: InterpretationForward
+    def interpretation_gradients(self, forward: StackedInterpretationForward
                                  ) -> Tuple[np.ndarray, np.ndarray]:
         """Gradients of ``Σ_t prediction[:, g, :]`` for every target ``g``.
 
         Returns ``(attention_grads, kernel_grads)`` of shapes
         ``(h, B, N, N)`` ``[head, batch, target, source]`` and ``(N, N, K)``
         ``[source, target, τ]`` (``(1, N, K)`` for the single-kernel
-        ablation); see :meth:`StackedInferenceEngine
+        ablation): row 0 of :meth:`StackedInferenceEngine
         .interpretation_gradients`.
         """
-        attention, kernel = self.fleet._interpretation_gradients(
-            forward.stacked)
-        return attention[forward.row], kernel[forward.row]
+        attention, kernel = self.fleet._interpretation_gradients(forward)
+        return attention[0], kernel[0]

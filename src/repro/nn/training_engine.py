@@ -107,8 +107,8 @@ import numpy as np
 from repro.contracts import hot_path
 from repro.nn.inference import (InferenceEngine, ScratchArena, ScratchSpace,
                                 StackedInferenceEngine, _mse_plus_penalties,
-                                sized_by_batch, sum_last_keepdims,
-                                tiled_scale)
+                                reference_cast, sized_by_batch,
+                                sum_last_keepdims, tiled_scale)
 from repro.nn.optim import ParameterStack, StackedAdam
 from repro.nn.parallel import get_engine_threads, parallel_for, slice_axis
 
@@ -582,20 +582,12 @@ class TrainingEngine(InferenceEngine):
     def prepare_windows(self, windows: np.ndarray) -> np.ndarray:
         """Replay the per-batch Tensor-construction cast chain once, up front.
 
-        An autograd loop builds ``Tensor(windows[order[...]])`` per batch
-        (casting to the engine default dtype) and the reference forward
-        re-casts through the model dtype when they differ.  Both casts are
-        elementwise, so applying them to the whole window set once and
+        An autograd loop builds ``Tensor(windows[order[...]])`` per batch;
+        :func:`~repro.nn.inference.reference_cast` replays its casts.  Both
+        are elementwise, so applying them to the whole window set once and
         gathering rows afterwards is bit-identical to gathering first.
         """
-        from repro.nn import tensor as T
-
-        default = np.dtype(T.get_default_dtype())
-        arr = np.asarray(windows, dtype=default)
-        dtype = self.dtype
-        if arr.dtype != dtype:
-            arr = np.asarray(arr.astype(dtype), dtype=default)
-        return np.ascontiguousarray(arr)
+        return np.ascontiguousarray(reference_cast(windows, self.dtype))
 
     def train_step(self, batch: np.ndarray) -> float:
         """One fused forward + backward + Adam update; returns the Eq. 9 loss.

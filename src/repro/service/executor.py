@@ -323,9 +323,10 @@ class JobExecutor:
         runs either on the process pool (one submit per unit, each wrapped so a
         dying worker degrades to per-job error results) or inline — the
         inline path also serves as the fallback when the pool cannot be
-        created (e.g. sandboxes without working semaphores).
+        created (e.g. sandboxes without working semaphores).  Both run the
+        same round loop, so one retry and dead-letter policy covers both.
         """
-        from repro.service.batched import execute_batched_jobs, group_batchable
+        from repro.service.batched import group_batchable
 
         telemetry = get_telemetry()
         if self.batch_jobs:
@@ -335,45 +336,38 @@ class JobExecutor:
             groups, singles = group_batchable(pending, cache=self.cache)
         else:
             groups, singles = [], list(pending)
-        results: dict = {}
         use_pool = self.max_workers > 1 and len(groups) + len(singles) > 1
         telemetry.event("executor.dispatch", pending=len(pending),
                         groups=len(groups), singles=len(singles),
                         pool=use_pool, workers=self.max_workers)
         if use_pool:
             try:
-                return self._run_pool(groups, singles, telemetry)
+                return self._run_units(groups, singles, telemetry, pooled=True)
             except (OSError, PermissionError):
                 # No usable multiprocessing primitives — run inline instead.
                 telemetry.counter("executor.pool_fallbacks").inc()
                 telemetry.event("pool_fallback", workers=self.max_workers,
                                 pending=len(pending))
-                results.clear()
-        for members in groups:
-            fresh = execute_batched_jobs([pair for _idx, pair in members],
-                                         cache=self.cache)
-            for (index, _pair), result in zip(members, fresh):
-                results[index] = result
-        for index, (job, dataset) in singles:
-            results[index] = self._run_inline_single(job, dataset, telemetry)
-        return results
+        return self._run_units(groups, singles, telemetry, pooled=False)
 
     # ------------------------------------------------------------------ #
-    # Pooled dispatch with retry / timeout / dead-letter
+    # Round-based dispatch with retry / timeout / dead-letter
     # ------------------------------------------------------------------ #
-    def _run_pool(self, groups, singles, telemetry) -> dict:
-        """Round-based pooled dispatch that survives dying workers.
+    def _run_units(self, groups, singles, telemetry, pooled: bool) -> dict:
+        """Round-based dispatch that survives failing jobs and dying workers.
 
-        Each round submits every unfinished unit, then collects in order.
-        Any pool-level casualty (``BrokenProcessPool``, a timeout) poisons
-        the *whole* pool: the culprit's workers are hard-killed, the pool
-        respawned, the culprit retried with a counted attempt and backoff,
-        and every abandoned innocent unit resubmitted for free.  Error
+        Each round runs every unfinished unit — pooled, it submits them all,
+        then collects in order; inline, it runs each in this process, with
+        no telemetry capture, ``dispatch`` fault site or timeout.  Error
         results retry per ``self.retries`` (group members demote to solo
-        units first).  ``OSError``/``PermissionError`` propagate to the
-        caller's inline fallback; any other escape — ``KeyboardInterrupt``
-        included — kills the pool and flushes telemetry before re-raising,
-        so an interrupted sweep never leaks orphan workers.
+        units first).  Any pool-level casualty (``BrokenProcessPool``, a
+        timeout) poisons the *whole* pool: the culprit's workers are
+        hard-killed, the pool respawned, the culprit retried with a counted
+        attempt and backoff, and every abandoned innocent unit resubmitted
+        for free.  ``OSError``/``PermissionError`` propagate to the caller's
+        inline fallback; any other escape — ``KeyboardInterrupt`` included
+        — kills the pool and flushes telemetry before re-raising, so an
+        interrupted sweep never leaks orphan workers.
         """
         from repro.nn.parallel import configured_engine_threads
         from repro.nn.tensor import get_default_dtype
@@ -390,17 +384,24 @@ class JobExecutor:
         units += [_PoolUnit(index=index, job=job, dataset=dataset)
                   for index, (job, dataset) in singles]
         results: dict = {}
-        pool = self._new_pool()
+        pool = self._new_pool() if pooled else None
         try:
             queue = units
             while queue:
                 round_units, queue = queue, []
                 delay = 0.0
-                for unit in round_units:
-                    self._submit_unit(pool, unit, dtype, collect,
-                                      engine_threads, cache_dir)
+                if pooled:
+                    for unit in round_units:
+                        self._submit_unit(pool, unit, dtype, collect,
+                                          engine_threads, cache_dir)
                 broken = False
                 for unit in round_units:
+                    if not pooled:
+                        unit.attempts += 1
+                        delay = max(delay, self._accept(
+                            unit, self._run_inline(unit), results, queue,
+                            telemetry))
+                        continue
                     if broken:
                         # The pool died under an earlier unit; this one was
                         # abandoned through no fault of its own — resubmit
@@ -473,11 +474,22 @@ class JobExecutor:
         except BaseException:
             # KeyboardInterrupt, a propagating OSError, anything: never
             # leak worker processes, never lose buffered telemetry.
-            self._kill_pool(pool)
+            if pooled:
+                self._kill_pool(pool)
             telemetry.flush()
             raise
-        pool.shutdown(wait=True)
+        if pooled:
+            pool.shutdown(wait=True)
         return results
+
+    def _run_inline(self, unit):
+        """Run one unit in this process: a group's results, or a job's."""
+        from repro.service.batched import execute_batched_jobs
+
+        if unit.is_group:
+            return execute_batched_jobs(
+                [pair for _idx, pair in unit.members], cache=self.cache)
+        return execute_job(unit.job, unit.dataset)
 
     def _submit_unit(self, pool, unit, dtype, collect, engine_threads,
                      cache_dir) -> None:
@@ -553,35 +565,6 @@ class JobExecutor:
             results[index] = JobResult(job=job, error=message,
                                        attempts=unit.attempts,
                                        dead_letter=True)
-
-    def _run_inline_single(self, job: DiscoveryJob,
-                           dataset: TimeSeriesDataset,
-                           telemetry) -> JobResult:
-        """In-process execution with the same error-retry policy.
-
-        ``job_timeout`` is not enforceable here (there is no worker to
-        kill), and a hard crash takes the process with it — the inline
-        path trades isolation for working in pool-less sandboxes.
-        """
-        allowed = self.retries + 1
-        attempt = 0
-        while True:
-            attempt += 1
-            result = execute_job(job, dataset)
-            result.attempts = attempt
-            if not result.error or attempt >= allowed:
-                if result.error and self.retries > 0:
-                    result.dead_letter = True
-                    telemetry.counter("executor.dead_letters").inc()
-                    telemetry.event("job_dead_letter", job_id=job.job_id,
-                                    attempts=attempt)
-                return result
-            telemetry.counter("executor.retries").inc()
-            telemetry.event("job_retry", job_id=job.job_id, attempt=attempt,
-                            reason="job_error")
-            delay = self._retry_delay(job.cache_key(), attempt)
-            if delay > 0:
-                time.sleep(delay)
 
     def _retry_delay(self, key: str, attempt: int) -> float:
         """Exponential backoff with *deterministic* jitter.

@@ -27,11 +27,12 @@ from repro.core.config import CausalFormerConfig
 from repro.core.detector import (DecompositionCausalityDetector,
                                  compute_scores_group)
 from repro.core.relevance import (RegressionRelevancePropagation,
-                                  StackedRelevancePropagation)
+                                  StackedRelevancePropagation,
+                                  _model_axis_view)
 from repro.core.transformer import CausalityAwareTransformer
 from repro.data import diamond_dataset
 from repro.nn.inference import InferenceEngine, StackedInferenceEngine
-from repro.nn.tensor import default_dtype
+from repro.nn.tensor import Tensor, default_dtype, no_grad
 from tests.conftest import ABLATION_GRID, assert_matches_reference
 from tests.per_target_reference import (per_target_gradients,
                                         per_target_relevance,
@@ -151,11 +152,10 @@ class TestPerTargetParity:
                 stacked.interpretation_forward(window_sets))
         targets = list(range(N_SERIES))
         for row, (model, windows) in enumerate(zip(models, window_sets)):
-            cache = InferenceEngine(model).interpretation_forward(windows).cache
-            rrp = RegressionRelevancePropagation(model)
-            reference = per_target_relevance(rrp, cache, targets)
-            result = rrp.propagate_targets(cache) if path == "solo" \
-                else results[row]
+            forward = InferenceEngine(model).interpretation_forward(windows)
+            reference = per_target_relevance(model, forward, targets)
+            result = StackedRelevancePropagation([model]).propagate_targets(
+                forward)[0] if path == "solo" else results[row]
             assert result.target is None
             for target in targets:
                 for attention, expected in zip(result.attention,
@@ -169,11 +169,16 @@ class TestPerTargetParity:
 
     @pytest.mark.parametrize("target", range(N_SERIES))
     def test_propagate_is_the_one_hot_pass(self, target):
+        """On the autograd reference's forward, which
+        ``RegressionRelevancePropagation`` reads through the one adapter
+        into the engine's layout."""
         (model,), (windows,) = fleet(n_models=1)
-        cache = InferenceEngine(model).interpretation_forward(windows).cache
+        with no_grad():
+            _prediction, cache = model(Tensor(windows))
         rrp = RegressionRelevancePropagation(model)
         result = rrp.propagate(cache, target)
-        expected = per_target_relevance(rrp, cache, [target])[0]
+        expected = per_target_relevance(
+            model, _model_axis_view(cache, model), [target])[0]
         assert result.target == target
         for attention, reference in zip(result.attention, expected):
             assert np.array_equal(attention, reference.attention)

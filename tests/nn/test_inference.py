@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from repro.core.config import CausalFormerConfig
+from repro.core.relevance import _model_axis_view
 from repro.core.training import Trainer
 from repro.core.transformer import CausalityAwareTransformer
 from repro.nn.inference import (InferenceEngine, ScratchArena,
@@ -230,9 +231,15 @@ class TestForwardParity:
                 assert prediction.tobytes() == detour.tobytes()
 
 
-CACHE_FIELDS = ("inputs", "embedding", "values", "values_pre_shift",
-                "conv_windows", "attention_combined", "ffn_hidden",
-                "ffn_activated", "ffn_output", "output")
+#: the fields of an interpretation forward that the one adapter
+#: (``_model_axis_view``) translates from the reference's cache
+LAYOUT_FIELDS = ("tsbt", "pre_shift", "windows_flat", "attention_probs",
+                 "heads", "combined", "hidden", "activated", "ffn_output",
+                 "output")
+
+#: every array field of an interpretation forward
+FORWARD_FIELDS = ("inputs", "embedding", "raw_scores", "slope") \
+    + LAYOUT_FIELDS
 
 
 class TestCachePathParity:
@@ -242,20 +249,21 @@ class TestCachePathParity:
         model, _config = build(dtype, **overrides)
         x = window_batch(model)
         with no_grad():
-            _prediction, reference = model(Tensor(x.copy()))
-        cache = InferenceEngine(model).interpretation_forward(x).cache
-        for field in CACHE_FIELDS:
-            assert_matches_reference(getattr(cache, field),
+            _prediction, cache = model(Tensor(x.copy()))
+        forward = InferenceEngine(model).interpretation_forward(x)
+        reference = _model_axis_view(cache, model)
+        for field in LAYOUT_FIELDS:
+            assert_matches_reference(getattr(forward, field),
                                      getattr(reference, field), dtype,
                                      err_msg=field)
-        assert len(cache.head_caches) == len(reference.head_caches)
-        for head_ref, head in zip(reference.head_caches, cache.head_caches):
-            assert_matches_reference(head.attention_data,
-                                     head_ref.attention_data, dtype)
-            assert_matches_reference(head.head_output_data,
-                                     head_ref.head_output_data, dtype)
-            assert_matches_reference(head.scores_data, head_ref.scores_data,
-                                     dtype)
+        assert_matches_reference(forward.inputs[0], cache.inputs, dtype)
+        assert_matches_reference(forward.embedding[0], cache.embedding, dtype)
+        # The forward keeps the unmodulated scores; the modulation multiply
+        # replayed on them gives the reference's masked scores.
+        scores = forward.raw_scores * forward.stage["modulation"]
+        reference_scores = np.stack([head.scores_data
+                                     for head in cache.head_caches])
+        assert_matches_reference(scores[0], reference_scores, dtype)
 
     @pytest.mark.parametrize("overrides", ABLATION_GRID)
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
@@ -392,19 +400,9 @@ class TestStackedEngine:
         forward = stacked.interpretation_forward(window_sets)
         for row, (model, windows) in enumerate(zip(models, window_sets)):
             reference = InferenceEngine(model).interpretation_forward(windows)
-            cache_a, cache_b = reference.cache, forward.row(row).cache
-            for name in ("inputs", "embedding", "values_pre_shift", "values",
-                         "conv_windows", "attention_combined", "ffn_hidden",
-                         "ffn_activated", "ffn_output", "output"):
-                assert np.array_equal(getattr(cache_a, name),
-                                      getattr(cache_b, name)), name
-            for head_a, head_b in zip(cache_a.head_caches,
-                                      cache_b.head_caches):
-                assert np.array_equal(head_a.attention_data,
-                                      head_b.attention_data)
-                assert np.array_equal(head_a.head_output_data,
-                                      head_b.head_output_data)
-                assert np.array_equal(head_a.scores_data, head_b.scores_data)
+            for name in FORWARD_FIELDS:
+                assert np.array_equal(getattr(forward, name)[row],
+                                      getattr(reference, name)[0]), name
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("single_kernel", [False, True])

@@ -204,7 +204,7 @@ class TestStackedGradientParity:
             assert losses[row] == reference_loss
             for name, expected in reference.items():
                 assert np.array_equal(expected,
-                                      trainer._grad_view(name)[row]), \
+                                      trainer._grad_views[name][row]), \
                     (row, name)
 
 

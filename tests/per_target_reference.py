@@ -5,10 +5,12 @@ seeded on output row ``g`` alone (Fig. 6), and combines them per target
 (Eq. 19).  The detector runs a single all-ones pass instead and reads row
 ``g``.  This module keeps the one-hot, per-target form — the same
 arithmetic with a leading target axis ``G``, written against the model's
-weights and the interpretation cache alone, with one kernel contraction
-per head — so the tests can assert that the one-pass gradients and
-attention relevance equal it bit for bit, and that the head-summed kernel
-relevance equals the sum of its per-head kernels to rounding.
+weights and one row of an interpretation forward in the engine's layout
+(:class:`~repro.nn.inference.StackedInterpretationForward`), with one
+kernel contraction per head — so the tests can assert that the one-pass
+gradients and attention relevance equal it bit for bit, and that the
+head-summed kernel relevance equals the sum of its per-head kernels to
+rounding.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from typing import List, NamedTuple, Sequence, Tuple
 import numpy as np
 
 from repro.core.detector import CausalScores
-from repro.core.relevance import RegressionRelevancePropagation, stabilize
+from repro.core.relevance import stabilize
 from repro.nn.inference import InferenceEngine
 
 
@@ -26,7 +28,6 @@ class HeadRelevance(NamedTuple):
     """Relevance reaching one attention head from one seed."""
 
     attention: np.ndarray   # (B, N, N) — of the attention matrix
-    values: np.ndarray      # (B, N, N, T) — of the convolution output
     kernel: np.ndarray      # (N, N, T) — of the convolution kernel
 
 
@@ -39,32 +40,32 @@ def one_hot_seed(shape: Tuple[int, int, int], targets: Sequence[int],
     return seed
 
 
-def per_target_gradients(model, forward, targets: Sequence[int]
+def per_target_gradients(model, forward, targets: Sequence[int], row: int = 0
                          ) -> Tuple[np.ndarray, np.ndarray]:
     """The engines' ``interpretation_gradients`` seeded one-hot per target.
 
-    ``forward`` is one model's ``InterpretationForward`` (of ``model``),
-    whose buffers are in the training layout.  Returns ``(G, h, B, N, N)``
-    attention and ``(G, N, N, K)`` kernel gradients (``(G, 1, 1, K)`` for
-    the single-kernel ablation, summed over both series axes as the
-    autograd unbroadcast does).
+    ``forward`` is an interpretation forward whose row ``row`` is
+    ``model``'s.  Returns ``(G, h, B, N, N)`` attention and
+    ``(G, N, N, K)`` kernel gradients (``(G, 1, 1, K)`` for the
+    single-kernel ablation, summed over both series axes as the autograd
+    unbroadcast does).
     """
-    batch, n, window = forward.cache.output.shape
+    output = forward.output[row]
+    batch, n, window = output.shape
     count = len(targets)
-    seed = one_hot_seed((batch, n, window), targets,
-                        forward.cache.output.dtype)
+    seed = one_hot_seed((batch, n, window), targets, output.dtype)
     grad_ffn = seed.reshape(count, batch * n, window) \
         @ model.output_layer.weight.data.T
     grad_hidden = grad_ffn @ model.feed_forward.w2.data.T
-    grad_hidden *= forward.slope
+    grad_hidden *= forward.slope[row]
     grad_combined = grad_hidden @ model.feed_forward.w1.data.T
     grad_heads = grad_combined.reshape(count, batch, n, 1, window) \
         * model.attention.w_output.data[:, None]                # (G,B,i,h,T)
     grad_heads_ib = grad_heads.swapaxes(1, 2)                   # (G,i,B,h,T)
-    tsbt = forward.tsbt                                         # (i,j,B,T)
+    tsbt = forward.tsbt[row]                                    # (i,j,B,T)
     attention_grads = (grad_heads_ib @ tsbt.transpose(0, 2, 3, 1)) \
         .transpose(0, 3, 2, 1, 4)                               # (G,h,B,i,j)
-    grad_tsbt = (forward.attention_probs.transpose(2, 1, 3, 0)
+    grad_tsbt = (forward.attention_probs[row].transpose(2, 1, 3, 0)
                  @ grad_heads_ib).swapaxes(2, 3)                # (G,i,j,B,T)
     diag = np.arange(n)
     grad_tsbt[:, diag, diag, :, :-1] = grad_tsbt[:, diag, diag, :, 1:]
@@ -72,7 +73,7 @@ def per_target_gradients(model, forward, targets: Sequence[int]
     grad_stbt = grad_tsbt.reshape(count, n, n, batch * window) \
         .transpose(0, 2, 1, 3)
     grad_stbt *= np.tile(model.convolution._scale_array, batch)
-    kernel_grads = grad_stbt @ forward.windows_flat             # (G,j,i,K)
+    kernel_grads = grad_stbt @ forward.windows_flat[row]        # (G,j,i,K)
     kernel_dtype = model.convolution.kernel.data.dtype
     if kernel_grads.dtype != kernel_dtype:
         kernel_grads = np.asarray(kernel_grads, dtype=kernel_dtype)
@@ -81,67 +82,66 @@ def per_target_gradients(model, forward, targets: Sequence[int]
     return attention_grads, kernel_grads
 
 
-def rrp_denominators(model, cache, use_bias: bool, epsilon: float) -> dict:
-    """The stabilised RRP denominators (Eq. 15–18) of one cache."""
+def per_target_relevance(model, forward, targets: Sequence[int],
+                         use_bias: bool = True, epsilon: float = 1e-9,
+                         row: int = 0) -> List[List[HeadRelevance]]:
+    """Regression relevance propagation seeded one-hot per target.
+
+    ``forward`` is an interpretation forward whose row ``row`` is
+    ``model``'s.  Returns ``heads[g][h]``: the relevance reaching head
+    ``h`` from the seed on row ``targets[g]``.
+    """
+    output = forward.output[row]
+    batch, n_series, window = output.shape
+    diag = np.arange(n_series)
+
     def denominator(outputs, bias):
         return stabilize(outputs if use_bias else outputs - bias, epsilon)
 
-    return {
-        "output": denominator(cache.output, model.output_layer.bias.data),
-        "ffn_output": denominator(cache.ffn_output,
-                                  model.feed_forward.b2.data),
-        "hidden": denominator(cache.ffn_hidden, model.feed_forward.b1.data),
-        "combined": stabilize(cache.attention_combined, epsilon),
-        "heads": [stabilize(head.head_output_data, epsilon)
-                  for head in cache.head_caches],
-        "values_pre": stabilize(cache.values_pre_shift, epsilon),
-    }
-
-
-def per_target_relevance(rrp, cache, targets: Sequence[int]
-                         ) -> List[List[HeadRelevance]]:
-    """``RegressionRelevancePropagation`` seeded one-hot per target.
-
-    Returns ``heads[g][h]``: the relevance reaching head ``h`` from the
-    seed on row ``targets[g]``.
-    """
-    model = rrp.model
-    d = rrp_denominators(model, cache, rrp.use_bias, rrp.epsilon)
+    tsbt = forward.tsbt[row]                                    # (i,j,B,T)
+    values_pre = tsbt.copy()
+    values_pre[diag, diag] = forward.pre_shift[row]
+    d_values_pre = stabilize(values_pre, epsilon)
+    heads = forward.heads[row]                                  # (B,i,h,T)
+    d_heads = stabilize(heads, epsilon)
+    d_combined = stabilize(forward.combined[row], epsilon)
     w_output = model.attention.w_output.data
     kernel = model.convolution.effective_kernel().data
-    scale = 1.0 / np.arange(1, model.config.window + 1, dtype=float)
-    scaled_windows = cache.conv_windows * scale[None, None, :, None]
-    diag = np.arange(cache.output.shape[1])
-    seed = one_hot_seed(cache.output.shape, targets)
-    relevance_ffn_out = cache.ffn_output * (
-        (seed / d["output"]) @ model.output_layer.weight.data.T)
-    relevance_activated = cache.ffn_activated * (
-        (relevance_ffn_out / d["ffn_output"])
+    scale = 1.0 / np.arange(1, window + 1, dtype=float)
+    scaled_windows = forward.windows_flat[row].reshape(
+        n_series, batch, window, -1) * scale[:, None]           # (j,B,T,K)
+
+    seed = one_hot_seed(output.shape, targets)
+    relevance_ffn_out = forward.ffn_output[row] * (
+        (seed / denominator(output, model.output_layer.bias.data))
+        @ model.output_layer.weight.data.T)
+    relevance_activated = forward.activated[row] * (
+        (relevance_ffn_out / denominator(forward.ffn_output[row],
+                                         model.feed_forward.b2.data))
         @ model.feed_forward.w2.data.T)
-    relevance_combined = cache.attention_combined * (
-        (relevance_activated / d["hidden"])
+    relevance_combined = forward.combined[row] * (
+        (relevance_activated / denominator(forward.hidden[row],
+                                           model.feed_forward.b1.data))
         @ model.feed_forward.w1.data.T)
     per_head = []
-    for head_index, head_cache in enumerate(cache.head_caches):
-        weighted_head = head_cache.head_output_data * w_output[head_index]
-        relevance_head = (weighted_head * relevance_combined
-                          / d["combined"])
-        attention = head_cache.attention_data
-        ratio = relevance_head / d["heads"][head_index]
+    for head_index in range(forward.attention_probs.shape[1]):
+        weighted_head = heads[:, :, head_index] * w_output[head_index]
+        relevance_head = weighted_head * relevance_combined / d_combined
+        attention = forward.attention_probs[row, head_index]    # (B,i,j)
+        ratio = relevance_head / d_heads[:, :, head_index]
         relevance_attention = attention * np.einsum(
-            "bjit,gbit->gbij", cache.values, ratio)
+            "ijbt,gbit->gbij", tsbt, ratio)
         relevance_values = np.einsum(
-            "bij,bjit,gbit->gbjit", attention, cache.values, ratio)
+            "bij,ijbt,gbit->gijbt", attention, tsbt, ratio)
         pre_shift = relevance_values.copy()
-        pre_shift[:, :, diag, diag, :-1] = relevance_values[:, :, diag, diag, 1:]
-        pre_shift[:, :, diag, diag, -1] = 0.0
+        pre_shift[:, diag, diag, :, :-1] = \
+            relevance_values[:, diag, diag, :, 1:]
+        pre_shift[:, diag, diag, :, -1] = 0.0
         relevance_kernel = kernel * np.einsum(
-            "bitk,gbijt->gijk", scaled_windows, pre_shift / d["values_pre"])
-        per_head.append((relevance_attention, relevance_values,
-                         relevance_kernel))
-    return [[HeadRelevance(attention=attention[index], values=values[index],
-                           kernel=kernel[index])
-             for attention, values, kernel in per_head]
+            "jbtk,gijbt->gjik", scaled_windows, pre_shift / d_values_pre)
+        per_head.append((relevance_attention, relevance_kernel))
+    return [[HeadRelevance(attention=attention[index], kernel=kernel[index])
+             for attention, kernel in per_head]
             for index in range(len(targets))]
 
 
@@ -156,29 +156,28 @@ def per_target_scores(detector, windows: np.ndarray) -> CausalScores:
         windows = windows[None]
     model = detector.model
     forward = InferenceEngine(model).interpretation_forward(windows)
-    cache = forward.cache
-    _batch, n_series, window = cache.output.shape
+    _models, n_heads, batch, n_series, _ = forward.attention_probs.shape
+    window = forward.output.shape[-1]
     targets = list(range(n_series))
     if detector.use_gradient:
         attention_grads, kernel_grads = per_target_gradients(
             model, forward, targets)
     if detector.use_relevance:
-        rrp = RegressionRelevancePropagation(
-            model, use_bias=detector.use_bias,
+        relevances = per_target_relevance(
+            model, forward, targets, use_bias=detector.use_bias,
             epsilon=detector.config.relevance_epsilon)
-        relevances = per_target_relevance(rrp, cache, targets)
-    n_heads = len(cache.head_caches)
     attention_scores = np.zeros((n_series, n_series))
     kernel_scores = np.zeros((n_series, n_series, window))
     for target in targets:
         attention_sum = np.zeros((n_series, n_series))
         kernel_sum = np.zeros((n_series, n_series, window))
-        for head_index, head_cache in enumerate(cache.head_caches):
+        for head_index in range(n_heads):
             if detector.use_relevance:
                 relevance_attention = relevances[target][head_index].attention
                 relevance_kernel = relevances[target][head_index].kernel
             else:
-                relevance_attention = np.ones_like(head_cache.attention_data)
+                relevance_attention = np.ones(
+                    (batch, n_series, n_series), forward.attention_probs.dtype)
                 relevance_kernel = np.ones((n_series, n_series, window))
             if detector.use_gradient:
                 attention_term = (np.abs(attention_grads[target, head_index])

@@ -231,6 +231,20 @@ class TestRetryPolicy:
         assert result.ok and result.attempts == 2
         assert result.graph.to_dict() == reference[0].graph.to_dict()
 
+    def test_inline_batched_group_member_retries(self, chaos_pairs,
+                                                 reference):
+        """A group member that errors after the stacked-training fallback
+        demotes to a solo unit and retries inline, as it does pooled."""
+        from repro import faults
+
+        with faults.override("raise@lane_step=1,raise@job=1"):
+            results = JobExecutor(max_workers=1, batch_jobs=True, retries=1,
+                                  retry_backoff=0.0).run(chaos_pairs)
+        assert all(result.ok for result in results)
+        assert not any(result.dead_letter for result in results)
+        assert sorted(result.attempts for result in results) == [1, 1, 2]
+        assert _graphs(results) == _graphs(reference)
+
     def test_inline_without_retries_keeps_the_error(self, chaos_pairs):
         from repro import faults
 
