@@ -128,8 +128,7 @@ class DecompositionCausalityDetector:
         # scoring call.
         self._fleet = StackedInferenceEngine([self.model])
         self._relevance = StackedRelevancePropagation(
-            [self.model], use_bias=use_bias,
-            epsilon=self.config.relevance_epsilon)
+            use_bias=use_bias, epsilon=self.config.relevance_epsilon)
 
     # ------------------------------------------------------------------ #
     # Causal scores
@@ -264,10 +263,11 @@ def compute_scores_group(detectors: Sequence[DecompositionCausalityDetector],
         raise ValueError(
             "grouped interpretation requires same-shape window sets")
 
-    models = [detector.model for detector in detectors]
     return _interpret(
-        detectors, StackedInferenceEngine(models, arena=arena),
-        StackedRelevancePropagation(models, use_bias=first.use_bias,
+        detectors,
+        StackedInferenceEngine([detector.model for detector in detectors],
+                               arena=arena),
+        StackedRelevancePropagation(use_bias=first.use_bias,
                                     epsilon=first.config.relevance_epsilon),
         prepared_windows)
 

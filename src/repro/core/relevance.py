@@ -64,7 +64,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from types import SimpleNamespace
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 import numpy as np
 
@@ -161,11 +161,7 @@ class StackedRelevancePropagation:
     ``stage``.
     """
 
-    def __init__(self, models: Sequence[CausalityAwareTransformer],
-                 use_bias: bool = True, epsilon: float = 1e-9) -> None:
-        if not models:
-            raise ValueError("need at least one model")
-        self.models = list(models)
+    def __init__(self, use_bias: bool = True, epsilon: float = 1e-9) -> None:
         self.use_bias = use_bias
         self.epsilon = epsilon
 
@@ -346,8 +342,7 @@ class RegressionRelevancePropagation:
         self.epsilon = epsilon
 
     def _fleet(self) -> StackedRelevancePropagation:
-        return StackedRelevancePropagation([self.model], self.use_bias,
-                                           self.epsilon)
+        return StackedRelevancePropagation(self.use_bias, self.epsilon)
 
     # ------------------------------------------------------------------ #
     # Elementary propagation rules

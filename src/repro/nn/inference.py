@@ -26,10 +26,14 @@ transcribes the paper's equations one op at a time) it agrees up to
 floating-point rounding; the tests pin that at tolerance in float64 and
 float32.  When a call runs on more than one thread — by the work-size rule
 or an explicit ``set_engine_threads(n)`` (see :mod:`repro.nn.parallel`) —
-the dominant ops chunk an independent leading axis (the model axis or a
-per-model axis) across a shared worker pool; each chunk performs exactly
-the per-slice work of the serial op on disjoint output slices, so threaded
-results stay bit-identical in both dtypes.  The forward computes in the
+it runs branches plus chunks on a shared worker pool.  The convolution
+and the attention, which read only the windows and meet in the
+combination, run as two concurrent branches, each serial inside and over
+its own ``conv.*`` / ``att.*`` buffers; every other op chunks an
+independent leading axis (the model axis or a per-model axis), each chunk
+performing exactly the per-slice work of the serial op on disjoint output
+slices.  Either way every op and its order are the serial call's, so
+threaded results stay bit-identical in both dtypes.  The forward computes in the
 model dtype throughout, as the reference does —
 mask modulation, convolution values, attention, combination and MLP
 tail — so a float32 model's predictions are float32.  Its convolution
@@ -57,7 +61,7 @@ import numpy as np
 
 from repro.contracts import hot_path
 from .parallel import (engine_call, get_engine_threads, parallel_for,
-                       slice_axis)
+                       run_branches, slice_axis)
 
 
 class ScratchSpace:
@@ -87,6 +91,9 @@ class ScratchSpace:
     def __getitem__(self, name: str) -> np.ndarray:
         """The buffer held under ``name`` (as the last ``take`` left it)."""
         return self._buffers[name]
+
+    def __contains__(self, name: str) -> bool:
+        return name in self._buffers
 
     def view(self, name: str, factory) -> np.ndarray:
         """A cached derived view (``factory`` builds it on first use)."""
@@ -266,6 +273,25 @@ def series_diagonal(tsbt: np.ndarray) -> np.ndarray:
         strides=(strides[0], strides[1] + strides[2]) + strides[3:])
 
 
+#: the scratch buffers each forward branch writes
+_CONVOLUTION_WRITES = ("conv.pad", "conv.windows_flat", "conv.tsbt",
+                       "conv.pre_shift")
+_ATTENTION_WRITES = ("att.emb", "att.proj", "att.qk", "att.raw", "att.probs",
+                     "att.max", "att.sum")
+
+
+def _forward_branch_arrays(space: ScratchSpace, x: np.ndarray, stage: dict):
+    """What the forward's convolution and attention branches write and
+    read, for the branch audit (:func:`repro.nn.parallel.run_branches`)."""
+    return (
+        ([space[name] for name in _CONVOLUTION_WRITES],
+         [x, stage["kernel_eff"]]),
+        ([space[name] for name in _ATTENTION_WRITES],
+         [x, stage["embed_weight"], stage["embed_bias"], stage["weight_flat"],
+          stage["bias_flat"], stage["modulation"]]),
+    )
+
+
 def _mse_plus_penalties(diff: np.ndarray, penalties: List[float]) -> float:
     """One model's Eq. 9 loss: windowed MSE, then the penalty terms in order.
 
@@ -283,11 +309,12 @@ def _mse_plus_penalties(diff: np.ndarray, penalties: List[float]) -> float:
 def _timed_op(op: str, bound: Callable, hook: Callable) -> Callable:
     """Wrap a bound op method so each call reports its wall time to ``hook``.
 
-    The clock runs on the *dispatching* thread: ops that fan work out
-    through :func:`repro.nn.parallel.parallel_for` block the caller until
-    every chunk drains, so the recorded wall time spans the op's full
-    (possibly parallel) execution and per-op timings stay meaningful at any
-    engine thread count.
+    The clock runs on the thread that calls the op: ops that fan work out
+    through :func:`repro.nn.parallel.parallel_for` block it until every
+    chunk drains, so the recorded wall time spans the op's full (possibly
+    parallel) execution and per-op timings stay meaningful at any engine
+    thread count.  Ops of concurrent branches (the convolution and the
+    attention) are timed on their branch's thread, so their times overlap.
     """
     def wrapper(*args, **kwargs):
         start = time.perf_counter()
@@ -334,8 +361,9 @@ class ProfilingSeam:
     Hooks must be safe to call from any thread that drives the engine:
     :func:`profiling_hook` (cached histograms over the lock-protected
     metrics registry) is the canonical implementation.  Threaded ops are
-    timed on the dispatching thread (see :func:`_timed_op`), so a wrapper
-    never fires concurrently with itself for a single engine instance.
+    timed on the thread that calls them (see :func:`_timed_op`), so a
+    wrapper never fires concurrently with itself for a single engine
+    instance, though two branch ops' wrappers may.
     """
 
     _PROFILED_OPS: Tuple[str, ...] = ()
@@ -579,13 +607,7 @@ class StackedInferenceEngine(ProfilingSeam):
                             [..., 1:, :].transpose(0, 2, 1, 3, 4))
         target = space.view("conv.windows_flat.5d",
                             lambda: flat.reshape(m, n, batch, window, window))
-        axis = 0 if self._model_axis_first(m, n) else 1
-
-        def body(lo: int, hi: int) -> None:
-            np.copyto(slice_axis(target, axis, lo, hi),
-                      slice_axis(source, axis, lo, hi))
-
-        parallel_for(body, target.shape[axis], outputs=((target, axis),))
+        np.copyto(target, source)
         return padded, flat
 
     @hot_path
@@ -615,22 +637,9 @@ class StackedInferenceEngine(ProfilingSeam):
             m, n, n, batch * window))
         stbt = space.view("conv.tsbt.st",
                           lambda: tsbt_flat.transpose(0, 2, 1, 3))
-        axis = 0 if self._model_axis_first(m, n) else 1
-
-        def matmul_body(lo: int, hi: int) -> None:
-            np.matmul(slice_axis(kernel, axis, lo, hi),
-                      slice_axis(flat_t, axis, lo, hi),
-                      out=slice_axis(stbt, axis, lo, hi))
-
-        parallel_for(matmul_body, stbt.shape[axis], outputs=((stbt, axis),))
-        scale = tiled_scale(space, stage["scale_array"], batch)
-
-        def scale_body(lo: int, hi: int) -> None:
-            rows = slice_axis(tsbt_flat, axis, lo, hi)
-            np.multiply(rows, scale, out=rows)
-
-        parallel_for(scale_body, tsbt_flat.shape[axis],
-                     outputs=((tsbt_flat, axis),))
+        np.matmul(kernel, flat_t, out=stbt)
+        np.multiply(tsbt_flat, tiled_scale(space, stage["scale_array"], batch),
+                    out=tsbt_flat)
         diagonal = space.view("conv.diagonal", lambda: series_diagonal(tsbt))
         pre_shift = space.take("conv.pre_shift", (m, n, batch, window),
                                tsbt.dtype)
@@ -646,23 +655,17 @@ class StackedInferenceEngine(ProfilingSeam):
         Bit-identical to ``x -= x.max(…); exp; x /= x.sum(…)`` — see
         :func:`max_last_keepdims` / :func:`sum_last_keepdims` for why the
         chained reductions are exact replicas.  Normalisation is row-wise
-        over a contiguous arena buffer, so the (model, head, batch) leading
-        axes flatten into one parallel axis.
+        over a contiguous arena buffer, whose (model, head, batch) leading
+        axes flatten into one.
         """
         extreme = space.take("att.max", probs.shape[:-1] + (1,), probs.dtype)
         total = space.take("att.sum", probs.shape[:-1] + (1,), probs.dtype)
-        flat = probs.reshape((-1,) + probs.shape[-2:])
-        ext = extreme.reshape((-1,) + extreme.shape[-2:])
-        tot = total.reshape((-1,) + total.shape[-2:])
-
-        def body(lo: int, hi: int) -> None:
-            rows = flat[lo:hi]
-            rows -= max_last_keepdims(rows, out=ext[lo:hi])
-            np.exp(rows, out=rows)
-            rows /= sum_last_keepdims(rows, out=tot[lo:hi])
-
-        parallel_for(body, flat.shape[0],
-                     outputs=((flat, 0), (ext, 0), (tot, 0)))
+        rows = probs.reshape((-1,) + probs.shape[-2:])
+        rows -= max_last_keepdims(
+            rows, out=extreme.reshape((-1,) + extreme.shape[-2:]))
+        np.exp(rows, out=rows)
+        rows /= sum_last_keepdims(
+            rows, out=total.reshape((-1,) + total.shape[-2:]))
 
     @hot_path
     def _attention_probs(self, space: ScratchSpace, x: np.ndarray, stage: dict
@@ -675,18 +678,10 @@ class StackedInferenceEngine(ProfilingSeam):
         x2d = x.reshape(m, batch * n, window)
         emb = space.take("att.emb", (m, batch * n, d_model), cdtype)
         proj = space.take("att.proj", (m, batch * n, 2 * n_heads * d_qk), cdtype)
-        embed_weight, embed_bias = stage["embed_weight"], stage["embed_bias"]
-        weight_flat, bias_flat = stage["weight_flat"], stage["bias_flat"]
-
-        # The embedding/projection GEMMs are batched over the model axis
-        # only (per-model weights), so they always chunk across models.
-        def project_body(lo: int, hi: int) -> None:
-            np.matmul(x2d[lo:hi], embed_weight[lo:hi], out=emb[lo:hi])
-            emb[lo:hi] += embed_bias[lo:hi, None, :]
-            np.matmul(emb[lo:hi], weight_flat[lo:hi], out=proj[lo:hi])
-            proj[lo:hi] += bias_flat[lo:hi, None, :]
-
-        parallel_for(project_body, m, outputs=((emb, 0), (proj, 0)))
+        np.matmul(x2d, stage["embed_weight"], out=emb)
+        emb += stage["embed_bias"][:, None, :]
+        np.matmul(emb, stage["weight_flat"], out=proj)
+        proj += stage["bias_flat"][:, None, :]
         qk = space.take("att.qk", (m, 2 * n_heads, batch, n, d_qk), cdtype)
         proj_t = space.view("att.proj.t",
                             lambda: proj.reshape(m, batch, n, 2 * n_heads, d_qk)
@@ -697,25 +692,11 @@ class StackedInferenceEngine(ProfilingSeam):
         modulation = stage["modulation"]
         probs = space.take("att.probs", (m, n_heads, batch, n, n),
                            np.result_type(cdtype, modulation.dtype))
-        query = qk[:, :n_heads]
-        # Layout copy + per-(m, h, b) score GEMMs + modulation multiply in
-        # one round: the batch axis sits at index 2 of every operand, the
-        # model axis at 0.  ``modulation`` is (m, h, 1, n, n): sliced along
-        # the model axis, broadcast (unsliced) along the batch axis.
-        axis = 0 if self._model_axis_first(m, batch) else 2
-
-        def body(lo: int, hi: int) -> None:
-            np.copyto(slice_axis(qk, axis, lo, hi),
-                      slice_axis(proj_t, axis, lo, hi))
-            np.matmul(slice_axis(query, axis, lo, hi),
-                      slice_axis(k_t, axis, lo, hi),
-                      out=slice_axis(raw, axis, lo, hi))
-            np.multiply(slice_axis(raw, axis, lo, hi),
-                        modulation[lo:hi] if axis == 0 else modulation,
-                        out=slice_axis(probs, axis, lo, hi))
-
-        parallel_for(body, raw.shape[axis],
-                     outputs=((qk, axis), (raw, axis), (probs, axis)))
+        # Layout copy, per-(m, h, b) score GEMMs, then the (m, h, 1, n, n)
+        # modulation broadcast over the batch axis.
+        np.copyto(qk, proj_t)
+        np.matmul(qk[:, :n_heads], k_t, out=raw)
+        np.multiply(raw, modulation, out=probs)
         self._softmax_inplace(space, probs)
         return probs
 
@@ -753,8 +734,22 @@ class StackedInferenceEngine(ProfilingSeam):
     def _forward(self, x: np.ndarray, stage: dict) -> np.ndarray:
         m, batch, n, window = x.shape
         space = self._space(x)
-        tsbt, _flat = self._convolution(space, x, stage)
-        probs = self._attention_probs(space, x, stage)
+        # The convolution and the attention both read only the windows and
+        # meet in the combination, so a threaded call runs them as
+        # concurrent branches over disjoint ``conv.*`` / ``att.*`` buffers.
+        branches = (functools.partial(self._convolution, space, x, stage),
+                    functools.partial(self._attention_probs, space, x, stage))
+        if "mlp.out" in space:
+            (tsbt, _flat), probs = run_branches(
+                *branches,
+                audit=lambda: _forward_branch_arrays(space, x, stage))
+        else:
+            # The first forward in a space allocates its buffers.  Run in
+            # order on this thread, they come from this thread's malloc
+            # arena and no worker's arena grows to hold them (with glibc on
+            # a 2-CPU host, a Lorenz-96 N = 40 discovery otherwise peaked
+            # 0.9 MB higher); no two threads ever allocate in one space.
+            (tsbt, _flat), probs = (branch() for branch in branches)
         head_outputs = self._combine_layout(space, probs, tsbt)
         n_heads = stage["n_heads"]
         dtype = head_outputs.dtype
@@ -851,35 +846,60 @@ class StackedInferenceEngine(ProfilingSeam):
 
     @hot_path
     def _combine_backward(self, grad_combined: np.ndarray, stage: dict,
-                          probs: np.ndarray, tsbt: np.ndarray,
-                          grad_heads: np.ndarray, grad_probs: np.ndarray,
-                          grad_tsbt: np.ndarray) -> None:
-        """Back through the head combination and Eq. 6, into the head
-        gradients, the attention gradient in the softmax's layout and the
-        value gradient in ``tsbt``'s: one GEMM per ``(model, target,
-        batch)`` slice, batch axis innermost, as :meth:`_combine_layout`."""
-        m, _heads, batch, n, _ = probs.shape
+                          grad_heads: np.ndarray) -> None:
+        """Back through the head combination, into the ``(M, B, i, h, T)``
+        head gradients that both Eq. 6 halves read."""
+        m, batch, n, n_heads, _ = grad_heads.shape
         grad_in = grad_combined.reshape(m, batch, n, 1, -1).swapaxes(1, 2)
         heads_ib = grad_heads.swapaxes(1, 2)
-        values_t = tsbt.transpose(0, 1, 3, 4, 2)
-        probs_t = probs.transpose(0, 3, 2, 4, 1)
-        grad_a = grad_probs.transpose(0, 3, 2, 1, 4)
-        grad_v = grad_tsbt.swapaxes(2, 3)
         w_out5 = stage["w_output"][:, None, None, :, None]
         axis = 0 if self._model_axis_first(m, n) else 1
 
         def body(lo: int, hi: int) -> None:
-            heads = slice_axis(heads_ib, axis, lo, hi)
             np.multiply(slice_axis(grad_in, axis, lo, hi),
-                        w_out5[lo:hi] if axis == 0 else w_out5, out=heads)
-            np.matmul(heads, slice_axis(values_t, axis, lo, hi),
+                        w_out5[lo:hi] if axis == 0 else w_out5,
+                        out=slice_axis(heads_ib, axis, lo, hi))
+
+        parallel_for(body, heads_ib.shape[axis], outputs=((heads_ib, axis),))
+
+    @hot_path
+    def _combine_attention_backward(self, grad_heads: np.ndarray,
+                                    tsbt: np.ndarray,
+                                    grad_probs: np.ndarray) -> None:
+        """Eq. 6's attention half: the attention gradient, in the softmax's
+        layout, one GEMM per ``(model, target, batch)`` slice, batch axis
+        innermost, as :meth:`_combine_layout`."""
+        m, n = tsbt.shape[:2]
+        heads_ib = grad_heads.swapaxes(1, 2)
+        values_t = tsbt.transpose(0, 1, 3, 4, 2)
+        grad_a = grad_probs.transpose(0, 3, 2, 1, 4)
+        axis = 0 if self._model_axis_first(m, n) else 1
+
+        def body(lo: int, hi: int) -> None:
+            np.matmul(slice_axis(heads_ib, axis, lo, hi),
+                      slice_axis(values_t, axis, lo, hi),
                       out=slice_axis(grad_a, axis, lo, hi))
-            np.matmul(slice_axis(probs_t, axis, lo, hi), heads,
+
+        parallel_for(body, grad_a.shape[axis], outputs=((grad_a, axis),))
+
+    @hot_path
+    def _combine_values_backward(self, grad_heads: np.ndarray,
+                                 probs: np.ndarray,
+                                 grad_tsbt: np.ndarray) -> None:
+        """Eq. 6's value half: the value gradient, in ``tsbt``'s layout,
+        sliced as :meth:`_combine_attention_backward`."""
+        m, n = grad_tsbt.shape[:2]
+        heads_ib = grad_heads.swapaxes(1, 2)
+        probs_t = probs.transpose(0, 3, 2, 4, 1)
+        grad_v = grad_tsbt.swapaxes(2, 3)
+        axis = 0 if self._model_axis_first(m, n) else 1
+
+        def body(lo: int, hi: int) -> None:
+            np.matmul(slice_axis(probs_t, axis, lo, hi),
+                      slice_axis(heads_ib, axis, lo, hi),
                       out=slice_axis(grad_v, axis, lo, hi))
 
-        parallel_for(body, heads_ib.shape[axis],
-                     outputs=((heads_ib, axis), (grad_a, axis),
-                              (grad_v, axis)))
+        parallel_for(body, grad_v.shape[axis], outputs=((grad_v, axis),))
 
     @hot_path
     def _convolution_backward(self, grad_tsbt: np.ndarray,
@@ -1137,12 +1157,14 @@ class StackedInferenceEngine(ProfilingSeam):
             np.ones(rows + (window,), dtype), stage, forward.slope,
             np.empty(rows + (window,), dtype),
             np.empty(forward.slope.shape, dtype), grad_combined)
+        grad_heads = np.empty((m, batch, n, stage["n_heads"], window), dtype)
+        self._combine_backward(grad_combined, stage, grad_heads)
         attention_grads = np.empty(forward.attention_probs.shape, dtype)
+        self._combine_attention_backward(grad_heads, forward.tsbt,
+                                         attention_grads)
         grad_tsbt = np.empty(forward.tsbt.shape, dtype)
-        self._combine_backward(
-            grad_combined, stage, forward.attention_probs, forward.tsbt,
-            np.empty((m, batch, n, stage["n_heads"], window), dtype),
-            attention_grads, grad_tsbt)
+        self._combine_values_backward(grad_heads, forward.attention_probs,
+                                      grad_tsbt)
         kernel_grads = np.empty((m, n, n, window), dtype)   # (M,N,N,K)
         self._convolution_backward(
             grad_tsbt, np.empty((m, n, batch, window - 1), dtype),

@@ -1,4 +1,5 @@
-"""Intra-engine parallel execution: a persistent worker pool + static chunking.
+"""Intra-engine parallel execution: a persistent worker pool running
+concurrent branches and static chunks.
 
 The fused engines in :mod:`repro.nn.inference` and
 :mod:`repro.nn.training_engine` are sequences of batched matmuls,
@@ -11,7 +12,23 @@ and running the chunks on worker threads therefore produces *bit-identical*
 results to the serial op — each chunk performs exactly the per-slice work
 the serial call would, writing disjoint slices of the same output buffer.
 
+Some stages are independent of each other as well: the convolution and the
+attention read the same windows and meet only in the Eq. 6 combination, and
+their gradients split the same way after the combination's backward.  A
+threaded engine call runs such stages as concurrent *branches*, each
+serial inside, and chunks every op outside them.  Each branch runs the ops
+it would run serially, in the same order, on buffers no other branch
+touches, so this too is bit-identical to the serial call.
+
 This module provides the execution seam the engines thread through:
+
+``run_branches(*branches)``
+    Run independent zero-argument callables concurrently, one pool task
+    each, and return their results in order.  Inside a branch the thread
+    count is 1, so a branch's own ops run serially and no round ever waits
+    inside another (a waiting round would hold the worker its queued chunk
+    needs).  At one thread the branches run in order on the calling
+    thread — the serial path.
 
 ``parallel_for(body, n_items)``
     Run ``body(lo, hi)`` over static contiguous chunks of ``range(n_items)``.
@@ -47,9 +64,11 @@ Two guard rails ride along:
   only until the call — or the fit (:func:`engine_session`) — ends, so
   serial calls keep BLAS's threads.
 * Under ``REPRO_PARALLEL_DEBUG`` (or :func:`set_parallel_debug`), call
-  sites may declare their output arrays and the audit asserts via
-  ``np.shares_memory`` that no two chunk views alias overlapping memory —
-  future op authors cannot silently introduce a data race.
+  sites may declare what they write, and the audit asserts via
+  ``np.shares_memory`` that no two chunk views of an output alias
+  overlapping memory, and that no array one branch writes overlaps an
+  array another branch writes or reads — future op authors cannot silently
+  introduce a data race.
 """
 
 from __future__ import annotations
@@ -74,6 +93,7 @@ __all__ = [
     "get_engine_threads",
     "limit_blas_threads",
     "parallel_for",
+    "run_branches",
     "set_engine_threads",
     "set_parallel_debug",
     "share_cpus",
@@ -114,6 +134,17 @@ _OPENBLAS_SYMBOLS = (
 #: step): two threads slowed N = 20 (0.29 to 0.37 s) and N = 30 (0.51 to
 #: 0.61 s) and were faster at N = 40 in 10 of 15 alternating pairs
 #: (median paired ratio 0.94), so the crossover did not move.
+#: Re-checked once each threaded step ran the convolution and attention as
+#: concurrent branches (float32, 8 alternating process pairs per size,
+#: ratio = two-thread over serial fit time, medians over each process's
+#: fits): N = 20 0.317 vs 0.330 s (ratio 1.05, two threads faster in 3 of
+#: 8), Lorenz preset N = 10 1.33 vs 1.41 s (1.04, 2 of 8), but at N = 30
+#: two runs of 8 pairs read 0.633 vs 0.520 s and 0.605 vs 0.437 s (ratios
+#: 0.77 and 0.70, two threads faster in 14 of 16).  Threading N = 30
+#: needs a constant of at most 288,000, which would also hand N = 40 a
+#: third thread on a 4-CPU host, unmeasured there and usable only by the
+#: per-op chunks outside the two branches, so the constant stays until a
+#: rule with a separate two-thread threshold is measured on such a host.
 #: The batched synthetic sweep's largest call (114,048) stays serial.
 WORK_PER_THREAD = 400_000
 
@@ -573,3 +604,65 @@ def parallel_for(body: Callable[[int, int], None], n_items: int,
     if _parallel_debug and outputs:
         _audit_outputs(outputs, bounds)
     get_engine_pool().run(body, bounds)
+
+
+#: per branch, the arrays it writes and the arrays it reads
+BranchDeclaration = Tuple[Sequence[np.ndarray], Sequence[np.ndarray]]
+
+
+def _audit_branches(declared: Sequence[BranchDeclaration]) -> None:
+    """Assert no array one branch writes overlaps what another touches.
+
+    Concurrent branches are bit-exact only while each writes memory no
+    other branch writes or reads; a buffer handed to the wrong branch
+    would race silently.  Debug flag only, like :func:`_audit_outputs`.
+    """
+    for i, (writes, _reads) in enumerate(declared):
+        for j, (other_writes, other_reads) in enumerate(declared):
+            if i == j:
+                continue
+            for written in writes:
+                for other in (*other_writes, *other_reads):
+                    if np.shares_memory(written, other):
+                        raise RuntimeError(
+                            f"branch {i} writes memory that branch {j} also "
+                            "writes or reads; concurrent branches would race")
+
+
+def run_branches(*branches: Callable[[], object],
+                 audit: Optional[Callable[[], Sequence[BranchDeclaration]]]
+                 = None) -> tuple:
+    """Run independent zero-argument ``branches``; return their results.
+
+    With ``get_engine_threads() <= 1`` the branches run in order on the
+    calling thread — the serial path.  Otherwise each is one task of the
+    shared pool (the caller runs the first inline), with the thread count
+    set to 1 while it runs: a branch's ``parallel_for`` calls run
+    ``body(0, n)`` inline, so no round ever waits inside another.  An
+    exception raised by a branch re-raises here once every branch ended.
+
+    ``audit`` optionally returns one ``(writes, reads)`` pair of arrays per
+    branch; under the parallel-debug flag :func:`_audit_branches` checks
+    the pairs before any branch starts.  It is a callable so that an
+    unaudited call builds no declaration.
+    """
+    threads = get_engine_threads()
+    if threads <= 1 or len(branches) <= 1:
+        return tuple(branch() for branch in branches)
+    if _engine_threads is not None:
+        limit_blas_threads()
+    if _parallel_debug and audit is not None:
+        _audit_branches(audit())
+    results: List[object] = [None] * len(branches)
+
+    def body(lo: int, hi: int) -> None:
+        previous = getattr(_call, "threads", None)
+        _call.threads = 1
+        try:
+            for index in range(lo, hi):
+                results[index] = branches[index]()
+        finally:
+            _call.threads = previous
+
+    get_engine_pool().run(body, _chunk_bounds(len(branches), threads))
+    return tuple(results)

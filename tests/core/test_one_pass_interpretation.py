@@ -148,13 +148,13 @@ class TestPerTargetParity:
         models, window_sets = fleet(dtype, **overrides)
         if path == "stacked":
             stacked = StackedInferenceEngine(models)
-            results = StackedRelevancePropagation(models).propagate_targets(
+            results = StackedRelevancePropagation().propagate_targets(
                 stacked.interpretation_forward(window_sets))
         targets = list(range(N_SERIES))
         for row, (model, windows) in enumerate(zip(models, window_sets)):
             forward = InferenceEngine(model).interpretation_forward(windows)
             reference = per_target_relevance(model, forward, targets)
-            result = StackedRelevancePropagation([model]).propagate_targets(
+            result = StackedRelevancePropagation().propagate_targets(
                 forward)[0] if path == "solo" else results[row]
             assert result.target is None
             for target in targets:

@@ -157,12 +157,12 @@ class TestHeadSummedPropagation:
         rng = np.random.default_rng(3)
         window_sets = [rng.normal(size=(self.BATCH, self.N_SERIES,
                                         self.WINDOW)) for _ in models]
-        engine = StackedInferenceEngine(models)
-        return models, engine.interpretation_forward(window_sets)
+        return StackedInferenceEngine(models).interpretation_forward(
+            window_sets)
 
     def propagation_peak(self, n_heads):
-        models, forward = self.forward(n_heads)
-        propagation = StackedRelevancePropagation(models)
+        forward = self.forward(n_heads)
+        propagation = StackedRelevancePropagation()
         tracemalloc.start()
         try:
             propagation.propagate_targets(forward)
@@ -179,9 +179,9 @@ class TestHeadSummedPropagation:
 
     def test_no_value_relevance_is_returned(self):
         """No returned array is, or is a view of, a (B, N, N, T) array."""
-        models, forward = self.forward(n_heads=2, n_models=2)
+        forward = self.forward(n_heads=2, n_models=2)
         value_size = self.BATCH * self.N_SERIES ** 2 * self.WINDOW
-        pending = list(StackedRelevancePropagation(models)
+        pending = list(StackedRelevancePropagation()
                        .propagate_targets(forward))
         while pending:
             item = pending.pop()

@@ -524,8 +524,10 @@ class TestSharedBackwardStages:
         grad_heads = np.empty((m, b, n, h, t))
         grad_probs = np.empty_like(probs)
         grad_tsbt = np.empty_like(tsbt)
-        self.engine(m)._combine_backward(grad_combined, stage, probs, tsbt,
-                                         grad_heads, grad_probs, grad_tsbt)
+        engine = self.engine(m)
+        engine._combine_backward(grad_combined, stage, grad_heads)
+        engine._combine_attention_backward(grad_heads, tsbt, grad_probs)
+        engine._combine_values_backward(grad_heads, probs, grad_tsbt)
         expected_heads = np.einsum("mbit,mh->mbiht",
                                    grad_combined.reshape(m, b, n, t),
                                    stage["w_output"])

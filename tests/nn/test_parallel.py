@@ -11,6 +11,7 @@ dtypes, and the propagation seams (pool workers, CLI flag).
 """
 
 import re
+import sys
 import threading
 from dataclasses import replace
 
@@ -28,10 +29,10 @@ from repro.nn import parallel
 from repro.nn.inference import InferenceEngine, StackedInferenceEngine
 from repro.nn.parallel import (EngineThreadPool, engine_threads,
                                get_engine_threads, parallel_for,
-                               set_engine_threads, set_parallel_debug,
-                               slice_axis)
+                               run_branches, set_engine_threads,
+                               set_parallel_debug, slice_axis)
 from repro.nn.tensor import default_dtype
-from repro.nn.training_engine import TrainingEngine
+from repro.nn.training_engine import StackedTrainingEngine, TrainingEngine
 
 
 def make_config(**overrides):
@@ -68,6 +69,17 @@ def _serial_default():
     """Every test starts serial and restores the process-wide setting."""
     with engine_threads(1):
         yield
+
+
+@pytest.fixture
+def short_switch_interval():
+    """Switch Python threads as often as possible, to surface races."""
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(previous)
 
 
 @pytest.fixture
@@ -179,6 +191,92 @@ class TestPool:
         assert set_engine_threads(None) == 1
 
 
+class TestBranches:
+    def test_serial_branches_run_in_order_on_the_caller(self):
+        calls = []
+
+        def branch(tag):
+            calls.append((tag, threading.get_ident()))
+            return tag
+
+        assert run_branches(lambda: branch("a"), lambda: branch("b")) \
+            == ("a", "b")
+        assert calls == [("a", threading.get_ident()),
+                         ("b", threading.get_ident())]
+
+    def test_threaded_branches_run_on_distinct_threads(self):
+        idents = {}
+        barrier = threading.Barrier(2, timeout=10)
+
+        def branch(tag):
+            barrier.wait()      # both branches are running at once
+            idents[tag] = threading.get_ident()
+            return tag
+
+        with engine_threads(2):
+            assert run_branches(lambda: branch(0), lambda: branch(1)) \
+                == (0, 1)
+        assert idents[0] == threading.get_ident()
+        assert idents[1] != idents[0]
+
+    def test_a_branch_runs_its_ops_serially(self):
+        seen = []
+
+        def branch():
+            seen.append(get_engine_threads())
+            calls = []
+            parallel_for(lambda lo, hi: calls.append((lo, hi)), 8)
+            assert calls == [(0, 8)]
+
+        with engine_threads(3):
+            run_branches(branch, branch, branch)
+            assert get_engine_threads() == 3
+        assert seen == [1, 1, 1]
+
+    def test_more_branches_than_threads_all_run(self):
+        with engine_threads(2):
+            assert run_branches(*(lambda i=i: i for i in range(5))) \
+                == (0, 1, 2, 3, 4)
+
+    def test_exceptions_propagate_to_the_caller(self):
+        def failing():
+            raise ValueError("branch failed")
+
+        with engine_threads(2):
+            with pytest.raises(ValueError, match="branch failed"):
+                run_branches(lambda: None, failing)
+            assert run_branches(lambda: 1, lambda: 2) == (1, 2)
+
+    def test_concurrent_callers_never_deadlock(self, short_switch_interval):
+        """Branches that chunk ops of their own, submitted from several
+        Python threads at once, finish: no round waits inside another."""
+        errors = []
+
+        def caller():
+            try:
+                hits = np.zeros((2, 16), dtype=np.int64)
+                for _ in range(20):
+                    def branch(row):
+                        def body(lo, hi):
+                            hits[row, lo:hi] += 1
+
+                        parallel_for(body, 16)
+
+                    run_branches(lambda: branch(0), lambda: branch(1))
+                assert (hits == 20).all()
+            except BaseException as exc:  # pragma: no cover - fails the test
+                errors.append(exc)
+
+        with engine_threads(2):
+            threads = [threading.Thread(target=caller) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors
+
+
 class TestDebugAudit:
     def test_overlapping_output_views_raise(self, debug_audit):
         overlapping = np.zeros(8)[None, :].repeat(4, axis=0)  # fresh, fine
@@ -188,22 +286,44 @@ class TestDebugAudit:
             with pytest.raises(RuntimeError, match="alias"):
                 parallel_for(lambda lo, hi: None, 4, outputs=[(broadcast, 0)])
 
+    def test_overlapping_branch_declarations_raise(self, debug_audit):
+        buffer = np.zeros((4, 8))
+        top, bottom, column = buffer[:2], buffer[2:], buffer[:, 3]
+        shared_read = np.ones(8)
+        with engine_threads(2):
+            # Disjoint writes, and reads shared by both branches, pass.
+            run_branches(lambda: None, lambda: None, audit=lambda: (
+                ([top], [shared_read]), ([bottom], [shared_read])))
+            with pytest.raises(RuntimeError, match="race"):
+                run_branches(lambda: None, lambda: None, audit=lambda: (
+                    ([top], []), ([column], [])))
+            with pytest.raises(RuntimeError, match="race"):
+                run_branches(lambda: None, lambda: None, audit=lambda: (
+                    ([top], []), ([bottom], [buffer[1]])))
+
+    def test_branch_audit_skipped_when_serial(self, debug_audit):
+        buffer = np.zeros(8)
+        run_branches(lambda: None, lambda: None,
+                     audit=lambda: (([buffer], []), ([buffer], [])))
+
     def test_audit_skipped_when_serial(self, debug_audit):
         broadcast = np.broadcast_to(np.zeros(8), (4, 8))
         parallel_for(lambda lo, hi: None, 4, outputs=[(broadcast, 0)])
 
     def test_softmax_reduction_buffers_pass_the_audit(self, debug_audit):
-        """The softmax bodies declare their max/sum buffers (``ext``/``tot``)
-        and the MLP body its slope mask — the audit must accept the full
-        declaration set while the threaded result stays bit-identical."""
+        """The attention branch declares the softmax's max/sum buffers
+        (``att.max``/``att.sum``) and the MLP body its slope mask — both
+        audits must accept the full declaration sets while the threaded
+        result stays bit-identical."""
         config = make_config()
         model = CausalityAwareTransformer(config)
         windows = np.random.default_rng(7).normal(
             size=(8, config.n_series, config.window))
         serial = InferenceEngine(model).forward(windows).copy()
         with engine_threads(3):
-            threaded = InferenceEngine(model).forward(windows)
-        assert np.array_equal(threaded, serial)
+            engine = InferenceEngine(model)
+            for _ in range(2):     # the second forward runs the branches
+                assert np.array_equal(engine.forward(windows), serial)
 
 
 # ---------------------------------------------------------------------- #
@@ -212,7 +332,9 @@ class TestDebugAudit:
 class TestForwardBitIdentity:
     @pytest.mark.parametrize("overrides", ABLATION_GRID)
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    def test_forward_and_evaluate(self, overrides, dtype, debug_audit):
+    @pytest.mark.parametrize("threads", [2, 3])
+    def test_forward_and_evaluate(self, overrides, dtype, threads,
+                                  debug_audit):
         with default_dtype(dtype):
             config = make_config(**overrides)
             model = CausalityAwareTransformer(config)
@@ -220,9 +342,12 @@ class TestForwardBitIdentity:
                 size=(9, config.n_series, config.window)).astype(dtype)
             serial_forward = InferenceEngine(model).forward(windows).copy()
             serial_loss = InferenceEngine(model).evaluate(windows, 4)
-            with engine_threads(3):
+            with engine_threads(threads):
                 engine = InferenceEngine(model)
-                assert np.array_equal(engine.forward(windows), serial_forward)
+                # The first call allocates in order; the second branches.
+                for _ in range(2):
+                    assert np.array_equal(engine.forward(windows),
+                                          serial_forward)
                 assert engine.evaluate(windows, 4) == serial_loss
 
     def test_threads_exceeding_batch(self):
@@ -239,7 +364,8 @@ class TestForwardBitIdentity:
 class TestBackwardBitIdentity:
     @pytest.mark.parametrize("overrides", ABLATION_GRID)
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    def test_gradients(self, overrides, dtype, debug_audit):
+    @pytest.mark.parametrize("threads", [2, 3])
+    def test_gradients(self, overrides, dtype, threads, debug_audit):
         with default_dtype(dtype):
             config = make_config(**overrides)
             model = CausalityAwareTransformer(config)
@@ -248,16 +374,19 @@ class TestBackwardBitIdentity:
 
             def gradients():
                 engine = TrainingEngine(model)
-                return engine.gradients(batch)
+                # The first step's forward allocates in order; the second
+                # branches its forward as well as its backward.
+                return [engine.gradients(batch) for _ in range(2)]
 
-            serial = gradients()
-            with engine_threads(3):
-                threaded = gradients()
-            assert set(serial) == set(threaded)
-            for name, expected in serial.items():
-                assert np.array_equal(expected, threaded[name]), name
+            serial, _ = gradients()
+            with engine_threads(threads):
+                for threaded in gradients():
+                    assert set(serial) == set(threaded)
+                    for name, expected in serial.items():
+                        assert np.array_equal(expected, threaded[name]), name
 
-    def test_solo_training_trajectory(self):
+    @pytest.mark.parametrize("threads", [2, 3])
+    def test_solo_training_trajectory(self, threads):
         values = training_series(5)
         config = make_config()
 
@@ -267,7 +396,7 @@ class TestBackwardBitIdentity:
             return history, [p.data.copy() for p in model.parameters()]
 
         serial_history, serial_params = fit()
-        with engine_threads(3):
+        with engine_threads(threads):
             threaded_history, threaded_params = fit()
         assert serial_history.train_loss == threaded_history.train_loss
         assert (serial_history.validation_loss
@@ -334,8 +463,8 @@ class TestStackedBitIdentity:
             engine = StackedInferenceEngine(models)
             forward = engine.interpretation_forward(window_sets)
             arrays = list(engine.interpretation_gradients(forward))
-            for result in StackedRelevancePropagation(
-                    models).propagate_targets(forward):
+            for result in StackedRelevancePropagation().propagate_targets(
+                    forward):
                 arrays.extend((result.attention, result.kernel))
             return arrays + [array for score in scores
                              for array in (score.attention, score.kernel)]
@@ -347,6 +476,61 @@ class TestStackedBitIdentity:
             assert len(threaded) == len(serial)
             for expected, actual in zip(serial, threaded):
                 assert np.array_equal(expected, actual)
+
+
+class TestBranchSchedule:
+    """A threaded engine call runs the convolution and the attention side
+    of each step as two concurrent branches; a serial call runs every
+    stage on the caller."""
+
+    @staticmethod
+    def record_threads(monkeypatch, owner, names):
+        threads = {}
+        for name in names:
+            original = getattr(owner, name)
+
+            def recording(*args, _name=name, _original=original, **kwargs):
+                threads.setdefault(_name, []).append(threading.get_ident())
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, recording)
+        return threads
+
+    @pytest.mark.parametrize("threads, distinct", [(1, False), (2, True)])
+    def test_forward_branches(self, monkeypatch, threads, distinct):
+        """The first forward in a scratch space allocates its buffers and
+        runs on the caller; every later one runs the two branches on two
+        threads when threaded."""
+        config = make_config()
+        model = CausalityAwareTransformer(config)
+        windows = np.random.default_rng(8).normal(
+            size=(8, config.n_series, config.window))
+        seen = self.record_threads(monkeypatch, StackedInferenceEngine,
+                                   ("_convolution", "_attention_probs"))
+        engine = InferenceEngine(model)
+        with engine_threads(threads):
+            first = engine.forward(windows).copy()
+            assert np.array_equal(engine.forward(windows), first)
+        caller = threading.get_ident()
+        assert seen["_convolution"] == [caller, caller]
+        assert seen["_attention_probs"][0] == caller
+        assert (seen["_attention_probs"][1] != caller) == distinct
+
+    @pytest.mark.parametrize("threads, distinct", [(1, False), (2, True)])
+    def test_backward_branches(self, monkeypatch, threads, distinct):
+        config = make_config()
+        model = CausalityAwareTransformer(config)
+        batch = np.random.default_rng(9).normal(
+            size=(8, config.n_series, config.window))
+        names = ("_convolution", "_attention_probs", "_values_backward",
+                 "_attention_backward")
+        seen = self.record_threads(monkeypatch, StackedTrainingEngine, names)
+        with engine_threads(threads):
+            TrainingEngine(model).gradients(batch)
+        assert all(len(seen[name]) == 1 for name in names)
+        assert seen["_values_backward"] == [threading.get_ident()]
+        assert (seen["_attention_backward"] != seen["_values_backward"]) \
+            == distinct
 
 
 class TestConcurrentTrainers:

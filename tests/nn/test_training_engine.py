@@ -216,6 +216,7 @@ class TestOneBackward:
     """
 
     STAGES = ("_mlp_input_backward", "_combine_backward",
+              "_combine_attention_backward", "_combine_values_backward",
               "_convolution_backward")
 
     def count_stage_calls(self, monkeypatch):
