@@ -28,12 +28,14 @@ float32.  When a call runs on more than one thread — by the work-size rule
 or an explicit ``set_engine_threads(n)`` (see :mod:`repro.nn.parallel`) —
 it runs branches plus chunks on a shared worker pool.  The convolution
 and the attention, which read only the windows and meet in the
-combination, run as two concurrent branches, each serial inside and over
-its own ``conv.*`` / ``att.*`` buffers; every other op chunks an
-independent leading axis (the model axis or a per-model axis), each chunk
-performing exactly the per-slice work of the serial op on disjoint output
-slices.  Either way every op and its order are the serial call's, so
-threaded results stay bit-identical in both dtypes.  The forward computes in the
+combination, run as two concurrent branches when a single model runs on
+two threads, each serial inside and over its own ``conv.*`` / ``att.*``
+buffers; every other op — and those two stages of a fleet, or of a call on
+more threads — chunks an independent leading axis (the model axis or a
+per-model axis), each chunk performing exactly the per-slice work of the
+serial op on disjoint output slices.  Either way every op and its order
+are the serial call's, so threaded results stay bit-identical in both
+dtypes.  The forward computes in the
 model dtype throughout, as the reference does —
 mask modulation, convolution values, attention, combination and MLP
 tail — so a float32 model's predictions are float32.  Its convolution
@@ -72,6 +74,15 @@ class ScratchSpace:
     views derived from them (window views, transposes, reshapes) can be
     constructed once and replayed — view construction is pure Python
     overhead on a hot path this small.
+
+    Concurrent branches may share a space on one invariant: every buffer
+    is taken before the branches start, so no ``take`` inside a branch
+    allocates (and clears the views), and each branch reads and builds
+    only views under its own name prefix.  Branches do build views
+    concurrently — a ``take`` outside them (a new backward plan's, say)
+    clears every view, and the next branched call rebuilds its views from
+    both threads at once — which is safe because the keys are distinct
+    and each dict lookup or insertion is atomic under the GIL.
     """
 
     __slots__ = ("_buffers", "_views")
@@ -91,9 +102,6 @@ class ScratchSpace:
     def __getitem__(self, name: str) -> np.ndarray:
         """The buffer held under ``name`` (as the last ``take`` left it)."""
         return self._buffers[name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._buffers
 
     def view(self, name: str, factory) -> np.ndarray:
         """A cached derived view (``factory`` builds it on first use)."""
@@ -280,6 +288,37 @@ _ATTENTION_WRITES = ("att.emb", "att.proj", "att.qk", "att.raw", "att.probs",
                      "att.max", "att.sum")
 
 
+def _take_branch_buffers(space: ScratchSpace, x: np.ndarray, stage: dict
+                         ) -> None:
+    """Take the scratch buffers the forward's convolution and attention
+    write (:data:`_CONVOLUTION_WRITES`, :data:`_ATTENTION_WRITES`).
+
+    :meth:`StackedInferenceEngine._forward` calls this before either stage
+    starts, so when they run as concurrent branches neither allocates:
+    the buffers come from the calling thread's malloc arena, and no
+    ``take`` inside a branch clears the views the other branch is
+    building.
+    """
+    m, batch, n, window = x.shape
+    n_heads, d_qk = stage["n_heads"], stage["d_qk"]
+    d_model = stage["embed_weight"].shape[-1]
+    conv = np.result_type(x.dtype, stage["kernel_eff"].dtype)
+    att = np.result_type(x.dtype, stage["embed_weight"].dtype)
+    probs = np.result_type(att, stage["modulation"].dtype)
+    take = space.take
+    take("conv.pad", (m, batch, n, 2 * window), x.dtype)
+    take("conv.windows_flat", (m, n, batch * window, window), x.dtype)
+    take("conv.tsbt", (m, n, n, batch, window), conv)
+    take("conv.pre_shift", (m, n, batch, window), conv)
+    take("att.emb", (m, batch * n, d_model), att)
+    take("att.proj", (m, batch * n, 2 * n_heads * d_qk), att)
+    take("att.qk", (m, 2 * n_heads, batch, n, d_qk), att)
+    take("att.raw", (m, n_heads, batch, n, n), att)
+    take("att.probs", (m, n_heads, batch, n, n), probs)
+    take("att.max", (m, n_heads, batch, n, 1), probs)
+    take("att.sum", (m, n_heads, batch, n, 1), probs)
+
+
 def _forward_branch_arrays(space: ScratchSpace, x: np.ndarray, stage: dict):
     """What the forward's convolution and attention branches write and
     read, for the branch audit (:func:`repro.nn.parallel.run_branches`)."""
@@ -450,6 +489,25 @@ class StackedInferenceEngine(ProfilingSeam):
             return False
         return m >= get_engine_threads() or m >= inner
 
+    @staticmethod
+    def _branches_concurrent(m: int) -> bool:
+        """Run the convolution and attention sides of a step as concurrent
+        branches (True), or in order with their ops chunked (False)?
+
+        Either is bit-identical; branches are chosen only where paired step
+        timings on a 2-CPU host showed them faster: a single model on two
+        threads (``fast_preset`` N = 40 and ``lorenz_preset`` N = 10, 20 and
+        40 steps 7-20% faster), where chunks must split the batch or series
+        axis.  A fleet chunks whole models instead, and there branches
+        lost where the attention side outweighs the value side
+        (``lorenz_preset`` N = 10 at K = 3 and 4, N = 20 at K = 2: 9-18%
+        slower) though they won on ``fast_preset`` fleets, so fleets chunk
+        until a rule can tell the two apart.  Two branches leave a third
+        thread idle, and more than two threads are unmeasured, so those
+        calls chunk too.
+        """
+        return m == 1 and get_engine_threads() == 2
+
     def __init__(self, models: Sequence, arena: Optional[ScratchArena] = None) -> None:
         if not models:
             raise ValueError("need at least one model")
@@ -598,16 +656,21 @@ class StackedInferenceEngine(ProfilingSeam):
         the causal window view (one batched GEMM per source series).
         """
         m, batch, n, window = x.shape
-        padded = space.take("conv.pad", (m, batch, n, 2 * window), x.dtype)
+        padded = space["conv.pad"]
         padded[..., window:] = x
-        flat = space.take("conv.windows_flat",
-                          (m, n, batch * window, window), x.dtype)
+        flat = space["conv.windows_flat"]
         source = space.view("conv.window_view", lambda: np.lib.stride_tricks
                             .sliding_window_view(padded, window, axis=-1)
                             [..., 1:, :].transpose(0, 2, 1, 3, 4))
         target = space.view("conv.windows_flat.5d",
                             lambda: flat.reshape(m, n, batch, window, window))
-        np.copyto(target, source)
+        axis = 0 if self._model_axis_first(m, n) else 1
+
+        def body(lo: int, hi: int) -> None:
+            np.copyto(slice_axis(target, axis, lo, hi),
+                      slice_axis(source, axis, lo, hi))
+
+        parallel_for(body, target.shape[axis], outputs=((target, axis),))
         return padded, flat
 
     @hot_path
@@ -626,23 +689,34 @@ class StackedInferenceEngine(ProfilingSeam):
         """
         m, batch, n, window = x.shape
         kernel = stage["kernel_eff"]
-        cdtype = np.result_type(x.dtype, kernel.dtype)
         _padded, flat = self._causal_windows(space, x)
         flat_t = space.view("conv.windows_flat.t",
                             lambda: flat.transpose(0, 1, 3, 2))
-        tsbt = space.take("conv.tsbt", (m, n, n, batch, window), cdtype)
+        tsbt = space["conv.tsbt"]
         # T nests inside B, so merging them is a view; the GEMMs write
         # (M, source, target, B·T) through its transpose.
         tsbt_flat = space.view("conv.tsbt.flat", lambda: tsbt.reshape(
             m, n, n, batch * window))
         stbt = space.view("conv.tsbt.st",
                           lambda: tsbt_flat.transpose(0, 2, 1, 3))
-        np.matmul(kernel, flat_t, out=stbt)
-        np.multiply(tsbt_flat, tiled_scale(space, stage["scale_array"], batch),
-                    out=tsbt_flat)
+        axis = 0 if self._model_axis_first(m, n) else 1
+
+        def matmul_body(lo: int, hi: int) -> None:
+            np.matmul(slice_axis(kernel, axis, lo, hi),
+                      slice_axis(flat_t, axis, lo, hi),
+                      out=slice_axis(stbt, axis, lo, hi))
+
+        parallel_for(matmul_body, stbt.shape[axis], outputs=((stbt, axis),))
+        scale = tiled_scale(space, stage["scale_array"], batch)
+
+        def scale_body(lo: int, hi: int) -> None:
+            rows = slice_axis(tsbt_flat, axis, lo, hi)
+            np.multiply(rows, scale, out=rows)
+
+        parallel_for(scale_body, tsbt_flat.shape[axis],
+                     outputs=((tsbt_flat, axis),))
         diagonal = space.view("conv.diagonal", lambda: series_diagonal(tsbt))
-        pre_shift = space.take("conv.pre_shift", (m, n, batch, window),
-                               tsbt.dtype)
+        pre_shift = space["conv.pre_shift"]
         np.copyto(pre_shift, diagonal)
         np.copyto(diagonal[..., 1:], pre_shift[..., :-1])
         diagonal[..., 0] = 0.0
@@ -655,17 +729,21 @@ class StackedInferenceEngine(ProfilingSeam):
         Bit-identical to ``x -= x.max(…); exp; x /= x.sum(…)`` — see
         :func:`max_last_keepdims` / :func:`sum_last_keepdims` for why the
         chained reductions are exact replicas.  Normalisation is row-wise
-        over a contiguous arena buffer, whose (model, head, batch) leading
-        axes flatten into one.
+        over a contiguous arena buffer, so the (model, head, batch) leading
+        axes flatten into one parallel axis.
         """
-        extreme = space.take("att.max", probs.shape[:-1] + (1,), probs.dtype)
-        total = space.take("att.sum", probs.shape[:-1] + (1,), probs.dtype)
-        rows = probs.reshape((-1,) + probs.shape[-2:])
-        rows -= max_last_keepdims(
-            rows, out=extreme.reshape((-1,) + extreme.shape[-2:]))
-        np.exp(rows, out=rows)
-        rows /= sum_last_keepdims(
-            rows, out=total.reshape((-1,) + total.shape[-2:]))
+        flat = probs.reshape((-1,) + probs.shape[-2:])
+        ext = space["att.max"].reshape(flat.shape[:-1] + (1,))
+        tot = space["att.sum"].reshape(flat.shape[:-1] + (1,))
+
+        def body(lo: int, hi: int) -> None:
+            rows = flat[lo:hi]
+            rows -= max_last_keepdims(rows, out=ext[lo:hi])
+            np.exp(rows, out=rows)
+            rows /= sum_last_keepdims(rows, out=tot[lo:hi])
+
+        parallel_for(body, flat.shape[0],
+                     outputs=((flat, 0), (ext, 0), (tot, 0)))
 
     @hot_path
     def _attention_probs(self, space: ScratchSpace, x: np.ndarray, stage: dict
@@ -673,30 +751,48 @@ class StackedInferenceEngine(ProfilingSeam):
         """Embedding → all-head Q/K projection → masked tempered softmax."""
         m, batch, n, window = x.shape
         n_heads, d_qk = stage["n_heads"], stage["d_qk"]
-        d_model = stage["embed_weight"].shape[-1]
-        cdtype = np.result_type(x.dtype, stage["embed_weight"].dtype)
         x2d = x.reshape(m, batch * n, window)
-        emb = space.take("att.emb", (m, batch * n, d_model), cdtype)
-        proj = space.take("att.proj", (m, batch * n, 2 * n_heads * d_qk), cdtype)
-        np.matmul(x2d, stage["embed_weight"], out=emb)
-        emb += stage["embed_bias"][:, None, :]
-        np.matmul(emb, stage["weight_flat"], out=proj)
-        proj += stage["bias_flat"][:, None, :]
-        qk = space.take("att.qk", (m, 2 * n_heads, batch, n, d_qk), cdtype)
+        emb, proj = space["att.emb"], space["att.proj"]
+        embed_weight, embed_bias = stage["embed_weight"], stage["embed_bias"]
+        weight_flat, bias_flat = stage["weight_flat"], stage["bias_flat"]
+
+        # The embedding/projection GEMMs are batched over the model axis
+        # only (per-model weights), so they always chunk across models.
+        def project_body(lo: int, hi: int) -> None:
+            np.matmul(x2d[lo:hi], embed_weight[lo:hi], out=emb[lo:hi])
+            emb[lo:hi] += embed_bias[lo:hi, None, :]
+            np.matmul(emb[lo:hi], weight_flat[lo:hi], out=proj[lo:hi])
+            proj[lo:hi] += bias_flat[lo:hi, None, :]
+
+        parallel_for(project_body, m, outputs=((emb, 0), (proj, 0)))
+        qk = space["att.qk"]
         proj_t = space.view("att.proj.t",
                             lambda: proj.reshape(m, batch, n, 2 * n_heads, d_qk)
                             .transpose(0, 3, 1, 2, 4))
-        raw = space.take("att.raw", (m, n_heads, batch, n, n), cdtype)
+        raw = space["att.raw"]
         k_t = space.view("att.k.t",
                          lambda: qk[:, n_heads:].transpose(0, 1, 2, 4, 3))
         modulation = stage["modulation"]
-        probs = space.take("att.probs", (m, n_heads, batch, n, n),
-                           np.result_type(cdtype, modulation.dtype))
-        # Layout copy, per-(m, h, b) score GEMMs, then the (m, h, 1, n, n)
-        # modulation broadcast over the batch axis.
-        np.copyto(qk, proj_t)
-        np.matmul(qk[:, :n_heads], k_t, out=raw)
-        np.multiply(raw, modulation, out=probs)
+        probs = space["att.probs"]
+        query = qk[:, :n_heads]
+        # Layout copy + per-(m, h, b) score GEMMs + modulation multiply in
+        # one round: the batch axis sits at index 2 of every operand, the
+        # model axis at 0.  ``modulation`` is (m, h, 1, n, n): sliced along
+        # the model axis, broadcast (unsliced) along the batch axis.
+        axis = 0 if self._model_axis_first(m, batch) else 2
+
+        def body(lo: int, hi: int) -> None:
+            np.copyto(slice_axis(qk, axis, lo, hi),
+                      slice_axis(proj_t, axis, lo, hi))
+            np.matmul(slice_axis(query, axis, lo, hi),
+                      slice_axis(k_t, axis, lo, hi),
+                      out=slice_axis(raw, axis, lo, hi))
+            np.multiply(slice_axis(raw, axis, lo, hi),
+                        modulation[lo:hi] if axis == 0 else modulation,
+                        out=slice_axis(probs, axis, lo, hi))
+
+        parallel_for(body, raw.shape[axis],
+                     outputs=((qk, axis), (raw, axis), (probs, axis)))
         self._softmax_inplace(space, probs)
         return probs
 
@@ -735,21 +831,18 @@ class StackedInferenceEngine(ProfilingSeam):
         m, batch, n, window = x.shape
         space = self._space(x)
         # The convolution and the attention both read only the windows and
-        # meet in the combination, so a threaded call runs them as
-        # concurrent branches over disjoint ``conv.*`` / ``att.*`` buffers.
-        branches = (functools.partial(self._convolution, space, x, stage),
-                    functools.partial(self._attention_probs, space, x, stage))
-        if "mlp.out" in space:
+        # meet in the combination, so they may run as concurrent branches
+        # over their disjoint ``conv.*`` / ``att.*`` buffers, which are all
+        # taken here, before either starts.
+        _take_branch_buffers(space, x, stage)
+        convolution = functools.partial(self._convolution, space, x, stage)
+        attention = functools.partial(self._attention_probs, space, x, stage)
+        if self._branches_concurrent(m):
             (tsbt, _flat), probs = run_branches(
-                *branches,
+                convolution, attention,
                 audit=lambda: _forward_branch_arrays(space, x, stage))
         else:
-            # The first forward in a space allocates its buffers.  Run in
-            # order on this thread, they come from this thread's malloc
-            # arena and no worker's arena grows to hold them (with glibc on
-            # a 2-CPU host, a Lorenz-96 N = 40 discovery otherwise peaked
-            # 0.9 MB higher); no two threads ever allocate in one space.
-            (tsbt, _flat), probs = (branch() for branch in branches)
+            (tsbt, _flat), probs = convolution(), attention()
         head_outputs = self._combine_layout(space, probs, tsbt)
         n_heads = stage["n_heads"]
         dtype = head_outputs.dtype

@@ -15,10 +15,12 @@ the serial call would, writing disjoint slices of the same output buffer.
 Some stages are independent of each other as well: the convolution and the
 attention read the same windows and meet only in the Eq. 6 combination, and
 their gradients split the same way after the combination's backward.  A
-threaded engine call runs such stages as concurrent *branches*, each
-serial inside, and chunks every op outside them.  Each branch runs the ops
-it would run serially, in the same order, on buffers no other branch
-touches, so this too is bit-identical to the serial call.
+threaded engine call may run such stages as concurrent *branches*, each
+serial inside, and chunks every op outside them; the engines branch only
+where that was measured to pay (a single model on two threads), and
+otherwise run the stages in order with their ops chunked.  Each branch
+runs the ops it would run serially, in the same order, on buffers no
+other branch touches, so this too is bit-identical to the serial call.
 
 This module provides the execution seam the engines thread through:
 
@@ -142,9 +144,9 @@ _OPENBLAS_SYMBOLS = (
 #: two runs of 8 pairs read 0.633 vs 0.520 s and 0.605 vs 0.437 s (ratios
 #: 0.77 and 0.70, two threads faster in 14 of 16).  Threading N = 30
 #: needs a constant of at most 288,000, which would also hand N = 40 a
-#: third thread on a 4-CPU host, unmeasured there and usable only by the
-#: per-op chunks outside the two branches, so the constant stays until a
-#: rule with a separate two-thread threshold is measured on such a host.
+#: third thread on a 4-CPU host, where the steps chunk instead of
+#: branching and which is unmeasured, so the constant stays until a rule
+#: with a separate two-thread threshold is measured on such a host.
 #: The batched synthetic sweep's largest call (114,048) stays serial.
 WORK_PER_THREAD = 400_000
 
@@ -643,8 +645,8 @@ def run_branches(*branches: Callable[[], object],
 
     ``audit`` optionally returns one ``(writes, reads)`` pair of arrays per
     branch; under the parallel-debug flag :func:`_audit_branches` checks
-    the pairs before any branch starts.  It is a callable so that an
-    unaudited call builds no declaration.
+    the pairs before concurrent branches start.  It is a callable so that
+    an unaudited call builds no declaration.
     """
     threads = get_engine_threads()
     if threads <= 1 or len(branches) <= 1:

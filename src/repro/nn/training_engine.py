@@ -65,26 +65,29 @@ Threaded execution
 A training step runs on the engine threads the work-size rule gives its
 ``K·B·N²·T`` convolution tensor, unless a count is set explicitly
 (:mod:`repro.nn.parallel`).  After the head gradients the backward splits
-into two branches that share no buffer — the value side
-(:meth:`StackedTrainingEngine._values_backward`: Eq. 6's value half, the
-MLP weight gradients and the convolution) and the attention side
-(:meth:`StackedTrainingEngine._attention_backward`: Eq. 6's attention
-half, ``w_output``, the softmax and Q/K backward, the embedding and the
-masks) — which a threaded step runs concurrently, each serial inside, as
-its forward runs the convolution and the attention.  The stages before the
-split (``_mlp_input_backward``, ``_combine_backward``) run through
+into two sides that share no buffer — the value side (Eq. 6's value half,
+then :meth:`StackedTrainingEngine._values_backward`: the MLP weight
+gradients and the convolution) and the attention side (Eq. 6's attention
+half, then :meth:`StackedTrainingEngine._attention_backward`:
+``w_output``, the softmax and Q/K backward, the embedding and the masks).
+A single model on two threads runs them as two concurrent branches, each
+serial inside, as its forward runs the convolution and the attention;
+every other step runs both halves right behind the head gradients, then
+the rest of each side
+(:meth:`~repro.nn.inference.StackedInferenceEngine._branches_concurrent`
+says why).  Every op outside concurrent branches runs through
 :func:`repro.nn.parallel.parallel_for` across the model axis or the inner
 axis picked by
 :meth:`~repro.nn.inference.StackedInferenceEngine._model_axis_first`.
 Chunking is bit-exact by construction: numpy dispatches batched (3D+)
 matmuls as one 2-D GEMM per leading-axes slice, elementwise ops and
 last-axis reductions are per-row, and every chunk writes a disjoint slice of
-a pre-allocated arena buffer.  The MLP chain's GEMMs carry per-model
-weights, so they chunk only across models and each model's 2-D GEMM stays
-whole.  Branches are bit-exact because each runs the serial ops in the
-serial order, so the weight-gradient GEMMs and reductions inside them run
-whole.  On one thread the branches run
-in order and every ``body(0, n)`` call is the exact serial path.
+a pre-allocated arena buffer.  Cross-row weight-gradient reductions
+(``ffn.T @ grad2d`` style, ``.sum(axis=1)``) chunk only across models, so
+each model's reduction stays whole.  Either schedule is bit-exact: the
+two sides share no buffer, so each op computes the same values whatever
+runs beside or before it.  On one thread every ``body(0, n)`` call is the
+exact serial path.
 
 Numerical contract
 ------------------
@@ -112,6 +115,7 @@ reproduce a one-model serial fit bit for bit.
 
 from __future__ import annotations
 
+import functools
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -122,7 +126,8 @@ from repro.nn.inference import (InferenceEngine, ScratchArena, ScratchSpace,
                                 reference_cast, sized_by_batch,
                                 sum_last_keepdims, tiled_scale)
 from repro.nn.optim import ParameterStack, StackedAdam
-from repro.nn.parallel import get_engine_threads, run_branches
+from repro.nn.parallel import (get_engine_threads, parallel_for,
+                               run_branches, slice_axis)
 
 
 @hot_path
@@ -429,34 +434,61 @@ class StackedTrainingEngine(StackedInferenceEngine):
         self._mlp_input_backward(p.grad2d, stage, p.slope, p.grad_ffn,
                                  p.grad_hidden, p.grad_combined)
         self._combine_backward(p.grad_combined, stage, p.grad_heads)
-        # The gradients split there: the MLP weights and the convolution
-        # read the value side, the attention weights and masks the
-        # attention side, over disjoint buffers, so a threaded step runs
-        # them as concurrent branches.
-        run_branches(lambda: self._values_backward(p, space, stage, batch),
-                     lambda: self._attention_backward(p, stage, xb),
-                     audit=lambda: p.branch_arrays(space, stage, xb))
+        # The gradients split there: Eq. 6's value half, the MLP weights
+        # and the convolution on one side, its attention half, the
+        # attention weights and the masks on the other, over disjoint
+        # buffers.
+        values_half = functools.partial(
+            self._combine_values_backward, p.grad_heads, p.probs, p.grad_tsbt)
+        attention_half = functools.partial(
+            self._combine_attention_backward, p.grad_heads, p.values,
+            p.grad_probs)
+        if self._branches_concurrent(xb.shape[0]):
+            run_branches(
+                lambda: (values_half(),
+                         self._values_backward(p, space, stage, batch)),
+                lambda: (attention_half(),
+                         self._attention_backward(p, stage, xb)),
+                audit=lambda: p.branch_arrays(space, stage, xb))
+        else:
+            # In order, both halves run right behind the head gradients
+            # they read, while those are still in cache: at K = 3, N = 40,
+            # running each half at the head of its side instead made the
+            # backward about 6% slower.
+            attention_half()
+            values_half()
+            self._values_backward(p, space, stage, batch)
+            self._attention_backward(p, stage, xb)
 
     @hot_path
     def _values_backward(self, p: _StackedBackwardPlan, space: ScratchSpace,
                          stage: dict, batch: int) -> None:
-        """Eq. 6's value half, the MLP weight gradients, then the
-        convolution backward and the kernel gradient."""
-        self._combine_values_backward(p.grad_heads, p.probs, p.grad_tsbt)
-        # Batched over the model axis: each row is its model's own 2-D
-        # GEMM / reduction.
-        np.matmul(p.ffn_t, p.grad2d, out=p.w3_tmp)
-        p.w3_view[...] = p.w3_tmp
-        p.grad2d.sum(axis=1, out=p.b3_tmp)
-        p.b3_view[...] = p.b3_tmp
-        np.matmul(p.activated_t, p.grad_ffn, out=p.w2_tmp)
-        p.w2_view[...] = p.w2_tmp
-        p.grad_ffn.sum(axis=1, out=p.b2_tmp)
-        p.b2_view[...] = p.b2_tmp
-        np.matmul(p.combined2d_t, p.grad_hidden, out=p.w1_tmp)
-        p.w1_view[...] = p.w1_tmp
-        p.grad_hidden.sum(axis=1, out=p.b1_tmp)
-        p.b1_view[...] = p.b1_tmp
+        """The MLP weight gradients, then the convolution backward and the
+        kernel gradient."""
+        # Threaded over the model axis: each row is an independent 2-D
+        # GEMM / reduction, unchanged per model.
+        def mlp_weights_body(lo, hi):
+            np.matmul(p.ffn_t[lo:hi], p.grad2d[lo:hi], out=p.w3_tmp[lo:hi])
+            p.w3_view[lo:hi] = p.w3_tmp[lo:hi]
+            p.grad2d[lo:hi].sum(axis=1, out=p.b3_tmp[lo:hi])
+            p.b3_view[lo:hi] = p.b3_tmp[lo:hi]
+            np.matmul(p.activated_t[lo:hi], p.grad_ffn[lo:hi],
+                      out=p.w2_tmp[lo:hi])
+            p.w2_view[lo:hi] = p.w2_tmp[lo:hi]
+            p.grad_ffn[lo:hi].sum(axis=1, out=p.b2_tmp[lo:hi])
+            p.b2_view[lo:hi] = p.b2_tmp[lo:hi]
+            np.matmul(p.combined2d_t[lo:hi], p.grad_hidden[lo:hi],
+                      out=p.w1_tmp[lo:hi])
+            p.w1_view[lo:hi] = p.w1_tmp[lo:hi]
+            p.grad_hidden[lo:hi].sum(axis=1, out=p.b1_tmp[lo:hi])
+            p.b1_view[lo:hi] = p.b1_tmp[lo:hi]
+
+        parallel_for(mlp_weights_body, p.w3_tmp.shape[0],
+                     outputs=((p.w3_tmp, 0), (p.b3_tmp, 0), (p.w2_tmp, 0),
+                              (p.b2_tmp, 0), (p.w1_tmp, 0), (p.b1_tmp, 0),
+                              (p.w3_view, 0), (p.b3_view, 0),
+                              (p.w2_view, 0), (p.b2_view, 0),
+                              (p.w1_view, 0), (p.b1_view, 0)))
 
         # --- causal convolution backward ------------------------------- #
         self._convolution_backward(
@@ -479,56 +511,118 @@ class StackedTrainingEngine(StackedInferenceEngine):
     @hot_path
     def _attention_backward(self, p: _StackedBackwardPlan, stage: dict,
                             xb: np.ndarray) -> None:
-        """Eq. 6's attention half, ``w_output``, then the softmax and Q/K
-        backward into the Q/K, embedding and mask gradients."""
-        self._combine_attention_backward(p.grad_heads, p.values, p.grad_probs)
+        """``w_output``, then the softmax and Q/K backward into the Q/K,
+        embedding and mask gradients."""
         m, batch, n, window = xb.shape
         bn = batch * n
         # Per-model np.tensordot(head_outputs, grad_combined, ([0,1,3],
         # [0,1,2])) unrolled to its transpose-copy + dot, one row at a time.
-        np.copyto(p.ho_flat_r, p.ho_src)
-        for row in range(m):
-            np.dot(p.ho_flat[row], p.grad_combined[row].reshape(bn * window, 1),
-                   out=p.wout_tmp[row])
-            p.wout_view[row] = p.wout_tmp[row, :, 0]
+        ho_axis = 0 if self._model_axis_first(m, batch) else 2
 
-        # --- attention probabilities backward (the modulation broadcasts
-        # over the batch axis) ------------------------------------------ #
-        np.multiply(p.grad_probs, p.probs, out=p.product)
-        sum_last_keepdims(p.product, out=p.dot)
-        np.subtract(p.grad_probs, p.dot, out=p.grad_masked)
-        np.multiply(p.probs, p.grad_masked, out=p.grad_masked)
-        np.multiply(p.grad_masked, stage["modulation"], out=p.grad_raw)
-        np.matmul(p.grad_raw, p.key_half, out=p.gq)
-        np.matmul(p.grad_raw_t, p.query_half, out=p.gk)
-        np.copyto(p.grad_2d_r, p.grad_qk_src)
-        # Weight gradients: per-model GEMMs and in-model reductions.
-        np.matmul(p.emb_t, p.grad_2d, out=p.gw)
-        p.grad_2d.sum(axis=1, out=p.gb)
-        for wq_view, bq_view, wk_view, bk_view, query, key in p.head_views:
-            wq_view[...] = p.gw[:, :, query]
-            bq_view[...] = p.gb[:, query]
-            wk_view[...] = p.gw[:, :, key]
-            bk_view[...] = p.gb[:, key]
-        np.matmul(p.grad_2d, stage["weight_flat"].transpose(0, 2, 1),
-                  out=p.grad_emb)
-        np.matmul(xb.reshape(m, bn, window).transpose(0, 2, 1), p.grad_emb,
-                  out=p.ew_tmp)
-        p.ew_view[...] = p.ew_tmp
-        p.grad_emb.sum(axis=1, out=p.eb_tmp)
-        p.eb_view[...] = p.eb_tmp
+        def ho_body(lo, hi):
+            np.copyto(slice_axis(p.ho_flat_r, ho_axis, lo, hi),
+                      slice_axis(p.ho_src, ho_axis, lo, hi))
+
+        parallel_for(ho_body, p.ho_flat_r.shape[ho_axis],
+                     outputs=((p.ho_flat_r, ho_axis),))
+
+        def wout_body(lo, hi):
+            for row in range(lo, hi):
+                np.dot(p.ho_flat[row],
+                       p.grad_combined[row].reshape(bn * window, 1),
+                       out=p.wout_tmp[row])
+                p.wout_view[row] = p.wout_tmp[row, :, 0]
+
+        parallel_for(wout_body, m,
+                     outputs=((p.wout_tmp, 0), (p.wout_view, 0)))
+
+        # --- attention probabilities backward (model or batch axis; the
+        # modulation broadcast axis is only sliced on the model axis) ---- #
+        att_axis = 0 if self._model_axis_first(m, batch) else 2
+        modulation = stage["modulation"]
+
+        def attention_body(lo, hi):
+            grad_probs = slice_axis(p.grad_probs, att_axis, lo, hi)
+            probs = slice_axis(p.probs, att_axis, lo, hi)
+            product = slice_axis(p.product, att_axis, lo, hi)
+            dot = slice_axis(p.dot, att_axis, lo, hi)
+            grad_masked = slice_axis(p.grad_masked, att_axis, lo, hi)
+            np.multiply(grad_probs, probs, out=product)
+            sum_last_keepdims(product, out=dot)
+            np.subtract(grad_probs, dot, out=grad_masked)
+            np.multiply(probs, grad_masked, out=grad_masked)
+            mod = modulation[lo:hi] if att_axis == 0 else modulation
+            np.multiply(grad_masked, mod,
+                        out=slice_axis(p.grad_raw, att_axis, lo, hi))
+            np.matmul(slice_axis(p.grad_raw, att_axis, lo, hi),
+                      slice_axis(p.key_half, att_axis, lo, hi),
+                      out=slice_axis(p.gq, att_axis, lo, hi))
+            np.matmul(slice_axis(p.grad_raw_t, att_axis, lo, hi),
+                      slice_axis(p.query_half, att_axis, lo, hi),
+                      out=slice_axis(p.gk, att_axis, lo, hi))
+
+        parallel_for(attention_body, p.probs.shape[att_axis],
+                     outputs=((p.product, att_axis), (p.dot, att_axis),
+                              (p.grad_masked, att_axis),
+                              (p.grad_raw, att_axis),
+                              (p.gq, att_axis), (p.gk, att_axis)))
+        g2d_axis = 0 if self._model_axis_first(m, batch) else 1
+
+        def grad2d_body(lo, hi):
+            np.copyto(slice_axis(p.grad_2d_r, g2d_axis, lo, hi),
+                      slice_axis(p.grad_qk_src, g2d_axis, lo, hi))
+
+        parallel_for(grad2d_body, p.grad_2d_r.shape[g2d_axis],
+                     outputs=((p.grad_2d_r, g2d_axis),))
+        # Weight gradients: per-model GEMMs + in-model reductions, threaded
+        # over the model axis only (each row's reduction stays whole).
+        weight_flat_t = stage["weight_flat"].transpose(0, 2, 1)
+        x2d_t = xb.reshape(m, bn, window).transpose(0, 2, 1)
+
+        def weights_body(lo, hi):
+            np.matmul(p.emb_t[lo:hi], p.grad_2d[lo:hi], out=p.gw[lo:hi])
+            p.grad_2d[lo:hi].sum(axis=1, out=p.gb[lo:hi])
+            for wq_view, bq_view, wk_view, bk_view, query, key \
+                    in p.head_views:
+                wq_view[lo:hi] = p.gw[lo:hi, :, query]
+                bq_view[lo:hi] = p.gb[lo:hi, query]
+                wk_view[lo:hi] = p.gw[lo:hi, :, key]
+                bk_view[lo:hi] = p.gb[lo:hi, key]
+            np.matmul(p.grad_2d[lo:hi], weight_flat_t[lo:hi],
+                      out=p.grad_emb[lo:hi])
+            np.matmul(x2d_t[lo:hi], p.grad_emb[lo:hi], out=p.ew_tmp[lo:hi])
+            p.ew_view[lo:hi] = p.ew_tmp[lo:hi]
+            p.grad_emb[lo:hi].sum(axis=1, out=p.eb_tmp[lo:hi])
+            p.eb_view[lo:hi] = p.eb_tmp[lo:hi]
+
+        parallel_for(weights_body, m,
+                     outputs=((p.gw, 0), (p.gb, 0), (p.grad_emb, 0),
+                              (p.ew_tmp, 0), (p.eb_tmp, 0),
+                              (p.ew_view, 0), (p.eb_view, 0))
+                     + tuple((view, 0) for head in p.head_views
+                             for view in head[:4]))
         # Masks: second accumulation on top of the L1 signs, cast first.
+        # Threaded over the model axis — the cross-batch sum reduces an
+        # in-chunk axis, so each model row's reduction is unchanged.
         attention = self.models[0].attention
         mask_scale = 1.0 / (attention.temperature * np.sqrt(attention.d_qk))
-        np.multiply(p.grad_masked, p.raw, out=p.product)
-        p.product.sum(axis=2, out=p.gmask)
-        p.gmask *= mask_scale
-        for index, mask_view in enumerate(p.mask_views):
-            if p.has_l1_mask:
-                np.copyto(p.mask_cast, p.gmask[:, index])
-                mask_view += p.mask_cast
-            else:
-                mask_view[...] = p.gmask[:, index]
+
+        def mask_body(lo, hi):
+            np.multiply(p.grad_masked[lo:hi], p.raw[lo:hi],
+                        out=p.product[lo:hi])
+            p.product[lo:hi].sum(axis=2, out=p.gmask[lo:hi])
+            p.gmask[lo:hi] *= mask_scale
+            for index, mask_view in enumerate(p.mask_views):
+                if p.has_l1_mask:
+                    np.copyto(p.mask_cast[lo:hi], p.gmask[lo:hi, index])
+                    mask_view[lo:hi] += p.mask_cast[lo:hi]
+                else:
+                    mask_view[lo:hi] = p.gmask[lo:hi, index]
+
+        parallel_for(mask_body, m,
+                     outputs=((p.product, 0), (p.gmask, 0),
+                              (p.mask_cast, 0))
+                     + tuple((view, 0) for view in p.mask_views))
 
 
 class TrainingEngine(InferenceEngine):

@@ -21,8 +21,8 @@ from repro.core.relevance import _model_axis_view
 from repro.core.training import Trainer
 from repro.core.transformer import CausalityAwareTransformer
 from repro.nn.inference import (InferenceEngine, ScratchArena,
-                                StackedInferenceEngine, max_last_keepdims,
-                                series_diagonal)
+                                StackedInferenceEngine, _take_branch_buffers,
+                                max_last_keepdims, series_diagonal)
 from repro.nn.tensor import Tensor, default_dtype, no_grad
 from tests.conftest import ABLATION_GRID, assert_matches_reference
 
@@ -125,7 +125,9 @@ class TestForwardParity:
         x = window_batch(model)
         fleet = InferenceEngine(model).fleet
         space = fleet.arena.space(("test", x.shape))
-        values, _flat = fleet._convolution(space, x[None], fleet._stage())
+        stage = fleet._stage()
+        _take_branch_buffers(space, x[None], stage)
+        values, _flat = fleet._convolution(space, x[None], stage)
         with no_grad():
             reference = model.convolution(Tensor(x.copy()))
         assert_matches_reference(values[0].transpose(2, 1, 0, 3),
@@ -155,7 +157,9 @@ class TestForwardParity:
         x = window_batch(model)
         fleet = InferenceEngine(model).fleet
         space = fleet.arena.space(("test", x.shape))
-        probs = fleet._attention_probs(space, x[None], fleet._stage())
+        stage = fleet._stage()
+        _take_branch_buffers(space, x[None], stage)
+        probs = fleet._attention_probs(space, x[None], stage)
         with no_grad():
             _prediction, cache = model(Tensor(x.copy()))
         reference = np.stack([head.attention_data

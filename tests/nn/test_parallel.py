@@ -311,19 +311,20 @@ class TestDebugAudit:
         parallel_for(lambda lo, hi: None, 4, outputs=[(broadcast, 0)])
 
     def test_softmax_reduction_buffers_pass_the_audit(self, debug_audit):
-        """The attention branch declares the softmax's max/sum buffers
-        (``att.max``/``att.sum``) and the MLP body its slope mask — both
-        audits must accept the full declaration sets while the threaded
-        result stays bit-identical."""
+        """The softmax declares its max/sum buffers (``att.max``/``att.sum``)
+        — as chunk outputs at three threads, as writes of the attention
+        branch at two — and the MLP body its slope mask: both audits must
+        accept the full declaration sets while the threaded result stays
+        bit-identical."""
         config = make_config()
         model = CausalityAwareTransformer(config)
         windows = np.random.default_rng(7).normal(
             size=(8, config.n_series, config.window))
         serial = InferenceEngine(model).forward(windows).copy()
-        with engine_threads(3):
-            engine = InferenceEngine(model)
-            for _ in range(2):     # the second forward runs the branches
-                assert np.array_equal(engine.forward(windows), serial)
+        for threads in (2, 3):
+            with engine_threads(threads):
+                threaded = InferenceEngine(model).forward(windows)
+            assert np.array_equal(threaded, serial)
 
 
 # ---------------------------------------------------------------------- #
@@ -344,7 +345,7 @@ class TestForwardBitIdentity:
             serial_loss = InferenceEngine(model).evaluate(windows, 4)
             with engine_threads(threads):
                 engine = InferenceEngine(model)
-                # The first call allocates in order; the second branches.
+                # The second call replays the views the first one built.
                 for _ in range(2):
                     assert np.array_equal(engine.forward(windows),
                                           serial_forward)
@@ -374,8 +375,8 @@ class TestBackwardBitIdentity:
 
             def gradients():
                 engine = TrainingEngine(model)
-                # The first step's forward allocates in order; the second
-                # branches its forward as well as its backward.
+                # The second step replays the first one's views and
+                # backward plan.
                 return [engine.gradients(batch) for _ in range(2)]
 
             serial, _ = gradients()
@@ -479,9 +480,9 @@ class TestStackedBitIdentity:
 
 
 class TestBranchSchedule:
-    """A threaded engine call runs the convolution and the attention side
-    of each step as two concurrent branches; a serial call runs every
-    stage on the caller."""
+    """A single model on two threads runs the convolution and the attention
+    side of each step as two concurrent branches; a serial call, a fleet
+    and a call on more threads run both sides on the caller."""
 
     @staticmethod
     def record_threads(monkeypatch, owner, names):
@@ -496,11 +497,12 @@ class TestBranchSchedule:
             monkeypatch.setattr(owner, name, recording)
         return threads
 
-    @pytest.mark.parametrize("threads, distinct", [(1, False), (2, True)])
+    @pytest.mark.parametrize("threads, distinct",
+                             [(1, False), (2, True), (3, False)])
     def test_forward_branches(self, monkeypatch, threads, distinct):
-        """The first forward in a scratch space allocates its buffers and
-        runs on the caller; every later one runs the two branches on two
-        threads when threaded."""
+        """At two threads every forward branches, the first one in a
+        scratch space (which takes its buffers before the branches start)
+        too; at one or three threads both run on the caller."""
         config = make_config()
         model = CausalityAwareTransformer(config)
         windows = np.random.default_rng(8).normal(
@@ -513,22 +515,56 @@ class TestBranchSchedule:
             assert np.array_equal(engine.forward(windows), first)
         caller = threading.get_ident()
         assert seen["_convolution"] == [caller, caller]
-        assert seen["_attention_probs"][0] == caller
-        assert (seen["_attention_probs"][1] != caller) == distinct
+        assert [ident != caller for ident in seen["_attention_probs"]] \
+            == [distinct, distinct]
 
-    @pytest.mark.parametrize("threads, distinct", [(1, False), (2, True)])
+    def test_fleet_runs_both_sides_on_the_caller(self, monkeypatch):
+        models = [CausalityAwareTransformer(make_config(seed=seed))
+                  for seed in range(2)]
+        rng = np.random.default_rng(10)
+        window_sets = [rng.normal(size=(8, 4, 10)) for _ in models]
+        seen = self.record_threads(monkeypatch, StackedInferenceEngine,
+                                   ("_convolution", "_attention_probs"))
+        with engine_threads(2):
+            StackedInferenceEngine(models).interpretation_forward(window_sets)
+        caller = threading.get_ident()
+        assert seen == {"_convolution": [caller],
+                        "_attention_probs": [caller]}
+
+    def test_first_interpretation_forward_branches(self, monkeypatch):
+        """The detector's one forward is its engine's first call, and it
+        branches at two threads as the training forwards do."""
+        config = make_config()
+        model = CausalityAwareTransformer(config)
+        windows = np.random.default_rng(11).normal(
+            size=(8, config.n_series, config.window))
+        seen = self.record_threads(monkeypatch, StackedInferenceEngine,
+                                   ("_convolution", "_attention_probs"))
+        with engine_threads(2):
+            InferenceEngine(model).interpretation_forward(windows)
+        caller = threading.get_ident()
+        assert seen["_convolution"] == [caller]
+        assert seen["_attention_probs"] != [caller]
+
+    @pytest.mark.parametrize("threads, distinct",
+                             [(1, False), (2, True), (3, False)])
     def test_backward_branches(self, monkeypatch, threads, distinct):
+        """Each Eq. 6 half runs on its side's thread."""
         config = make_config()
         model = CausalityAwareTransformer(config)
         batch = np.random.default_rng(9).normal(
             size=(8, config.n_series, config.window))
-        names = ("_convolution", "_attention_probs", "_values_backward",
-                 "_attention_backward")
+        names = ("_convolution", "_attention_probs",
+                 "_combine_values_backward", "_values_backward",
+                 "_combine_attention_backward", "_attention_backward")
         seen = self.record_threads(monkeypatch, StackedTrainingEngine, names)
         with engine_threads(threads):
             TrainingEngine(model).gradients(batch)
         assert all(len(seen[name]) == 1 for name in names)
         assert seen["_values_backward"] == [threading.get_ident()]
+        assert seen["_combine_values_backward"] == seen["_values_backward"]
+        assert seen["_combine_attention_backward"] \
+            == seen["_attention_backward"]
         assert (seen["_attention_backward"] != seen["_values_backward"]) \
             == distinct
 
