@@ -222,6 +222,8 @@ class StackedCausalFormerTrainer:
         exception inside a step leaves ``fit`` — a stacked step cannot pin
         a failure on one lane — and the service layer re-runs the whole
         group job by job (:func:`repro.service.batched.execute_batched_jobs`).
+        As in :meth:`repro.core.training.Trainer.fit`, BLAS runs on one
+        thread for the whole loop, whatever the engine thread count.
         """
         if self._fitted:
             raise RuntimeError("a StackedCausalFormerTrainer fits once; "

@@ -184,7 +184,12 @@ class Trainer:
     # Training
     # ------------------------------------------------------------------ #
     def fit(self, values: np.ndarray, verbose: bool = False) -> TrainingHistory:
-        """Train on an ``(N, T_total)`` array; returns the loss history."""
+        """Train on an ``(N, T_total)`` array; returns the loss history.
+
+        BLAS runs on one thread from the loop's start to its end
+        (:func:`repro.nn.parallel.engine_session`), so the weights are the
+        same at every engine thread count.
+        """
         telemetry = self._resolve_telemetry(verbose)
         rng = np.random.default_rng(self.config.seed)
         windows = self.make_windows(values)

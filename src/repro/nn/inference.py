@@ -1238,32 +1238,34 @@ class StackedInferenceEngine(ProfilingSeam):
         only the all-ones seed, the kernel-dtype cast and the per-target
         single-kernel sum are the detector's own.  The buffers are allocated
         per call, so none stays in the arena while relevance propagation
-        runs.  Not sized by its batch, the call is serial under the
-        work-size rule; under an explicit count its stages thread.
+        runs.  Like :meth:`_forward`, the pass is one engine call sized by
+        its forward's ``M·B·N²·T`` batch.
         """
         stage = forward.stage
         m, batch, n, window = forward.output.shape
-        rows = (m, batch * n)
-        dtype = forward.output.dtype
-        grad_combined = np.empty(rows + (window,), dtype)
-        self._mlp_input_backward(
-            np.ones(rows + (window,), dtype), stage, forward.slope,
-            np.empty(rows + (window,), dtype),
-            np.empty(forward.slope.shape, dtype), grad_combined)
-        grad_heads = np.empty((m, batch, n, stage["n_heads"], window), dtype)
-        self._combine_backward(grad_combined, stage, grad_heads)
-        attention_grads = np.empty(forward.attention_probs.shape, dtype)
-        self._combine_attention_backward(grad_heads, forward.tsbt,
-                                         attention_grads)
-        grad_tsbt = np.empty(forward.tsbt.shape, dtype)
-        self._combine_values_backward(grad_heads, forward.attention_probs,
-                                      grad_tsbt)
-        kernel_grads = np.empty((m, n, n, window), dtype)   # (M,N,N,K)
-        self._convolution_backward(
-            grad_tsbt, np.empty((m, n, batch, window - 1), dtype),
-            tiled_scale(self._space(forward.inputs), stage["scale_array"],
-                        batch),
-            forward.windows_flat, kernel_grads)
+        with engine_call(m * batch * n * n * window):
+            rows = (m, batch * n)
+            dtype = forward.output.dtype
+            grad_combined = np.empty(rows + (window,), dtype)
+            self._mlp_input_backward(
+                np.ones(rows + (window,), dtype), stage, forward.slope,
+                np.empty(rows + (window,), dtype),
+                np.empty(forward.slope.shape, dtype), grad_combined)
+            grad_heads = np.empty((m, batch, n, stage["n_heads"], window),
+                                  dtype)
+            self._combine_backward(grad_combined, stage, grad_heads)
+            attention_grads = np.empty(forward.attention_probs.shape, dtype)
+            self._combine_attention_backward(grad_heads, forward.tsbt,
+                                             attention_grads)
+            grad_tsbt = np.empty(forward.tsbt.shape, dtype)
+            self._combine_values_backward(grad_heads, forward.attention_probs,
+                                          grad_tsbt)
+            kernel_grads = np.empty((m, n, n, window), dtype)   # (M,N,N,K)
+            self._convolution_backward(
+                grad_tsbt, np.empty((m, n, batch, window - 1), dtype),
+                tiled_scale(self._space(forward.inputs), stage["scale_array"],
+                            batch),
+                forward.windows_flat, kernel_grads)
         kernel_dtype = self.models[0].convolution.kernel.data.dtype
         if kernel_grads.dtype != kernel_dtype:
             # The node-boundary cast happens before the single-kernel

@@ -58,13 +58,13 @@ This module provides the execution seam the engines thread through:
 
 Two guard rails ride along:
 
-* While engine ops run on more than one thread, BLAS threading is held
-  at 1 (a best-effort runtime call into the loaded OpenBLAS) so our chunk
-  threads do not oversubscribe against BLAS's own pool.  An explicit count
-  above one pins it for the rest of the process (plus the environment
-  variables, for pool workers); a call the work-size rule threads holds it
-  only until the call — or the fit (:func:`engine_session`) — ends, so
-  serial calls keep BLAS's threads.
+* While any engine call or fit (:func:`engine_session`) runs, BLAS is held
+  at one thread, whatever the engine thread count and however it was set:
+  a runtime call into the loaded OpenBLAS, undone when the last hold ends.
+  The engines own the outer parallelism, so chunk threads never
+  oversubscribe against BLAS's own pool, and since every engine GEMM runs
+  on one BLAS thread, every thread count gives the same bits.  A BLAS
+  without OpenBLAS's runtime thread calls (MKL, Accelerate) is not capped.
 * Under ``REPRO_PARALLEL_DEBUG`` (or :func:`set_parallel_debug`), call
   sites may declare what they write, and the audit asserts via
   ``np.shares_memory`` that no two chunk views of an output alias
@@ -79,7 +79,7 @@ import ctypes
 import os
 import queue
 import threading
-from contextlib import ExitStack, contextmanager, nullcontext
+from contextlib import contextmanager
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -93,7 +93,6 @@ __all__ = [
     "engine_threads",
     "get_engine_pool",
     "get_engine_threads",
-    "limit_blas_threads",
     "parallel_for",
     "run_branches",
     "set_engine_threads",
@@ -104,25 +103,15 @@ __all__ = [
     "usable_cpus",
 ]
 
-#: Environment variables consulted by the common BLAS/threading runtimes.
-_BLAS_ENV_VARS = (
-    "OMP_NUM_THREADS",
-    "OPENBLAS_NUM_THREADS",
-    "MKL_NUM_THREADS",
-    "VECLIB_MAXIMUM_THREADS",
-    "NUMEXPR_NUM_THREADS",
-)
-
 #: Runtime ``(set, get)`` thread-count entry points of an already-loaded
 #: OpenBLAS.  numpy >= 2 bundles scipy-openblas with prefixed symbols; plain
-#: OpenBLAS exports the unprefixed names.  ``goto_set_num_threads`` has no
-#: getter, so a BLAS exporting only it can be capped but not restored.
+#: OpenBLAS exports the unprefixed names.  A BLAS without a getter could
+#: not be restored after a hold, so it is left alone.
 _OPENBLAS_SYMBOLS = (
     ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
     ("scipy_openblas_set_num_threads", "scipy_openblas_get_num_threads"),
     ("openblas_set_num_threads64_", "openblas_get_num_threads64_"),
     ("openblas_set_num_threads", "openblas_get_num_threads"),
-    ("goto_set_num_threads", None),
 )
 
 
@@ -186,16 +175,16 @@ _cpu_budget: int = usable_cpus()
 #: per Python thread: the count chosen for the engine call it is running
 _call = threading.local()
 _parallel_debug: bool = _parse_env_debug()
-_blas_limited: bool = False
-#: the loaded BLAS libraries' ``(setter, getter or None)`` pairs, found once
-_blas_runtime: Optional[List[Tuple[Callable, Optional[Callable]]]] = None
-#: engine calls now holding BLAS at one thread, and the counts to restore
+#: the loaded BLAS libraries' ``(setter, getter)`` pairs, found once
+_blas_runtime: Optional[List[Tuple[Callable, Callable]]] = None
+#: engine calls and sessions now holding BLAS at one thread, and the
+#: counts to restore when the last of them ends
 _blas_holds: int = 0
 _blas_restore: List[Tuple[Callable, int]] = []
 _config_lock = threading.Lock()
 
 
-def _loaded_blas() -> List[Tuple[Callable, Optional[Callable]]]:
+def _loaded_blas() -> List[Tuple[Callable, Callable]]:
     """Thread-count setter and getter of each BLAS loaded in this process."""
     global _blas_runtime
     if _blas_runtime is not None:
@@ -219,8 +208,8 @@ def _loaded_blas() -> List[Tuple[Callable, Optional[Callable]]]:
             continue
         for set_name, get_name in _OPENBLAS_SYMBOLS:
             setter = getattr(library, set_name, None)
-            if setter is not None:
-                getter = getattr(library, get_name, None) if get_name else None
+            getter = getattr(library, get_name, None)
+            if setter is not None and getter is not None:
                 runtime.append((setter, getter))
                 break
     _blas_runtime = runtime
@@ -234,46 +223,22 @@ def _set_blas(setter: Callable, count: int) -> None:
         pass
 
 
-def limit_blas_threads() -> None:
-    """Pin BLAS to a single thread for good (idempotent, best effort).
-
-    Engine threads and BLAS threads multiply: 4 chunk threads each fanning
-    a GEMM across 4 BLAS threads oversubscribes a 4-core host 4x.  Under an
-    explicit engine thread count above one the engines own the outer
-    parallelism, so BLAS is capped at 1.
-
-    Environment variables only matter for libraries loaded *after* this
-    call (e.g. spawned pool workers importing numpy fresh); for the BLAS
-    already linked into this process we additionally call
-    ``openblas_set_num_threads(1)`` on the loaded shared object.
-    """
-    global _blas_limited
-    with _config_lock:
-        if _blas_limited:
-            return
-        _blas_limited = True
-    for var in _BLAS_ENV_VARS:
-        os.environ[var] = "1"
-    for setter, _getter in _loaded_blas():
-        _set_blas(setter, 1)
-
-
 @contextmanager
 def _blas_held_at_one():
     """Hold BLAS at one thread while the block runs, then restore it.
 
-    The work-size rule threads some engine calls and leaves others serial,
-    so it caps BLAS only for the threaded ones: serial calls keep BLAS's
-    own threads.  Nested and concurrent holds share one cap, lifted when
-    the last of them ends (unless :func:`limit_blas_threads` made it
-    permanent meanwhile).
+    Engine threads and BLAS threads multiply (4 chunk threads each fanning
+    a GEMM across 4 BLAS threads oversubscribe a 4-core host 4x), and BLAS
+    may sum a GEMM in another order on another thread count, so every
+    engine call runs its GEMMs on one BLAS thread, serial calls included.
+    Nested and concurrent holds share one cap, lifted when the last of
+    them ends.
     """
     global _blas_holds, _blas_restore
     with _config_lock:
-        if _blas_holds == 0 and not _blas_limited:
+        if _blas_holds == 0:
             _blas_restore = [(setter, getter())
-                             for setter, getter in _loaded_blas()
-                             if getter is not None]
+                             for setter, getter in _loaded_blas()]
             for setter, _count in _blas_restore:
                 _set_blas(setter, 1)
         _blas_holds += 1
@@ -283,9 +248,8 @@ def _blas_held_at_one():
         with _config_lock:
             _blas_holds -= 1
             if _blas_holds == 0:
-                if not _blas_limited:
-                    for setter, count in _blas_restore:
-                        _set_blas(setter, count)
+                for setter, count in _blas_restore:
+                    _set_blas(setter, count)
                 _blas_restore = []
 
 
@@ -310,18 +274,14 @@ def set_engine_threads(n: Optional[int] = None) -> int:
     """Set the process-wide engine thread count; returns the count in effect.
 
     ``None`` re-reads ``REPRO_ENGINE_THREADS``; with it unset, engine calls
-    follow the work-size rule (:func:`threads_for_work`).  Enabling more
-    than one thread pins BLAS to a single thread (see
-    :func:`limit_blas_threads`); the pool itself starts lazily on the first
-    parallel call.
+    follow the work-size rule (:func:`threads_for_work`).  The pool itself
+    starts lazily on the first parallel call.
     """
     global _engine_threads
     count = _parse_env_threads() if n is None else int(n)
     if count is not None and count < 1:
         raise ValueError(f"engine threads must be >= 1, got {count}")
     _engine_threads = count
-    if count is not None and count > 1:
-        limit_blas_threads()
     return get_engine_threads()
 
 
@@ -362,61 +322,29 @@ def threads_for_work(work: int) -> int:
     return max(1, min(_cpu_budget, work // WORK_PER_THREAD))
 
 
-class _Session:
-    """One thread's engine session: a BLAS hold kept until it ends."""
-
-    __slots__ = ("stack", "held")
-
-    def __init__(self) -> None:
-        self.stack = ExitStack()
-        self.held = False
-
-    def hold_blas(self) -> None:
-        if not self.held:
-            self.stack.enter_context(_blas_held_at_one())
-            self.held = True
-
-
-@contextmanager
 def engine_session():
-    """Keep the BLAS hold of the block's first threaded call until it ends.
+    """Hold BLAS at one thread from the block's start until it ends.
 
-    A fit wraps its loop in one session.  Its steps alternate with BLAS
-    calls of their own (the optimizer's gradient norm); lifting the hold
-    between steps would let those calls wake BLAS's worker threads, which
-    then spin against the next step's engine threads.  Nested sessions
-    join the outer one.
+    A fit wraps its loop in one session, so it sets BLAS once and restores
+    it once.  The optimizer's BLAS calls between steps (the gradient norm)
+    run held too, so they neither wake BLAS's worker threads to spin
+    against the next step's engine threads nor sum in another order than
+    at any other thread count.  Sessions and engine calls nest.
     """
-    if getattr(_call, "session", None) is not None:
-        yield
-        return
-    session = _call.session = _Session()
-    try:
-        with session.stack:
-            yield
-    finally:
-        _call.session = None
+    return _blas_held_at_one()
 
 
 @contextmanager
 def engine_call(work: int):
     """Run one engine call on the threads its work size earns.
 
-    Yields the count chosen.  While a call the rule threads runs, BLAS is
-    held at one thread — until the enclosing :func:`engine_session` ends,
-    if there is one (an explicit count caps it for good instead).
+    Yields the count chosen.  BLAS is held at one thread while the call
+    runs (:func:`_blas_held_at_one`).
     """
     previous = getattr(_call, "threads", None)
     threads = _call.threads = threads_for_work(work)
-    hold = nullcontext()
-    if threads > 1 and _engine_threads is None:
-        session = getattr(_call, "session", None)
-        if session is None:
-            hold = _blas_held_at_one()
-        else:
-            session.hold_blas()
     try:
-        with hold:
+        with _blas_held_at_one():
             yield threads
     finally:
         _call.threads = previous
@@ -597,11 +525,6 @@ def parallel_for(body: Callable[[int, int], None], n_items: int,
     if threads <= 1 or n_items <= 1:
         body(0, n_items)
         return
-    if _engine_threads is not None:
-        # Covers the env-seeded path (``REPRO_ENGINE_THREADS`` at import
-        # skips ``set_engine_threads``); idempotent after the first call.
-        # A count the rule chose already holds BLAS (:func:`engine_call`).
-        limit_blas_threads()
     bounds = _chunk_bounds(n_items, threads)
     if _parallel_debug and outputs:
         _audit_outputs(outputs, bounds)
@@ -651,8 +574,6 @@ def run_branches(*branches: Callable[[], object],
     threads = get_engine_threads()
     if threads <= 1 or len(branches) <= 1:
         return tuple(branch() for branch in branches)
-    if _engine_threads is not None:
-        limit_blas_threads()
     if _parallel_debug and audit is not None:
         _audit_branches(audit())
     results: List[object] = [None] * len(branches)

@@ -87,7 +87,10 @@ a pre-allocated arena buffer.  Cross-row weight-gradient reductions
 each model's reduction stays whole.  Either schedule is bit-exact: the
 two sides share no buffer, so each op computes the same values whatever
 runs beside or before it.  On one thread every ``body(0, n)`` call is the
-exact serial path.
+exact serial path.  Every step, threaded or not, runs with BLAS held at one
+thread, and a fit holds it from start to end
+(:func:`repro.nn.parallel.engine_session`), so no GEMM's summation order
+depends on BLAS's own thread count.
 
 Numerical contract
 ------------------

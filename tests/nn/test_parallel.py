@@ -10,6 +10,7 @@ concurrent submitters), the debug aliasing audit, forward/backward/stacked
 dtypes, and the propagation seams (pool workers, CLI flag).
 """
 
+import os
 import re
 import sys
 import threading
@@ -837,19 +838,18 @@ class _FakeBlas:
 
 @pytest.fixture
 def fake_blas(monkeypatch):
-    """Route BLAS capping to a fake two-thread BLAS, nothing pinned yet."""
+    """Route BLAS capping to a fake two-thread BLAS."""
     blas = _FakeBlas(2)
     monkeypatch.setattr(parallel, "_blas_runtime", [(blas.set, blas.get)])
-    monkeypatch.setattr(parallel, "_blas_limited", False)
-    monkeypatch.setattr(parallel, "_BLAS_ENV_VARS", ())
     return blas
 
 
 class TestBlasCap:
-    def test_a_serial_call_keeps_the_blas_threads(self, work_size_rule,
-                                                  fake_blas):
-        with parallel.engine_call(C):
-            assert fake_blas.count == 2
+    def test_a_serial_call_holds_blas_at_one_and_restores_it(
+            self, work_size_rule, fake_blas):
+        with parallel.engine_call(C) as threads:
+            assert threads == 1
+            assert fake_blas.count == 1
             parallel_for(lambda lo, hi: None, 8)
         assert fake_blas.count == 2
 
@@ -862,7 +862,6 @@ class TestBlasCap:
                 parallel_for(lambda lo, hi: None, 8)
             assert fake_blas.count == 1
         assert fake_blas.count == 2
-        assert not parallel._blas_limited
 
     def test_concurrent_threaded_calls_share_one_hold(self, work_size_rule,
                                                       fake_blas):
@@ -883,11 +882,12 @@ class TestBlasCap:
         thread.join()
         assert fake_blas.count == 2
 
-    def test_a_session_keeps_the_hold_until_it_ends(self, work_size_rule,
-                                                    fake_blas):
+    def test_a_session_holds_blas_from_its_start_until_it_ends(
+            self, work_size_rule, fake_blas):
         with parallel.engine_session():
+            assert fake_blas.count == 1
             with parallel.engine_call(C):
-                assert fake_blas.count == 2
+                assert fake_blas.count == 1
             for _ in range(3):
                 with parallel.engine_call(2 * C):
                     assert fake_blas.count == 1
@@ -907,12 +907,73 @@ class TestBlasCap:
         assert calls == [1, 2]
         assert fake_blas.count == 2
 
-    def test_an_explicit_count_pins_blas_for_good(self, fake_blas):
-        with engine_threads(2):
-            with parallel.engine_call(0):
+    def test_an_explicit_count_restores_blas_and_writes_no_environment(
+            self, fake_blas):
+        environment = dict(os.environ)
+        with engine_threads(4):
+            with parallel.engine_call(0) as threads:
+                assert threads == 4
+                assert fake_blas.count == 1
                 parallel_for(lambda lo, hi: None, 8)
-        assert fake_blas.count == 1
-        assert parallel._blas_limited
+        assert fake_blas.count == 2
+        assert dict(os.environ) == environment
+
+    def test_the_gradient_pass_is_held_and_sized_like_its_forward(
+            self, work_size_rule, fake_blas, monkeypatch):
+        seen = []
+        stage = StackedInferenceEngine._mlp_input_backward
+
+        def recording_stage(self, *args):
+            seen.append((get_engine_threads(), fake_blas.count))
+            return stage(self, *args)
+
+        monkeypatch.setattr(StackedInferenceEngine, "_mlp_input_backward",
+                            recording_stage)
+        config = make_config()
+        engine = InferenceEngine(CausalityAwareTransformer(config))
+        windows = np.stack([training_series(seed)[:, :config.window]
+                            for seed in range(4)])
+        # 4 windows x 4² series x 10 slots: two threads' worth
+        monkeypatch.setattr(parallel, "WORK_PER_THREAD", 4 * 16 * 10 // 2)
+        engine.interpretation_gradients(engine.interpretation_forward(windows))
+        assert seen == [(2, 1)]
+        assert fake_blas.count == 2
+
+
+class TestOneResultPerThreadCount:
+    """Fits large enough for OpenBLAS to thread their GEMMs give the same
+    weights at every engine thread count, the work-size rule's included:
+    BLAS runs on one thread inside every engine call and fit, serial ones
+    too."""
+
+    @pytest.mark.parametrize("stacked", [True, False],
+                             ids=["fleet", "solo"])
+    def test_lorenz_fits(self, work_size_rule, stacked):
+        from repro.core.config import lorenz_preset
+        from repro.data.lorenz import lorenz96_dataset
+        from repro.data.windows import zscore_normalize
+
+        seeds = range(3)
+        values = [zscore_normalize(
+            lorenz96_dataset(n_series=10, length=600, seed=seed).values)
+            for seed in seeds]
+        results = []
+        for threads in (1, 2, 3, None):
+            models = [CausalityAwareTransformer(
+                lorenz_preset(n_series=10, max_epochs=4, seed=seed))
+                for seed in seeds]
+            with engine_threads(threads):
+                if stacked:
+                    StackedCausalFormerTrainer(models).fit(values)
+                else:
+                    for model, series in zip(models, values):
+                        Trainer(model).fit(series)
+            results.append([p.data.copy() for model in models
+                            for p in model.parameters()])
+        for weights in results[1:]:
+            assert len(weights) == len(results[0])
+            for got, want in zip(weights, results[0]):
+                assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("raw", ["abc", "0", "-2", "1.5"])
