@@ -62,8 +62,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.contracts import hot_path
-from .parallel import (engine_call, get_engine_threads, parallel_for,
-                       run_branches, slice_axis)
+from .parallel import (engine_call, engine_session, get_engine_threads,
+                       parallel_for, run_branches, slice_axis)
 
 
 class ScratchSpace:
@@ -1238,12 +1238,16 @@ class StackedInferenceEngine(ProfilingSeam):
         only the all-ones seed, the kernel-dtype cast and the per-target
         single-kernel sum are the detector's own.  The buffers are allocated
         per call, so none stays in the arena while relevance propagation
-        runs.  Like :meth:`_forward`, the pass is one engine call sized by
-        its forward's ``M·B·N²·T`` batch.
+        runs.  The pass holds BLAS at one thread like any engine call
+        (:func:`~repro.nn.parallel.engine_session`) but is not sized by its
+        batch: under the work-size rule it runs serially, under an explicit
+        count its stages thread.  (Sizing it would run the Lorenz-96
+        N = 40 detector's pass on two threads for 4 MB more peak memory
+        and no measured time.)
         """
         stage = forward.stage
         m, batch, n, window = forward.output.shape
-        with engine_call(m * batch * n * n * window):
+        with engine_session():
             rows = (m, batch * n)
             dtype = forward.output.dtype
             grad_combined = np.empty(rows + (window,), dtype)

@@ -136,6 +136,12 @@ _OPENBLAS_SYMBOLS = (
 #: third thread on a 4-CPU host, where the steps chunk instead of
 #: branching and which is unmeasured, so the constant stays until a rule
 #: with a separate two-thread threshold is measured on such a host.
+#: Re-checked once every engine call, serial ones included, held BLAS at
+#: one thread (float32, 20 alternating process pairs per size, median
+#: seconds per epoch over three 8-epoch fits on series of length 1000):
+#: N = 20 15.6 vs 17.6 ms (ratio 1.14, two threads faster in 5 of 20),
+#: N = 30 30.3 vs 25.2 ms (0.89, 14 of 20), Lorenz preset N = 10 33.8 vs
+#: 33.2 ms (0.98, 11 of 20), so the crossover did not move.
 #: The batched synthetic sweep's largest call (114,048) stays serial.
 WORK_PER_THREAD = 400_000
 

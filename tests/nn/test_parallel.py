@@ -918,7 +918,7 @@ class TestBlasCap:
         assert fake_blas.count == 2
         assert dict(os.environ) == environment
 
-    def test_the_gradient_pass_is_held_and_sized_like_its_forward(
+    def test_the_gradient_pass_is_held_but_not_sized(
             self, work_size_rule, fake_blas, monkeypatch):
         seen = []
         stage = StackedInferenceEngine._mlp_input_backward
@@ -933,10 +933,14 @@ class TestBlasCap:
         engine = InferenceEngine(CausalityAwareTransformer(config))
         windows = np.stack([training_series(seed)[:, :config.window]
                             for seed in range(4)])
-        # 4 windows x 4² series x 10 slots: two threads' worth
+        forward = engine.interpretation_forward(windows)
+        # 4 windows x 4² series x 10 slots: two threads' worth, were the
+        # pass sized like its forward
         monkeypatch.setattr(parallel, "WORK_PER_THREAD", 4 * 16 * 10 // 2)
-        engine.interpretation_gradients(engine.interpretation_forward(windows))
-        assert seen == [(2, 1)]
+        engine.interpretation_gradients(forward)
+        with engine_threads(3):
+            engine.interpretation_gradients(forward)
+        assert seen == [(1, 1), (3, 1)]
         assert fake_blas.count == 2
 
 
